@@ -17,12 +17,12 @@ Usage:
 import sys
 
 import _bootstrap  # noqa: F401  (inserts <repo>/src on sys.path if needed)
-from repro.core.aliasing import ALIAS_CATEGORIES, AliasingAnalyzer
 from repro.core.dfcm import DFCMPredictor
 from repro.core.fcm import FCMPredictor
-from repro.core.occupancy import stride_occupancy
 from repro.core.stride import StridePredictor
 from repro.harness.ascii_plot import render_series
+from repro.telemetry.tables import (ALIAS_CATEGORIES, AliasingAnalyzer,
+                                    stride_occupancy)
 from repro.trace.cache import cached_trace
 
 

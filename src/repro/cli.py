@@ -301,24 +301,47 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--run", default=None,
                                 help="run id (default: most recent run)")
 
-    serve = sub.add_parser("serve", help="run the online prediction server")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="listen port (default 0 = ephemeral)")
-    serve.add_argument("--shards", type=int, default=2,
-                       help="session shards / worker tasks (default 2)")
-    serve.add_argument("--max-batch", type=int, default=64,
-                       help="micro-batch size cap (default 64)")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="micro-batch accumulation window "
-                            "(default 2ms)")
-    serve.add_argument("--queue-depth", type=int, default=1024,
-                       help="per-shard queue bound / backpressure point")
-    serve.add_argument("--request-timeout-s", type=float, default=30.0,
-                       help="per-request response deadline (default 30s)")
-    serve.add_argument("--obs-port", type=int, default=None,
-                       help="serve HTTP /metrics /healthz /slo /slow on "
-                            "this port (0 = ephemeral; default off)")
+    # Flags shared by `serve` and `cluster serve`; a cluster applies the
+    # server ones (shards, batching, state) to every worker it spawns.
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--host", default="127.0.0.1")
+    serving.add_argument("--port", type=int, default=0,
+                         help="listen port (default 0 = ephemeral)")
+    serving.add_argument("--obs-port", type=int, default=None,
+                         help="serve HTTP /metrics /healthz /slo /slow "
+                              "on this port (0 = ephemeral; default off)")
+    serving.add_argument("--shards", type=int, default=2,
+                         help="session shards / worker tasks per server "
+                              "(default 2)")
+    serving.add_argument("--max-batch", type=int, default=64,
+                         help="micro-batch size cap (default 64)")
+    serving.add_argument("--max-delay-ms", type=float, default=2.0,
+                         help="micro-batch accumulation window "
+                              "(default 2ms)")
+    serving.add_argument("--queue-depth", type=int, default=1024,
+                         help="per-shard queue bound / backpressure point")
+    serving.add_argument("--request-timeout-s", type=float, default=30.0,
+                         help="per-request response deadline "
+                              "(default 30s)")
+    serving.add_argument("--state-dir", default=None,
+                         help="durable session state: spill/restore "
+                              "per-session table arenas under this "
+                              "directory (a cluster shares it for hot "
+                              "migration and failover; default: "
+                              "in-memory only)")
+    serving.add_argument("--max-resident", type=int, default=None,
+                         help="LRU-evict spillable sessions to the state "
+                              "directory beyond this many resident "
+                              "sessions per server (needs --state-dir; "
+                              "default: spill only on drain)")
+    serving.add_argument("--telemetry", metavar="DIR", default=None,
+                         help="record this invocation as a telemetry run "
+                              "under DIR")
+    serving.add_argument("--json", action="store_true",
+                         help="print listening/drained lines as JSON")
+
+    serve = sub.add_parser("serve", parents=[serving],
+                           help="run the online prediction server")
     serve.add_argument("--slo-p99-ms", type=float, default=250.0,
                        help="latency SLO: p99 of data-path requests "
                             "must stay under this (default 250ms)")
@@ -331,23 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slow-out", metavar="FILE", default=None,
                        help="write the slow-request sample JSON here on "
                             "drain")
-    serve.add_argument("--telemetry", metavar="DIR", default=None,
-                       help="record this invocation as a telemetry run "
-                            "under DIR")
-    serve.add_argument("--uvloop", action="store_true",
-                       help="run the event loop on uvloop when installed "
-                            "(automatically falls back to asyncio)")
-    serve.add_argument("--state-dir", default=None,
-                       help="durable session state: spill/restore "
-                            "per-session table arenas under this "
-                            "directory (default: in-memory only)")
-    serve.add_argument("--max-resident", type=int, default=None,
-                       help="LRU-evict spillable sessions to the state "
-                            "directory beyond this many resident "
-                            "sessions (needs --state-dir; default: "
-                            "spill only on drain)")
-    serve.add_argument("--json", action="store_true",
-                       help="print listening/drained lines as JSON")
 
     loadgen = sub.add_parser(
         "loadgen", help="replay a trace against a prediction server")
@@ -402,33 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_sub = cluster.add_subparsers(dest="cluster_command",
                                          required=True)
     cserve = cluster_sub.add_parser(
-        "serve", help="run a session-affine router over N workers")
+        "serve", parents=[serving],
+        help="run a session-affine router over N workers")
     cserve.add_argument("--workers", type=int, default=2,
                         help="worker processes (default 2)")
-    cserve.add_argument("--host", default="127.0.0.1")
-    cserve.add_argument("--port", type=int, default=0,
-                        help="router port (default: ephemeral)")
-    cserve.add_argument("--obs-port", type=int, default=None,
-                        help="aggregated observability HTTP port "
-                             "(0 = ephemeral; omit to disable)")
-    cserve.add_argument("--shards", type=int, default=2,
-                        help="batcher shards per worker (default 2)")
-    cserve.add_argument("--max-batch", type=int, default=64)
-    cserve.add_argument("--max-delay-ms", type=float, default=2.0)
-    cserve.add_argument("--queue-depth", type=int, default=1024)
-    cserve.add_argument("--request-timeout-s", type=float, default=30.0)
-    cserve.add_argument("--state-dir", default=None,
-                        help="shared durable-state directory (enables "
-                             "hot migration and failover re-homing)")
-    cserve.add_argument("--max-resident", type=int, default=None,
-                        help="per-worker resident-session LRU cap")
     cserve.add_argument("--no-auto-restart", action="store_true",
                         help="do not respawn crashed workers")
-    cserve.add_argument("--telemetry", metavar="DIR", default=None,
-                        help="record a telemetry run under DIR "
-                             "(default $REPRO_TELEMETRY_DIR)")
-    cserve.add_argument("--json", action="store_true",
-                        help="line-JSON lifecycle events (for scripts)")
     cstatus = cluster_sub.add_parser(
         "status", help="show a running router's fleet report")
     cstatus.add_argument("target",
@@ -659,8 +644,9 @@ def _cmd_compare(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     from repro.harness.bench import (append_history, diff_history,
-                                     render_bench, render_history_diff,
-                                     run_bench, write_report)
+                                     history_entry, render_bench,
+                                     render_history_diff, run_bench,
+                                     write_report)
     if args.action == "diff":
         diff = diff_history(args.history_file,
                             max_regression_pct=args.max_regression_pct)
@@ -673,7 +659,7 @@ def _cmd_bench(args, out) -> int:
     if args.out and args.out != "-":
         write_report(report, args.out)
     if args.history:
-        entry = append_history(report, args.history_file)
+        entry = append_history(history_entry(report), args.history_file)
         if not args.json:
             out.write(f"history: appended {entry['git_sha'] or '?'} "
                       f"to {args.history_file}\n")
@@ -948,14 +934,10 @@ def _cmd_telemetry(args, out) -> int:
     return 0
 
 
-def _cmd_serve(args, out) -> int:
-    import asyncio
-    import signal
-
-    from repro.serve.server import PredictionServer, resolve_loop_factory
-
-    loop_factory, loop_flavor = resolve_loop_factory(args.uvloop)
-
+def _emitter(args, out):
+    """``emit(event, human)`` for the serving commands' lifecycle
+    lines: one JSON object per line under ``--json``, else the human
+    line."""
     def emit(event: dict, human: str) -> None:
         if args.json:
             out.write(json.dumps(dict(event, schema=1), sort_keys=True)
@@ -963,21 +945,51 @@ def _cmd_serve(args, out) -> int:
         else:
             out.write(human + "\n")
         out.flush()
+    return emit
 
-    async def _serve():
-        from repro.telemetry.slo import default_serve_slos
+
+async def _serve_until_signalled(make_service, announce) -> dict:
+    """Build and start a server or router, ``announce`` it, and drain
+    it on SIGINT/SIGTERM; returns the stats its ``stop()`` reports."""
+    import asyncio
+    import signal
+
+    service = make_service()
+    await service.start()
+    announce(service)
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+        except NotImplementedError:  # pragma: no cover - non-POSIX
+            signal.signal(signum, lambda *_: stop.set())
+    await stop.wait()
+    return await service.stop()
+
+
+def _cmd_serve(args, out) -> int:
+    import asyncio
+
+    from repro.serve.server import PredictionServer
+    from repro.telemetry.slo import default_serve_slos
+
+    emit = _emitter(args, out)
+
+    def make_server():
         slos = default_serve_slos(
             p99_latency_s=args.slo_p99_ms / 1e3,
             queue_depth_ceiling=args.slo_queue_depth,
             accuracy_floor=args.slo_accuracy_floor)
-        server = PredictionServer(
+        return PredictionServer(
             host=args.host, port=args.port, shards=args.shards,
             max_batch=args.max_batch, max_delay=args.max_delay_ms / 1e3,
             queue_depth=args.queue_depth,
             request_timeout=args.request_timeout_s,
             obs_port=args.obs_port, slos=slos,
             state_dir=args.state_dir, max_resident=args.max_resident)
-        await server.start()
+
+    def announce(server) -> None:
         obs_note = (f", obs http://{args.host}:{server.obs_port}"
                     if server.obs_port is not None else "")
         if args.state_dir:
@@ -988,28 +1000,14 @@ def _cmd_serve(args, out) -> int:
               "obs_port": server.obs_port, "shards": args.shards,
               "state_dir": args.state_dir,
               "sessions_spilled": (server.server_stats()["sessions_spilled"]
-                                   if args.state_dir else 0),
-              "loop": loop_flavor},
+                                   if args.state_dir else 0)},
              f"listening on {args.host}:{server.port} "
              f"({args.shards} shards, batch<={args.max_batch}, "
-             f"delay<={args.max_delay_ms:g}ms, loop {loop_flavor}"
+             f"delay<={args.max_delay_ms:g}ms"
              f"{obs_note}) -- SIGTERM/SIGINT drains and exits")
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                signal.signal(signum, lambda *_: stop.set())
-        await stop.wait()
-        return await server.stop()
 
     with _maybe_telemetry(args) as telemetry:
-        if loop_factory is None:
-            stats = asyncio.run(_serve())
-        else:
-            with asyncio.Runner(loop_factory=loop_factory) as runner:
-                stats = runner.run(_serve())
+        stats = asyncio.run(_serve_until_signalled(make_server, announce))
     if args.slow_out:
         with open(args.slow_out, "w") as handle:
             json.dump(stats.get("slow_requests", {}), handle, indent=2,
@@ -1091,8 +1089,9 @@ def _loadgen_scaling(args, out, spec, trace) -> int:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if args.history:
-        from repro.harness.bench import append_cluster_history
-        append_cluster_history(report, args.history)
+        from repro.harness.bench import (append_history,
+                                         cluster_history_entry)
+        append_history(cluster_history_entry(report), args.history)
     if args.json:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
@@ -1149,19 +1148,11 @@ def _cluster_status(args, out) -> int:
 
 def _cluster_serve(args, out) -> int:
     import asyncio
-    import signal
 
     from repro.serve.cluster.router import Router
     from repro.serve.cluster.supervisor import ClusterSupervisor
 
-    def emit(event: dict, human: str) -> None:
-        if args.json:
-            out.write(json.dumps(dict(event, schema=1), sort_keys=True)
-                      + "\n")
-        else:
-            out.write(human + "\n")
-        out.flush()
-
+    emit = _emitter(args, out)
     supervisor = ClusterSupervisor(
         args.workers, host="127.0.0.1", shards=args.shards,
         max_batch=args.max_batch, max_delay=args.max_delay_ms / 1e3,
@@ -1170,11 +1161,12 @@ def _cluster_serve(args, out) -> int:
         state_dir=args.state_dir,
         max_resident=args.max_resident).start()
 
-    async def _serve():
-        router = Router(supervisor, host=args.host, port=args.port,
-                        obs_port=args.obs_port, obs_host=args.host,
-                        auto_restart=not args.no_auto_restart)
-        await router.start()
+    def make_router():
+        return Router(supervisor, host=args.host, port=args.port,
+                      obs_port=args.obs_port, obs_host=args.host,
+                      auto_restart=not args.no_auto_restart)
+
+    def announce(router) -> None:
         obs_note = (f", obs http://{args.host}:{router.obs_port}"
                     if router.obs_port is not None else "")
         if args.state_dir:
@@ -1189,19 +1181,11 @@ def _cluster_serve(args, out) -> int:
              f"router listening on {args.host}:{router.port} "
              f"({args.workers} workers{obs_note}) -- SIGTERM/SIGINT "
              f"drains the fleet and exits")
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                signal.signal(signum, lambda *_: stop.set())
-        await stop.wait()
-        return await router.stop()
 
     with _maybe_telemetry(args) as telemetry:
         try:
-            stats = asyncio.run(_serve())
+            stats = asyncio.run(_serve_until_signalled(make_router,
+                                                       announce))
         finally:
             supervisor.stop()
     emit({"event": "drained", "stats": stats,
@@ -1241,8 +1225,8 @@ def _cmd_soak(args, out) -> int:
                       sort_keys=True)
             handle.write("\n")
     if args.history:
-        from repro.harness.bench import append_soak_history
-        append_soak_history(report, args.history)
+        from repro.harness.bench import append_history, soak_history_entry
+        append_history(soak_history_entry(report), args.history)
     if args.json:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:

@@ -553,8 +553,12 @@ def spec_from_config(config: dict) -> PredictorSpec:
         cls = SPEC_FAMILIES[config.pop("family")]
     except KeyError as exc:
         raise ValueError(f"unknown predictor family {exc.args[0]!r}") from None
-    if "hash" in config and isinstance(config["hash"], dict):
-        config["hash"] = HashSpec(**config["hash"])
+    hash_config = config.get("hash")
+    if isinstance(hash_config, dict):
+        config["hash"] = HashSpec(**hash_config)
+    elif hash_config is not None:
+        raise ValueError(f"spec hash must be an object or null, got "
+                         f"{type(hash_config).__name__}")
     if "components" in config:
         config["components"] = tuple(
             spec_from_config(c) for c in config["components"])

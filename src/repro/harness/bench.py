@@ -30,9 +30,8 @@ from repro.trace.trace import ValueTrace
 
 __all__ = ["MIN_SPEEDUP", "MAX_REGRESSION_PCT", "bench_specs",
            "resolve_min_speedup", "resolve_max_regression_pct", "run_bench",
-           "render_bench", "write_report", "history_entry", "append_history",
-           "cluster_history_entry", "append_cluster_history",
-           "soak_history_entry", "append_soak_history",
+           "render_bench", "write_report", "history_entry",
+           "cluster_history_entry", "soak_history_entry", "append_history",
            "read_history", "diff_history", "render_history_diff"]
 
 #: Default full-mode guard: flagship DFCM batch replay vs the scalar
@@ -316,10 +315,10 @@ def history_entry(report: dict) -> dict:
     }
 
 
-def append_history(report: dict, path: str = "BENCH_history.jsonl") -> dict:
-    """Append the report's :func:`history_entry` to the JSONL history
-    file; returns the entry written."""
-    entry = history_entry(report)
+def append_history(entry: dict, path: str = "BENCH_history.jsonl") -> dict:
+    """Append one history record -- built by :func:`history_entry`,
+    :func:`cluster_history_entry` or :func:`soak_history_entry` -- to
+    the JSONL history file; returns the entry written."""
     with open(path, "a") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
     return entry
@@ -369,16 +368,6 @@ def cluster_history_entry(report: dict) -> dict:
     }
 
 
-def append_cluster_history(report: dict,
-                           path: str = "BENCH_history.jsonl") -> dict:
-    """Append a scaling-loadgen report's history record; returns the
-    entry written."""
-    entry = cluster_history_entry(report)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    return entry
-
-
 def soak_history_entry(report: dict) -> dict:
     """One ``kind: cluster_soak`` history record from a
     :func:`repro.serve.cluster.soak.run_soak` report -- the sustained
@@ -403,16 +392,6 @@ def soak_history_entry(report: dict) -> dict:
         "slo_ok": report.get("slo_ok"),
         "soak_ok": report.get("soak_ok"),
     }
-
-
-def append_soak_history(report: dict,
-                        path: str = "BENCH_history.jsonl") -> dict:
-    """Append a soak report's history record; returns the entry
-    written."""
-    entry = soak_history_entry(report)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    return entry
 
 
 def _entry_kind(entry: dict) -> str:

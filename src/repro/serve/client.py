@@ -6,18 +6,13 @@ any scripting caller wants.  One request is one round trip; the
 pipelined (many requests in flight) path lives in
 :mod:`repro.serve.loadgen`, built on the same frame helpers.
 
-The client speaks protocol version 2 by default: every logical
-request carries a 64-bit trace id, allocated once in
-:meth:`ServeClient.request` and pinned across transparent-reconnect
-re-sends, so a request that survives a server restart stays a single
-trace (the last id used is kept in
+Every logical request carries a 64-bit trace id in its frame header,
+allocated once in :meth:`ServeClient.request` and pinned across
+transparent-reconnect re-sends, so a request that survives a server
+restart stays a single trace (the last id used is kept in
 :attr:`ServeClient.last_trace_id` so callers can correlate their
 request with server-side spans, ``/trace/<id>`` lookups and the
-slow-request sample).  Talking
-to an older, version-1-only server is transparent: the first request
-comes back rejected, the client re-connects speaking version 1 --
-without trace ids -- and retries.  Pin ``version=1`` to skip the
-probe.
+slow-request sample).
 
 A torn connection (ECONNRESET from a restarting server, a router
 re-homing this session mid-migration, a worker killed under the
@@ -54,16 +49,10 @@ class ServeError(Exception):
     """An ERROR response from the server."""
 
     def __init__(self, code: int, message: str):
-        super().__init__(f"[{protocol_code_name(code)}] {message}")
+        super().__init__(
+            f"[{protocol.error_code_name(code).upper()}] {message}")
         self.code = code
         self.message = message
-
-
-def protocol_code_name(code: int) -> str:
-    try:
-        return protocol.ErrorCode(code).name
-    except ValueError:
-        return f"code_{code}"
 
 
 class ServeClient:
@@ -71,20 +60,14 @@ class ServeClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  timeout: Optional[float] = 30.0,
-                 version: int = protocol.PROTOCOL_VERSION,
                  reconnect: int = 3,
                  reconnect_backoff: float = 0.05,
                  reconnect_backoff_max: float = 2.0):
-        if version not in protocol.SUPPORTED_VERSIONS:
-            raise protocol.ProtocolError(
-                f"unsupported protocol version {version}; supported: "
-                f"{list(protocol.SUPPORTED_VERSIONS)}")
         if reconnect < 0:
             raise ValueError(f"reconnect must be >= 0, got {reconnect}")
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.protocol_version = version
         self.last_trace_id = 0
         self.reconnect = reconnect
         self.reconnect_backoff = reconnect_backoff
@@ -92,9 +75,6 @@ class ServeClient:
         #: Successful transparent reconnects performed so far.
         self.reconnects = 0
         self._request_ids = itertools.count(1)
-        # Version 1 needs no probe; higher versions are confirmed by
-        # the first successful round trip (see ``request``).
-        self._negotiated = version == protocol.PROTOCOL_VERSION_V1
         self.sock = self._connect()
 
     def _connect(self) -> socket.socket:
@@ -112,20 +92,16 @@ class ServeClient:
     def request(self, frame_type: int, body: bytes) -> protocol.Frame:
         """Send one frame, block for its response frame.
 
-        Handles version negotiation (an un-negotiated connection whose
-        first request is rejected for speaking an unknown version
-        re-connects as version 1 and retries once) and transparent
-        reconnect: a torn connection re-dials with bounded exponential
-        backoff and re-sends the request, up to :attr:`reconnect`
-        times per request.
+        Handles transparent reconnect: a torn connection re-dials with
+        bounded exponential backoff and re-sends the request, up to
+        :attr:`reconnect` times per request.
 
         The trace id is allocated once per *logical* request, here,
         and pinned across every re-send: a request that survives a
         reconnect stays one trace end to end, so server-side spans and
         slow samples from before and after the tear correlate.
         """
-        trace_id = (new_trace_id()
-                    if self.protocol_version >= 2 else 0)
+        trace_id = new_trace_id()
         failures = 0
         while True:
             if self.sock is None:
@@ -158,16 +134,9 @@ class ServeClient:
                 self.sock = None
 
     def _request_once(self, frame_type: int, body: bytes,
-                      trace_id: Optional[int] = None) -> protocol.Frame:
+                      trace_id: int) -> protocol.Frame:
         request_id = self.send(frame_type, body, trace_id)
-        try:
-            frame = self.recv()
-        except ServeError as exc:
-            if self._should_downgrade(exc):
-                self._downgrade()
-                return self._request_once(frame_type, body, trace_id)
-            raise
-        self._negotiated = True
+        frame = self.recv()
         if frame is None:
             raise ConnectionError("server closed the connection")
         if frame.request_id != request_id:
@@ -182,19 +151,6 @@ class ServeClient:
         if delay > 0:
             time.sleep(delay)
 
-    def _should_downgrade(self, exc: "ServeError") -> bool:
-        return (not self._negotiated
-                and self.protocol_version > protocol.PROTOCOL_VERSION_V1
-                and exc.code in (protocol.ErrorCode.BAD_VERSION,
-                                 protocol.ErrorCode.BAD_FRAME)
-                and "version" in exc.message)
-
-    def _downgrade(self) -> None:
-        self.close()
-        self.protocol_version = protocol.PROTOCOL_VERSION_V1
-        self._negotiated = True
-        self.sock = self._connect()
-
     def send(self, frame_type: int, body: bytes,
              trace_id: Optional[int] = None) -> int:
         """Fire one request frame without waiting; returns its id.
@@ -203,14 +159,10 @@ class ServeClient:
         frame keeps its original id); omit it for a fresh one."""
         request_id = next(self._request_ids)
         if trace_id is None:
-            trace_id = (new_trace_id()
-                        if self.protocol_version >= 2 else 0)
-        if self.protocol_version < 2:
-            trace_id = 0  # v1 frames have no trace-id slot
+            trace_id = new_trace_id()
         self.last_trace_id = trace_id
         self.sock.sendall(protocol.encode_frame(
-            frame_type, request_id, body,
-            version=self.protocol_version, trace_id=trace_id))
+            frame_type, request_id, body, trace_id=trace_id))
         return request_id
 
     def recv(self) -> Optional[protocol.Frame]:

@@ -19,7 +19,7 @@ the speedup (``scaling_ok``); leave it None on machines whose core
 count cannot possibly show scaling (the report records
 ``cpu_count`` so a reader can tell why a local run stays flat).
 
-:func:`repro.harness.bench.append_cluster_history` turns the report
+:func:`repro.harness.bench.cluster_history_entry` turns the report
 into a ``BENCH_history.jsonl`` record so ``repro bench diff`` gates
 cluster throughput regressions alongside the kernel families.
 """
@@ -29,18 +29,17 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.core.spec import DelayedSpec, PredictorSpec
+from repro.core.spec import PredictorSpec
 from repro.serve.client import ServeClient
 from repro.serve.cluster.router import ClusterThread
-from repro.serve.loadgen import percentile
+from repro.serve.loadgen import offline_replay, replay_batched, wire_records
+from repro.serve.tracing import latency_summary
 
 __all__ = ["run_scaling_loadgen", "render_scaling"]
 
 SCALING_SCHEMA = 1
-
-_MASK32 = 0xFFFFFFFF
 
 
 def _replay_session(host: str, port: int, spec: PredictorSpec,
@@ -51,15 +50,8 @@ def _replay_session(host: str, port: int, spec: PredictorSpec,
     try:
         with ServeClient(host, port, reconnect=5) as client:
             session = client.open_session(spec, window)
-            hits = 0
-            latencies = []
-            for start in range(0, len(pcs), block):
-                started = time.perf_counter()
-                _, chunk_hits = client.step_block(
-                    session, pcs[start:start + block],
-                    values[start:start + block])
-                latencies.append(time.perf_counter() - started)
-                hits += chunk_hits
+            hits, latencies = replay_batched(client, session, pcs, values,
+                                             block)
             stats = client.close_session(session)
             if stats["hits"] != hits:
                 raise RuntimeError(
@@ -96,8 +88,7 @@ def _run_point(n_workers: int, spec: PredictorSpec, window: int,
               for key, res in sorted(out.items()) if "error" in res]
     if errors:
         raise RuntimeError("; ".join(errors))
-    pooled = sorted(lat for res in out.values()
-                    for lat in res["latencies"])
+    pooled = [lat for res in out.values() for lat in res["latencies"]]
     total_records = len(pcs) * sessions
     return {
         "workers": n_workers,
@@ -106,11 +97,7 @@ def _run_point(n_workers: int, spec: PredictorSpec, window: int,
         "seconds": round(elapsed, 6),
         "records_per_s": round(total_records / elapsed, 1)
         if elapsed else 0.0,
-        "latency": {
-            "p50_ms": round(percentile(pooled, 50) * 1e3, 4),
-            "p90_ms": round(percentile(pooled, 90) * 1e3, 4),
-            "p99_ms": round(percentile(pooled, 99) * 1e3, 4),
-        },
+        "latency": latency_summary(pooled),
         "session_hits": {str(res["session"]): res["hits"]
                          for res in out.values()},
         "reconnects": sum(res["reconnects"] for res in out.values()),
@@ -134,12 +121,8 @@ def run_scaling_loadgen(spec: PredictorSpec, trace,
         raise ValueError(f"workers must be >= 1, got {list(workers)}")
     if sessions < 1:
         raise ValueError(f"sessions must be >= 1, got {sessions}")
-    pcs = [int(pc) & _MASK32 for pc in trace.pcs]
-    values = [int(v) & _MASK32 for v in trace.values]
-
-    from repro.harness.simulate import measure_accuracy
-    offline_spec = DelayedSpec(spec, window) if window else spec
-    offline_hits = measure_accuracy(offline_spec, trace).correct
+    pcs, values = wire_records(trace)
+    _, offline_hits = offline_replay(spec, trace, window)
 
     points = []
     parity_ok = True

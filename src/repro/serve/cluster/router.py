@@ -16,8 +16,9 @@ are unique across the fleet and the ring can always recompute who owns
 what.
 
 **Zero-copy proxying.**  Frames are forwarded as raw byte payloads.
-The router peeks exactly three header fields at fixed offsets --
-version, type, request id -- plus the leading ``u64`` session id of
+The router reads the header in place with
+:func:`~repro.serve.protocol.peek_header` (which also enforces the
+protocol version) plus the leading ``u64`` session id of
 session-scoped bodies; bodies are never decoded or re-encoded.  The
 client's request id is patched to a router-global backend request id
 on the way in and restored on the way out, which is what lets many
@@ -60,10 +61,13 @@ from repro.serve.cluster.aggregate import (http_get, http_get_json,
                                            merge_prometheus_texts)
 from repro.serve.cluster.ring import RendezvousRing
 from repro.serve.cluster.supervisor import ClusterSupervisor
-from repro.serve.obs import ObservabilityServer
+from repro.serve.obs import ObservabilityServer, json_response
+from repro.serve.protocol import HEADER_SIZE
+from repro.serve.server import consume_exception
 from repro.serve.tracing import (RouterTrace, SlowRequestSampler,
                                  TraceStore, format_trace_id,
-                                 new_trace_id, parse_trace_id)
+                                 latency_summary, new_trace_id,
+                                 parse_trace_id, percentile)
 from repro.telemetry.registry import registry
 
 __all__ = ["Router", "ClusterThread", "ClusterControlError"]
@@ -99,7 +103,7 @@ class ClusterControlError(Exception):
     """A worker answered a router control frame with an ERROR."""
 
     def __init__(self, code: int, message: str):
-        super().__init__(f"[{_code_name(code)}] {message}")
+        super().__init__(f"[{protocol.error_code_name(code)}] {message}")
         self.code = code
         self.message = message
 
@@ -158,16 +162,15 @@ class _Entry:
 
     __slots__ = ("payload", "conn", "future", "frame_type", "session_id",
                  "client_request_id", "respond_open", "kind", "records",
-                 "brid", "version", "trace_id", "t_recv", "trace")
+                 "brid", "trace_id", "t_recv", "trace")
 
-    def __init__(self, payload, conn, future, frame_type, version,
-                 trace_id, client_request_id, session_id=0,
-                 respond_open=False, kind=None, records=0):
+    def __init__(self, payload, conn, future, frame_type, trace_id,
+                 client_request_id, session_id=0, respond_open=False,
+                 kind=None, records=0):
         self.payload = payload
         self.conn = conn
         self.future = future
         self.frame_type = frame_type
-        self.version = version
         self.trace_id = trace_id
         self.client_request_id = client_request_id
         self.session_id = session_id
@@ -379,11 +382,11 @@ class Router:
         dispatch: Optional[asyncio.Future] = None
         try:
             while True:
-                payload = await _read_payload(reader)
+                payload = await protocol.read_payload(reader)
                 if payload is None:
                     break
                 dispatch = asyncio.ensure_future(
-                    self._dispatch_client(conn, payload))
+                    self._dispatch_client(conn, bytearray(payload)))
                 keep_open = await asyncio.shield(dispatch)
                 dispatch = None
                 if not keep_open:
@@ -419,40 +422,27 @@ class Router:
     async def _dispatch_client(self, conn, payload: bytearray) -> bool:
         """Route one client frame; returns False to close the
         connection (protocol-fatal condition, mirroring the server)."""
-        version = payload[0]
-        ftype = payload[1]
-        (rid,) = _U32.unpack_from(payload, 2)
-        if version not in protocol.SUPPORTED_VERSIONS:
-            # Same shape the single server produces, so ServeClient's
-            # transparent downgrade logic works unchanged.
-            self._enqueue_error(
-                conn, 0, protocol.ErrorCode.BAD_FRAME,
-                f"protocol version {version}, expected one of "
-                f"{list(protocol.SUPPORTED_VERSIONS)}")
+        try:
+            ftype, rid, trace_id = protocol.peek_header(payload)
+        except protocol.ProtocolError as exc:
+            self._enqueue_error(conn, 0, protocol.ErrorCode.BAD_FRAME,
+                                str(exc))
             return False
-        body_off = 14 if version >= 2 else 6
-        if len(payload) < body_off:
-            self._enqueue_error(
-                conn, 0, protocol.ErrorCode.BAD_FRAME,
-                f"truncated v{version} frame header "
-                f"({len(payload)} bytes)")
-            return False
-        trace_id = _U64.unpack_from(payload, 6)[0] if version >= 2 else 0
         self.frames_proxied += 1
-        self.metrics.frames.inc(type=_type_name(ftype))
+        type_name = protocol.frame_type_name(ftype)
+        self.metrics.frames.inc(type=type_name)
         entry = _Entry(payload, conn, self._loop.create_future(), ftype,
-                       version, trace_id, rid)
-        # Stage-stamp every client frame under the client's trace id
-        # (v1 frames have none; a router-assigned id still records the
-        # router-side timeline, it just won't match the worker's).
+                       trace_id, rid)
+        # Stage-stamp every client frame under the client's trace id (a
+        # frame carrying 0 gets a router-assigned one: it still records
+        # the router-side timeline, it just won't match the worker's).
         entry.trace = RouterTrace(
             trace_id=trace_id or new_trace_id(),
-            frame_type=_type_name(ftype), request_id=rid,
-            version=version, t_recv=entry.t_recv)
+            frame_type=type_name, request_id=rid, t_recv=entry.t_recv)
         conn.responses.put_nowait(entry)
 
         if ftype == protocol.FrameType.OPEN_SESSION:
-            await self._route_open(entry, body_off)
+            await self._route_open(entry)
             return True
         if ftype in _CONTROL_TYPES:
             self._fail_entry(
@@ -465,17 +455,16 @@ class Router:
             self._fail_entry(entry, protocol.ErrorCode.UNKNOWN_TYPE,
                              f"unknown frame type {ftype}")
             return True
-        if len(payload) < body_off + _U64.size:
+        if len(payload) < HEADER_SIZE + _U64.size:
             self._fail_entry(entry, protocol.ErrorCode.BAD_FRAME,
                              "bad session op body: truncated session id")
             return True
-        (sid,) = _U64.unpack_from(payload, body_off)
+        (sid,) = _U64.unpack_from(payload, HEADER_SIZE)
         if ftype == protocol.FrameType.STATS and sid == 0:
             # Server-wide stats become cluster-wide stats at the router.
             body = protocol.encode_json_body(self.cluster_report())
             self._complete(entry, _bare_frame(
-                ftype | protocol.RESPONSE_BIT, rid, body, version,
-                trace_id))
+                ftype | protocol.RESPONSE_BIT, rid, body, trace_id))
             return True
         entry.session_id = sid
         entry.trace.session_id = sid
@@ -484,8 +473,8 @@ class Router:
         elif ftype == protocol.FrameType.STEP:
             entry.records = 1
         elif ftype == protocol.FrameType.STEP_BLOCK:
-            if len(payload) >= body_off + 12:
-                entry.records = _U32.unpack_from(payload, body_off + 8)[0]
+            if len(payload) >= HEADER_SIZE + 12:
+                entry.records = _U32.unpack_from(payload, HEADER_SIZE + 8)[0]
         entry.trace.records = entry.records
         if sid in self._parked:
             entry.trace.on_park(time.monotonic())
@@ -506,16 +495,16 @@ class Router:
                                  f"worker {owner} connection lost")
         return True
 
-    async def _route_open(self, entry: _Entry, body_off: int) -> None:
+    async def _route_open(self, entry: _Entry) -> None:
         """Rewrite OPEN_SESSION -> OPEN_SESSION_AS with a router-global
         session id and forward it to the rendezvous owner."""
         gid = self._alloc_session_id()
         payload = entry.payload
         rewritten = bytearray(len(payload) + _U64.size)
-        rewritten[:body_off] = payload[:body_off]
-        rewritten[1] = protocol.FrameType.OPEN_SESSION_AS
-        _U64.pack_into(rewritten, body_off, gid)
-        rewritten[body_off + _U64.size:] = payload[body_off:]
+        rewritten[:HEADER_SIZE] = payload[:HEADER_SIZE]
+        protocol.patch_type(rewritten, protocol.FrameType.OPEN_SESSION_AS)
+        _U64.pack_into(rewritten, HEADER_SIZE, gid)
+        rewritten[HEADER_SIZE + _U64.size:] = payload[HEADER_SIZE:]
         entry.payload = rewritten
         entry.session_id = gid
         entry.trace.session_id = gid
@@ -549,7 +538,7 @@ class Router:
                 payload = await asyncio.wait_for(
                     asyncio.shield(entry.future), self.request_timeout)
             except asyncio.TimeoutError:
-                entry.future.add_done_callback(_consume_result)
+                entry.future.add_done_callback(consume_exception)
                 payload = self._error_frame(
                     entry, protocol.ErrorCode.TIMEOUT,
                     f"request not served within "
@@ -567,7 +556,7 @@ class Router:
             now = time.monotonic()
             latency = now - entry.t_recv
             self.metrics.request_seconds.observe(
-                latency, type=_type_name(entry.frame_type))
+                latency, type=protocol.frame_type_name(entry.frame_type))
             if entry.frame_type in _DATA_TYPES:
                 self._latencies.append((now, latency))
             if entry.trace is not None:
@@ -583,10 +572,10 @@ class Router:
     async def _backend_reader(self, backend: _Backend) -> None:
         try:
             while True:
-                payload = await _read_payload(backend.reader)
+                payload = await protocol.read_payload(backend.reader)
                 if payload is None:
                     break
-                self._on_backend_response(backend, payload)
+                self._on_backend_response(backend, bytearray(payload))
         except asyncio.CancelledError:
             pass
         except (protocol.ProtocolError, ConnectionError,
@@ -597,21 +586,19 @@ class Router:
 
     def _on_backend_response(self, backend: _Backend,
                              payload: bytearray) -> None:
-        (brid,) = _U32.unpack_from(payload, 2)
+        rtype, brid, _ = protocol.peek_header(payload)
         entry = backend.pending.pop(brid, None)
         if entry is None:
             return  # response to a timed-out / failed-over request
-        rtype = payload[1]
-        body_off = 14 if payload[0] >= 2 else 6
         is_error = rtype == protocol.FrameType.ERROR
         if entry.trace is not None:
             entry.trace.t_replied = time.monotonic()
             if is_error:
                 entry.trace.status = "error"
-        _U32.pack_into(payload, 2, entry.client_request_id)
+        protocol.patch_request_id(payload, entry.client_request_id)
         if entry.respond_open and not is_error:
-            payload[1] = (protocol.FrameType.OPEN_SESSION
-                          | protocol.RESPONSE_BIT)
+            protocol.patch_type(payload, protocol.FrameType.OPEN_SESSION
+                                | protocol.RESPONSE_BIT)
         if is_error:
             if entry.kind == "open":
                 # The tentative placement never materialised.
@@ -627,11 +614,11 @@ class Router:
                 self.metrics.records.inc(entry.records)
                 hits = 0
                 if entry.frame_type == protocol.FrameType.STEP:
-                    if len(payload) > body_off + 4:
-                        hits = 1 if payload[body_off + 4] == 1 else 0
+                    if len(payload) > HEADER_SIZE + 4:
+                        hits = 1 if payload[HEADER_SIZE + 4] == 1 else 0
                 elif entry.frame_type == protocol.FrameType.STEP_BLOCK:
-                    if len(payload) >= body_off + 8:
-                        (hits,) = _U32.unpack_from(payload, body_off + 4)
+                    if len(payload) >= HEADER_SIZE + 8:
+                        (hits,) = _U32.unpack_from(payload, HEADER_SIZE + 4)
                 if hits:
                     self.hits_proxied += hits
                     self.metrics.hits.inc(hits)
@@ -647,7 +634,7 @@ class Router:
         entry.brid = brid
         if entry.trace is not None:
             entry.trace.on_forward(backend.index, time.monotonic())
-        _U32.pack_into(entry.payload, 2, brid)
+        protocol.patch_request_id(entry.payload, brid)
         backend.pending[brid] = entry
         backend.writer.write(_LEN.pack(len(entry.payload)))
         backend.writer.write(entry.payload)
@@ -659,16 +646,13 @@ class Router:
         report; raises :class:`ClusterControlError` on an ERROR reply
         and ``ConnectionError`` if the worker dies first."""
         payload = bytearray(_bare_frame(
-            frame_type, 0, protocol.encode_session_op(session_id),
-            protocol.PROTOCOL_VERSION, 0))
+            frame_type, 0, protocol.encode_session_op(session_id), 0))
         entry = _Entry(payload, None, self._loop.create_future(),
-                       frame_type, protocol.PROTOCOL_VERSION, 0, 0,
-                       session_id=session_id)
+                       frame_type, 0, 0, session_id=session_id)
         await self._forward(entry, backend)
         response = await asyncio.wait_for(entry.future,
                                           self.request_timeout)
-        body_off = 14 if response[0] >= 2 else 6
-        body = bytes(response[body_off:])
+        body = bytes(response[HEADER_SIZE:])
         if response[1] == protocol.FrameType.ERROR:
             code, message = protocol.decode_error(body)
             raise ClusterControlError(code, message)
@@ -950,7 +934,7 @@ class Router:
 
     def _error_frame(self, entry: _Entry, code: int,
                      message: str) -> bytes:
-        self.metrics.errors.inc(code=_code_name(code))
+        self.metrics.errors.inc(code=protocol.error_code_name(code))
         if entry.trace is not None:
             entry.trace.status = ("timeout"
                                   if code == protocol.ErrorCode.TIMEOUT
@@ -959,13 +943,12 @@ class Router:
         return _bare_frame(protocol.FrameType.ERROR,
                            entry.client_request_id,
                            protocol.encode_error(code, message),
-                           entry.version, entry.trace_id)
+                           entry.trace_id)
 
     def _enqueue_error(self, conn: _ClientConn, request_id: int,
                        code: int, message: str) -> None:
         entry = _Entry(b"", conn, self._loop.create_future(),
-                       protocol.FrameType.ERROR,
-                       protocol.PROTOCOL_VERSION_V1, 0, request_id)
+                       protocol.FrameType.ERROR, 0, request_id)
         entry.future.set_result(self._error_frame(entry, code, message))
         conn.responses.put_nowait(entry)
 
@@ -1129,7 +1112,7 @@ class Router:
             "slos": slos,
             "alerts": alerts,
             "healthy": workers_healthy and not alerts,
-            "latency": _latency_percentiles(window),
+            "latency": latency_summary(window),
             "records_served": self.records_proxied,
             "hits_served": self.hits_proxied,
             "hit_rate": ((self.hits_proxied / self.records_proxied)
@@ -1266,11 +1249,7 @@ class Router:
         horizon = time.monotonic() - 60.0
         window = sorted(lat for t, lat in self._latencies
                         if t >= horizon)
-        if window:
-            from repro.serve.loadgen import percentile
-            p99_ms = round(percentile(window, 99) * 1e3, 4)
-        else:
-            p99_ms = 0.0
+        p99_ms = round(percentile(window, 99) * 1e3, 4)
         signals = {
             "sessions_per_worker": round(sessions_per_worker, 4),
             "step_latency_p99_ms": p99_ms,
@@ -1384,7 +1363,7 @@ class _ClusterObs(ObservabilityServer):
                 limit = int(values[0]) if values else None
             except ValueError:
                 limit = None
-            return _json(router.trace_dump(limit))
+            return json_response(router.trace_dump(limit))
         if path.startswith("/trace/"):
             try:
                 trace_id = parse_trace_id(path[len("/trace/"):])
@@ -1393,9 +1372,9 @@ class _ClusterObs(ObservabilityServer):
                         f"{exc}\n".encode("utf-8"))
             return _json_async(router.fleet_trace(trace_id))
         if path == "/cluster":
-            return _json(router.cluster_report())
+            return json_response(router.cluster_report())
         if path == "/":
-            return _json({
+            return json_response({
                 "service": "repro-serve-cluster",
                 "endpoints": ["/metrics", "/healthz", "/slo", "/slow",
                               "/tables", "/trace", "/scale", "/cluster"],
@@ -1517,43 +1496,13 @@ class ClusterThread:
 
 # ------------------------------------------------------------- helpers
 
-async def _read_payload(reader) -> Optional[bytearray]:
-    """One frame's payload (after the length prefix) as a mutable
-    buffer; ``None`` on clean EOF at a frame boundary."""
-    try:
-        prefix = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise protocol.ProtocolError("connection closed mid-frame") from exc
-    length = protocol.read_length(prefix)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise protocol.ProtocolError("connection closed mid-frame") from exc
-    return bytearray(payload)
-
-
 def _bare_frame(frame_type: int, request_id: int, body: bytes,
-                version: int, trace_id: int) -> bytes:
+                trace_id: int) -> bytes:
     """A complete frame without its length prefix (the writers add
-    it), matching what :func:`_read_payload` returns."""
+    it), matching what :func:`~repro.serve.protocol.read_payload`
+    returns."""
     return protocol.encode_frame(frame_type, request_id, body,
-                                 version=version, trace_id=trace_id)[4:]
-
-
-def _latency_percentiles(window: List[float]) -> dict:
-    if not window:
-        return {"count": 0}
-    from repro.serve.loadgen import percentile
-    ordered = sorted(window)
-    return {
-        "count": len(ordered),
-        "p50_ms": round(percentile(ordered, 50) * 1e3, 4),
-        "p90_ms": round(percentile(ordered, 90) * 1e3, 4),
-        "p99_ms": round(percentile(ordered, 99) * 1e3, 4),
-        "max_ms": round(ordered[-1] * 1e3, 4),
-    }
+                                 trace_id)[4:]
 
 
 def _quantity(value: float) -> str:
@@ -1563,30 +1512,5 @@ def _quantity(value: float) -> str:
     return f"{int(round(float(value) * 1000))}m"
 
 
-def _type_name(frame_type: int) -> str:
-    try:
-        return protocol.FrameType(frame_type).name.lower()
-    except ValueError:
-        return f"unknown_{frame_type}"
-
-
-def _code_name(code: int) -> str:
-    try:
-        return protocol.ErrorCode(code).name.lower()
-    except ValueError:
-        return f"code_{code}"
-
-
-def _json(payload: dict):
-    import json as _jsonlib
-    body = (_jsonlib.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    return "200 OK", "application/json", body
-
-
 async def _json_async(coro):
-    return _json(await coro)
-
-
-def _consume_result(future: "asyncio.Future") -> None:
-    if not future.cancelled():
-        future.exception()
+    return json_response(await coro)

@@ -23,7 +23,7 @@ The report (``kind: cluster_soak``) carries every telemetry sample,
 pass counts, pooled latency percentiles and a bounded dump of the
 router's trace store (the cross-process spans of the most recent
 requests) so a failed run ships its own forensics.
-:func:`repro.harness.bench.append_soak_history` files it in
+:func:`repro.harness.bench.soak_history_entry` files it in
 ``BENCH_history.jsonl``.
 """
 
@@ -34,16 +34,15 @@ import threading
 import time
 from typing import List, Optional
 
-from repro.core.spec import DelayedSpec, PredictorSpec
+from repro.core.spec import PredictorSpec
 from repro.serve.client import ServeClient
 from repro.serve.cluster.router import ClusterThread
-from repro.serve.loadgen import percentile
+from repro.serve.loadgen import offline_replay, replay_batched, wire_records
+from repro.serve.tracing import latency_summary
 
 __all__ = ["run_soak", "render_soak"]
 
 SOAK_SCHEMA = 1
-
-_MASK32 = 0xFFFFFFFF
 
 
 def _soak_session(host: str, port: int, spec: PredictorSpec,
@@ -59,14 +58,9 @@ def _soak_session(host: str, port: int, spec: PredictorSpec,
         with ServeClient(host, port, reconnect=5) as client:
             while time.monotonic() < deadline:
                 session = client.open_session(spec, window)
-                hits = 0
-                for start in range(0, len(pcs), block):
-                    started = time.perf_counter()
-                    _, chunk_hits = client.step_block(
-                        session, pcs[start:start + block],
-                        values[start:start + block])
-                    latencies.append(time.perf_counter() - started)
-                    hits += chunk_hits
+                hits, pass_latencies = replay_batched(client, session, pcs,
+                                                      values, block)
+                latencies.extend(pass_latencies)
                 client.close_session(session)
                 passes += 1
                 if hits != offline_hits:
@@ -115,12 +109,8 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
     if max_burn <= 0:
         raise ValueError(f"max_burn must be > 0, got {max_burn}")
-    pcs = [int(pc) & _MASK32 for pc in trace.pcs]
-    values = [int(v) & _MASK32 for v in trace.values]
-
-    from repro.harness.simulate import measure_accuracy
-    offline_spec = DelayedSpec(spec, window) if window else spec
-    offline_hits = measure_accuracy(offline_spec, trace).correct
+    pcs, values = wire_records(trace)
+    _, offline_hits = offline_replay(spec, trace, window)
 
     samples: List[dict] = []
     out: dict = {}
@@ -167,8 +157,8 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
               for key, res in sorted(out.items()) if "error" in res]
     passes = sum(res.get("passes", 0) for res in out.values())
     mismatches = sum(res.get("mismatches", 0) for res in out.values())
-    pooled = sorted(lat for res in out.values()
-                    for lat in res.get("latencies", []))
+    pooled = [lat for res in out.values()
+              for lat in res.get("latencies", [])]
     burns = [s["signals"]["slo_burn_rate"] for s in samples
              if "signals" in s]
     peak_burn = max(burns) if burns else 0.0
@@ -200,13 +190,7 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
         "parity_ok": parity_ok,
         "reconnects": sum(res.get("reconnects", 0)
                           for res in out.values()),
-        "latency": {
-            "count": len(pooled),
-            "p50_ms": (round(percentile(pooled, 50) * 1e3, 4)
-                       if pooled else 0.0),
-            "p99_ms": (round(percentile(pooled, 99) * 1e3, 4)
-                       if pooled else 0.0),
-        },
+        "latency": latency_summary(pooled),
         "max_burn": max_burn,
         "peak_burn": round(peak_burn, 4),
         "burn_breaches": burn_breaches,

@@ -13,10 +13,13 @@ of two shapes:
 
 Both modes drive a fresh session over the same records in order, so
 their hit counts must agree with each other *and* with the offline
-engines; ``verify=True`` replays the equivalent spec (wrapped in
-:class:`~repro.core.spec.DelayedSpec` when a window is configured)
-through :func:`~repro.harness.simulate.measure_accuracy` and checks
-the served hit counts bit-for-bit.
+engines; ``verify=True`` replays the equivalent spec (see
+:func:`offline_replay`) and checks the served hit counts bit-for-bit.
+
+:func:`wire_records`, :func:`replay_batched` and :func:`offline_replay`
+are shared with the cluster tier's scaling load generator and soak
+harness, so every served replay masks, batches and checks parity the
+same way.
 
 The report is a JSON-able dict (``schema`` 1).  When *min_speedup* is
 given and both modes ran, ``speedup_ok`` records whether batched
@@ -27,35 +30,24 @@ regression guard.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.spec import DelayedSpec, PredictorSpec
 from repro.serve.client import ServeClient
+from repro.serve.tracing import latency_summary
 
-__all__ = ["run_loadgen", "percentile"]
+__all__ = ["run_loadgen", "wire_records", "replay_batched",
+           "offline_replay"]
 
 LOADGEN_SCHEMA = 1
 
 _MASK32 = 0xFFFFFFFF
 
 
-def percentile(sorted_values: List[float], p: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = int(round((p / 100.0) * (len(sorted_values) - 1)))
-    return sorted_values[min(rank, len(sorted_values) - 1)]
-
-
-def _latency_summary(latencies: List[float]) -> dict:
-    ordered = sorted(latencies)
-    mean = sum(ordered) / len(ordered) if ordered else 0.0
-    return {
-        "p50_ms": round(percentile(ordered, 50) * 1e3, 4),
-        "p90_ms": round(percentile(ordered, 90) * 1e3, 4),
-        "p99_ms": round(percentile(ordered, 99) * 1e3, 4),
-        "mean_ms": round(mean * 1e3, 4),
-    }
+def wire_records(trace) -> Tuple[List[int], List[int]]:
+    """The trace's pcs and values as the u32 words the wire carries."""
+    return ([int(pc) & _MASK32 for pc in trace.pcs],
+            [int(v) & _MASK32 for v in trace.values])
 
 
 def _replay_naive(client: ServeClient, session: int, pcs, values):
@@ -69,8 +61,11 @@ def _replay_naive(client: ServeClient, session: int, pcs, values):
     return hits, latencies
 
 
-def _replay_batched(client: ServeClient, session: int, pcs, values,
-                    block: int):
+def replay_batched(client: ServeClient, session: int, pcs, values,
+                   block: int) -> Tuple[int, List[float]]:
+    """Step *session* through the records in STEP_BLOCK frames of
+    *block* records; returns the hits and each frame's round-trip
+    seconds."""
     latencies = []
     hits = 0
     for start in range(0, len(pcs), block):
@@ -83,6 +78,17 @@ def _replay_batched(client: ServeClient, session: int, pcs, values,
     return hits, latencies
 
 
+def offline_replay(spec: PredictorSpec, trace,
+                   window: int) -> Tuple[PredictorSpec, int]:
+    """The offline equivalent of a session served with *window* (the
+    spec wrapped in :class:`~repro.core.spec.DelayedSpec` when
+    windowed) and its hit count on *trace* -- the parity reference
+    every served replay is checked against."""
+    from repro.harness.simulate import measure_accuracy
+    offline_spec = DelayedSpec(spec, window) if window else spec
+    return offline_spec, measure_accuracy(offline_spec, trace).correct
+
+
 def _run_mode(host: str, port: int, spec: PredictorSpec, window: int,
               mode: str, pcs, values, block: int) -> dict:
     with ServeClient(host, port) as client:
@@ -91,20 +97,18 @@ def _run_mode(host: str, port: int, spec: PredictorSpec, window: int,
         if mode == "naive":
             hits, latencies = _replay_naive(client, session, pcs, values)
         else:
-            hits, latencies = _replay_batched(client, session, pcs, values,
-                                              block)
+            hits, latencies = replay_batched(client, session, pcs, values,
+                                             block)
         elapsed = time.perf_counter() - started
         stats = client.close_session(session)
-        negotiated = client.protocol_version
     records = len(pcs)
     result = {
         "mode": mode,
         "records": records,
-        "protocol_version": negotiated,
         "requests": len(latencies),
         "seconds": round(elapsed, 6),
         "records_per_s": round(records / elapsed, 1) if elapsed else 0.0,
-        "latency": _latency_summary(latencies),
+        "latency": latency_summary(latencies),
         "hits": hits,
         "accuracy": round(hits / records, 6) if records else 0.0,
     }
@@ -125,8 +129,7 @@ def run_loadgen(spec: PredictorSpec, trace, host: str, port: int,
         raise ValueError(f"unknown loadgen mode {mode!r}")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    pcs = [int(pc) & _MASK32 for pc in trace.pcs]
-    values = [int(v) & _MASK32 for v in trace.values]
+    pcs, values = wire_records(trace)
     report = {
         "schema": LOADGEN_SCHEMA,
         "trace": trace.name,
@@ -141,8 +144,6 @@ def run_loadgen(spec: PredictorSpec, trace, host: str, port: int,
     for name in modes:
         report["modes"][name] = _run_mode(host, port, spec, window, name,
                                           pcs, values, block)
-    report["protocol_version"] = next(
-        iter(report["modes"].values()))["protocol_version"]
     if "naive" in report["modes"] and "batched" in report["modes"]:
         naive_rate = report["modes"]["naive"]["records_per_s"]
         batched_rate = report["modes"]["batched"]["records_per_s"]
@@ -157,13 +158,11 @@ def run_loadgen(spec: PredictorSpec, trace, host: str, port: int,
 
 
 def _verify(spec: PredictorSpec, trace, window: int, modes: dict) -> dict:
-    from repro.harness.simulate import measure_accuracy
-    offline_spec = DelayedSpec(spec, window) if window else spec
-    offline = measure_accuracy(offline_spec, trace)
+    offline_spec, offline_hits = offline_replay(spec, trace, window)
     served = {name: stats["hits"] for name, stats in modes.items()}
     return {
         "offline_spec": offline_spec.name,
-        "offline_hits": offline.correct,
+        "offline_hits": offline_hits,
         "served_hits": served,
-        "matched": all(hits == offline.correct for hits in served.values()),
+        "matched": all(hits == offline_hits for hits in served.values()),
     }

@@ -138,23 +138,24 @@ class ObservabilityServer:
             return ("200 OK", "text/plain; version=0.0.4; charset=utf-8",
                     text.encode("utf-8"))
         if path == "/healthz":
-            return _json(self.server.healthz())
+            return json_response(self.server.healthz())
         if path == "/slo":
-            return _json(self.server.slo_report())
+            return json_response(self.server.slo_report())
         if path == "/slow":
-            return _json(self.server.slow_requests())
+            return json_response(self.server.slow_requests())
         if path == "/tables":
-            return _json(self.server.tables_report())
+            return json_response(self.server.tables_report())
         if path == "/trace":
-            return _json(self.server.trace_dump(_int(query, "limit")))
+            return json_response(
+                self.server.trace_dump(_int(query, "limit")))
         if path.startswith("/trace/"):
             try:
                 trace_id = parse_trace_id(path[len("/trace/"):])
             except ValueError as exc:
                 return _text("400 Bad Request", f"{exc}\n")
-            return _json(self.server.trace_lookup(trace_id))
+            return json_response(self.server.trace_lookup(trace_id))
         if path == "/":
-            return _json({
+            return json_response({
                 "service": "repro-serve",
                 "endpoints": ["/metrics", "/healthz", "/slo", "/slow",
                               "/tables", "/trace"],
@@ -182,7 +183,9 @@ def _int(query: dict, key: str) -> Optional[int]:
         return None
 
 
-def _json(payload: dict) -> Tuple[str, str, bytes]:
+def json_response(payload: dict) -> Tuple[str, str, bytes]:
+    """A 200 ``application/json`` route result (the router's
+    aggregating endpoint answers with the same shape)."""
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     return "200 OK", "application/json", body
 

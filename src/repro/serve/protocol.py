@@ -1,25 +1,22 @@
-"""The wire protocol: versioned, length-prefixed binary frames.
+"""The wire protocol: length-prefixed binary frames.
 
 Every frame is::
 
     u32  length   -- bytes that follow (big-endian, like all fields)
-    u8   version  -- one of SUPPORTED_VERSIONS; others are rejected
+    u8   version  -- always PROTOCOL_VERSION (2); others are rejected
     u8   type     -- FrameType
     u32  request_id -- echoed verbatim in the response
-    u64  trace_id -- version >= 2 only; 0 = unassigned
+    u64  trace_id -- client-chosen; 0 = unassigned
     ...  body     -- type-specific, see below
 
-Version 2 adds the ``trace_id`` header field: a client-chosen 64-bit
-id threaded through every server stage (queue, fuse, execute, flush)
-and echoed on the response, so one request can be found in spans, the
-slow-request sample, and histogram exemplars.  Negotiation is
-per-frame and backward compatible in both directions: a server decodes
-whichever supported version a frame announces and answers in that same
-version (version-1 requests get a server-assigned trace id
-internally, but their responses stay version 1); a version-2 client
-talking to a version-1-only server has its first request rejected
-(``BAD_FRAME``/``BAD_VERSION``) and silently re-connects speaking
-version 1 -- see :class:`repro.serve.client.ServeClient`.
+The ``trace_id`` is threaded through every server stage (queue, fuse,
+execute, flush) and echoed on the response, so one request can be
+found in spans, the slow-request sample, and histogram exemplars.  A
+frame announcing any other version is rejected with ``BAD_FRAME`` and
+its connection closed.  :data:`HEADER_SIZE` is the header's length;
+:func:`peek_header`, :func:`patch_type` and :func:`patch_request_id`
+read and rewrite it in place, so a proxy can route frames without
+decoding their bodies.
 
 Responses reuse the request's type with the high bit set
 (``RESPONSE_BIT``); errors use :data:`FrameType.ERROR` regardless of
@@ -86,6 +83,7 @@ spec layer can describe can be served.
 
 from __future__ import annotations
 
+import asyncio
 import enum
 import json
 import struct
@@ -94,11 +92,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["PROTOCOL_VERSION", "PROTOCOL_VERSION_V1", "SUPPORTED_VERSIONS",
-           "MAX_FRAME_BYTES", "RESPONSE_BIT",
+__all__ = ["PROTOCOL_VERSION", "HEADER_SIZE", "MAX_FRAME_BYTES",
+           "RESPONSE_BIT",
            "FrameType", "ErrorCode", "ProtocolError", "TornFrameError",
-           "Frame",
-           "encode_frame", "decode_frame", "read_frame_blocking",
+           "Frame", "frame_type_name", "error_code_name",
+           "encode_frame", "decode_frame", "read_length",
+           "peek_header", "patch_type", "patch_request_id",
+           "read_payload", "read_frame_blocking",
            "BlockingFrameReader",
            "encode_open_session", "decode_open_session",
            "encode_open_session_as", "decode_open_session_as",
@@ -113,8 +113,6 @@ __all__ = ["PROTOCOL_VERSION", "PROTOCOL_VERSION_V1", "SUPPORTED_VERSIONS",
            "encode_error", "decode_error"]
 
 PROTOCOL_VERSION = 2
-PROTOCOL_VERSION_V1 = 1
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Upper bound on a frame's declared length; a peer announcing more is
 #: protocol-broken (or hostile) and the connection is dropped.
@@ -122,9 +120,11 @@ MAX_FRAME_BYTES = 1 << 22
 
 RESPONSE_BIT = 0x80
 
-_HEADER = struct.Struct("!BBI")    # version, type, request_id
-_TRACE_ID = struct.Struct("!Q")    # version >= 2 extension
+_HEADER = struct.Struct("!BBIQ")   # version, type, request_id, trace_id
 _LENGTH = struct.Struct("!I")
+
+#: Header bytes between the length prefix and the body.
+HEADER_SIZE = _HEADER.size
 
 
 class FrameType(enum.IntEnum):
@@ -143,6 +143,14 @@ class FrameType(enum.IntEnum):
     ERROR = 0x7F
 
 
+def frame_type_name(frame_type: int) -> str:
+    """Lower-case metric/trace label for a frame type."""
+    try:
+        return FrameType(frame_type).name.lower()
+    except ValueError:
+        return f"unknown_{frame_type}"
+
+
 class ErrorCode(enum.IntEnum):
     BAD_VERSION = 1
     BAD_FRAME = 2
@@ -157,6 +165,14 @@ class ErrorCode(enum.IntEnum):
     STATE_VERSION = 9
     #: SNAPSHOT on a server running without a state directory.
     STATE_UNAVAILABLE = 10
+
+
+def error_code_name(code: int) -> str:
+    """Lower-case metric label for an error code."""
+    try:
+        return ErrorCode(code).name.lower()
+    except ValueError:
+        return f"code_{code}"
 
 
 class ProtocolError(Exception):
@@ -174,7 +190,6 @@ class Frame:
     type: int
     request_id: int
     body: bytes
-    version: int = PROTOCOL_VERSION
     trace_id: int = 0
 
     @property
@@ -188,64 +203,87 @@ class Frame:
 
 
 def _frame_buffer(frame_type: int, request_id: int, body_len: int,
-                  version: int, trace_id: int) -> Tuple[bytearray, int]:
+                  trace_id: int) -> Tuple[bytearray, int]:
     """One preallocated buffer for a whole frame (length prefix included),
     with the prefix and header already written; returns ``(buffer,
     body_offset)`` so callers serialise the body straight into place."""
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(f"cannot encode protocol version {version}; "
-                            f"supported: {list(SUPPORTED_VERSIONS)}")
-    head = _HEADER.size + (_TRACE_ID.size if version >= 2 else 0)
-    if head + body_len > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {head + body_len} bytes exceeds the "
+    length = HEADER_SIZE + body_len
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds the "
                             f"{MAX_FRAME_BYTES}-byte limit")
-    out = bytearray(_LENGTH.size + head + body_len)
-    _LENGTH.pack_into(out, 0, head + body_len)
-    _HEADER.pack_into(out, _LENGTH.size, version, frame_type,
-                      request_id & 0xFFFFFFFF)
-    if version >= 2:
-        _TRACE_ID.pack_into(out, _LENGTH.size + _HEADER.size,
-                            trace_id & 0xFFFFFFFFFFFFFFFF)
-    return out, _LENGTH.size + head
+    out = bytearray(_LENGTH.size + length)
+    _LENGTH.pack_into(out, 0, length)
+    _HEADER.pack_into(out, _LENGTH.size, PROTOCOL_VERSION, frame_type,
+                      request_id & 0xFFFFFFFF,
+                      trace_id & 0xFFFFFFFFFFFFFFFF)
+    return out, _LENGTH.size + HEADER_SIZE
 
 
 def encode_frame(frame_type: int, request_id: int, body: bytes = b"",
-                 version: int = PROTOCOL_VERSION, trace_id: int = 0) -> bytes:
+                 trace_id: int = 0) -> bytes:
     out, offset = _frame_buffer(frame_type, request_id, len(body),
-                                version, trace_id)
+                                trace_id)
     out[offset:] = body
     return bytes(out)
 
 
+def peek_header(payload) -> Tuple[int, int, int]:
+    """``(type, request_id, trace_id)`` of the bytes *after* a length
+    prefix, read in place without touching the body.
+
+    Raises :class:`ProtocolError` on a short header or any version
+    other than :data:`PROTOCOL_VERSION`.
+    """
+    if len(payload) < HEADER_SIZE:
+        raise ProtocolError(f"truncated frame header ({len(payload)} bytes)")
+    version, frame_type, request_id, trace_id = _HEADER.unpack_from(payload)
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(f"protocol version {version}, "
+                            f"expected {PROTOCOL_VERSION}")
+    return frame_type, request_id, trace_id
+
+
+def patch_type(payload: bytearray, frame_type: int) -> None:
+    """Rewrite the type of a frame payload in place."""
+    payload[1] = frame_type
+
+
+def patch_request_id(payload: bytearray, request_id: int) -> None:
+    """Rewrite the request id of a frame payload in place."""
+    _U32.pack_into(payload, 2, request_id & 0xFFFFFFFF)
+
+
 def decode_frame(payload: bytes) -> Frame:
     """Decode the bytes *after* the length prefix into a :class:`Frame`."""
-    if len(payload) < _HEADER.size:
-        raise ProtocolError(f"truncated frame header ({len(payload)} bytes)")
-    version, frame_type, request_id = _HEADER.unpack_from(payload)
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(f"protocol version {version}, "
-                            f"expected one of {list(SUPPORTED_VERSIONS)}")
-    trace_id = 0
-    offset = _HEADER.size
-    if version >= 2:
-        if len(payload) < offset + _TRACE_ID.size:
-            raise ProtocolError(
-                f"truncated v{version} frame header ({len(payload)} bytes)")
-        (trace_id,) = _TRACE_ID.unpack_from(payload, offset)
-        offset += _TRACE_ID.size
-    return Frame(frame_type, request_id, payload[offset:],
-                 version=version, trace_id=trace_id)
+    frame_type, request_id, trace_id = peek_header(payload)
+    return Frame(frame_type, request_id, payload[HEADER_SIZE:], trace_id)
 
 
 def read_length(prefix: bytes) -> int:
     """Validate and decode a frame's 4-byte length prefix."""
     (length,) = _LENGTH.unpack(prefix)
-    if length < _HEADER.size:
+    if length < HEADER_SIZE:
         raise ProtocolError(f"frame length {length} below header size")
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame length {length} exceeds the "
                             f"{MAX_FRAME_BYTES}-byte limit")
     return length
+
+
+async def read_payload(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """One frame's bytes after the length prefix, read from an asyncio
+    stream; ``None`` on clean EOF at a frame boundary."""
+    try:
+        prefix = await reader.readexactly(_LENGTH.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise ProtocolError("connection closed mid-frame") from exc
+    length = read_length(prefix)
+    try:
+        return await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ProtocolError("connection closed mid-frame") from exc
 
 
 class BlockingFrameReader:
@@ -276,7 +314,7 @@ class BlockingFrameReader:
         frame = decode_frame(payload)
         if copy:
             frame = Frame(frame.type, frame.request_id, bytes(frame.body),
-                          version=frame.version, trace_id=frame.trace_id)
+                          frame.trace_id)
         return frame
 
     def _recv_exact(self, n: int,
@@ -333,7 +371,8 @@ def decode_open_session(body: bytes) -> Tuple[dict, int]:
         if len(blob) != length:
             raise ProtocolError("truncated OPEN_SESSION config")
         return json.loads(blob.decode()), window
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
         raise ProtocolError(f"bad OPEN_SESSION body: {exc}") from exc
 
 
@@ -428,8 +467,7 @@ def encode_block_result(predicted, hits: int) -> bytes:
 
 
 def encode_block_result_frame(frame_type: int, request_id: int, predicted,
-                              hits: int, version: int = PROTOCOL_VERSION,
-                              trace_id: int = 0) -> bytearray:
+                              hits: int, trace_id: int = 0) -> bytearray:
     """A complete STEP_BLOCK response frame in one allocation.
 
     The hot-path equivalent of ``encode_frame(...,
@@ -439,8 +477,7 @@ def encode_block_result_frame(frame_type: int, request_id: int, predicted,
     """
     count = len(predicted)
     out, offset = _frame_buffer(frame_type, request_id,
-                                _RESULT_HEAD.size + 4 * count,
-                                version, trace_id)
+                                _RESULT_HEAD.size + 4 * count, trace_id)
     _RESULT_HEAD.pack_into(out, offset, count, hits)
     _fill_block_result(out, offset + _RESULT_HEAD.size, predicted)
     return out
@@ -476,7 +513,8 @@ def decode_json_body(body: bytes) -> dict:
         if len(blob) != length:
             raise ProtocolError("truncated JSON body")
         return json.loads(blob.decode())
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
         raise ProtocolError(f"bad JSON body: {exc}") from exc
 
 

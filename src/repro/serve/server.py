@@ -70,12 +70,12 @@ from repro.serve.batcher import MicroBatcher, WorkItem
 from repro.serve.obs import ObservabilityServer
 from repro.serve.session import Session
 from repro.serve.tracing import (RequestTrace, SlowRequestSampler,
-                                 TraceStore, new_trace_id)
+                                 TraceStore, latency_summary, new_trace_id)
 from repro.telemetry import run as telemetry_run_module
 from repro.telemetry.registry import registry
 from repro.telemetry.slo import SLO, SLOMonitor, default_serve_slos
 
-__all__ = ["PredictionServer", "ServerThread", "resolve_loop_factory"]
+__all__ = ["PredictionServer", "ServerThread"]
 
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 _LATENCY_BUCKETS = (.0001, .0005, .001, .005, .025, .1, .5, 2.5)
@@ -86,8 +86,8 @@ class _WholeFrameEncoder:
 
     The writer loop normally wraps an encoder's body in
     ``protocol.encode_frame``; encoders wrapped in this marker are
-    called as ``fn(result, frame_type, request_id, version, trace_id)``
-    and return the finished frame -- the single-allocation path for
+    called as ``fn(result, frame_type, request_id, trace_id)`` and
+    return the finished frame -- the single-allocation path for
     large STEP_BLOCK responses.
     """
 
@@ -98,27 +98,9 @@ class _WholeFrameEncoder:
 
 
 _BLOCK_RESULT_FRAME = _WholeFrameEncoder(
-    lambda res, frame_type, request_id, version, trace_id:
+    lambda res, frame_type, request_id, trace_id:
     protocol.encode_block_result_frame(frame_type, request_id,
-                                       res[0], res[1],
-                                       version=version, trace_id=trace_id))
-
-
-def resolve_loop_factory(use_uvloop: bool):
-    """The event-loop factory for ``use_uvloop``.
-
-    Returns ``(factory_or_None, note)``: uvloop's loop factory when it
-    was requested *and* is importable, else ``None`` (stock asyncio).
-    uvloop is an optional dependency -- missing it downgrades with a
-    note instead of failing, so ``serve --uvloop`` is safe everywhere.
-    """
-    if not use_uvloop:
-        return None, "asyncio"
-    try:
-        import uvloop
-    except ImportError:
-        return None, "asyncio (uvloop requested but not installed)"
-    return uvloop.new_event_loop, "uvloop"
+                                       res[0], res[1], trace_id))
 
 
 class _ServeMetrics:
@@ -565,7 +547,7 @@ class PredictionServer:
             "slos": statuses,
             "alerts": [s["name"] for s in statuses if s["alerting"]],
             "healthy": not any(s["alerting"] for s in statuses),
-            "latency": _latency_percentiles(window),
+            "latency": latency_summary(window),
             "records_served": self.records_served,
             "hits_served": self.hits_served,
             "hit_rate": ((self.hits_served / self.records_served)
@@ -668,14 +650,18 @@ class PredictionServer:
         dispatch: Optional[asyncio.Future] = None
         try:
             while True:
-                frame = await _read_frame(reader)
-                if frame is None:
+                payload = await protocol.read_payload(reader)
+                if payload is None:
                     break
+                # Decode through a memoryview: the frame body aliases
+                # the payload bytes (kept alive by the view) instead of
+                # being sliced out, so STEP_BLOCK records parse with no
+                # intermediate copy.
+                frame = protocol.decode_frame(memoryview(payload))
                 trace = RequestTrace(
                     trace_id=frame.trace_id or new_trace_id(),
-                    frame_type=_type_name(frame.type),
+                    frame_type=protocol.frame_type_name(frame.type),
                     request_id=frame.request_id,
-                    version=frame.version,
                     t_recv=time.monotonic())
                 dispatch = asyncio.ensure_future(
                     self._dispatch(conn, frame, trace))
@@ -716,8 +702,6 @@ class PredictionServer:
             if slot is None:
                 return
             frame_type, request_id, encode, future, trace = slot
-            version = (trace.version if trace is not None
-                       else protocol.PROTOCOL_VERSION_V1)
             trace_id = trace.trace_id if trace is not None else 0
             if future is None:
                 payload = encode  # pre-encoded immediate response
@@ -728,17 +712,16 @@ class PredictionServer:
                     if isinstance(encode, _WholeFrameEncoder):
                         payload = encode.fn(
                             result, frame_type | protocol.RESPONSE_BIT,
-                            request_id, version, trace_id)
+                            request_id, trace_id)
                     else:
                         payload = protocol.encode_frame(
                             frame_type | protocol.RESPONSE_BIT, request_id,
-                            encode(result), version=version,
-                            trace_id=trace_id)
+                            encode(result), trace_id)
                 except asyncio.TimeoutError:
                     # The shielded future stays with the shard worker;
                     # consume its eventual exception so an abandoned
                     # failure doesn't warn "never retrieved".
-                    future.add_done_callback(_consume_exception)
+                    future.add_done_callback(consume_exception)
                     message = (f"request not served within "
                                f"{self.request_timeout:g}s")
                     if trace is not None:
@@ -746,15 +729,14 @@ class PredictionServer:
                         trace.error = message
                     payload = self._error_frame(
                         request_id, protocol.ErrorCode.TIMEOUT, message,
-                        version=version, trace_id=trace_id)
+                        trace_id)
                 except Exception as exc:  # noqa: BLE001
                     code, message = _classify_error(exc)
                     if trace is not None:
                         trace.status = "error"
                         trace.error = message
                     payload = self._error_frame(request_id, code, message,
-                                                version=version,
-                                                trace_id=trace_id)
+                                                trace_id)
             try:
                 conn.writer.write(payload)
                 await conn.writer.drain()
@@ -767,7 +749,7 @@ class PredictionServer:
     # ----------------------------------------------------------- dispatch
 
     async def _dispatch(self, conn: _Connection, frame, trace) -> None:
-        self.metrics.requests.inc(type=_type_name(frame.type))
+        self.metrics.requests.inc(type=protocol.frame_type_name(frame.type))
         try:
             handler = _DISPATCH.get(frame.type)
             if handler is None:
@@ -1164,32 +1146,28 @@ class PredictionServer:
     def _respond_now(self, conn, frame, body: bytes, trace=None) -> None:
         payload = protocol.encode_frame(
             frame.type | protocol.RESPONSE_BIT, frame.request_id, body,
-            version=frame.version, trace_id=frame.trace_id)
+            frame.trace_id)
         conn.responses.put_nowait((frame.type, frame.request_id, payload,
                                    None, trace))
 
     def _respond_error(self, conn, request_id: int, code: int,
                        message: str, trace=None) -> None:
+        trace_id = 0
         if trace is not None:
             trace.status = "error"
             trace.error = message
-            version, trace_id = trace.version, trace.trace_id
-        else:
-            version, trace_id = protocol.PROTOCOL_VERSION_V1, 0
+            trace_id = trace.trace_id
         conn.responses.put_nowait(
             (protocol.FrameType.ERROR, request_id,
-             self._error_frame(request_id, code, message,
-                               version=version, trace_id=trace_id),
+             self._error_frame(request_id, code, message, trace_id),
              None, trace))
 
     def _error_frame(self, request_id: int, code: int, message: str,
-                     version: int = protocol.PROTOCOL_VERSION_V1,
                      trace_id: int = 0) -> bytes:
-        self.metrics.errors.inc(code=_code_name(code))
+        self.metrics.errors.inc(code=protocol.error_code_name(code))
         return protocol.encode_frame(
             protocol.FrameType.ERROR, request_id,
-            protocol.encode_error(code, message),
-            version=version, trace_id=trace_id)
+            protocol.encode_error(code, message), trace_id)
 
     def _finish_session(self, shard: _Shard, session_id: int) -> dict:
         session = shard.sessions.pop(session_id)
@@ -1267,36 +1245,9 @@ _DISPATCH = {
 _DATA_TYPES = frozenset({"step", "step_block", "predict", "outcome"})
 
 
-def _latency_percentiles(window: List[float]) -> dict:
-    """p50/p90/p99/max (ms) over the recent-latency window."""
-    if not window:
-        return {"count": 0}
-    from repro.serve.loadgen import percentile
-    ordered = sorted(window)
-    return {
-        "count": len(ordered),
-        "p50_ms": round(percentile(ordered, 50) * 1e3, 4),
-        "p90_ms": round(percentile(ordered, 90) * 1e3, 4),
-        "p99_ms": round(percentile(ordered, 99) * 1e3, 4),
-        "max_ms": round(ordered[-1] * 1e3, 4),
-    }
-
-
-def _type_name(frame_type: int) -> str:
-    try:
-        return protocol.FrameType(frame_type).name.lower()
-    except ValueError:
-        return f"unknown_{frame_type}"
-
-
-def _code_name(code: int) -> str:
-    try:
-        return protocol.ErrorCode(code).name.lower()
-    except ValueError:
-        return f"code_{code}"
-
-
-def _consume_exception(future: "asyncio.Future") -> None:
+def consume_exception(future: "asyncio.Future") -> None:
+    """Done-callback for a future nobody awaits any more: retrieves its
+    exception so asyncio does not warn that it was never retrieved."""
     if not future.cancelled():
         future.exception()
 
@@ -1316,25 +1267,6 @@ def _classify_error(exc: Exception):
             f"{type(exc).__name__}: {exc}")
 
 
-async def _read_frame(reader) -> Optional[protocol.Frame]:
-    """Read one frame from an asyncio stream; ``None`` on clean EOF."""
-    try:
-        prefix = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise protocol.ProtocolError("connection closed mid-frame") from exc
-    length = protocol.read_length(prefix)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise protocol.ProtocolError("connection closed mid-frame") from exc
-    # Decode through a memoryview: the frame body aliases the payload
-    # bytes (kept alive by the view) instead of being sliced out, so
-    # STEP_BLOCK records parse with no intermediate copy.
-    return protocol.decode_frame(memoryview(payload))
-
-
 class ServerThread:
     """A :class:`PredictionServer` on a background thread.
 
@@ -1346,16 +1278,10 @@ class ServerThread:
 
     ``stop()`` performs the same graceful drain as the async server
     and stores the final stats in :attr:`final_stats`.
-
-    ``use_uvloop=True`` runs the loop on uvloop when it is installed
-    (silently staying on asyncio otherwise; :attr:`loop_flavor` reports
-    which one actually ran).
     """
 
-    def __init__(self, use_uvloop: bool = False, **server_kwargs):
+    def __init__(self, **server_kwargs):
         self._kwargs = server_kwargs
-        self._loop_factory, self.loop_flavor = resolve_loop_factory(
-            use_uvloop)
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -1378,11 +1304,7 @@ class ServerThread:
         return self
 
     def _run(self) -> None:
-        if self._loop_factory is None:
-            asyncio.run(self._main())
-        else:
-            with asyncio.Runner(loop_factory=self._loop_factory) as runner:
-                runner.run(self._main())
+        asyncio.run(self._main())
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()

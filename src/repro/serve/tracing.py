@@ -1,9 +1,9 @@
 """Wire-level request tracing for the serving data path.
 
 Every request the server accepts gets a :class:`RequestTrace`: the
-64-bit trace id from the frame header (version-2 clients choose it,
-version-1 requests get a server-assigned one), plus monotonic stamps
-at each stage boundary of the pipeline::
+64-bit trace id from the frame header (the client chooses it; a frame
+carrying 0 gets a server-assigned one), plus monotonic stamps at each
+stage boundary of the pipeline::
 
     recv -> submit -> dequeue -> exec_start -> exec_end -> done
            [ queue  ][  fuse   ][  execute  ][   flush   ]
@@ -32,6 +32,10 @@ so ``GET /trace/<id>`` on the router can merge the router span with
 the worker span(s) -- including a request whose worker died mid-flight
 and whose frame was re-sent to a second worker -- into one ordered
 cross-process timeline.
+
+:func:`latency_summary` is the one p50/p90/p99 digest every serve-tier
+report uses: the ``/slo`` and ``/scale`` windows, the load generators
+and the soak harness.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ from typing import Dict, List, Optional
 
 __all__ = ["new_trace_id", "format_trace_id", "parse_trace_id",
            "RequestTrace", "RouterTrace", "SlowRequestSampler",
-           "TraceStore", "render_trace_report"]
+           "TraceStore", "render_trace_report", "percentile",
+           "latency_summary"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -95,7 +100,6 @@ class RequestTrace:
     trace_id: int
     frame_type: str
     request_id: int = 0
-    version: int = 0
     session_id: int = 0
     shard: Optional[int] = None
     records: int = 0
@@ -137,7 +141,6 @@ class RequestTrace:
             "trace_id": self.trace_id_hex,
             "type": self.frame_type,
             "request_id": self.request_id,
-            "protocol_version": self.version,
             "session": self.session_id,
             "shard": self.shard,
             "records": self.records,
@@ -194,7 +197,6 @@ class RouterTrace:
     trace_id: int
     frame_type: str
     request_id: int = 0
-    version: int = 0
     session_id: int = 0
     records: int = 0
     hops: List[int] = field(default_factory=list)
@@ -267,7 +269,6 @@ class RouterTrace:
             "trace_id": self.trace_id_hex,
             "type": self.frame_type,
             "request_id": self.request_id,
-            "protocol_version": self.version,
             "session": self.session_id,
             "records": self.records,
             "workers": list(self.hops),
@@ -441,3 +442,30 @@ class SlowRequestSampler:
             "observed": observed,
             "slowest": [entry for _, _, entry in entries],
         }
+
+
+def percentile(sorted_values: List[float], p: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample."""
+    if not sorted_values:
+        return 0.0
+    rank = int(round((p / 100.0) * (len(sorted_values) - 1)))
+    return sorted_values[min(rank, len(sorted_values) - 1)]
+
+
+def latency_summary(seconds) -> dict:
+    """Count plus p50/p90/p99/mean/max in milliseconds (4 decimals) of
+    a latency sample in seconds; every figure is 0 for an empty one."""
+    ordered = sorted(seconds)
+    count = len(ordered)
+
+    def ms(value: float) -> float:
+        return round(value * 1e3, 4)
+
+    return {
+        "count": count,
+        "p50_ms": ms(percentile(ordered, 50)),
+        "p90_ms": ms(percentile(ordered, 90)),
+        "p99_ms": ms(percentile(ordered, 99)),
+        "mean_ms": ms(sum(ordered) / count) if count else 0.0,
+        "max_ms": ms(ordered[-1]) if count else 0.0,
+    }

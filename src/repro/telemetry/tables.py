@@ -68,8 +68,7 @@ REUSE_BUCKETS = 24
 
 
 # =====================================================================
-# Figures 6/9: level-2 occupancy by stride patterns (moved verbatim
-# from repro.core.occupancy, which now re-exports it).
+# Figures 6/9: level-2 occupancy by stride patterns.
 # =====================================================================
 
 @dataclass
@@ -150,8 +149,7 @@ def stride_occupancy(
 
 
 # =====================================================================
-# Section 4.2: the five-way aliasing taxonomy (moved verbatim from
-# repro.core.aliasing, which now re-exports it).
+# Section 4.2: the five-way aliasing taxonomy.
 # =====================================================================
 
 ALIAS_CATEGORIES = ("l1", "hash", "l2_priv", "l2_pc", "none")

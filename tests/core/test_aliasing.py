@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.aliasing import ALIAS_CATEGORIES, AliasReport, AliasingAnalyzer
 from repro.core.dfcm import DFCMPredictor
 from repro.core.fcm import FCMPredictor
 from repro.core.last_value import LastValuePredictor
+from repro.telemetry.tables import (ALIAS_CATEGORIES, AliasReport,
+                                    AliasingAnalyzer)
 from tests.conftest import interleaved, repeating_trace, stride_trace
 
 

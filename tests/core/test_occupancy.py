@@ -5,8 +5,8 @@ import pytest
 from repro.core.dfcm import DFCMPredictor
 from repro.core.fcm import FCMPredictor
 from repro.core.last_value import LastValuePredictor
-from repro.core.occupancy import stride_occupancy
 from repro.core.stride import StridePredictor
+from repro.telemetry.tables import stride_occupancy
 from tests.conftest import interleaved, repeating_trace, stride_trace
 
 

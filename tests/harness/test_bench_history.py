@@ -34,7 +34,8 @@ def make_report(batch=100_000, scalar=10_000, family="dfcm",
 
 def append(tmp_path, batch, family="dfcm"):
     path = tmp_path / "BENCH_history.jsonl"
-    append_history(make_report(batch=batch, family=family), str(path))
+    append_history(history_entry(make_report(batch=batch, family=family)),
+                   str(path))
     return str(path)
 
 
@@ -145,8 +146,8 @@ class TestDiffGate:
         path = tmp_path / "BENCH_history.jsonl"
         report = make_report(family="dfcm")
         report["families"].append(make_report(family="stride")["families"][0])
-        append_history(report, str(path))
-        append_history(make_report(family="dfcm"), str(path))
+        append_history(history_entry(report), str(path))
+        append_history(history_entry(make_report(family="dfcm")), str(path))
         with pytest.raises(ValueError, match="missing from the current run: "
                                              "stride"):
             diff_history(str(path))
@@ -155,7 +156,7 @@ class TestDiffGate:
         path = append(tmp_path, 100_000, family="dfcm")
         report = make_report(family="dfcm")
         report["families"].append(make_report(family="stride")["families"][0])
-        append_history(report, str(path))
+        append_history(history_entry(report), str(path))
         with pytest.raises(ValueError, match="not in the previous record: "
                                              "stride"):
             diff_history(path)
@@ -164,8 +165,8 @@ class TestDiffGate:
         # A 50% efficiency collapse with steady throughput still passes:
         # efficiency moves with deliberate table-shape changes.
         path = tmp_path / "BENCH_history.jsonl"
-        append_history(make_report(efficiency=2.0), str(path))
-        append_history(make_report(efficiency=1.0), str(path))
+        append_history(history_entry(make_report(efficiency=2.0)), str(path))
+        append_history(history_entry(make_report(efficiency=1.0)), str(path))
         diff = diff_history(str(path))
         assert diff["passed"] is True
         (family,) = diff["families"]
@@ -180,8 +181,8 @@ class TestDiffGate:
         # Records written before the efficiency column predate the
         # field; the diff degrades to "--" instead of crashing.
         path = tmp_path / "BENCH_history.jsonl"
-        append_history(make_report(), str(path))
-        append_history(make_report(efficiency=1.5), str(path))
+        append_history(history_entry(make_report()), str(path))
+        append_history(history_entry(make_report(efficiency=1.5)), str(path))
         diff = diff_history(str(path))
         (family,) = diff["families"]
         assert family["base_table_efficiency"] is None

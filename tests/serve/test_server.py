@@ -8,7 +8,7 @@ import pytest
 from repro.core.spec import DFCMSpec, StrideSpec
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.server import ServerThread, resolve_loop_factory
+from repro.serve.server import ServerThread
 from repro.serve.session import Session
 
 
@@ -172,30 +172,6 @@ class TestConcurrency:
             assert [p for p, _hit in results] == list(expected)
         assert server.final_stats["fused_records"] > 0
 
-
-class TestLoopFactory:
-    def test_default_is_stock_asyncio(self):
-        factory, note = resolve_loop_factory(False)
-        assert factory is None
-        assert note == "asyncio"
-
-    def test_uvloop_request_degrades_when_missing(self):
-        factory, note = resolve_loop_factory(True)
-        try:
-            import uvloop  # noqa: F401
-        except ImportError:
-            assert factory is None
-            assert "uvloop requested but not installed" in note
-        else:
-            assert factory is not None
-            assert note == "uvloop"
-
-    def test_server_thread_reports_loop_flavor(self):
-        with ServerThread(max_delay=0, use_uvloop=True) as server, \
-                ServeClient(port=server.port) as client:
-            assert server.loop_flavor.startswith(("asyncio", "uvloop"))
-            session = client.open_session(StrideSpec(64))
-            assert client.step(session, 4, 7)[1] in (0, 1)
 
 
 class TestDrain:

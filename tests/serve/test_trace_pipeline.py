@@ -230,7 +230,7 @@ class TestScaleEndpoint:
 
 class TestSoakHarness:
     def test_short_soak_passes_its_gates(self, tmp_path):
-        from repro.harness.bench import append_soak_history
+        from repro.harness.bench import append_history, soak_history_entry
         from repro.serve.cluster.soak import render_soak, run_soak
         from repro.trace.trace import ValueTrace
 
@@ -261,7 +261,7 @@ class TestSoakHarness:
         assert "soak: PASS" in text
         # The history record files under its own kind.
         history = tmp_path / "hist.jsonl"
-        entry = append_soak_history(report, str(history))
+        entry = append_history(soak_history_entry(report), str(history))
         assert entry["kind"] == "cluster_soak"
         assert entry["soak_ok"] is True
         line = json.loads(history.read_text().splitlines()[0])

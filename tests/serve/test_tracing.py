@@ -10,7 +10,7 @@ from repro.serve.tracing import (RequestTrace, RouterTrace,
 
 def make_trace(trace_id=1, latency=0.01, **overrides):
     base = dict(trace_id=trace_id, frame_type="step", request_id=1,
-                version=2, t_recv=100.0, t_submit=100.001,
+                t_recv=100.0, t_submit=100.001,
                 t_dequeue=100.002, t_exec_start=100.003,
                 t_exec_end=100.004, t_done=100.0 + latency)
     base.update(overrides)
@@ -127,7 +127,7 @@ class TestSlowRequestSampler:
 
 def make_router_trace(trace_id=1, latency=0.01, **overrides):
     trace = RouterTrace(trace_id=trace_id, frame_type="step_block",
-                        request_id=7, version=2, session_id=3,
+                        request_id=7, session_id=3,
                         records=256, t_recv=200.0)
     trace.on_forward(0, 200.001)
     trace.t_replied = 200.0 + latency * 0.9
