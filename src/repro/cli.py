@@ -514,15 +514,13 @@ def _trace_lookup(args, out) -> int:
     """``repro trace <id> --from <obs>``: render one request's
     cross-process timeline from a worker's or the router's trace
     store."""
-    import urllib.request
-
+    from repro.serve.top import fetch_json
     from repro.serve.tracing import (format_trace_id, parse_trace_id,
                                      render_trace_report)
     trace_id = parse_trace_id(args.name)
-    target = _normalize_obs_target(args.from_target)
-    url = f"{target}/trace/{format_trace_id(trace_id)}"
-    with urllib.request.urlopen(url, timeout=args.timeout) as response:
-        report = json.loads(response.read().decode("utf-8"))
+    report = fetch_json(_normalize_obs_target(args.from_target),
+                        f"/trace/{format_trace_id(trace_id)}",
+                        timeout=args.timeout)
     if args.json:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
@@ -948,29 +946,21 @@ def _emitter(args, out):
     return emit
 
 
-async def _serve_until_signalled(make_service, announce) -> dict:
-    """Build and start a server or router, ``announce`` it, and drain
-    it on SIGINT/SIGTERM; returns the stats its ``stop()`` reports."""
+def _run_signalled(make_service, announce) -> dict:
+    """Build a server or router on a fresh event loop (its asyncio
+    objects bind to that loop) and serve it until SIGINT/SIGTERM;
+    returns the stats its ``stop()`` reports."""
     import asyncio
-    import signal
 
-    service = make_service()
-    await service.start()
-    announce(service)
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except NotImplementedError:  # pragma: no cover - non-POSIX
-            signal.signal(signum, lambda *_: stop.set())
-    await stop.wait()
-    return await service.stop()
+    from repro.serve.service import serve_until_signalled
+
+    async def serve() -> dict:
+        return await serve_until_signalled(make_service(), announce)
+
+    return asyncio.run(serve())
 
 
 def _cmd_serve(args, out) -> int:
-    import asyncio
-
     from repro.serve.server import PredictionServer
     from repro.telemetry.slo import default_serve_slos
 
@@ -1007,7 +997,7 @@ def _cmd_serve(args, out) -> int:
              f"{obs_note}) -- SIGTERM/SIGINT drains and exits")
 
     with _maybe_telemetry(args) as telemetry:
-        stats = asyncio.run(_serve_until_signalled(make_server, announce))
+        stats = _run_signalled(make_server, announce)
     if args.slow_out:
         with open(args.slow_out, "w") as handle:
             json.dump(stats.get("slow_requests", {}), handle, indent=2,
@@ -1110,17 +1100,10 @@ def _cmd_cluster(args, out) -> int:
 
 
 def _cluster_status(args, out) -> int:
-    import urllib.request
-
     from repro.harness.report import format_table
-    target = args.target
-    if target.isdigit():
-        target = f"http://127.0.0.1:{target}"
-    elif "://" not in target:
-        target = f"http://{target}"
-    with urllib.request.urlopen(f"{target}/cluster",
-                                timeout=args.timeout) as response:
-        report = json.loads(response.read().decode("utf-8"))
+    from repro.serve.top import fetch_json
+    target = _normalize_obs_target(args.target)
+    report = fetch_json(target, "/cluster", timeout=args.timeout)
     if args.json:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         return 0
@@ -1147,8 +1130,6 @@ def _cluster_status(args, out) -> int:
 
 
 def _cluster_serve(args, out) -> int:
-    import asyncio
-
     from repro.serve.cluster.router import Router
     from repro.serve.cluster.supervisor import ClusterSupervisor
 
@@ -1163,7 +1144,7 @@ def _cluster_serve(args, out) -> int:
 
     def make_router():
         return Router(supervisor, host=args.host, port=args.port,
-                      obs_port=args.obs_port, obs_host=args.host,
+                      obs_port=args.obs_port,
                       auto_restart=not args.no_auto_restart)
 
     def announce(router) -> None:
@@ -1184,8 +1165,7 @@ def _cluster_serve(args, out) -> int:
 
     with _maybe_telemetry(args) as telemetry:
         try:
-            stats = asyncio.run(_serve_until_signalled(make_router,
-                                                       announce))
+            stats = _run_signalled(make_router, announce)
         finally:
             supervisor.stop()
     emit({"event": "drained", "stats": stats,
@@ -1240,12 +1220,8 @@ def _cmd_soak(args, out) -> int:
 
 def _cmd_top(args, out) -> int:
     from repro.serve.top import run_top
-    target = args.target
-    if target.isdigit():
-        target = f"http://127.0.0.1:{target}"
-    elif "://" not in target:
-        target = f"http://{target}"
-    return run_top(target, interval=args.interval,
+    return run_top(_normalize_obs_target(args.target),
+                   interval=args.interval,
                    iterations=args.iterations, once=args.once,
                    out=out, timeout=args.timeout)
 

@@ -13,6 +13,10 @@ this package serves the same predictors over TCP, online:
 - :mod:`repro.serve.batcher` -- the cross-connection micro-batcher:
   bounded queues, max-batch-size / max-delay knobs, backpressure,
   graceful drain.
+- :mod:`repro.serve.service` -- the chassis the server and the cluster
+  router share: listener, connection loop and drain, request log,
+  observability route table, start/stop lifecycle and the
+  background-thread host.
 - :mod:`repro.serve.server` -- the asyncio TCP server; sessions are
   sharded across worker tasks by session id.
 - :mod:`repro.serve.client` / :mod:`repro.serve.loadgen` -- a blocking

@@ -42,18 +42,17 @@ the worker was SIGKILLed, or no state dir configured) are counted in
 ``repro_cluster_sessions_lost_total`` and answered UNKNOWN_SESSION,
 never silently dropped.
 
-:class:`ClusterThread` hosts supervisor + router behind a blocking
-API mirroring :class:`~repro.serve.server.ServerThread`, for tests,
-loadgen, and the ``repro cluster serve`` CLI.
+:class:`Router` runs on the server's :mod:`repro.serve.service`
+chassis; :class:`ClusterThread` hosts supervisor + router behind the
+same blocking API as :class:`~repro.serve.server.ServerThread`, for
+tests, loadgen, and the ``repro cluster serve`` CLI.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-import threading
 import time
-from collections import deque
 from typing import Dict, List, Optional
 
 from repro.serve import protocol
@@ -61,13 +60,12 @@ from repro.serve.cluster.aggregate import (http_get, http_get_json,
                                            merge_prometheus_texts)
 from repro.serve.cluster.ring import RendezvousRing
 from repro.serve.cluster.supervisor import ClusterSupervisor
-from repro.serve.obs import ObservabilityServer, json_response
 from repro.serve.protocol import HEADER_SIZE
-from repro.serve.server import consume_exception
-from repro.serve.tracing import (RouterTrace, SlowRequestSampler,
-                                 TraceStore, format_trace_id,
-                                 latency_summary, new_trace_id,
-                                 parse_trace_id, percentile)
+from repro.serve.service import (LATENCY_BUCKETS, FrameService,
+                                 ServiceThread, consume_exception,
+                                 pooled_table_ratios)
+from repro.serve.tracing import (RouterTrace, format_trace_id,
+                                 new_trace_id, parse_trace_id)
 from repro.telemetry.registry import registry
 
 __all__ = ["Router", "ClusterThread", "ClusterControlError"]
@@ -76,7 +74,11 @@ _LEN = struct.Struct("!I")
 _U32 = struct.Struct("!I")
 _U64 = struct.Struct("!Q")
 
-_LATENCY_BUCKETS = (.0001, .0005, .001, .005, .025, .1, .5, 2.5)
+#: ADOPT_SESSION attempts while re-homing a session whose arena may
+#: not be on disk yet (the old worker still flushing its drain), and
+#: the pause between them.
+_ADOPT_RETRIES = 20
+_ADOPT_RETRY_DELAY_S = 0.05
 
 #: Frame types whose body starts with a u64 session id.
 _SESSION_TYPES = frozenset({
@@ -90,12 +92,6 @@ _SESSION_TYPES = frozenset({
 _CONTROL_TYPES = frozenset({
     protocol.FrameType.ADOPT_SESSION, protocol.FrameType.RELEASE_SESSION,
     protocol.FrameType.OPEN_SESSION_AS,
-})
-
-#: Latencies of these types feed the rolling percentile window.
-_DATA_TYPES = frozenset({
-    protocol.FrameType.PREDICT, protocol.FrameType.OUTCOME,
-    protocol.FrameType.STEP, protocol.FrameType.STEP_BLOCK,
 })
 
 
@@ -124,7 +120,7 @@ class _ClusterMetrics:
         self.parked = reg.gauge(
             "repro_cluster_parked_sessions",
             "Sessions parked mid-migration or mid-failover.")
-        self.connections = reg.gauge(
+        self.connections_open = reg.gauge(
             "repro_cluster_connections_open",
             "Client connections open at the router.")
         self.frames = reg.counter(
@@ -154,7 +150,7 @@ class _ClusterMetrics:
         self.request_seconds = reg.histogram(
             "repro_cluster_request_seconds",
             "Proxied request latency (client frame read to response "
-            "written).", buckets=_LATENCY_BUCKETS, labels=("type",))
+            "written).", buckets=LATENCY_BUCKETS, labels=("type",))
 
 
 class _Entry:
@@ -162,7 +158,7 @@ class _Entry:
 
     __slots__ = ("payload", "conn", "future", "frame_type", "session_id",
                  "client_request_id", "respond_open", "kind", "records",
-                 "brid", "trace_id", "t_recv", "trace")
+                 "brid", "trace_id", "trace")
 
     def __init__(self, payload, conn, future, frame_type, trace_id,
                  client_request_id, session_id=0, respond_open=False,
@@ -178,22 +174,16 @@ class _Entry:
         self.kind = kind
         self.records = records
         self.brid = 0
-        self.t_recv = time.monotonic()
-        #: Router-side stage stamps; None for router-internal control
-        #: frames and synthesized error slots (client frames only).
-        self.trace: Optional[RouterTrace] = None
-
-
-class _ClientConn:
-    __slots__ = ("reader", "writer", "responses", "reader_task",
-                 "writer_task")
-
-    def __init__(self, reader, writer):
-        self.reader = reader
-        self.writer = writer
-        self.responses: asyncio.Queue = asyncio.Queue()
-        self.reader_task: Optional[asyncio.Task] = None
-        self.writer_task: Optional[asyncio.Task] = None
+        #: Router-side stage stamps of a client frame, under the
+        #: client's trace id (a frame carrying 0 gets a router-assigned
+        #: one: it still records the router-side timeline, it just
+        #: won't match the worker's); None for router-internal control
+        #: frames.
+        self.trace: Optional[RouterTrace] = (
+            None if conn is None else RouterTrace(
+                trace_id=trace_id or new_trace_id(),
+                frame_type=protocol.frame_type_name(frame_type),
+                request_id=client_request_id, t_recv=time.monotonic()))
 
 
 class _Backend:
@@ -217,54 +207,39 @@ class _Backend:
         self.lost = False
 
 
-class Router:
+class Router(FrameService):
     """The cluster's client-facing listener and placement brain."""
+
+    service_name = "repro-serve-cluster"
 
     def __init__(self, supervisor: ClusterSupervisor,
                  host: str = "127.0.0.1", port: int = 0,
                  obs_port: Optional[int] = None,
-                 obs_host: str = "127.0.0.1",
                  request_timeout: float = 60.0,
                  auto_restart: bool = True,
-                 tick_interval: float = 0.5,
-                 adopt_retries: int = 20,
-                 adopt_retry_delay: float = 0.05,
-                 slow_k: int = 32,
-                 trace_capacity: int = 4096):
+                 tick_interval: float = 0.5):
+        self.metrics = _ClusterMetrics()
+        super().__init__(host, port, obs_port,
+                         self.metrics.connections_open,
+                         self.metrics.request_seconds)
         self.supervisor = supervisor
-        self.host = host
-        self.port = port
         self.request_timeout = request_timeout
         self.auto_restart = auto_restart
         self.tick_interval = tick_interval
-        self.adopt_retries = adopt_retries
-        self.adopt_retry_delay = adopt_retry_delay
         self.state_dir = supervisor.worker_kwargs.get("state_dir")
         worker_host = supervisor.worker_kwargs.get("host", "127.0.0.1")
         self._worker_host = ("127.0.0.1"
                             if worker_host in ("0.0.0.0", "::", "")
                             else worker_host)
         self.ring = RendezvousRing()
-        self.metrics = _ClusterMetrics()
         self._backends: Dict[int, _Backend] = {}
-        self._clients: List[_ClientConn] = []
         #: session id -> owning worker slot.
         self._sessions: Dict[int, int] = {}
         #: Parked sessions: sid -> queued entries awaiting re-home.
         self._parked: Dict[int, List[_Entry]] = {}
-        self._next_session_id = 1
         self._next_brid = 1
-        self._listener: Optional[asyncio.base_events.Server] = None
         self._tick_task: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stopping = False
-        self._started_at = 0.0
-        self._latencies: deque = deque(maxlen=4096)
-        # Router-side tracing: client-experienced slow sample plus the
-        # bounded span store behind /trace (same machinery the workers
-        # run, keyed by the same u64 trace ids).
-        self.slow_sampler = SlowRequestSampler(slow_k)
-        self.trace_store = TraceStore(trace_capacity)
         # Counters mirrored as plain ints for JSON reports.
         self.frames_proxied = 0
         self.records_proxied = 0
@@ -272,9 +247,6 @@ class Router:
         self.migrations = 0
         self.sessions_lost = 0
         self.adopted_at_start = 0
-        self.obs_port: Optional[int] = obs_port
-        self._obs = (_ClusterObs(self, obs_host, obs_port)
-                     if obs_port is not None else None)
 
     # ---------------------------------------------------------- lifecycle
 
@@ -287,15 +259,9 @@ class Router:
                              key=lambda h: h.index):
             await self._attach_backend(handle)
         await self._adopt_existing()
-        self._listener = await asyncio.start_server(
-            self._on_client, self.host, self.port)
-        self.port = self._listener.sockets[0].getsockname()[1]
-        if self._obs is not None:
-            await self._obs.start()
-            self.obs_port = self._obs.port
+        await self._listen()
         self._tick_task = asyncio.ensure_future(self._tick_loop())
         self.metrics.workers.set(self.supervisor.n_workers)
-        self._started_at = time.time()
 
     async def stop(self) -> dict:
         """Drain clients, then detach from the (still running) fleet.
@@ -308,17 +274,7 @@ class Router:
             self._tick_task.cancel()
             await asyncio.gather(self._tick_task, return_exceptions=True)
             self._tick_task = None
-        if self._listener is not None:
-            self._listener.close()
-        for conn in list(self._clients):
-            if conn.reader_task is not None:
-                conn.reader_task.cancel()
-        await asyncio.gather(
-            *(c.reader_task for c in self._clients if c.reader_task),
-            return_exceptions=True)
-        if self._listener is not None:
-            await self._listener.wait_closed()
-            self._listener = None
+        await self._stop_listening()
         for backend in self._backends.values():
             backend.alive = False
             if backend.reader_task is not None:
@@ -327,8 +283,6 @@ class Router:
         await asyncio.gather(
             *(b.reader_task for b in self._backends.values()
               if b.reader_task), return_exceptions=True)
-        if self._obs is not None:
-            await self._obs.stop()
         return self.cluster_report()
 
     async def _attach_backend(self, handle) -> _Backend:
@@ -340,8 +294,7 @@ class Router:
         self.ring.add(handle.index)
         backend.reader_task = asyncio.ensure_future(
             self._backend_reader(backend))
-        self.metrics.workers_alive.set(
-            sum(1 for b in self._backends.values() if b.alive))
+        self.metrics.workers_alive.set(self._workers_alive())
         return backend
 
     async def _adopt_existing(self) -> None:
@@ -370,102 +323,41 @@ class Router:
 
     # ------------------------------------------------------- client side
 
-    async def _on_client(self, reader, writer) -> None:
-        if self._stopping:
-            writer.close()
-            return
-        conn = _ClientConn(reader, writer)
-        conn.reader_task = asyncio.current_task()
-        conn.writer_task = asyncio.ensure_future(self._client_writer(conn))
-        self._clients.append(conn)
-        self.metrics.connections.inc()
-        dispatch: Optional[asyncio.Future] = None
-        try:
-            while True:
-                payload = await protocol.read_payload(reader)
-                if payload is None:
-                    break
-                dispatch = asyncio.ensure_future(
-                    self._dispatch_client(conn, bytearray(payload)))
-                keep_open = await asyncio.shield(dispatch)
-                dispatch = None
-                if not keep_open:
-                    break
-        except asyncio.CancelledError:
-            pass
-        except protocol.ProtocolError as exc:
-            self._enqueue_error(conn, 0, protocol.ErrorCode.BAD_FRAME,
-                                str(exc))
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            # Cancellation (router stop) may land on any of these
-            # awaits -- cleanup must still run to completion.
-            if dispatch is not None:
-                try:
-                    await dispatch
-                except (Exception, asyncio.CancelledError):
-                    pass
-            conn.responses.put_nowait(None)
-            try:
-                await conn.writer_task
-            except (Exception, asyncio.CancelledError):
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-            self._clients.remove(conn)
-            self.metrics.connections.dec()
-
-    async def _dispatch_client(self, conn, payload: bytearray) -> bool:
-        """Route one client frame; returns False to close the
-        connection (protocol-fatal condition, mirroring the server)."""
-        try:
-            ftype, rid, trace_id = protocol.peek_header(payload)
-        except protocol.ProtocolError as exc:
-            self._enqueue_error(conn, 0, protocol.ErrorCode.BAD_FRAME,
-                                str(exc))
-            return False
+    async def _dispatch_payload(self, conn, payload) -> None:
+        """Route one client frame."""
+        payload = bytearray(payload)
+        ftype, rid, trace_id = protocol.peek_header(payload)
         self.frames_proxied += 1
-        type_name = protocol.frame_type_name(ftype)
-        self.metrics.frames.inc(type=type_name)
         entry = _Entry(payload, conn, self._loop.create_future(), ftype,
                        trace_id, rid)
-        # Stage-stamp every client frame under the client's trace id (a
-        # frame carrying 0 gets a router-assigned one: it still records
-        # the router-side timeline, it just won't match the worker's).
-        entry.trace = RouterTrace(
-            trace_id=trace_id or new_trace_id(),
-            frame_type=type_name, request_id=rid, t_recv=entry.t_recv)
+        self.metrics.frames.inc(type=entry.trace.frame_type)
         conn.responses.put_nowait(entry)
 
         if ftype == protocol.FrameType.OPEN_SESSION:
             await self._route_open(entry)
-            return True
+            return
         if ftype in _CONTROL_TYPES:
             self._fail_entry(
                 entry, protocol.ErrorCode.BAD_FRAME,
                 f"{protocol.FrameType(ftype).name} is router-internal "
                 f"cluster control; clients open sessions with "
                 f"OPEN_SESSION")
-            return True
+            return
         if ftype not in _SESSION_TYPES:
             self._fail_entry(entry, protocol.ErrorCode.UNKNOWN_TYPE,
                              f"unknown frame type {ftype}")
-            return True
+            return
         if len(payload) < HEADER_SIZE + _U64.size:
             self._fail_entry(entry, protocol.ErrorCode.BAD_FRAME,
                              "bad session op body: truncated session id")
-            return True
+            return
         (sid,) = _U64.unpack_from(payload, HEADER_SIZE)
         if ftype == protocol.FrameType.STATS and sid == 0:
             # Server-wide stats become cluster-wide stats at the router.
             body = protocol.encode_json_body(self.cluster_report())
             self._complete(entry, _bare_frame(
                 ftype | protocol.RESPONSE_BIT, rid, body, trace_id))
-            return True
+            return
         entry.session_id = sid
         entry.trace.session_id = sid
         if ftype == protocol.FrameType.CLOSE_SESSION:
@@ -479,27 +371,35 @@ class Router:
         if sid in self._parked:
             entry.trace.on_park(time.monotonic())
             self._parked[sid].append(entry)
-            return True
+            return
         owner = self._sessions.get(sid)
         if owner is None:
             self._fail_entry(entry, protocol.ErrorCode.UNKNOWN_SESSION,
                              f"unknown session {sid}")
-            return True
+            return
         try:
             await self._forward(entry, self._backends[owner])
         except ConnectionError:
-            # The owner died between lookup and write; its failover
-            # will re-home the session, but this frame raced it.
+            # The owner is already known dead and the session was not
+            # parked for a failover (the router is stopping, say).
             if not entry.future.done():
                 self._fail_entry(entry, protocol.ErrorCode.INTERNAL,
                                  f"worker {owner} connection lost")
-        return True
 
     async def _route_open(self, entry: _Entry) -> None:
         """Rewrite OPEN_SESSION -> OPEN_SESSION_AS with a router-global
         session id and forward it to the rendezvous owner."""
-        gid = self._alloc_session_id()
         payload = entry.payload
+        if len(payload) + _U64.size > protocol.MAX_FRAME_BYTES:
+            # The worker's frame reader would refuse the rewritten frame
+            # and drop the router's whole connection to it.
+            self._fail_entry(
+                entry, protocol.ErrorCode.BAD_FRAME,
+                f"OPEN_SESSION of {len(payload)} bytes leaves no room "
+                f"for the router's session id within the "
+                f"{protocol.MAX_FRAME_BYTES}-byte frame limit")
+            return
+        gid = self._alloc_session_id()
         rewritten = bytearray(len(payload) + _U64.size)
         rewritten[:HEADER_SIZE] = payload[:HEADER_SIZE]
         protocol.patch_type(rewritten, protocol.FrameType.OPEN_SESSION_AS)
@@ -529,7 +429,7 @@ class Router:
                 self._fail_entry(entry, protocol.ErrorCode.INTERNAL,
                                  f"worker {target} connection lost")
 
-    async def _client_writer(self, conn: _ClientConn) -> None:
+    async def _writer_loop(self, conn) -> None:
         while True:
             entry = await conn.responses.get()
             if entry is None:
@@ -553,19 +453,10 @@ class Router:
                 await conn.writer.drain()
             except (ConnectionError, OSError):
                 return
-            now = time.monotonic()
-            latency = now - entry.t_recv
-            self.metrics.request_seconds.observe(
-                latency, type=protocol.frame_type_name(entry.frame_type))
-            if entry.frame_type in _DATA_TYPES:
-                self._latencies.append((now, latency))
-            if entry.trace is not None:
-                # The router's span is complete: client-experienced
-                # latency plus every stage between accept and drain.
-                entry.trace.t_done = now
-                self.trace_store.put(entry.trace.trace_id,
-                                     entry.trace.to_dict())
-                self.slow_sampler.add(entry.trace)
+            # The router's span is complete: client-experienced latency
+            # plus every stage between accept and drain.
+            entry.trace.t_done = time.monotonic()
+            self.request_log.record(entry.trace)
 
     # ------------------------------------------------------ backend side
 
@@ -626,6 +517,11 @@ class Router:
             entry.future.set_result(payload)
 
     async def _forward(self, entry: _Entry, backend: _Backend) -> None:
+        """Send *entry* to *backend*; raises ``ConnectionError`` only if
+        the worker is already known dead.  Once the entry is in
+        ``backend.pending`` it belongs to the backend: a connection that
+        drops under the write is the backend reader's to notice, and its
+        failover re-drives (or, for control frames, fails) the entry."""
         if not backend.alive:
             raise ConnectionError(
                 f"worker {backend.index} is not connected")
@@ -638,7 +534,13 @@ class Router:
         backend.pending[brid] = entry
         backend.writer.write(_LEN.pack(len(entry.payload)))
         backend.writer.write(entry.payload)
-        await backend.writer.drain()
+        try:
+            await backend.writer.drain()
+        except ConnectionError:
+            # A SIGTERM drain closes the worker's socket right after its
+            # last response; a frame written into that gap must be
+            # re-driven by the failover, not answered INTERNAL here.
+            pass
 
     async def _control(self, backend: _Backend, frame_type: int,
                        session_id: int) -> dict:
@@ -740,20 +642,19 @@ class Router:
         backend.lost = True
         backend.alive = False
         self.ring.discard(backend.index)
-        self.metrics.workers_alive.set(
-            sum(1 for b in self._backends.values() if b.alive))
-        pending = list(backend.pending.values())
+        self.metrics.workers_alive.set(self._workers_alive())
+        client_entries: List[_Entry] = []
+        for entry in backend.pending.values():
+            if entry.conn is not None:
+                client_entries.append(entry)
+            elif not entry.future.done():
+                entry.future.set_exception(ConnectionError(
+                    f"worker {backend.index} connection lost"))
         backend.pending.clear()
         if self._stopping:
-            for entry in pending:
-                if entry.conn is None:
-                    if not entry.future.done():
-                        entry.future.set_exception(ConnectionError(
-                            f"worker {backend.index} connection lost"))
-                else:
-                    self._fail_entry(entry,
-                                     protocol.ErrorCode.SHUTTING_DOWN,
-                                     "router is shutting down")
+            for entry in client_entries:
+                self._fail_entry(entry, protocol.ErrorCode.SHUTTING_DOWN,
+                                 "router is shutting down")
             return
         # Park everything the dead worker owned *synchronously* --
         # frames arriving from here on queue behind the failover.
@@ -762,14 +663,6 @@ class Router:
         for sid in owned:
             self._parked.setdefault(sid, [])
         self._refresh_gauges()
-        client_entries: List[_Entry] = []
-        for entry in pending:
-            if entry.conn is None:
-                if not entry.future.done():
-                    entry.future.set_exception(ConnectionError(
-                        f"worker {backend.index} connection lost"))
-            else:
-                client_entries.append(entry)
         # A SIGTERM drain spills arenas *after* its sockets close, so
         # wait for the process to actually finish before adopting.
         handle = self.supervisor.handles.get(backend.index)
@@ -794,7 +687,7 @@ class Router:
             self._lose_session(session_id)
             return None
         backend = self._backends[target]
-        for attempt in range(max(1, self.adopt_retries)):
+        for attempt in range(_ADOPT_RETRIES):
             try:
                 await self._control(
                     backend, protocol.FrameType.ADOPT_SESSION, session_id)
@@ -806,7 +699,7 @@ class Router:
                 if exc.code == protocol.ErrorCode.UNKNOWN_SESSION:
                     # No arena (yet): the old worker may still be
                     # flushing its drain, or it never snapshotted.
-                    await asyncio.sleep(self.adopt_retry_delay)
+                    await asyncio.sleep(_ADOPT_RETRY_DELAY_S)
                     continue
                 break  # STATE_UNAVAILABLE etc.: unrecoverable here
             except (ConnectionError, asyncio.TimeoutError):
@@ -914,18 +807,12 @@ class Router:
             # migrate home (warm arenas included).
             await self.rebalance(reason="rebalance")
 
+    def _workers_alive(self) -> int:
+        return sum(1 for b in self._backends.values() if b.alive)
+
     def _refresh_gauges(self) -> None:
         self.metrics.sessions.set(len(self._sessions))
         self.metrics.parked.set(len(self._parked))
-
-    def _alloc_session_id(self) -> int:
-        session_id = self._next_session_id
-        self._next_session_id += 1
-        return session_id
-
-    def _note_session_id(self, session_id: int) -> None:
-        self._next_session_id = max(self._next_session_id,
-                                    session_id + 1)
 
     def _fail_entry(self, entry: _Entry, code: int, message: str) -> None:
         if entry.future.done():
@@ -945,8 +832,8 @@ class Router:
                            protocol.encode_error(code, message),
                            entry.trace_id)
 
-    def _enqueue_error(self, conn: _ClientConn, request_id: int,
-                       code: int, message: str) -> None:
+    def _enqueue_error(self, conn, request_id: int, code: int,
+                       message: str) -> None:
         entry = _Entry(b"", conn, self._loop.create_future(),
                        protocol.FrameType.ERROR, 0, request_id)
         entry.future.set_result(self._error_frame(entry, code, message))
@@ -984,7 +871,7 @@ class Router:
             "workers_alive": sum(1 for w in workers if w["connected"]),
             "sessions_open": len(self._sessions),
             "sessions_parked": len(self._parked),
-            "connections_open": len(self._clients),
+            "connections_open": len(self._connections),
             "frames_proxied": self.frames_proxied,
             "records_proxied": self.records_proxied,
             "hits_proxied": self.hits_proxied,
@@ -992,21 +879,22 @@ class Router:
             "sessions_lost_total": self.sessions_lost,
             "adopted_at_start": self.adopted_at_start,
             "state_dir": self.state_dir,
-            "uptime_s": (round(time.time() - self._started_at, 3)
-                         if self._started_at else 0.0),
+            "uptime_s": self.uptime_s(),
         }
 
-    async def _scrape_workers(self, path: str) -> List[tuple]:
-        """(index, parsed-JSON-or-None) for every connected worker."""
+    async def _scrape_workers(self, path: str,
+                              fetch=http_get_json) -> List[tuple]:
+        """(index, parsed-JSON-or-None) for every connected worker
+        (the raw text with ``fetch=http_get``)."""
         alive = [(i, b) for i, b in sorted(self._backends.items())
                  if b.alive and b.obs_port]
         results = await asyncio.gather(
-            *(http_get_json(b.host, b.obs_port, path) for _, b in alive),
+            *(fetch(b.host, b.obs_port, path) for _, b in alive),
             return_exceptions=True)
         return [(i, None if isinstance(res, Exception) else res)
                 for (i, _), res in zip(alive, results)]
 
-    async def fleet_healthz(self) -> dict:
+    async def healthz(self) -> dict:
         """Aggregated ``/healthz``: router totals plus per-worker rows
         (shape-compatible with the single server's, so ``repro top``
         and existing probes keep working)."""
@@ -1051,21 +939,14 @@ class Router:
                 dead += 1
                 alerts.add(f"w{index}:worker_down")
             workers.append(row)
-        if self._stopping:
-            status = "draining"
-        elif alerts:
-            status = "degraded"
-        else:
-            status = "ok"
         return {
             "schema": 1,
             "cluster": True,
-            "status": status,
+            "status": self._health_status(alerts),
             "draining": self._stopping,
-            "uptime_s": (round(time.time() - self._started_at, 3)
-                         if self._started_at else 0.0),
+            "uptime_s": self.uptime_s(),
             "protocol_version": protocol.PROTOCOL_VERSION,
-            "connections_open": len(self._clients),
+            "connections_open": len(self._connections),
             "sessions_open": len(self._sessions),
             "sessions_parked": len(self._parked),
             "sessions_resident": totals["resident"],
@@ -1085,7 +966,7 @@ class Router:
             "shards": [],
         }
 
-    async def fleet_slo(self) -> dict:
+    async def slo_report(self) -> dict:
         """Aggregated ``/slo``: every worker's burn-rate statuses
         (names prefixed ``w<i>:``) plus router-side latency
         percentiles over proxied data frames."""
@@ -1104,24 +985,21 @@ class Router:
                 status["name"] = f"w{index}:{status.get('name', '?')}"
                 slos.append(status)
         alerts = [s["name"] for s in slos if s.get("alerting")]
-        horizon = time.monotonic() - 60.0
-        window = [lat for t, lat in self._latencies if t >= horizon]
         return {
             "schema": 1,
             "cluster": True,
             "slos": slos,
             "alerts": alerts,
             "healthy": workers_healthy and not alerts,
-            "latency": latency_summary(window),
+            "latency": self.request_log.window_summary(),
             "records_served": self.records_proxied,
             "hits_served": self.hits_proxied,
             "hit_rate": ((self.hits_proxied / self.records_proxied)
                          if self.records_proxied else None),
-            "uptime_s": (round(time.time() - self._started_at, 3)
-                         if self._started_at else 0.0),
+            "uptime_s": self.uptime_s(),
         }
 
-    async def fleet_slow(self, max_entries: int = 32) -> dict:
+    async def slow_requests(self, max_entries: int = 32) -> dict:
         """Aggregated ``/slow``: the fleet's slowest requests as the
         *client* experienced them.
 
@@ -1144,7 +1022,7 @@ class Router:
                 entry = dict(entry, worker=index, source="worker")
                 worker_entries.setdefault(
                     entry.get("trace_id", ""), []).append(entry)
-        router_snap = self.slow_sampler.snapshot()
+        router_snap = self.request_log.slow.snapshot()
         slowest = []
         joined = set()
         for entry in router_snap["slowest"]:
@@ -1160,7 +1038,7 @@ class Router:
             for span in spans:
                 span = dict(span)
                 try:
-                    router_spans = self.trace_store.get(
+                    router_spans = self.request_log.traces.get(
                         parse_trace_id(trace_id))
                 except ValueError:
                     router_spans = []
@@ -1177,14 +1055,14 @@ class Router:
                 "worker_observed": worker_observed,
                 "slowest": slowest[:max_entries]}
 
-    async def fleet_trace(self, trace_id: int) -> dict:
+    async def trace_lookup(self, trace_id: int) -> dict:
         """The cluster ``/trace/<id>`` body: the router's span(s) for
         one trace id merged with every worker's, ordered router first
         and then workers in hop order -- a request that traversed two
         workers (mid-flight failover, migration) reads as one timeline.
         """
         hex_id = format_trace_id(trace_id)
-        router_spans = self.trace_store.get(trace_id)
+        router_spans = self.request_log.traces.get(trace_id)
         scraped = await self._scrape_workers(f"/trace/{hex_id}")
         worker_spans = []
         for index, report in scraped:
@@ -1205,7 +1083,7 @@ class Router:
     def trace_dump(self, limit: Optional[int] = None) -> dict:
         """The router's own ``/trace`` body (router-side spans only;
         per-id lookups fan out to the workers, the dump does not)."""
-        return dict(self.trace_store.dump(limit), cluster=True)
+        return dict(super().trace_dump(limit), cluster=True)
 
     async def scale_report(self) -> dict:
         """The ``/scale`` body: autoscaling signals shaped like a
@@ -1223,7 +1101,7 @@ class Router:
         """
         scraped_health = await self._scrape_workers("/healthz")
         scraped_slo = await self._scrape_workers("/slo")
-        workers_alive = sum(1 for b in self._backends.values() if b.alive)
+        workers_alive = self._workers_alive()
         sessions_per_worker = (len(self._sessions)
                                / max(1, workers_alive))
         queue_depth = 0
@@ -1246,13 +1124,10 @@ class Router:
                 if status.get("alerting"):
                     alerting.append(
                         f"w{index}:{status.get('name', '?')}")
-        horizon = time.monotonic() - 60.0
-        window = sorted(lat for t, lat in self._latencies
-                        if t >= horizon)
-        p99_ms = round(percentile(window, 99) * 1e3, 4)
         signals = {
             "sessions_per_worker": round(sessions_per_worker, 4),
-            "step_latency_p99_ms": p99_ms,
+            "step_latency_p99_ms":
+                self.request_log.window_summary()["p99_ms"],
             "queue_depth": queue_depth,
             "slo_burn_rate": round(burn, 4),
         }
@@ -1277,7 +1152,7 @@ class Router:
             "alerts": sorted(alerting),
         }
 
-    async def fleet_tables(self) -> dict:
+    async def tables_report(self) -> dict:
         """Aggregated ``/tables``: per-worker shard rows (relabelled
         ``<worker>.<shard>``) and fleet-pooled totals."""
         scraped = await self._scrape_workers("/tables")
@@ -1296,106 +1171,29 @@ class Router:
             rep_totals = report.get("totals", {})
             for key in totals:
                 totals[key] += rep_totals.get(key, 0)
-        totals["occupancy"] = (
-            round(totals["live_bits"] / totals["storage_bits"], 6)
-            if totals["storage_bits"] else 0.0)
-        totals["efficiency"] = (
-            round(totals["hits"] / totals["live_bits"], 9)
-            if totals["live_bits"] else 0.0)
-        totals["aliasing_ratio"] = (
-            round(totals["alias_conflicts"] / totals["alias_accesses"], 6)
-            if totals["alias_accesses"] else 0.0)
         return {"schema": 1, "cluster": True, "shards": shards,
-                "totals": totals}
+                "totals": pooled_table_ratios(totals)}
 
-    async def fleet_metrics(self, prefix: Optional[str] = None,
-                            exemplars: bool = False) -> str:
+    async def metrics_text(self, prefix: Optional[str] = None,
+                           exemplars: bool = False) -> str:
         """One merged Prometheus exposition: the router's own registry
         plus every live worker's, relabelled ``worker="i"``."""
-        from repro.telemetry.live import live_prometheus_text
         query = []
         if prefix:
             query.append(f"prefix={prefix}")
         if exemplars:
             query.append("exemplars=1")
         path = "/metrics" + (f"?{'&'.join(query)}" if query else "")
-        alive = [(i, b) for i, b in sorted(self._backends.items())
-                 if b.alive and b.obs_port]
-        results = await asyncio.gather(
-            *(http_get(b.host, b.obs_port, path) for _, b in alive),
-            return_exceptions=True)
-        parts = [(None, live_prometheus_text(prefix=prefix,
+        scraped = await self._scrape_workers(path, fetch=http_get)
+        parts = [(None, super().metrics_text(prefix=prefix,
                                              exemplars=exemplars))]
-        for (index, _), text in zip(alive, results):
-            if isinstance(text, Exception):
-                continue
-            parts.append(({"worker": str(index)}, text))
+        parts += [({"worker": str(index)}, text)
+                  for index, text in scraped if text is not None]
         return merge_prometheus_texts(parts)
 
 
-class _ClusterObs(ObservabilityServer):
-    """The router's aggregated observability endpoint.
-
-    Same port layout and routes as a worker's endpoint -- ``repro
-    top``, curl probes and Prometheus need no cluster-specific
-    configuration -- plus ``/cluster`` for the fleet control report.
-    The aggregating routes are coroutines (they scrape the workers);
-    the base class awaits them.
-    """
-
-    def _route(self, path: str, query: dict):
-        router: Router = self.server
-        if path == "/metrics":
-            return self._metrics(router, query)
-        if path == "/healthz":
-            return _json_async(router.fleet_healthz())
-        if path == "/slo":
-            return _json_async(router.fleet_slo())
-        if path == "/slow":
-            return _json_async(router.fleet_slow())
-        if path == "/tables":
-            return _json_async(router.fleet_tables())
-        if path == "/scale":
-            return _json_async(router.scale_report())
-        if path == "/trace":
-            values = query.get("limit")
-            try:
-                limit = int(values[0]) if values else None
-            except ValueError:
-                limit = None
-            return json_response(router.trace_dump(limit))
-        if path.startswith("/trace/"):
-            try:
-                trace_id = parse_trace_id(path[len("/trace/"):])
-            except ValueError as exc:
-                return ("400 Bad Request", "text/plain; charset=utf-8",
-                        f"{exc}\n".encode("utf-8"))
-            return _json_async(router.fleet_trace(trace_id))
-        if path == "/cluster":
-            return json_response(router.cluster_report())
-        if path == "/":
-            return json_response({
-                "service": "repro-serve-cluster",
-                "endpoints": ["/metrics", "/healthz", "/slo", "/slow",
-                              "/tables", "/trace", "/scale", "/cluster"],
-            })
-        return ("404 Not Found", "text/plain; charset=utf-8",
-                f"no route {path}\n".encode("utf-8"))
-
-    async def _metrics(self, router: Router, query: dict):
-        values = query.get("prefix")
-        prefix = values[0] if values else None
-        flags = query.get("exemplars")
-        exemplars = bool(flags) and flags[0] not in ("", "0", "false",
-                                                     "no")
-        text = await router.fleet_metrics(prefix=prefix,
-                                          exemplars=exemplars)
-        return ("200 OK", "text/plain; version=0.0.4; charset=utf-8",
-                text.encode("utf-8"))
-
-
-class ClusterThread:
-    """Supervisor + router behind a blocking API (mirrors
+class ClusterThread(ServiceThread):
+    """Supervisor + router behind a blocking API (the same one as
     :class:`~repro.serve.server.ServerThread`).
 
         with ClusterThread(workers=3, state_dir=d) as cluster:
@@ -1411,87 +1209,32 @@ class ClusterThread:
     def __init__(self, workers: int = 2, host: str = "127.0.0.1",
                  port: int = 0, obs_port: Optional[int] = None,
                  router_kwargs: Optional[dict] = None, **worker_kwargs):
+        super().__init__(lambda: Router(
+            self.supervisor, host=host, port=port, obs_port=obs_port,
+            **(router_kwargs or {})))
         self.n_workers = workers
-        self._host = host
-        self._port = port
-        self._obs_port = obs_port
-        self._router_kwargs = dict(router_kwargs or {})
         self._worker_kwargs = worker_kwargs
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
         self.supervisor: Optional[ClusterSupervisor] = None
-        self.router: Optional[Router] = None
-        self.port: Optional[int] = None
-        self.obs_port: Optional[int] = None
-        self.final_stats: Optional[dict] = None
+
+    @property
+    def router(self) -> Optional[Router]:
+        return self.service
 
     def start(self) -> "ClusterThread":
         self.supervisor = ClusterSupervisor(
             self.n_workers, **self._worker_kwargs).start()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-serve-router")
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self._startup_error is not None:
-            self.supervisor.stop()
-            raise self._startup_error
-        if self.port is None:
-            self.supervisor.stop()
-            raise RuntimeError("router failed to start within 60s")
-        return self
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
         try:
-            self.router = Router(self.supervisor, host=self._host,
-                                 port=self._port,
-                                 obs_port=self._obs_port,
-                                 **self._router_kwargs)
-            await self.router.start()
-            self.port = self.router.port
-            self.obs_port = self.router.obs_port
-        except BaseException as exc:  # noqa: BLE001 - rethrown in start()
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop_event.wait()
-        self.final_stats = await self.router.stop()
-
-    def call(self, coro, timeout: float = 60.0):
-        """Run a coroutine on the router's loop from any thread --
-        tests drive migrations with
-        ``cluster.call(cluster.router.migrate(sid, target))``."""
-        if self._loop is None:
-            raise RuntimeError("cluster is not running")
-        return asyncio.run_coroutine_threadsafe(
-            coro, self._loop).result(timeout)
+            return super().start()
+        except BaseException:
+            self.supervisor.stop()
+            raise
 
     def stop(self) -> Optional[dict]:
-        if self._thread is not None:
-            if self._loop is not None and self._stop_event is not None:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            self._thread.join(timeout=90)
-            alive = self._thread.is_alive()
-            self._thread = None
-            if alive:
-                raise RuntimeError("router thread did not stop within 90s")
-        if self.supervisor is not None:
-            self.supervisor.stop()
-        return self.final_stats
-
-    def __enter__(self) -> "ClusterThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+        try:
+            return super().stop()
+        finally:
+            if self.supervisor is not None:
+                self.supervisor.stop()
 
 
 # ------------------------------------------------------------- helpers
@@ -1510,7 +1253,3 @@ def _quantity(value: float) -> str:
     1.5): the custom-metrics API has no float type, this is its
     convention for fractional metric values."""
     return f"{int(round(float(value) * 1000))}m"
-
-
-async def _json_async(coro):
-    return json_response(await coro)

@@ -1,10 +1,9 @@
 """Worker-process lifecycle for the serve cluster.
 
 :class:`ClusterSupervisor` forks N :class:`~repro.serve.server
-.PredictionServer` processes (``multiprocessing`` *spawn* context by
-default -- safe under threaded parents and identical to what a k8s pod
-exec does) and tracks each through a :class:`WorkerHandle`.  Every
-worker:
+.PredictionServer` processes (``multiprocessing`` *spawn* context --
+safe under threaded parents and identical to what a k8s pod exec does)
+and tracks each through a :class:`WorkerHandle`.  Every worker:
 
 - binds an ephemeral data port and an ephemeral observability port,
   reported back through a pipe before the supervisor's ``start``
@@ -41,9 +40,11 @@ __all__ = ["ClusterSupervisor", "WorkerHandle"]
 #: a child process).
 _WORKER_KWARGS = frozenset({
     "host", "shards", "max_batch", "max_delay", "queue_depth",
-    "request_timeout", "slo_interval", "slow_k", "state_dir",
-    "max_resident",
+    "request_timeout", "state_dir", "max_resident",
 })
+
+#: Seconds a worker may take to report ``listening``.
+_START_TIMEOUT_S = 90.0
 
 
 @dataclass
@@ -102,29 +103,23 @@ def _worker_main(index: int, kwargs: dict, conn) -> None:
 
 
 async def _worker_async(index: int, kwargs: dict, conn) -> dict:
-    import asyncio
-
     from repro.serve.server import PredictionServer
+    from repro.serve.service import serve_until_signalled
 
-    server = PredictionServer(port=0, obs_port=0, adopt_arenas=False,
-                              **kwargs)
-    await server.start()
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, stop.set)
-    conn.send({"event": "listening", "worker": index,
-               "pid": os.getpid(), "port": server.port,
-               "obs_port": server.obs_port})
-    await stop.wait()
-    return await server.stop()
+    def announce(server) -> None:
+        conn.send({"event": "listening", "worker": index,
+                   "pid": os.getpid(), "port": server.port,
+                   "obs_port": server.obs_port})
+
+    return await serve_until_signalled(
+        PredictionServer(port=0, obs_port=0, adopt_arenas=False, **kwargs),
+        announce)
 
 
 class ClusterSupervisor:
     """Spawn, watch, drain and account for N serve workers."""
 
-    def __init__(self, workers: int, mp_context: str = "spawn",
-                 start_timeout: float = 90.0, **worker_kwargs):
+    def __init__(self, workers: int, **worker_kwargs):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         unknown = set(worker_kwargs) - _WORKER_KWARGS
@@ -134,8 +129,7 @@ class ClusterSupervisor:
                 f"(accepted: {sorted(_WORKER_KWARGS)})")
         self.n_workers = workers
         self.worker_kwargs = dict(worker_kwargs)
-        self.start_timeout = start_timeout
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context("spawn")
         self.handles: Dict[int, WorkerHandle] = {}
         #: Drained workers' final stats, in collection order.
         self.finals: List[dict] = []
@@ -146,7 +140,7 @@ class ClusterSupervisor:
         """Spawn every worker, then wait for all of them to listen."""
         for index in range(self.n_workers):
             self._spawn(index)
-        deadline = time.monotonic() + self.start_timeout
+        deadline = time.monotonic() + _START_TIMEOUT_S
         for handle in self.handles.values():
             self._await_listening(handle, deadline)
         return self
@@ -184,7 +178,7 @@ class ClusterSupervisor:
                     self._collect(handle)
                 raise RuntimeError(
                     f"worker {handle.index} did not report listening "
-                    f"within {self.start_timeout:g}s "
+                    f"within {_START_TIMEOUT_S:g}s "
                     f"(exitcode={handle.exitcode})")
             try:
                 message = handle.conn.recv()
@@ -213,7 +207,7 @@ class ClusterSupervisor:
             self._collect(old)
         handle = self._spawn(index)
         self._await_listening(
-            handle, time.monotonic() + self.start_timeout, fatal=False)
+            handle, time.monotonic() + _START_TIMEOUT_S, fatal=False)
         return handle
 
     # ------------------------------------------------------------- stop

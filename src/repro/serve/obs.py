@@ -1,8 +1,12 @@
-"""Embedded HTTP observability endpoint for the prediction server.
+"""Embedded HTTP observability endpoint for a serve-tier listener.
 
-A tiny asyncio HTTP/1.0 server sharing the prediction server's event
-loop, listening on a *separate* port (``--obs-port``) so scrapes never
-compete with the binary protocol for a listener.  Routes:
+A tiny asyncio HTTP/1.0 server sharing its service's event loop,
+listening on a *separate* port (``--obs-port``) on the same host as the
+data listener, so scrapes never compete with the binary protocol for a
+listener.  The service is any object with the report methods in the
+route table below -- a :class:`~repro.serve.server.PredictionServer`
+or the cluster :class:`~repro.serve.cluster.router.Router`, whose
+methods aggregate the fleet (coroutine methods are awaited).  Routes:
 
 ``/metrics``
     The live process registry in Prometheus text exposition format
@@ -33,6 +37,9 @@ compete with the binary protocol for a listener.  Routes:
     Live table-usage report: per-shard (and per-session) occupancy,
     live bits, hits per live bit, and level-1 aliasing ratios from the
     actual session table state.
+``/scale`` and ``/cluster``
+    Only on a service that has ``scale_report`` / ``cluster_report``
+    (the router): autoscaling signals and the fleet control report.
 
 The implementation is deliberately minimal -- request line + headers
 in, one response out, connection closed -- because its only consumers
@@ -48,7 +55,6 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.tracing import parse_trace_id
-from repro.telemetry.live import live_prometheus_text
 
 __all__ = ["ObservabilityServer"]
 
@@ -56,11 +62,22 @@ _MAX_REQUEST_LINE = 8192
 _HEADER_TIMEOUT = 5.0
 
 
-class ObservabilityServer:
-    """HTTP scrape surface bound to one :class:`PredictionServer`."""
+#: Path -> report method of the served object, in index order.
+_REPORTS = {
+    "/healthz": "healthz",
+    "/slo": "slo_report",
+    "/slow": "slow_requests",
+    "/tables": "tables_report",
+    "/scale": "scale_report",
+    "/cluster": "cluster_report",
+}
 
-    def __init__(self, server, host: str = "127.0.0.1", port: int = 0):
-        self.server = server
+
+class ObservabilityServer:
+    """HTTP scrape surface over one service's report methods."""
+
+    def __init__(self, service, host: str = "127.0.0.1", port: int = 0):
+        self.service = service
         self.host = host
         self.port = port
         self._listener: Optional[asyncio.base_events.Server] = None
@@ -122,45 +139,41 @@ class ObservabilityServer:
         if method != "GET":
             return _text("405 Method Not Allowed", "GET only\n")
         split = urlsplit(target)
-        # Subclasses (the cluster router's aggregating endpoint) may
-        # route to coroutines -- they scrape worker endpoints before
-        # answering; the base server's routes stay synchronous.
-        result = self._route(split.path, parse_qs(split.query))
-        if inspect.isawaitable(result):
-            result = await result
-        return result
+        return await self._route(split.path, parse_qs(split.query))
 
-    def _route(self, path: str, query: dict) -> Tuple[str, str, bytes]:
+    async def _route(self, path: str, query: dict) -> Tuple[str, str, bytes]:
+        service = self.service
         if path == "/metrics":
-            text = live_prometheus_text(
+            text = await _resolve(service.metrics_text(
                 prefix=_first(query, "prefix"),
-                exemplars=_flag(query, "exemplars"))
+                exemplars=_flag(query, "exemplars")))
             return ("200 OK", "text/plain; version=0.0.4; charset=utf-8",
                     text.encode("utf-8"))
-        if path == "/healthz":
-            return json_response(self.server.healthz())
-        if path == "/slo":
-            return json_response(self.server.slo_report())
-        if path == "/slow":
-            return json_response(self.server.slow_requests())
-        if path == "/tables":
-            return json_response(self.server.tables_report())
         if path == "/trace":
-            return json_response(
-                self.server.trace_dump(_int(query, "limit")))
-        if path.startswith("/trace/"):
+            body = service.trace_dump(_int(query, "limit"))
+        elif path.startswith("/trace/"):
             try:
                 trace_id = parse_trace_id(path[len("/trace/"):])
             except ValueError as exc:
                 return _text("400 Bad Request", f"{exc}\n")
-            return json_response(self.server.trace_lookup(trace_id))
-        if path == "/":
-            return json_response({
-                "service": "repro-serve",
-                "endpoints": ["/metrics", "/healthz", "/slo", "/slow",
-                              "/tables", "/trace"],
-            })
-        return _text("404 Not Found", f"no route {path}\n")
+            body = service.trace_lookup(trace_id)
+        elif path == "/":
+            reports = [p for p, name in _REPORTS.items()
+                       if hasattr(service, name)]
+            body = {"service": service.service_name,
+                    "endpoints": ["/metrics", *reports, "/trace"]}
+        else:
+            report = (getattr(service, _REPORTS[path], None)
+                      if path in _REPORTS else None)
+            if report is None:
+                return _text("404 Not Found", f"no route {path}\n")
+            body = report()
+        return json_response(await _resolve(body))
+
+
+async def _resolve(value):
+    """*value*, awaited first when a report method was a coroutine."""
+    return await value if inspect.isawaitable(value) else value
 
 
 def _first(query: dict, key: str) -> Optional[str]:
@@ -184,8 +197,7 @@ def _int(query: dict, key: str) -> Optional[int]:
 
 
 def json_response(payload: dict) -> Tuple[str, str, bytes]:
-    """A 200 ``application/json`` route result (the router's
-    aggregating endpoint answers with the same shape)."""
+    """A 200 ``application/json`` route result."""
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     return "200 OK", "application/json", body
 

@@ -6,18 +6,13 @@ and never migrate, so all of a session's requests are serialized
 through its shard's queue -- per-session FIFO without locks -- while
 different sessions proceed in parallel across shards.
 
-A connection is two tasks:
-
-- the *reader* parses frames and dispatches them.  Dispatch enqueues a
-  response slot on the connection's writer queue first (responses go
-  out in request order), then submits the work item to the owning
-  shard's :class:`~repro.serve.batcher.MicroBatcher`, awaiting there
-  under backpressure.  Each dispatch is wrapped in ``asyncio.shield``
-  so a reader cancelled mid-request (shutdown) still completes the
-  enqueue -- no in-flight request is ever dropped.
-- the *writer* consumes response slots in FIFO order, awaiting each
-  item's future (bounded by ``request_timeout``; the timeout produces
-  an ERROR response, never cancels the work) and writing the frame.
+Connections run on the :class:`~repro.serve.service.FrameService`
+chassis (reader, writer, drain).  Dispatch enqueues a response slot,
+then submits the work item to the owning shard's
+:class:`~repro.serve.batcher.MicroBatcher`, awaiting there under
+backpressure; the writer awaits each slot's future (bounded by
+``request_timeout``; the timeout produces an ERROR response, never
+cancels the work) and encodes the frame.
 
 Graceful shutdown (:meth:`PredictionServer.stop`): close the listener,
 cancel the readers (shielded dispatches finish), let every writer
@@ -55,9 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import os
-import threading
 import time
-from collections import deque
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -67,10 +60,11 @@ from repro.core.state import (STATE_VERSION, ArenaStore,
                               StateVersionError)
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher, WorkItem
-from repro.serve.obs import ObservabilityServer
+from repro.serve.service import (DATA_TYPES, LATENCY_BUCKETS, FrameService,
+                                 ServiceThread, consume_exception,
+                                 pooled_table_ratios)
 from repro.serve.session import Session
-from repro.serve.tracing import (RequestTrace, SlowRequestSampler,
-                                 TraceStore, latency_summary, new_trace_id)
+from repro.serve.tracing import RequestTrace, new_trace_id
 from repro.telemetry import run as telemetry_run_module
 from repro.telemetry.registry import registry
 from repro.telemetry.slo import SLO, SLOMonitor, default_serve_slos
@@ -78,7 +72,9 @@ from repro.telemetry.slo import SLO, SLOMonitor, default_serve_slos
 __all__ = ["PredictionServer", "ServerThread"]
 
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-_LATENCY_BUCKETS = (.0001, .0005, .001, .005, .025, .1, .5, 2.5)
+
+#: Seconds between SLO samples (queue depth, per-session accuracy).
+_SLO_INTERVAL_S = 0.25
 
 
 class _WholeFrameEncoder:
@@ -127,7 +123,7 @@ class _ServeMetrics:
         self.batch_seconds = reg.histogram(
             "repro_serve_batch_seconds",
             "Micro-batch execution time.",
-            buckets=_LATENCY_BUCKETS, labels=("shard",))
+            buckets=LATENCY_BUCKETS, labels=("shard",))
         self.queue_depth = reg.gauge(
             "repro_serve_queue_depth",
             "Items waiting in each shard's queue.", labels=("shard",))
@@ -138,7 +134,7 @@ class _ServeMetrics:
         self.request_seconds = reg.histogram(
             "repro_serve_request_seconds",
             "End-to-end request latency (frame read to response written).",
-            buckets=_LATENCY_BUCKETS, labels=("type",))
+            buckets=LATENCY_BUCKETS, labels=("type",))
         self.hits = reg.counter(
             "repro_serve_hits_total", "Correct predictions served.")
         self.slo_burn = reg.gauge(
@@ -212,16 +208,7 @@ class _Shard:
         self.resolve = self.sessions.get
 
 
-class _Connection:
-    def __init__(self, reader, writer):
-        self.reader = reader
-        self.writer = writer
-        self.responses: asyncio.Queue = asyncio.Queue()
-        self.reader_task: Optional[asyncio.Task] = None
-        self.writer_task: Optional[asyncio.Task] = None
-
-
-class PredictionServer:
+class PredictionServer(FrameService):
     """Sharded, micro-batching TCP value-prediction service."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -229,11 +216,7 @@ class PredictionServer:
                  max_delay: float = 0.002, queue_depth: int = 1024,
                  request_timeout: float = 30.0,
                  obs_port: Optional[int] = None,
-                 obs_host: str = "127.0.0.1",
                  slos: Optional[List[SLO]] = None,
-                 slo_interval: float = 0.25,
-                 slow_k: int = 32,
-                 trace_capacity: int = 4096,
                  state_dir: Optional[str] = None,
                  max_resident: Optional[int] = None,
                  adopt_arenas: bool = True):
@@ -242,18 +225,16 @@ class PredictionServer:
         if max_resident is not None and max_resident < 1:
             raise ValueError(f"max_resident must be >= 1, "
                              f"got {max_resident}")
-        self.host = host
-        self.port = port
+        self.metrics = _ServeMetrics()
+        super().__init__(host, port, obs_port,
+                         self.metrics.connections_open,
+                         self.metrics.request_seconds)
         self.request_timeout = request_timeout
         self.shards = [
             _Shard(i, MicroBatcher(max_batch=max_batch, max_delay=max_delay,
                                    queue_depth=queue_depth))
             for i in range(shards)
         ]
-        self.metrics = _ServeMetrics()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: List[_Connection] = []
-        self._next_session_id = 1
         self._session_opened_at: Dict[int, float] = {}
         # ----------------------------------------------- durable state
         # Normalised to str: this field travels in JSON bodies
@@ -280,25 +261,15 @@ class PredictionServer:
         for shard in self.shards:
             shard.resolve = self._resolver_for(shard)
         self._refresh_residency()
-        self._stopping = False
-        self._started_at = 0.0
-        # Observability: slow-request sample, SLO monitor, HTTP endpoint.
-        self.slow_sampler = SlowRequestSampler(slow_k)
-        self.trace_store = TraceStore(trace_capacity)
         slo_list = default_serve_slos() if slos is None else list(slos)
         self.monitor = SLOMonitor(slo_list) if slo_list else None
         watched = self.monitor.slos if self.monitor is not None else []
         self._latency_slos = [s for s in watched if s.kind == "latency"]
         self._queue_slos = [s for s in watched if s.kind == "queue_depth"]
         self._accuracy_slos = [s for s in watched if s.kind == "accuracy"]
-        self._slo_interval = slo_interval
         self._slo_statuses: List[dict] = []
         self._alerting: List[str] = []
         self._slo_task: Optional[asyncio.Task] = None
-        self.obs_port: Optional[int] = obs_port
-        self._obs = (ObservabilityServer(self, obs_host, obs_port)
-                     if obs_port is not None else None)
-        self._latencies: deque = deque(maxlen=4096)  # (t_done, seconds)
         self._table_tick = 0
         self.records_served = 0
         self.hits_served = 0
@@ -310,39 +281,16 @@ class PredictionServer:
     async def start(self) -> None:
         for shard in self.shards:
             shard.task = asyncio.ensure_future(self._worker(shard))
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        if self._obs is not None:
-            await self._obs.start()
-            self.obs_port = self._obs.port
+        await self._listen()
         if self.monitor is not None:
             self._slo_task = asyncio.ensure_future(self._slo_loop())
         self.metrics.healthy.set(1)
-        self._started_at = time.time()
 
     async def stop(self) -> dict:
         """Graceful drain; returns the final server stats."""
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-        # Readers first: a cancel interrupts the blocking frame read,
-        # while any shielded dispatch runs to completion.  Each reader's
-        # cleanup then closes its own writer queue and awaits the
-        # writer, which in turn awaits every outstanding future -- the
-        # shard workers are still running underneath, so all accepted
-        # requests get answered before we proceed.  wait_closed() comes
-        # after this drain: on Python >= 3.12.1 it also waits for the
-        # connection handlers (our readers), so awaiting it first would
-        # deadlock against any open connection.
-        for conn in list(self._connections):
-            if conn.reader_task is not None:
-                conn.reader_task.cancel()
-        await asyncio.gather(
-            *(c.reader_task for c in self._connections if c.reader_task),
-            return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
+        # The shard workers keep running under the connection drain, so
+        # every accepted request is answered before they are cancelled.
+        await self._stop_listening()
         for shard in self.shards:
             await shard.batcher.drain()
             if shard.task is not None:
@@ -353,10 +301,8 @@ class PredictionServer:
             self._slo_task.cancel()
             await asyncio.gather(self._slo_task, return_exceptions=True)
             self._slo_task = None
-        if self._obs is not None:
-            await self._obs.stop()
         stats = self.server_stats()
-        stats["slow_requests"] = self.slow_sampler.snapshot()
+        stats["slow_requests"] = self.slow_requests()
         # With a state directory, a graceful drain spills every
         # spillable session -- the next process adopts them, so they
         # stay open rather than closing.  Scalar-mode sessions (and
@@ -404,7 +350,7 @@ class PredictionServer:
 
     async def _slo_loop(self) -> None:
         while True:
-            await asyncio.sleep(self._slo_interval)
+            await asyncio.sleep(_SLO_INTERVAL_S)
             self._slo_tick()
 
     def _slo_tick(self) -> None:
@@ -464,21 +410,15 @@ class PredictionServer:
         return statuses
 
     def _finish_trace(self, trace: RequestTrace) -> None:
-        """Completed-request fan-out: latency histogram (with trace-id
-        exemplar), slow sample, latency SLO stream, span event."""
+        """Completed-request fan-out: the request log, the latency SLO
+        stream and the span event."""
+        self.request_log.record(trace)
         latency = trace.latency_s()
-        self.metrics.request_seconds.observe(
-            latency, exemplar=trace.trace_id_hex, type=trace.frame_type)
-        self.slow_sampler.add(trace)
-        self.trace_store.put(trace.trace_id,
-                             dict(trace.to_dict(), source="worker"))
-        if trace.frame_type in _DATA_TYPES:
-            self._latencies.append((trace.t_done, latency))
-            if self.monitor is not None:
-                for slo in self._latency_slos:
-                    good = 1 if latency <= slo.threshold else 0
-                    self.monitor.record(slo.name, good=good, bad=1 - good,
-                                        now=trace.t_done)
+        if self.monitor is not None and trace.frame_type in DATA_TYPES:
+            for slo in self._latency_slos:
+                good = 1 if latency <= slo.threshold else 0
+                self.monitor.record(slo.name, good=good, bad=1 - good,
+                                    now=trace.t_done)
         run = telemetry_run_module.active_run()
         if run is not None:
             run.emit({
@@ -497,78 +437,35 @@ class PredictionServer:
         health is the ``status`` field."""
         if self.monitor is not None:
             self._refresh_slo_state()
-        alerting = list(self._alerting)
-        if self._stopping:
-            status = "draining"
-        elif alerting:
-            status = "degraded"
-        else:
-            status = "ok"
-        return {
-            "schema": 1,
-            "status": status,
-            "draining": self._stopping,
-            "uptime_s": (round(time.time() - self._started_at, 3)
-                         if self._started_at else 0.0),
-            "protocol_version": protocol.PROTOCOL_VERSION,
-            "connections_open": len(self._connections),
-            "sessions_open": sum(len(s.sessions) + len(s.spilled)
-                                 for s in self.shards),
-            "sessions_resident": sum(len(s.sessions) for s in self.shards),
-            "sessions_spilled": sum(len(s.spilled) for s in self.shards),
-            "evictions_total": sum(s.evictions for s in self.shards),
-            "reloads_total": sum(s.reloads for s in self.shards),
-            "snapshots_total": self.snapshots_taken,
-            "releases_total": self.releases,
-            "state_dir": self.state_dir,
-            "state_version": STATE_VERSION if self.state_dir else None,
-            "records_served": self.records_served,
-            "hits_served": self.hits_served,
-            "alerts": alerting,
-            "slow_observed": self.slow_sampler.observed,
-            "shards": [
+        return dict(
+            self._counters(),
+            status=self._health_status(self._alerting),
+            protocol_version=protocol.PROTOCOL_VERSION,
+            state_version=STATE_VERSION if self.state_dir else None,
+            shards=[
                 {"shard": s.index, "queue_depth": s.batcher.qsize(),
                  "sessions": len(s.sessions), "spilled": len(s.spilled),
                  "evictions": s.evictions, "reloads": s.reloads,
                  "batches": s.batcher.batches,
                  "items": s.batcher.items}
-                for s in self.shards],
-        }
+                for s in self.shards])
 
     def slo_report(self) -> dict:
         """The ``/slo`` body: burn-rate statuses + live percentiles."""
         statuses = (self._refresh_slo_state()
                     if self.monitor is not None else [])
-        horizon = time.monotonic() - 60.0
-        window = [lat for t_done, lat in self._latencies
-                  if t_done is not None and t_done >= horizon]
         return {
             "schema": 1,
             "slos": statuses,
             "alerts": [s["name"] for s in statuses if s["alerting"]],
             "healthy": not any(s["alerting"] for s in statuses),
-            "latency": latency_summary(window),
+            "latency": self.request_log.window_summary(),
             "records_served": self.records_served,
             "hits_served": self.hits_served,
             "hit_rate": ((self.hits_served / self.records_served)
                          if self.records_served else None),
-            "uptime_s": (round(time.time() - self._started_at, 3)
-                         if self._started_at else 0.0),
+            "uptime_s": self.uptime_s(),
         }
-
-    def slow_requests(self) -> dict:
-        """The ``/slow`` body: top-K slowest completed requests."""
-        return self.slow_sampler.snapshot()
-
-    def trace_lookup(self, trace_id: int) -> dict:
-        """The ``/trace/<id>`` body: this process's span(s) for one
-        trace id (a request that revisited this worker after a client
-        reconnect has several)."""
-        return self.trace_store.lookup(trace_id)
-
-    def trace_dump(self, limit: Optional[int] = None) -> dict:
-        """The ``/trace`` body: the most recent completed spans."""
-        return self.trace_store.dump(limit)
 
     def tables_report(self, include_sessions: bool = True) -> dict:
         """The ``/tables`` body: live table usage per shard and pooled.
@@ -625,78 +522,12 @@ class PredictionServer:
             totals["hits"] += hits
             totals["alias_accesses"] += accesses
             totals["alias_conflicts"] += conflicts
-        totals["occupancy"] = (
-            round(totals["live_bits"] / totals["storage_bits"], 6)
-            if totals["storage_bits"] else 0.0)
-        totals["efficiency"] = (
-            round(totals["hits"] / totals["live_bits"], 9)
-            if totals["live_bits"] else 0.0)
-        totals["aliasing_ratio"] = (
-            round(totals["alias_conflicts"] / totals["alias_accesses"], 6)
-            if totals["alias_accesses"] else 0.0)
-        return {"schema": 1, "shards": shards_out, "totals": totals}
+        return {"schema": 1, "shards": shards_out,
+                "totals": pooled_table_ratios(totals)}
 
     # -------------------------------------------------------- connections
 
-    async def _on_connection(self, reader, writer) -> None:
-        if self._stopping:
-            writer.close()
-            return
-        conn = _Connection(reader, writer)
-        conn.reader_task = asyncio.current_task()
-        conn.writer_task = asyncio.ensure_future(self._writer_loop(conn))
-        self._connections.append(conn)
-        self.metrics.connections_open.inc()
-        dispatch: Optional[asyncio.Future] = None
-        try:
-            while True:
-                payload = await protocol.read_payload(reader)
-                if payload is None:
-                    break
-                # Decode through a memoryview: the frame body aliases
-                # the payload bytes (kept alive by the view) instead of
-                # being sliced out, so STEP_BLOCK records parse with no
-                # intermediate copy.
-                frame = protocol.decode_frame(memoryview(payload))
-                trace = RequestTrace(
-                    trace_id=frame.trace_id or new_trace_id(),
-                    frame_type=protocol.frame_type_name(frame.type),
-                    request_id=frame.request_id,
-                    t_recv=time.monotonic())
-                dispatch = asyncio.ensure_future(
-                    self._dispatch(conn, frame, trace))
-                await asyncio.shield(dispatch)
-                dispatch = None
-        except asyncio.CancelledError:
-            pass
-        except protocol.ProtocolError as exc:
-            self._respond_error(conn, 0, protocol.ErrorCode.BAD_FRAME,
-                                str(exc))
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            if dispatch is not None:
-                # A cancelled reader may have been interrupted while a
-                # shielded dispatch was still enqueueing; finish it so
-                # its response slot exists before the sentinel.
-                try:
-                    await dispatch
-                except Exception:
-                    pass
-            conn.responses.put_nowait(None)
-            try:
-                await conn.writer_task
-            except Exception:
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._connections.remove(conn)
-            self.metrics.connections_open.dec()
-
-    async def _writer_loop(self, conn: _Connection) -> None:
+    async def _writer_loop(self, conn) -> None:
         while True:
             slot = await conn.responses.get()
             if slot is None:
@@ -722,21 +553,13 @@ class PredictionServer:
                     # consume its eventual exception so an abandoned
                     # failure doesn't warn "never retrieved".
                     future.add_done_callback(consume_exception)
-                    message = (f"request not served within "
-                               f"{self.request_timeout:g}s")
-                    if trace is not None:
-                        trace.status = "timeout"
-                        trace.error = message
                     payload = self._error_frame(
-                        request_id, protocol.ErrorCode.TIMEOUT, message,
-                        trace_id)
+                        request_id, protocol.ErrorCode.TIMEOUT,
+                        f"request not served within "
+                        f"{self.request_timeout:g}s", trace)
                 except Exception as exc:  # noqa: BLE001
-                    code, message = _classify_error(exc)
-                    if trace is not None:
-                        trace.status = "error"
-                        trace.error = message
-                    payload = self._error_frame(request_id, code, message,
-                                                trace_id)
+                    payload = self._error_frame(
+                        request_id, *_classify_error(exc), trace)
             try:
                 conn.writer.write(payload)
                 await conn.writer.drain()
@@ -748,18 +571,29 @@ class PredictionServer:
 
     # ----------------------------------------------------------- dispatch
 
-    async def _dispatch(self, conn: _Connection, frame, trace) -> None:
-        self.metrics.requests.inc(type=protocol.frame_type_name(frame.type))
+    async def _dispatch_payload(self, conn, payload) -> None:
+        # Decode through a memoryview: the frame body aliases the
+        # payload bytes (kept alive by the view) instead of being
+        # sliced out, so STEP_BLOCK records parse with no intermediate
+        # copy.  A bad header raises out of here and closes the
+        # connection; a bad body only fails its own request.
+        frame = protocol.decode_frame(memoryview(payload))
+        trace = RequestTrace(
+            trace_id=frame.trace_id or new_trace_id(),
+            frame_type=protocol.frame_type_name(frame.type),
+            request_id=frame.request_id,
+            t_recv=time.monotonic())
+        self.metrics.requests.inc(type=trace.frame_type)
         try:
             handler = _DISPATCH.get(frame.type)
             if handler is None:
-                self._respond_error(
+                self._enqueue_error(
                     conn, frame.request_id, protocol.ErrorCode.UNKNOWN_TYPE,
                     f"unknown frame type {frame.type}", trace=trace)
                 return
             await handler(self, conn, frame, trace)
         except protocol.ProtocolError as exc:
-            self._respond_error(conn, frame.request_id,
+            self._enqueue_error(conn, frame.request_id,
                                 protocol.ErrorCode.BAD_FRAME, str(exc),
                                 trace=trace)
 
@@ -772,7 +606,7 @@ class PredictionServer:
         session_id, config, window = protocol.decode_open_session_as(
             frame.body)
         if session_id < 1:
-            self._respond_error(conn, frame.request_id,
+            self._enqueue_error(conn, frame.request_id,
                                 protocol.ErrorCode.BAD_FRAME,
                                 f"session id must be >= 1, "
                                 f"got {session_id}", trace=trace)
@@ -784,7 +618,7 @@ class PredictionServer:
     async def _open_session(self, conn, frame, trace, config, window,
                             session_id) -> None:
         if self._stopping:
-            self._respond_error(conn, frame.request_id,
+            self._enqueue_error(conn, frame.request_id,
                                 protocol.ErrorCode.SHUTTING_DOWN,
                                 "server is draining", trace=trace)
             return
@@ -793,7 +627,7 @@ class PredictionServer:
             if window < 0:
                 raise ValueError(f"window must be >= 0, got {window}")
         except (ValueError, TypeError, KeyError) as exc:
-            self._respond_error(conn, frame.request_id,
+            self._enqueue_error(conn, frame.request_id,
                                 protocol.ErrorCode.BAD_SPEC, str(exc),
                                 trace=trace)
             return
@@ -876,8 +710,6 @@ class PredictionServer:
         shard = self._shard_of(session_id)
 
         def run(session):
-            if session is None:
-                raise KeyError(session_id)
             stats = self._finish_session(shard, session_id)
             if self._store is not None:
                 # A closed session's state is gone by definition; the
@@ -885,29 +717,16 @@ class PredictionServer:
                 self._store.delete(session_id)
             return stats
 
-        await self._submit(conn, frame, trace, shard, run=run,
-                           session_id=session_id,
-                           encode=protocol.encode_json_body)
+        await self._submit_session(conn, frame, trace, session_id, run=run,
+                                   encode=protocol.encode_json_body)
 
     async def _dispatch_snapshot(self, conn, frame, trace) -> None:
         (session_id,) = protocol.decode_session_op(frame.body, 0)
-        if self._store is None:
-            self._respond_error(
-                conn, frame.request_id,
-                protocol.ErrorCode.STATE_UNAVAILABLE,
-                "server is running without a state directory "
-                "(start it with --state-dir to enable snapshots)",
-                trace=trace)
+        if self._lacks_store(conn, frame, trace, "snapshots"):
             return
-
-        def run(session):
-            if session is None:
-                raise KeyError(session_id)
-            return self._snapshot_session(session)
-
-        await self._submit(conn, frame, trace, self._shard_of(session_id),
-                           run=run, session_id=session_id,
-                           encode=protocol.encode_json_body)
+        await self._submit_session(conn, frame, trace, session_id,
+                                   run=self._snapshot_session,
+                                   encode=protocol.encode_json_body)
 
     async def _dispatch_adopt(self, conn, frame, trace) -> None:
         """ADOPT_SESSION: take ownership of an arena in the shared
@@ -917,13 +736,7 @@ class PredictionServer:
         table state, so re-homing N sessions is O(N) dictionary work.
         """
         (session_id,) = protocol.decode_session_op(frame.body, 0)
-        if self._store is None:
-            self._respond_error(
-                conn, frame.request_id,
-                protocol.ErrorCode.STATE_UNAVAILABLE,
-                "server is running without a state directory "
-                "(start it with --state-dir to enable adoption)",
-                trace=trace)
+        if self._lacks_store(conn, frame, trace, "adoption"):
             return
         shard = self._shard_of(session_id)
 
@@ -960,19 +773,11 @@ class PredictionServer:
         and the arena belongs to whoever adopts it.
         """
         (session_id,) = protocol.decode_session_op(frame.body, 0)
-        if self._store is None:
-            self._respond_error(
-                conn, frame.request_id,
-                protocol.ErrorCode.STATE_UNAVAILABLE,
-                "server is running without a state directory "
-                "(start it with --state-dir to enable release)",
-                trace=trace)
+        if self._lacks_store(conn, frame, trace, "release"):
             return
         shard = self._shard_of(session_id)
 
         def run(session):
-            if session is None:
-                raise KeyError(session_id)
             if not session.spillable:
                 raise ValueError(
                     f"session {session_id} is scalar-mode (windowed or "
@@ -996,11 +801,21 @@ class PredictionServer:
                     "released": True, "hits": session.hits,
                     "predictions": session.predictions}
 
-        await self._submit(conn, frame, trace, shard, run=run,
-                           session_id=session_id,
-                           encode=protocol.encode_json_body)
+        await self._submit_session(conn, frame, trace, session_id, run=run,
+                                   encode=protocol.encode_json_body)
 
     # ------------------------------------------------------ durable state
+
+    def _lacks_store(self, conn, frame, trace, feature: str) -> bool:
+        """Answer STATE_UNAVAILABLE when no state directory is set."""
+        if self._store is not None:
+            return False
+        self._enqueue_error(
+            conn, frame.request_id, protocol.ErrorCode.STATE_UNAVAILABLE,
+            f"server is running without a state directory "
+            f"(start it with --state-dir to enable {feature})",
+            trace=trace)
+        return True
 
     def _touch(self, session_id: int) -> None:
         self._last_used[session_id] = time.monotonic()
@@ -1102,18 +917,6 @@ class PredictionServer:
     def _shard_of(self, session_id: int) -> _Shard:
         return self.shards[session_id % len(self.shards)]
 
-    def _alloc_session_id(self) -> int:
-        session_id = self._next_session_id
-        self._next_session_id += 1
-        return session_id
-
-    def _note_session_id(self, session_id: int) -> None:
-        """Keep the id counter above every externally-assigned id
-        (adopted arenas, router-dictated OPEN_SESSION_AS) so a plain
-        OPEN_SESSION on this worker never collides."""
-        self._next_session_id = max(self._next_session_id,
-                                    session_id + 1)
-
     async def _submit_session(self, conn, frame, trace, session_id, run,
                               encode):
         def checked(session):
@@ -1150,21 +953,23 @@ class PredictionServer:
         conn.responses.put_nowait((frame.type, frame.request_id, payload,
                                    None, trace))
 
-    def _respond_error(self, conn, request_id: int, code: int,
+    def _enqueue_error(self, conn, request_id: int, code: int,
                        message: str, trace=None) -> None:
-        trace_id = 0
-        if trace is not None:
-            trace.status = "error"
-            trace.error = message
-            trace_id = trace.trace_id
         conn.responses.put_nowait(
             (protocol.FrameType.ERROR, request_id,
-             self._error_frame(request_id, code, message, trace_id),
+             self._error_frame(request_id, code, message, trace),
              None, trace))
 
     def _error_frame(self, request_id: int, code: int, message: str,
-                     trace_id: int = 0) -> bytes:
+                     trace: Optional[RequestTrace] = None) -> bytes:
+        """A counted ERROR frame; *trace* records the failure."""
         self.metrics.errors.inc(code=protocol.error_code_name(code))
+        trace_id = 0
+        if trace is not None:
+            trace.status = ("timeout" if code == protocol.ErrorCode.TIMEOUT
+                            else "error")
+            trace.error = message
+            trace_id = trace.trace_id
         return protocol.encode_frame(
             protocol.FrameType.ERROR, request_id,
             protocol.encode_error(code, message), trace_id)
@@ -1193,33 +998,35 @@ class PredictionServer:
         return stats
 
     def server_stats(self) -> dict:
-        sessions = sum(len(s.sessions) + len(s.spilled)
-                       for s in self.shards)
+        """The STATS (session 0) report."""
+        return dict(
+            self._counters(),
+            shards=len(self.shards),
+            batches=sum(s.batcher.batches for s in self.shards),
+            requests_batched=sum(s.batcher.items for s in self.shards),
+            fused_records=sum(s.batcher.fused_records for s in self.shards),
+            obs_port=self.obs_port)
+
+    def _counters(self) -> dict:
+        """The fields ``/healthz`` and the STATS report share."""
         return {
             "schema": 1,
-            "sessions_open": sessions,
-            "sessions_resident": sum(len(s.sessions)
-                                     for s in self.shards),
+            "draining": self._stopping,
+            "uptime_s": self.uptime_s(),
+            "connections_open": len(self._connections),
+            "sessions_open": sum(len(s.sessions) + len(s.spilled)
+                                 for s in self.shards),
+            "sessions_resident": sum(len(s.sessions) for s in self.shards),
             "sessions_spilled": sum(len(s.spilled) for s in self.shards),
             "evictions_total": sum(s.evictions for s in self.shards),
             "reloads_total": sum(s.reloads for s in self.shards),
             "snapshots_total": self.snapshots_taken,
             "releases_total": self.releases,
             "state_dir": self.state_dir,
-            "connections_open": len(self._connections),
-            "shards": len(self.shards),
-            "batches": sum(s.batcher.batches for s in self.shards),
-            "requests_batched": sum(s.batcher.items for s in self.shards),
-            "fused_records": sum(s.batcher.fused_records
-                                 for s in self.shards),
-            "uptime_s": (round(time.time() - self._started_at, 3)
-                         if self._started_at else 0.0),
-            "draining": self._stopping,
             "records_served": self.records_served,
             "hits_served": self.hits_served,
-            "slow_observed": self.slow_sampler.observed,
+            "slow_observed": self.request_log.slow.observed,
             "alerts": list(self._alerting),
-            "obs_port": self.obs_port,
         }
 
 
@@ -1239,19 +1046,6 @@ _DISPATCH = {
 }
 
 
-#: Frame types whose latency feeds the latency SLO stream and the
-#: rolling percentile window (the prediction data path; admin frames
-#: like STATS would skew the percentiles).
-_DATA_TYPES = frozenset({"step", "step_block", "predict", "outcome"})
-
-
-def consume_exception(future: "asyncio.Future") -> None:
-    """Done-callback for a future nobody awaits any more: retrieves its
-    exception so asyncio does not warn that it was never retrieved."""
-    if not future.cancelled():
-        future.exception()
-
-
 def _classify_error(exc: Exception):
     if isinstance(exc, KeyError):
         return (protocol.ErrorCode.UNKNOWN_SESSION,
@@ -1267,7 +1061,7 @@ def _classify_error(exc: Exception):
             f"{type(exc).__name__}: {exc}")
 
 
-class ServerThread:
+class ServerThread(ServiceThread):
     """A :class:`PredictionServer` on a background thread.
 
     Blocking API for callers without an event loop (tests, loadgen):
@@ -1281,60 +1075,8 @@ class ServerThread:
     """
 
     def __init__(self, **server_kwargs):
-        self._kwargs = server_kwargs
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self.server: Optional[PredictionServer] = None
-        self.port: Optional[int] = None
-        self.obs_port: Optional[int] = None
-        self.final_stats: Optional[dict] = None
+        super().__init__(lambda: PredictionServer(**server_kwargs))
 
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-serve")
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if self.port is None:
-            raise RuntimeError("server failed to start within 30s")
-        return self
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            self.server = PredictionServer(**self._kwargs)
-            await self.server.start()
-            self.port = self.server.port
-            self.obs_port = self.server.obs_port
-        except BaseException as exc:  # noqa: BLE001 - rethrown in start()
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop_event.wait()
-        self.final_stats = await self.server.stop()
-
-    def stop(self) -> Optional[dict]:
-        if self._thread is None:
-            return None
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout=60)
-        if self._thread.is_alive():
-            raise RuntimeError("server thread did not stop within 60s")
-        self._thread = None
-        return self.final_stats
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+    @property
+    def server(self) -> Optional[PredictionServer]:
+        return self.service

@@ -138,6 +138,7 @@ class RequestTrace:
     def to_dict(self) -> dict:
         """JSON-able record (the ``/slow`` sample entry shape)."""
         out = {
+            "source": "worker",
             "trace_id": self.trace_id_hex,
             "type": self.frame_type,
             "request_id": self.request_id,

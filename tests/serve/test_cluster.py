@@ -270,13 +270,19 @@ class TestFailover:
                 deadline = time.monotonic() + 30
                 while time.monotonic() < deadline:
                     stats = client.stats(0)
+                    # The replacement is attached and the rebalance that
+                    # follows has finished: the router parks every
+                    # session it moves from the attach until the last
+                    # migration completes.
                     if (stats["workers_alive"] == 2
                             and any(w["restarts"] for w in
-                                    stats["workers"])):
+                                    stats["workers"])
+                            and stats["sessions_parked"] == 0):
                         break
                     time.sleep(0.1)
                 else:
-                    pytest.fail("replacement worker never came up")
+                    pytest.fail("replacement worker never came up, or "
+                                "its rebalance never finished")
                 # Rendezvous placement is restored exactly -- the
                 # replacement slot got its predecessor's sessions back.
                 after = {s: cluster.router.session_owner(s)

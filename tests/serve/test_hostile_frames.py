@@ -1,9 +1,11 @@
 """Live servers and routers under frames nobody should send.
 
-A frame that announces a foreign protocol version, or an OPEN_SESSION
-whose spec config is malformed, must get a typed error back -- never a
-silently dropped connection, a dead worker or a lost session -- and
-every other client must keep being served.
+A frame that announces a foreign protocol version, an OPEN_SESSION
+whose spec config is malformed, a length prefix out of bounds, a frame
+torn off mid-body, garbage bytes, or a STEP_BLOCK announcing records
+it does not carry must get a typed error back or a closed connection
+-- never a hang, a dead worker or a lost session -- and every other
+client must keep being served.
 """
 
 import socket
@@ -11,6 +13,7 @@ import struct
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.spec import DFCMSpec
 from repro.serve import protocol
@@ -128,3 +131,152 @@ class TestMalformedSpecHash:
             assert report["sessions_lost_total"] == 0
             for sid in sessions:
                 client.close_session(sid)
+
+
+class TestOversizedOpenAtTheRouter:
+    def test_bad_frame_and_the_fleet_keeps_serving(self, tmp_path):
+        """The router rewrites OPEN_SESSION with an 8-byte session id; a
+        frame already at the size limit must be refused at the router,
+        not forwarded into a worker that drops the connection."""
+        config = SPEC.to_config()
+        body = protocol.encode_open_session(config, 0)
+        body += bytes(protocol.MAX_FRAME_BYTES - protocol.HEADER_SIZE
+                      - len(body))
+        with ClusterThread(workers=2, state_dir=str(tmp_path),
+                           max_delay=0) as cluster, \
+                ServeClient(port=cluster.port, timeout=10,
+                            reconnect=0) as client:
+            sessions = [client.open_session(SPEC) for _ in range(8)]
+            assert {cluster.router.session_owner(s)
+                    for s in sessions} == {0, 1}
+            step_all(client, sessions)
+            started = time.monotonic()
+            with pytest.raises(ServeError) as err:
+                client.request(FrameType.OPEN_SESSION, body)
+            assert err.value.code == protocol.ErrorCode.BAD_FRAME
+            assert time.monotonic() - started < 5.0
+            step_all(client, sessions)
+            report = client.stats(0)
+            assert report["workers_alive"] == 2
+            assert report["sessions_lost_total"] == 0
+            assert report["sessions_open"] == len(sessions)
+
+
+# ------------------------------------------------- live-connection frames
+
+_LENGTH = struct.Struct("!I")
+
+
+@pytest.fixture(scope="module", params=["server", "fleet"])
+def service(request):
+    """The single-process server or the 2-worker fleet, each with one
+    open session that must keep stepping through every hostile case."""
+    served = request.getfixturevalue(request.param)
+    with ServeClient(port=served.port, timeout=10, reconnect=0) as client:
+        sid = client.open_session(SPEC)
+        yield served, client, sid
+        client.close_session(sid)
+
+
+def report_settles(client, key: str, want, timeout: float = 10.0):
+    """``stats(0)[key]`` once it equals *want* (or at the deadline)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        got = client.stats(0)[key]
+        if got == want or time.monotonic() > deadline:
+            return got
+        time.sleep(0.02)
+
+
+def replies_until_closed(sock) -> list:
+    """Every frame the peer sends before closing (a reset counts as
+    closed); the peer must not hang."""
+    reader = protocol.BlockingFrameReader(sock)
+    frames = []
+    try:
+        while True:
+            frame = reader.read_frame(copy=True)
+            if frame is None:
+                return frames
+            frames.append(frame)
+    except ConnectionResetError:
+        return frames
+
+
+def assert_service_intact(service, baseline: dict) -> None:
+    _, client, sid = service
+    assert report_settles(client, "connections_open",
+                          baseline["connections_open"]) == \
+        baseline["connections_open"]
+    report = client.stats(0)
+    assert report["sessions_open"] == baseline["sessions_open"]
+    if "workers_alive" in baseline:
+        assert report["workers_alive"] == 2
+    step_all(client, [sid])
+
+
+def send_raw(port: int, wire: bytes, half_close: bool = True) -> list:
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(wire)
+        if not half_close:
+            return []
+        sock.shutdown(socket.SHUT_WR)
+        return replies_until_closed(sock)
+
+
+def assert_bad_frame_then_closed(frames: list) -> None:
+    (frame,) = frames
+    assert frame.type == FrameType.ERROR
+    code, _ = protocol.decode_error(frame.body)
+    assert code == protocol.ErrorCode.BAD_FRAME
+
+
+class TestLiveConnectionFrames:
+    def test_length_prefix_above_the_limit(self, service):
+        baseline = service[1].stats(0)
+        frames = send_raw(service[0].port,
+                          _LENGTH.pack(protocol.MAX_FRAME_BYTES + 1))
+        assert_bad_frame_then_closed(frames)
+        assert_service_intact(service, baseline)
+
+    def test_length_prefix_below_the_header(self, service):
+        baseline = service[1].stats(0)
+        frames = send_raw(service[0].port,
+                          _LENGTH.pack(protocol.HEADER_SIZE - 1))
+        assert_bad_frame_then_closed(frames)
+        assert_service_intact(service, baseline)
+
+    def test_frame_cut_off_mid_body(self, service):
+        baseline = service[1].stats(0)
+        wire = protocol.encode_frame(
+            FrameType.STEP_BLOCK, 9,
+            protocol.encode_step_block(service[2], PCS, VALUES))
+        send_raw(service[0].port, wire[:len(wire) // 2], half_close=False)
+        assert_service_intact(service, baseline)
+
+    def test_step_block_announcing_missing_records(self, service):
+        baseline = service[1].stats(0)
+        body = bytearray(protocol.encode_step_block(service[2], PCS[:4],
+                                                    VALUES[:4]))
+        struct.pack_into("!I", body, 8, 1000)  # the record count
+        frames = send_raw(service[0].port,
+                          protocol.encode_frame(FrameType.STEP_BLOCK, 9,
+                                                bytes(body)))
+        assert_bad_frame_then_closed(frames)
+        assert frames[0].request_id == 9
+        assert_service_intact(service, baseline)
+
+    def test_garbage_bytes(self, service):
+        baseline = service[1].stats(0)
+
+        @settings(max_examples=25, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(garbage=st.binary(min_size=1, max_size=64))
+        def typed_reply_or_closed(garbage):
+            for frame in send_raw(service[0].port, garbage):
+                assert frame.type == FrameType.ERROR
+                code, _ = protocol.decode_error(frame.body)
+                assert code in set(protocol.ErrorCode)
+
+        typed_reply_or_closed()
+        assert_service_intact(service, baseline)

@@ -11,6 +11,8 @@ within tolerance of a server without it.
 
 import json
 import re
+import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -21,6 +23,7 @@ import pytest
 
 from repro.core.spec import DFCMSpec, StrideSpec
 from repro.serve.client import ServeClient
+from repro.serve.cluster import ClusterThread
 from repro.serve.loadgen import run_loadgen
 from repro.serve.server import ServerThread
 from repro.serve.tracing import format_trace_id
@@ -105,8 +108,10 @@ class TestEndpointSurface:
 
     def test_unknown_path_is_404(self):
         with ServerThread(max_delay=0, obs_port=0) as server:
-            status, _, _ = http_get(server.obs_port, "/nope")
-            assert status == 404
+            # /scale and /cluster exist only on the cluster router.
+            for path in ("/nope", "/scale", "/cluster"):
+                status, _, _ = http_get(server.obs_port, path)
+                assert status == 404
 
     def test_non_get_is_405(self):
         with ServerThread(max_delay=0, obs_port=0) as server:
@@ -120,6 +125,21 @@ class TestEndpointSurface:
     def test_no_obs_port_means_no_endpoint(self):
         with ServerThread(max_delay=0) as server:
             assert server.obs_port is None
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs all of 127.0.0.0/8 on loopback")
+    @pytest.mark.parametrize("make", [
+        lambda: ServerThread(host="0.0.0.0", max_delay=0, obs_port=0),
+        lambda: ClusterThread(workers=1, host="0.0.0.0", obs_port=0),
+    ], ids=["server", "cluster"])
+    def test_obs_binds_the_data_host(self, make):
+        """A wildcard data host must not leave the obs endpoint on
+        loopback only: 127.0.0.2 reaches a 0.0.0.0 listener but not a
+        127.0.0.1 one."""
+        with make() as served:
+            for port in (served.port, served.obs_port):
+                socket.create_connection(("127.0.0.2", port),
+                                         timeout=5).close()
 
 
 class TestScrapeUnderTraffic:

@@ -275,6 +275,47 @@ class TestServeAndLoadgen:
         assert drained["event"] == "drained"
         assert drained["stats"]["draining"] is True
 
+    @pytest.mark.parametrize("command", [["serve"],
+                                         ["cluster", "serve", "--workers",
+                                          "1"]],
+                             ids=["serve", "cluster"])
+    def test_sigterm_right_after_listening_drains(self, command):
+        """The signal handlers are in place before ``listening`` is
+        printed: an immediate SIGTERM drains (exit 0, a ``drained``
+        event) and leaves no cluster worker behind."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *command, "--json",
+             "--port", "0"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            listening = json.loads(proc.stdout.readline())
+            proc.send_signal(signal.SIGTERM)
+            stdout, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert listening["event"] == "listening"
+        assert proc.returncode == 0
+        events = [json.loads(line) for line in stdout.splitlines()]
+        assert events[-1]["event"] == "drained"
+        for worker in listening.get("workers", []):
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    os.kill(worker["pid"], 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, \
+                    f"worker {worker['pid']} outlived the router"
+                time.sleep(0.05)
+
     def test_serve_subprocess_obs_endpoint_and_slow_out(self, tmp_path):
         import os
         import signal
