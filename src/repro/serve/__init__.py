@@ -17,6 +17,9 @@ this package serves the same predictors over TCP, online:
   router share: listener, connection loop and drain, request log,
   observability route table, start/stop lifecycle and the
   background-thread host.
+- :mod:`repro.serve.tracing` -- the one request span both record
+  (:class:`~repro.serve.tracing.RequestTrace`): stage marks named from
+  one vocabulary that add up to the request's latency.
 - :mod:`repro.serve.server` -- the asyncio TCP server; sessions are
   sharded across worker tasks by session id.
 - :mod:`repro.serve.client` / :mod:`repro.serve.loadgen` -- a blocking

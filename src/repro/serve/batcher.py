@@ -48,9 +48,10 @@ class WorkItem:
     kernel call.  ``pcs``/``values`` carry the records for fusible
     items -- int64 arrays on the zero-copy server path, though plain
     lists still work -- and ``run`` executes everything else.
-    ``trace``, when present, is stamped at each stage boundary
-    (dequeue, execute start/end) so the request's span breakdown
-    survives batching and fusion.
+    ``trace``, when present, is marked as the item leaves the queue
+    (``queue``), as its kernel call starts (``fuse``) and as it ends
+    (``execute``), so the request's span breakdown survives batching
+    and fusion.
     """
 
     session_id: int
@@ -102,11 +103,17 @@ class MicroBatcher:
         since the batch opened.
         """
         loop = asyncio.get_running_loop()
-        batch = [await self._queue.get()]
+        item = await self._queue.get()
         deadline = loop.time() + self.max_delay
-        while len(batch) < self.max_batch:
+        batch: List[WorkItem] = []
+        while True:
+            if item.trace is not None:
+                item.trace.mark("queue", time.monotonic())
+            batch.append(item)
+            if len(batch) >= self.max_batch:
+                break
             try:
-                batch.append(self._queue.get_nowait())
+                item = self._queue.get_nowait()
                 continue
             except asyncio.QueueEmpty:
                 pass
@@ -114,16 +121,11 @@ class MicroBatcher:
             if remaining <= 0:
                 break
             try:
-                batch.append(await asyncio.wait_for(self._queue.get(),
-                                                    remaining))
+                item = await asyncio.wait_for(self._queue.get(), remaining)
             except asyncio.TimeoutError:
                 break
         self.batches += 1
         self.items += len(batch)
-        now = time.monotonic()
-        for item in batch:
-            if item.trace is not None:
-                item.trace.t_dequeue = now
         return batch
 
     def execute(self, batch: List[WorkItem], sessions) -> None:
@@ -177,18 +179,16 @@ class MicroBatcher:
         done = [item for item in fused if not item.future.cancelled()]
         if not done:
             return
+        traces = [item.trace for item in fused if item.trace is not None]
         start = time.monotonic()
-        for item in fused:
-            if item.trace is not None:
-                item.trace.t_exec_start = start
-                item.trace.batch_size = len(fused)
-                item.trace.fused = len(fused) > 1
+        for trace in traces:
+            trace.mark("fuse", start)
+            trace.batch_size = len(fused)
+            trace.fused = len(fused) > 1
         try:
             if fused[0].fuse_key is None:
                 item = fused[0]
                 result = item.run(session)
-                if item.trace is not None:
-                    item.trace.t_exec_end = time.monotonic()
                 if not item.future.cancelled():
                     item.future.set_result(result)
                 return
@@ -208,26 +208,24 @@ class MicroBatcher:
             matches = predicted == (values & _MASK32)
             if len(fused) > 1:
                 self.fused_records += len(pcs)
-            end = time.monotonic()
             offset = 0
             for item in fused:
                 part = predicted[offset:offset + len(item.pcs)]
                 hits = int(np.count_nonzero(
                     matches[offset:offset + len(item.pcs)]))
                 offset += len(item.pcs)
-                if item.trace is not None:
-                    item.trace.t_exec_end = end
                 if self.on_records is not None:
                     self.on_records(item.session_id, len(item.pcs), hits)
                 if not item.future.cancelled():
                     item.future.set_result((part, hits))
         except Exception as exc:  # noqa: BLE001 - must reach the client
-            end = time.monotonic()
             for item in fused:
-                if item.trace is not None and item.trace.t_exec_end is None:
-                    item.trace.t_exec_end = end
                 if not item.future.cancelled():
                     item.future.set_exception(exc)
+        finally:
+            end = time.monotonic()
+            for trace in traces:
+                trace.mark("execute", end)
 
     async def drain(self) -> int:
         """Wait until every queued item has been picked up by the

@@ -64,7 +64,7 @@ from repro.serve.protocol import HEADER_SIZE
 from repro.serve.service import (LATENCY_BUCKETS, FrameService,
                                  ServiceThread, consume_exception,
                                  pooled_table_ratios)
-from repro.serve.tracing import (RouterTrace, format_trace_id,
+from repro.serve.tracing import (RequestTrace, format_trace_id,
                                  new_trace_id, parse_trace_id)
 from repro.telemetry.registry import registry
 
@@ -174,16 +174,16 @@ class _Entry:
         self.kind = kind
         self.records = records
         self.brid = 0
-        #: Router-side stage stamps of a client frame, under the
-        #: client's trace id (a frame carrying 0 gets a router-assigned
-        #: one: it still records the router-side timeline, it just
-        #: won't match the worker's); None for router-internal control
-        #: frames.
-        self.trace: Optional[RouterTrace] = (
-            None if conn is None else RouterTrace(
+        #: Router-side span of a client frame, under the client's trace
+        #: id (a frame carrying 0 gets a router-assigned one: it still
+        #: records the router-side timeline, it just won't match the
+        #: worker's); None for router-internal control frames.
+        self.trace: Optional[RequestTrace] = (
+            None if conn is None else RequestTrace(
                 trace_id=trace_id or new_trace_id(),
                 frame_type=protocol.frame_type_name(frame_type),
-                request_id=client_request_id, t_recv=time.monotonic()))
+                source="router", request_id=client_request_id,
+                t_recv=time.monotonic()))
 
 
 class _Backend:
@@ -369,7 +369,7 @@ class Router(FrameService):
                 entry.records = _U32.unpack_from(payload, HEADER_SIZE + 8)[0]
         entry.trace.records = entry.records
         if sid in self._parked:
-            entry.trace.on_park(time.monotonic())
+            entry.trace.mark("route", time.monotonic())
             self._parked[sid].append(entry)
             return
         owner = self._sessions.get(sid)
@@ -455,7 +455,7 @@ class Router(FrameService):
                 return
             # The router's span is complete: client-experienced latency
             # plus every stage between accept and drain.
-            entry.trace.t_done = time.monotonic()
+            entry.trace.finish("write", time.monotonic())
             self.request_log.record(entry.trace)
 
     # ------------------------------------------------------ backend side
@@ -483,9 +483,9 @@ class Router(FrameService):
             return  # response to a timed-out / failed-over request
         is_error = rtype == protocol.FrameType.ERROR
         if entry.trace is not None:
-            entry.trace.t_replied = time.monotonic()
+            entry.trace.mark("proxy", time.monotonic())
             if is_error:
-                entry.trace.status = "error"
+                entry.trace.fail()
         protocol.patch_request_id(payload, entry.client_request_id)
         if entry.respond_open and not is_error:
             protocol.patch_type(payload, protocol.FrameType.OPEN_SESSION
@@ -528,8 +528,14 @@ class Router(FrameService):
         brid = self._next_brid & 0xFFFFFFFF
         self._next_brid += 1
         entry.brid = brid
-        if entry.trace is not None:
-            entry.trace.on_forward(backend.index, time.monotonic())
+        trace = entry.trace
+        if trace is not None:
+            # The stage this hand-off closes: placement, the unpark
+            # after a park, or the wait for a dead worker's re-send.
+            stage = ("migrate_wait" if trace.workers
+                     else "unpark" if trace.parked else "route")
+            trace.mark(stage, time.monotonic())
+            trace.workers.append(backend.index)
         protocol.patch_request_id(entry.payload, brid)
         backend.pending[brid] = entry
         backend.writer.write(_LEN.pack(len(entry.payload)))
@@ -668,8 +674,13 @@ class Router(FrameService):
         handle = self.supervisor.handles.get(backend.index)
         if handle is not None:
             await asyncio.to_thread(handle.process.join, 60.0)
+        # A session whose OPEN died in flight has no arena to adopt:
+        # its re-sent OPEN below places it afresh.
+        opening = {entry.session_id for entry in client_entries
+                   if entry.kind == "open"}
         for sid in owned:
-            await self._rehome(sid, reason="failover")
+            if sid not in opening:
+                await self._rehome(sid, reason="failover")
         # In-flight frames first (they are older than anything parked),
         # in their original send order.
         for entry in client_entries:
@@ -753,8 +764,7 @@ class Router(FrameService):
             entry = entries.pop(0)
             if entry.future.done():
                 continue
-            if entry.trace is not None and entry.trace.t_parked is not None:
-                entry.trace.on_unpark(time.monotonic())
+            entry.trace.mark("park", time.monotonic())
             owner = self._sessions.get(session_id)
             if owner is None:
                 self._fail_entry(
@@ -817,16 +827,14 @@ class Router(FrameService):
     def _fail_entry(self, entry: _Entry, code: int, message: str) -> None:
         if entry.future.done():
             return
-        entry.future.set_result(self._error_frame(entry, code, message))
+        self._complete(entry, self._error_frame(entry, code, message))
 
     def _error_frame(self, entry: _Entry, code: int,
                      message: str) -> bytes:
         self.metrics.errors.inc(code=protocol.error_code_name(code))
         if entry.trace is not None:
-            entry.trace.status = ("timeout"
-                                  if code == protocol.ErrorCode.TIMEOUT
-                                  else "error")
-            entry.trace.error = message
+            entry.trace.fail(message,
+                             timeout=code == protocol.ErrorCode.TIMEOUT)
         return _bare_frame(protocol.FrameType.ERROR,
                            entry.client_request_id,
                            protocol.encode_error(code, message),
@@ -836,12 +844,16 @@ class Router(FrameService):
                        message: str) -> None:
         entry = _Entry(b"", conn, self._loop.create_future(),
                        protocol.FrameType.ERROR, 0, request_id)
-        entry.future.set_result(self._error_frame(entry, code, message))
+        self._fail_entry(entry, code, message)
         conn.responses.put_nowait(entry)
 
     def _complete(self, entry: _Entry, payload: bytes) -> None:
-        if not entry.future.done():
-            entry.future.set_result(payload)
+        """Answer *entry*; one never handed off ends ``route`` here."""
+        if entry.future.done():
+            return
+        if entry.trace is not None and not entry.trace.marks:
+            entry.trace.mark("route", time.monotonic())
+        entry.future.set_result(payload)
 
     # ----------------------------------------------------------- reports
 

@@ -60,7 +60,7 @@ from repro.core.state import (STATE_VERSION, ArenaStore,
                               StateVersionError)
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher, WorkItem
-from repro.serve.service import (DATA_TYPES, LATENCY_BUCKETS, FrameService,
+from repro.serve.service import (LATENCY_BUCKETS, FrameService,
                                  ServiceThread, consume_exception,
                                  pooled_table_ratios)
 from repro.serve.session import Session
@@ -68,6 +68,7 @@ from repro.serve.tracing import RequestTrace, new_trace_id
 from repro.telemetry import run as telemetry_run_module
 from repro.telemetry.registry import registry
 from repro.telemetry.slo import SLO, SLOMonitor, default_serve_slos
+from repro.telemetry.spans import emit_span
 
 __all__ = ["PredictionServer", "ServerThread"]
 
@@ -264,7 +265,8 @@ class PredictionServer(FrameService):
         slo_list = default_serve_slos() if slos is None else list(slos)
         self.monitor = SLOMonitor(slo_list) if slo_list else None
         watched = self.monitor.slos if self.monitor is not None else []
-        self._latency_slos = [s for s in watched if s.kind == "latency"]
+        if self.monitor is not None:
+            self.request_log.watch(self.monitor)
         self._queue_slos = [s for s in watched if s.kind == "queue_depth"]
         self._accuracy_slos = [s for s in watched if s.kind == "accuracy"]
         self._slo_statuses: List[dict] = []
@@ -409,29 +411,6 @@ class PredictionServer(FrameService):
         self.metrics.healthy.set(0 if alerting else 1)
         return statuses
 
-    def _finish_trace(self, trace: RequestTrace) -> None:
-        """Completed-request fan-out: the request log, the latency SLO
-        stream and the span event."""
-        self.request_log.record(trace)
-        latency = trace.latency_s()
-        if self.monitor is not None and trace.frame_type in DATA_TYPES:
-            for slo in self._latency_slos:
-                good = 1 if latency <= slo.threshold else 0
-                self.monitor.record(slo.name, good=good, bad=1 - good,
-                                    now=trace.t_done)
-        run = telemetry_run_module.active_run()
-        if run is not None:
-            run.emit({
-                "type": "span",
-                "name": "serve.request",
-                "span_id": run.next_span_id(),
-                "parent_id": None,
-                "depth": 0,
-                "duration_s": round(latency, 6),
-                "status": trace.status,
-                "attrs": trace.to_dict(),
-            })
-
     def healthz(self) -> dict:
         """The ``/healthz`` body.  Always served (HTTP 200); overall
         health is the ``status`` field."""
@@ -566,8 +545,8 @@ class PredictionServer(FrameService):
             except (ConnectionError, OSError):
                 return
             if trace is not None:
-                trace.t_done = time.monotonic()
-                self._finish_trace(trace)
+                trace.finish("flush", time.monotonic())
+                self.request_log.record(trace)
 
     # ----------------------------------------------------------- dispatch
 
@@ -697,8 +676,12 @@ class PredictionServer(FrameService):
     async def _dispatch_stats(self, conn, frame, trace) -> None:
         (session_id,) = protocol.decode_session_op(frame.body, 0)
         if session_id == 0:
-            body = protocol.encode_json_body(self.server_stats())
-            self._respond_now(conn, frame, body, trace)
+            payload = protocol.encode_frame(
+                frame.type | protocol.RESPONSE_BIT, frame.request_id,
+                protocol.encode_json_body(self.server_stats()),
+                frame.trace_id)
+            self._enqueue(conn, frame.type, frame.request_id, payload, None,
+                          trace)
             return
         await self._submit_session(
             conn, frame, trace, session_id,
@@ -927,52 +910,47 @@ class PredictionServer(FrameService):
         await self._submit(conn, frame, trace, self._shard_of(session_id),
                            run=checked, session_id=session_id, encode=encode)
 
-    async def _submit(self, conn, frame, trace, shard, encode, run=None,
-                      fuse_key=None, pcs=None, values=None,
-                      session_id=None) -> None:
+    async def _submit(self, conn, frame, trace, shard, session_id, encode,
+                      run=None, fuse_key=None, pcs=None,
+                      values=None) -> None:
         future = asyncio.get_running_loop().create_future()
-        trace.session_id = session_id if session_id is not None else 0
+        trace.session_id = session_id
         trace.shard = shard.index
         trace.records = len(pcs) if pcs is not None else 0
-        trace.t_submit = time.monotonic()
-        conn.responses.put_nowait((frame.type, frame.request_id, encode,
-                                   future, trace))
-        item = WorkItem(session_id=session_id if session_id is not None
-                        else 0, future=future, run=run, fuse_key=fuse_key,
-                        pcs=pcs if pcs is not None else [],
+        self._enqueue(conn, frame.type, frame.request_id, encode, future,
+                      trace)
+        item = WorkItem(session_id=session_id, future=future, run=run,
+                        fuse_key=fuse_key, pcs=pcs if pcs is not None else [],
                         values=values if values is not None else [],
                         trace=trace)
         self.metrics.queue_depth.set(shard.batcher.qsize() + 1,
                                      shard=str(shard.index))
         await shard.batcher.submit(item)
 
-    def _respond_now(self, conn, frame, body: bytes, trace=None) -> None:
-        payload = protocol.encode_frame(
-            frame.type | protocol.RESPONSE_BIT, frame.request_id, body,
-            frame.trace_id)
-        conn.responses.put_nowait((frame.type, frame.request_id, payload,
-                                   None, trace))
+    def _enqueue(self, conn, frame_type, request_id, encode, future,
+                 trace) -> None:
+        """Queue a response slot, ending the request's ``decode``."""
+        if trace is not None:
+            trace.mark("decode", time.monotonic())
+        conn.responses.put_nowait((frame_type, request_id, encode, future,
+                                   trace))
 
     def _enqueue_error(self, conn, request_id: int, code: int,
                        message: str, trace=None) -> None:
-        conn.responses.put_nowait(
-            (protocol.FrameType.ERROR, request_id,
-             self._error_frame(request_id, code, message, trace),
-             None, trace))
+        self._enqueue(conn, protocol.FrameType.ERROR, request_id,
+                      self._error_frame(request_id, code, message, trace),
+                      None, trace)
 
     def _error_frame(self, request_id: int, code: int, message: str,
                      trace: Optional[RequestTrace] = None) -> bytes:
         """A counted ERROR frame; *trace* records the failure."""
         self.metrics.errors.inc(code=protocol.error_code_name(code))
-        trace_id = 0
         if trace is not None:
-            trace.status = ("timeout" if code == protocol.ErrorCode.TIMEOUT
-                            else "error")
-            trace.error = message
-            trace_id = trace.trace_id
+            trace.fail(message, timeout=code == protocol.ErrorCode.TIMEOUT)
         return protocol.encode_frame(
             protocol.FrameType.ERROR, request_id,
-            protocol.encode_error(code, message), trace_id)
+            protocol.encode_error(code, message),
+            trace.trace_id if trace is not None else 0)
 
     def _finish_session(self, shard: _Shard, session_id: int) -> dict:
         session = shard.sessions.pop(session_id)
@@ -984,17 +962,9 @@ class PredictionServer(FrameService):
         opened = self._session_opened_at.pop(session_id, None)
         run = telemetry_run_module.active_run()
         if run is not None:
-            run.emit({
-                "type": "span",
-                "name": "serve.session",
-                "span_id": run.next_span_id(),
-                "parent_id": None,
-                "depth": 0,
-                "duration_s": (round(time.time() - opened, 6)
-                               if opened is not None else None),
-                "status": "ok",
-                "attrs": stats,
-            })
+            emit_span(run, "serve.session", run.next_span_id(), None, 0,
+                      time.time() - opened if opened is not None else None,
+                      "ok", stats)
         return stats
 
     def server_stats(self) -> dict:

@@ -23,7 +23,9 @@ from repro.serve import protocol
 from repro.serve.obs import ObservabilityServer
 from repro.serve.tracing import (SlowRequestSampler, TraceStore,
                                  latency_summary)
+from repro.telemetry import run as telemetry_run_module
 from repro.telemetry.live import live_prometheus_text
+from repro.telemetry.spans import emit_span
 
 __all__ = ["FrameService", "RequestLog", "ServiceThread", "run_service",
            "serve_until_signalled", "consume_exception",
@@ -33,7 +35,7 @@ __all__ = ["FrameService", "RequestLog", "ServiceThread", "run_service",
 LATENCY_BUCKETS = (.0001, .0005, .001, .005, .025, .1, .5, 2.5)
 
 #: Frame types on the prediction data path: their latencies feed the
-#: rolling window and the latency SLO stream (admin frames like STATS
+#: rolling window and the latency SLO streams (admin frames like STATS
 #: would skew the percentiles).
 DATA_TYPES = frozenset({"step", "step_block", "predict", "outcome"})
 
@@ -53,24 +55,43 @@ _STOP_TIMEOUT_S = 90.0
 class RequestLog:
     """Every completed request, recorded once: the ``*_request_seconds``
     histogram (trace id as bucket exemplar), the slow-request sample,
-    the trace store and, for data-path frames, the rolling window behind
-    ``/slo`` and ``/scale``.  Takes the server's ``RequestTrace`` and the
-    router's ``RouterTrace`` alike."""
+    the trace store, a ``serve.request`` span event when a telemetry
+    run is active and, for data-path frames, the rolling window behind
+    ``/slo`` and ``/scale`` and the latency SLOs of a watched
+    monitor."""
 
     def __init__(self, request_seconds):
         self._request_seconds = request_seconds
         self.slow = SlowRequestSampler(SLOW_K)
         self.traces = TraceStore(TRACE_CAPACITY)
         self._data: deque = deque(maxlen=4096)  # (t_done, seconds)
+        self._monitor = None
+        self._latency_slos: list = []
+
+    def watch(self, monitor) -> None:
+        """Feed each data-path latency to *monitor*'s latency SLOs."""
+        self._monitor = monitor
+        self._latency_slos = [s for s in monitor.slos
+                              if s.kind == "latency"]
 
     def record(self, trace) -> None:
+        """Record one completed :class:`~repro.serve.tracing.RequestTrace`."""
         latency = trace.latency_s()
+        entry = trace.to_dict()
         self._request_seconds.observe(
-            latency, exemplar=trace.trace_id_hex, type=trace.frame_type)
-        self.slow.add(trace)
-        self.traces.put(trace.trace_id, trace.to_dict())
+            latency, exemplar=entry["trace_id"], type=trace.frame_type)
+        self.slow.add(latency, entry)
+        self.traces.put(trace.trace_id, entry)
         if trace.frame_type in DATA_TYPES:
             self._data.append((trace.t_done, latency))
+            for slo in self._latency_slos:
+                good = 1 if latency <= slo.threshold else 0
+                self._monitor.record(slo.name, good=good, bad=1 - good,
+                                     now=trace.t_done)
+        run = telemetry_run_module.active_run()
+        if run is not None:
+            emit_span(run, "serve.request", run.next_span_id(), None, 0,
+                      latency, trace.status, entry)
 
     def window_summary(self) -> dict:
         """:func:`~repro.serve.tracing.latency_summary` of the data-path

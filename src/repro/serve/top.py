@@ -39,6 +39,8 @@ import urllib.request
 from collections import deque
 from typing import List, Optional
 
+from repro.serve.tracing import STAGES
+
 __all__ = ["fetch_json", "sparkline", "render_dashboard", "run_top"]
 
 _SPARK = "▁▂▃▄▅▆▇█"
@@ -231,12 +233,11 @@ def render_dashboard(base_url: str, health: dict, slo: dict, slow: dict,
         lines.append(f"slowest requests (of {slow.get('observed', 0)} "
                      "observed)")
         lines.append("  trace_id          type        latency   "
-                     "queue/fuse/exec/flush (ms)")
+                     "stages (ms)")
         for entry in slowest:
             stages = entry.get("stages_ms", {})
-            breakdown = "/".join(
-                f"{stages.get(stage, 0):.2f}"
-                for stage in ("queue", "fuse", "execute", "flush"))
+            breakdown = " ".join(f"{stage} {stages[stage]:.2f}"
+                                 for stage in STAGES if stage in stages)
             lines.append(f"  {entry.get('trace_id', '?'):<17} "
                          f"{entry.get('type', '?'):<11} "
                          f"{entry.get('latency_ms', 0):>8.3f}ms  "

@@ -1,36 +1,43 @@
 """Wire-level request tracing for the serving data path.
 
-Every request the server accepts gets a :class:`RequestTrace`: the
-64-bit trace id from the frame header (the client chooses it; a frame
-carrying 0 gets a server-assigned one), plus monotonic stamps at each
-stage boundary of the pipeline::
+Every request a worker or the cluster router accepts gets one
+:class:`RequestTrace` span: the 64-bit trace id from the frame header
+(the client chooses it; a frame carrying 0 gets a process-assigned
+one) plus an ordered list of stage marks.  A stage runs from the
+previous mark (or from accept) to its own mark, so a completed span's
+stages add up to its latency.  The stage names, :data:`STAGES`, each
+mean one interval::
 
-    recv -> submit -> dequeue -> exec_start -> exec_end -> done
-           [ queue  ][  fuse   ][  execute  ][   flush   ]
+    router:  accept -> route -> [park -> unpark] -> [migrate_wait]
+             -> proxy -> write
+    worker:  recv -> decode -> queue -> fuse -> execute -> flush
 
-``queue``   waiting in the shard's bounded queue,
-``fuse``    held in the micro-batch accumulation window,
-``execute`` the (possibly fused) kernel call,
-``flush``   writer wait + frame write + socket drain.
+``route``        accept to the first hand-off: forward, park, or the
+                 router's own answer;
+``park``         parked while the session migrates or fails over;
+``unpark``       unparked to forwarded;
+``migrate_wait`` a forward a dead worker swallowed to the re-send;
+``proxy``        last forward to the worker's reply (the worker
+                 round trip);
+``write``        reply to client-socket drain;
+``decode``       frame body decode and dispatch, to the response slot;
+``queue``        waiting in the shard's bounded queue;
+``fuse``         held in the micro-batch accumulation window;
+``execute``      the (possibly fused) kernel call;
+``flush``        writer wait + frame write + socket drain.
 
-Traces are cheap (one small object and six float stamps per request)
-so they are **always on** -- no run needs to be active.  Completed
-traces feed four surfaces: the latency histogram (bucket exemplars),
-the :class:`SlowRequestSampler` (top-K by latency, served at ``/slow``
-and dumped on SIGTERM), the bounded per-process :class:`TraceStore`
-(served at ``/trace/<id>``), and -- when a telemetry run is active --
-one ``serve.request`` span event per request carrying the stage
-breakdown.
+Traces are cheap (one small object and a few marks per request) so
+they are **always on** -- no run needs to be active.  Completed spans
+go through :class:`~repro.serve.service.RequestLog`: the latency
+histogram (bucket exemplars), the :class:`SlowRequestSampler` (top-K
+by latency, served at ``/slow`` and dumped on SIGTERM), the bounded
+per-process :class:`TraceStore` (served at ``/trace/<id>``), and --
+when a telemetry run is active -- one ``serve.request`` span event.
 
-The cluster router stamps its own :class:`RouterTrace` per proxied
-frame, keyed by the *same* u64 trace id the worker stamps::
-
-    recv -> [route] -> (park .. unpark -> flush) -> forward -> reply -> done
-            placement    migration / failover wait   proxy      write
-
-so ``GET /trace/<id>`` on the router can merge the router span with
-the worker span(s) -- including a request whose worker died mid-flight
-and whose frame was re-sent to a second worker -- into one ordered
+The router and the worker stamp the *same* u64 trace id, so ``GET
+/trace/<id>`` on the router merges the router span with the worker
+span(s) -- including a request whose worker died mid-flight and whose
+frame was re-sent to a second worker -- into one ordered
 cross-process timeline.
 
 :func:`latency_summary` is the one p50/p90/p99 digest every serve-tier
@@ -47,12 +54,11 @@ import random
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["new_trace_id", "format_trace_id", "parse_trace_id",
-           "RequestTrace", "RouterTrace", "SlowRequestSampler",
-           "TraceStore", "render_trace_report", "percentile",
-           "latency_summary"]
+__all__ = ["new_trace_id", "format_trace_id", "parse_trace_id", "STAGES",
+           "RequestTrace", "SlowRequestSampler", "TraceStore",
+           "render_trace_report", "percentile", "latency_summary"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -86,60 +92,81 @@ def parse_trace_id(text: str) -> int:
     return value
 
 
-#: Pipeline stages in order, as (name, start-stamp, end-stamp) attrs.
-_STAGES = (("queue", "t_submit", "t_dequeue"),
-           ("fuse", "t_dequeue", "t_exec_start"),
-           ("execute", "t_exec_start", "t_exec_end"),
-           ("flush", "t_exec_end", "t_done"))
+#: Every stage a span can carry, in pipeline order: router, then worker.
+STAGES = ("route", "park", "unpark", "migrate_wait", "proxy", "write",
+          "decode", "queue", "fuse", "execute", "flush")
 
 
 @dataclass
 class RequestTrace:
-    """One request's identity and stage stamps through the server."""
+    """One request's span through a worker (``source="worker"``) or
+    the cluster router (``source="router"``): ``(stage, time)`` marks
+    after ``t_recv``, the last one set by :meth:`finish`.  A stage
+    marked twice (a frame re-sent twice) sums, so :meth:`stages` add up
+    to :meth:`latency_s`.  Workers fill ``shard``, ``batch_size`` and
+    ``fused``; the router fills ``workers``, the hop list.
+    """
 
     trace_id: int
     frame_type: str
+    source: str = "worker"
     request_id: int = 0
     session_id: int = 0
-    shard: Optional[int] = None
     records: int = 0
-    t_recv: Optional[float] = None
-    t_submit: Optional[float] = None
-    t_dequeue: Optional[float] = None
-    t_exec_start: Optional[float] = None
-    t_exec_end: Optional[float] = None
+    t_recv: float = 0.0
     t_done: Optional[float] = None
-    batch_size: int = 0
-    fused: bool = False
+    marks: List[Tuple[str, float]] = field(default_factory=list)
     status: str = "ok"
     error: Optional[str] = None
+    shard: Optional[int] = None
+    batch_size: int = 0
+    fused: bool = False
+    workers: List[int] = field(default_factory=list)
+
+    def mark(self, stage: str, now: float) -> None:
+        """End *stage* at *now* (it began at the previous mark)."""
+        self.marks.append((stage, now))
+
+    def finish(self, stage: str, now: float) -> None:
+        """Mark the last stage: the response is written."""
+        self.mark(stage, now)
+        self.t_done = now
+
+    def fail(self, message: Optional[str] = None,
+             timeout: bool = False) -> None:
+        """Record that the request was answered with an ERROR."""
+        self.status = "timeout" if timeout else "error"
+        self.error = message
 
     @property
-    def trace_id_hex(self) -> str:
-        return format_trace_id(self.trace_id)
+    def parked(self) -> bool:
+        return any(stage == "park" for stage, _ in self.marks)
+
+    @property
+    def resends(self) -> int:
+        return max(0, len(self.workers) - 1)
 
     def latency_s(self) -> float:
         """recv -> response-written wall time (0.0 while incomplete)."""
-        if self.t_recv is None or self.t_done is None:
+        if self.t_done is None:
             return 0.0
-        return max(0.0, self.t_done - self.t_recv)
+        return self.t_done - self.t_recv
 
     def stages(self) -> Dict[str, float]:
-        """Per-stage durations (seconds); stages never entered are
-        absent (e.g. immediate responses skip queue/fuse/execute)."""
-        out = {}
-        for name, start_attr, end_attr in _STAGES:
-            start = getattr(self, start_attr)
-            end = getattr(self, end_attr)
-            if start is not None and end is not None:
-                out[name] = max(0.0, end - start)
+        """Per-stage durations (seconds) in the order first marked;
+        stages never entered are absent."""
+        out: Dict[str, float] = {}
+        start = self.t_recv
+        for stage, at in self.marks:
+            out[stage] = out.get(stage, 0.0) + (at - start)
+            start = at
         return out
 
     def to_dict(self) -> dict:
-        """JSON-able record (the ``/slow`` sample entry shape)."""
+        """JSON-able span record (``/trace`` and ``/slow`` entries)."""
         out = {
-            "source": "worker",
-            "trace_id": self.trace_id_hex,
+            "source": self.source,
+            "trace_id": format_trace_id(self.trace_id),
             "type": self.frame_type,
             "request_id": self.request_id,
             "session": self.session_id,
@@ -147,138 +174,13 @@ class RequestTrace:
             "records": self.records,
             "batch_size": self.batch_size,
             "fused": self.fused,
-            "status": self.status,
-            "latency_ms": round(self.latency_s() * 1e3, 4),
-            "stages_ms": {name: round(seconds * 1e3, 4)
-                          for name, seconds in self.stages().items()},
-        }
-        if self.error:
-            out["error"] = self.error
-        return out
-
-
-#: Router-side stages in pipeline order (see :class:`RouterTrace`).
-ROUTER_STAGE_ORDER = ("route", "park", "flush", "migrate_wait",
-                      "proxy", "write")
-
-#: Worker-side stages in pipeline order (see :class:`RequestTrace`).
-WORKER_STAGE_ORDER = ("queue", "fuse", "execute", "flush")
-
-
-@dataclass
-class RouterTrace:
-    """One proxied request's identity and stage stamps through the
-    cluster router, keyed by the same u64 trace id the worker stamps.
-
-    Stamps (all ``time.monotonic``):
-
-    ``t_recv``
-        frame read off the client connection (accept);
-    ``t_parked`` / ``t_unparked``
-        first parked / flushed out of the park queue (hot migration or
-        failover re-home in progress);
-    ``t_first_forward`` / ``t_last_forward``
-        written to a worker; they differ when the first owner died
-        mid-flight and the frame was re-sent (``resends`` > 0);
-    ``t_replied``
-        the worker's response arrived back at the router;
-    ``t_done``
-        response written (and drained) to the client.
-
-    Derived stages: ``route`` (accept to first hand-off: placement +
-    dispatch), ``park`` (parked awaiting migration/failover),
-    ``flush`` (unpark to forward), ``migrate_wait`` (between the
-    forward a dead worker swallowed and the re-send), ``proxy``
-    (last forward to worker reply -- the worker round trip) and
-    ``write`` (reply to client-socket drain).  Duck-type compatible
-    with :class:`RequestTrace` where the samplers and stores care
-    (``latency_s`` / ``to_dict`` / ``trace_id_hex``).
-    """
-
-    trace_id: int
-    frame_type: str
-    request_id: int = 0
-    session_id: int = 0
-    records: int = 0
-    hops: List[int] = field(default_factory=list)
-    t_recv: Optional[float] = None
-    t_parked: Optional[float] = None
-    t_unparked: Optional[float] = None
-    t_first_forward: Optional[float] = None
-    t_last_forward: Optional[float] = None
-    t_replied: Optional[float] = None
-    t_done: Optional[float] = None
-    parks: int = 0
-    status: str = "ok"
-    error: Optional[str] = None
-
-    @property
-    def trace_id_hex(self) -> str:
-        return format_trace_id(self.trace_id)
-
-    @property
-    def resends(self) -> int:
-        return max(0, len(self.hops) - 1)
-
-    def on_park(self, now: float) -> None:
-        if self.t_parked is None:
-            self.t_parked = now
-        self.parks += 1
-
-    def on_unpark(self, now: float) -> None:
-        self.t_unparked = now
-
-    def on_forward(self, worker: int, now: float) -> None:
-        self.hops.append(worker)
-        if self.t_first_forward is None:
-            self.t_first_forward = now
-        self.t_last_forward = now
-
-    def latency_s(self) -> float:
-        """recv -> response-written wall time (0.0 while incomplete)."""
-        if self.t_recv is None or self.t_done is None:
-            return 0.0
-        return max(0.0, self.t_done - self.t_recv)
-
-    def stages(self) -> Dict[str, float]:
-        """Per-stage durations (seconds); stages never entered are
-        absent (an unparked, un-resent frame has route/proxy/write)."""
-        out: Dict[str, float] = {}
-        first_handoff = (self.t_parked if self.t_parked is not None
-                         else self.t_first_forward)
-        if self.t_recv is not None and first_handoff is not None:
-            out["route"] = max(0.0, first_handoff - self.t_recv)
-        if self.t_parked is not None and self.t_unparked is not None:
-            out["park"] = max(0.0, self.t_unparked - self.t_parked)
-            if self.t_last_forward is not None:
-                out["flush"] = max(
-                    0.0, self.t_last_forward - self.t_unparked)
-        if (self.resends and self.t_first_forward is not None
-                and self.t_last_forward is not None):
-            out["migrate_wait"] = max(
-                0.0, self.t_last_forward - self.t_first_forward)
-        if self.t_last_forward is not None and self.t_replied is not None:
-            out["proxy"] = max(0.0, self.t_replied - self.t_last_forward)
-        if self.t_replied is not None and self.t_done is not None:
-            out["write"] = max(0.0, self.t_done - self.t_replied)
-        return out
-
-    def to_dict(self) -> dict:
-        """JSON-able span record (``/trace`` and router ``/slow``)."""
-        out = {
-            "source": "router",
-            "trace_id": self.trace_id_hex,
-            "type": self.frame_type,
-            "request_id": self.request_id,
-            "session": self.session_id,
-            "records": self.records,
-            "workers": list(self.hops),
-            "parked": self.parks > 0,
+            "workers": list(self.workers),
+            "parked": self.parked,
             "resends": self.resends,
             "status": self.status,
             "latency_ms": round(self.latency_s() * 1e3, 4),
-            "stages_ms": {name: round(seconds * 1e3, 4)
-                          for name, seconds in self.stages().items()},
+            "stages_ms": {stage: round(seconds * 1e3, 4)
+                          for stage, seconds in self.stages().items()},
         }
         if self.error:
             out["error"] = self.error
@@ -349,9 +251,7 @@ class TraceStore:
             "capacity": self.capacity,
             "stored": self.stored,
             "retained": len(entries),
-            "spans": [dict(span, trace_id=format_trace_id(tid))
-                      if "trace_id" not in span else dict(span)
-                      for tid, span in entries],
+            "spans": [dict(span) for _, span in entries],
         }
 
 
@@ -365,38 +265,32 @@ def render_trace_report(report: dict) -> str:
     scope = "cluster" if report.get("cluster") else "process"
     lines = [f"trace {trace_id}: {len(spans)} span(s), {scope}"]
     for span in spans:
-        if span.get("source") == "router":
-            where = "router"
-            hops = span.get("workers", [])
-            extra = ""
-            if hops:
-                extra += "  workers " + "->".join(str(w) for w in hops)
-            if span.get("resends"):
-                extra += f"  resends {span['resends']}"
-            elif span.get("parked"):
-                extra += "  parked"
-            stage_order = ROUTER_STAGE_ORDER
-        else:
-            where = f"worker {span['worker']}" if "worker" in span \
-                else "worker"
-            extra = ""
-            if span.get("shard") is not None:
-                extra += f"  shard {span['shard']}"
-            if span.get("batch_size"):
-                extra += (f"  batch {span['batch_size']}"
-                          + ("+fused" if span.get("fused") else ""))
-            stage_order = WORKER_STAGE_ORDER
+        where = span.get("source", "worker")
+        if "worker" in span:
+            where += f" {span['worker']}"
+        extra = ""
+        if span.get("workers"):
+            extra += "  workers " + "->".join(
+                str(w) for w in span["workers"])
+        if span.get("resends"):
+            extra += f"  resends {span['resends']}"
+        elif span.get("parked"):
+            extra += "  parked"
+        if span.get("shard") is not None:
+            extra += f"  shard {span['shard']}"
+        if span.get("batch_size"):
+            extra += (f"  batch {span['batch_size']}"
+                      + ("+fused" if span.get("fused") else ""))
         lines.append(
             f"  {where:<10} {span.get('type', '?'):<12} "
             f"sid {span.get('session', '?')}  "
             f"{span.get('latency_ms', 0):>9.3f}ms  "
             f"{span.get('status', '?')}{extra}")
         stages = span.get("stages_ms", {})
-        shown = [name for name in stage_order if name in stages]
-        shown += [name for name in sorted(stages) if name not in shown]
-        if shown:
+        if stages:
             lines.append("    " + " | ".join(
-                f"{name} {stages[name]:.3f}ms" for name in shown))
+                f"{stage} {stages[stage]:.3f}ms"
+                for stage in STAGES if stage in stages))
         if span.get("error"):
             lines.append(f"    error: {span['error']}")
     return "\n".join(lines) + "\n"
@@ -421,16 +315,16 @@ class SlowRequestSampler:
         self._heap: List[tuple] = []
         self._lock = threading.Lock()
 
-    def add(self, trace: RequestTrace) -> None:
-        latency = trace.latency_s()
+    def add(self, latency: float, entry: dict) -> None:
+        """Offer one completed span (its ``to_dict()``) of *latency*
+        seconds."""
         with self._lock:
             self.observed += 1
+            item = (latency, next(self._seq), entry)
             if len(self._heap) < self.k:
-                heapq.heappush(self._heap,
-                               (latency, next(self._seq), trace.to_dict()))
+                heapq.heappush(self._heap, item)
             elif latency > self._heap[0][0]:
-                heapq.heapreplace(self._heap,
-                                  (latency, next(self._seq), trace.to_dict()))
+                heapq.heapreplace(self._heap, item)
 
     def snapshot(self) -> dict:
         """JSON-able dump: slowest first."""

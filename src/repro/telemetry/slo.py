@@ -27,6 +27,7 @@ events, gauges and ``/healthz`` (see :mod:`repro.serve.server`).
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -76,7 +77,10 @@ class SLO:
 
 
 class _Stream:
-    """Time-ordered (ts, good, bad) tallies for one SLO."""
+    """Time-ordered [ts, good, bad] tallies for one SLO, one per whole
+    second: an observation joins the newest tally when both fall in the
+    same second, so window edges move by less than a second and memory
+    is bounded by the slow window's length, not the request rate."""
 
     def __init__(self, slo: SLO):
         self.slo = slo
@@ -85,7 +89,11 @@ class _Stream:
         self.total_bad = 0
 
     def record(self, good: int, bad: int, now: float) -> None:
-        self.entries.append((now, good, bad))
+        entries = self.entries
+        if not entries or math.floor(entries[-1][0]) != math.floor(now):
+            entries.append([now, 0, 0])
+        entries[-1][1] += good
+        entries[-1][2] += bad
         self.total_good += good
         self.total_bad += bad
 

@@ -23,7 +23,8 @@ from typing import List, Optional
 
 from repro.telemetry import run as _run
 
-__all__ = ["Span", "NoopSpan", "NOOP_SPAN", "span", "current_span"]
+__all__ = ["Span", "NoopSpan", "NOOP_SPAN", "span", "current_span",
+           "emit_span"]
 
 #: Open spans, innermost last (one process == one measurement thread).
 _STACK: List["Span"] = []
@@ -90,21 +91,32 @@ class Span:
                 pass
         run = _run.active_run()
         if run is not None:
-            run.emit({
-                "type": "span",
-                "name": self.name,
-                "span_id": self.span_id,
-                "parent_id": self.parent_id,
-                "depth": self.depth,
-                "duration_s": round(self.duration_s, 6),
-                "status": self.status,
-                "attrs": self.attrs,
-            })
+            emit_span(run, self.name, self.span_id, self.parent_id,
+                      self.depth, self.duration_s, self.status, self.attrs)
         return False
 
     def set(self, key: str, value) -> None:
         """Attach or overwrite one attribute on the span."""
         self.attrs[key] = value
+
+
+def emit_span(run, name: str, span_id: Optional[str],
+              parent_id: Optional[str], depth: int,
+              duration_s: Optional[float], status: str,
+              attrs: dict) -> None:
+    """Write one span event to *run*: the one shape of every span
+    event, offline scopes and served requests and sessions alike."""
+    run.emit({
+        "type": "span",
+        "name": name,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "depth": depth,
+        "duration_s": (round(duration_s, 6) if duration_s is not None
+                       else None),
+        "status": status,
+        "attrs": attrs,
+    })
 
 
 def span(name: str, **attrs):

@@ -7,6 +7,8 @@ detected before any view is built; a state-version mismatch is a
 sweeps classify files the way ``repro state`` reports them.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,89 @@ class TestIntegrity:
         assert not path.exists()
         assert target.name == "x.arena.corrupt"
         assert target.read_bytes() == b"junk"
+
+
+def session_arena():
+    """(spec config, arrays, meta) of a real engine-mode session
+    snapshot: DFCM(64, 256) tables plus the session's aux arrays."""
+    from repro.serve.session import Session
+    spec = DFCMSpec(64, 256)
+    session = Session(1, spec)
+    rng = np.random.default_rng(3)
+    pcs = (rng.integers(0, 1 << 12, size=500) << 2).astype(np.int64)
+    values = rng.integers(0, 1 << 32, size=500).astype(np.int64)
+    session.step_block(pcs, values)
+    arrays, meta = session.snapshot()
+    assert any(key.startswith("__") for key in arrays)
+    return spec.to_config(), arrays, meta
+
+
+def refusal(path):
+    """How :func:`open_arena` treats *path*: ``"refused"`` for an
+    :class:`ArenaError`, else what escaped."""
+    try:
+        open_arena(path)
+    except StateVersionError:
+        return "state version"
+    except ArenaError:
+        return "refused"
+    return "opened"
+
+
+class TestCorruption:
+    """Every single-bit flip and every truncation of a real session
+    arena is refused as corrupt: never read back as state, never
+    mistaken for a sound arena from another deploy generation."""
+
+    def test_every_bit_flip_is_refused(self, tmp_path):
+        raw = bytes(arena_bytes(*session_arena()))
+        path = tmp_path / "s.arena"
+        path.write_bytes(raw)
+        escaped = []
+        with open(path, "r+b") as handle:
+            for offset, byte in enumerate(raw):
+                for bit in range(8):
+                    os.pwrite(handle.fileno(), bytes([byte ^ (1 << bit)]),
+                              offset)
+                    outcome = refusal(path)
+                    if outcome != "refused":
+                        escaped.append((offset, bit, outcome))
+                os.pwrite(handle.fileno(), bytes([byte]), offset)
+        assert escaped == []
+        assert refusal(path) == "opened"  # restored byte for byte
+
+    def test_every_truncation_is_refused(self, tmp_path):
+        raw = bytes(arena_bytes(*session_arena()))
+        path = tmp_path / "s.arena"
+        path.write_bytes(raw)
+        escaped = []
+        # Shortest last, so each cut leaves a true prefix of the file.
+        for length in range(len(raw) - 1, -1, -1):
+            os.truncate(path, length)
+            outcome = refusal(path)
+            if outcome != "refused":
+                escaped.append((length, outcome))
+        assert escaped == []
+
+    def test_sampled_flips_are_quarantined_by_the_store(self, tmp_path):
+        config, arrays, meta = session_arena()
+        store = ArenaStore(tmp_path)
+        size = store.save(1, config, arrays, meta)
+        # Each prefix field (magic, format, state version, header
+        # length, CRC, payload length) at both ends, the last byte,
+        # and a spread through header and payload.
+        offsets = {0, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 31, size - 1}
+        offsets |= set(np.random.default_rng(11).integers(
+            32, size, 16).tolist())
+        for n, offset in enumerate(sorted(offsets), start=1):
+            store.save(n, config, arrays, meta)
+            path = store.path_for(n)
+            raw = bytearray(path.read_bytes())
+            raw[offset] ^= 1 << (n % 8)
+            path.write_bytes(raw)
+            assert store.load(n) is None, offset
+            assert not path.exists()
+            assert path.with_name(path.name + ".corrupt").exists()
 
 
 class TestStateVersionGate:

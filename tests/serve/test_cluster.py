@@ -293,6 +293,46 @@ class TestFailover:
                 assert client.stats(0)["sessions_lost_total"] == 0
 
 
+    def test_open_in_flight_at_worker_death_is_placed_afresh(self,
+                                                             tmp_path):
+        """An OPEN_SESSION pinned in flight at a worker that dies has no
+        arena to re-home: the failover re-sends it to a live worker
+        straight away, and the new session is not counted lost."""
+        spec = DFCMSpec(64, 256)
+        pcs, values = workload(200)
+        want = offline_hits(spec, pcs, values)
+        with ClusterThread(workers=2, state_dir=str(tmp_path),
+                           obs_port=0, max_delay=0,
+                           router_kwargs={"auto_restart": False}) \
+                as cluster:
+            with ServeClient("127.0.0.1", cluster.port,
+                             timeout=60.0) as client:
+                # The router's id counter decides where the next
+                # session goes; this one only reads it.
+                first_sid = client.open_session(spec)
+                client.close_session(first_sid)
+                victim = cluster.router.ring.assign(first_sid + 1)
+                victim_pid = cluster.supervisor.handles[victim].pid
+                os.kill(victim_pid, signal.SIGSTOP)
+                result = {}
+
+                def blocked_open():
+                    result["sid"] = client.open_session(spec)
+
+                thread = threading.Thread(target=blocked_open)
+                thread.start()
+                time.sleep(0.3)   # OPEN forwarded to the frozen worker
+                os.kill(victim_pid, signal.SIGKILL)
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "open never completed"
+                sid = result["sid"]
+                assert sid == first_sid + 1
+                assert cluster.router.session_owner(sid) == 1 - victim
+                assert client.stats(0)["sessions_lost_total"] == 0
+                hits = client.step_block(sid, pcs, values)[1]
+                assert hits == want
+
+
 class TestDrainRestart:
     def test_fleet_drain_spills_and_next_fleet_adopts(self, tmp_path):
         spec = DFCMSpec(64, 256)

@@ -100,8 +100,22 @@ class TestRenderDashboard:
         assert "alerts: none" in frame
         assert "step_latency_p99" in frame
         assert "00ab00ab00ab00ab" in frame
-        assert "0.50/0.10/0.90/0.50" in frame  # stage breakdown
+        # stage breakdown
+        assert "queue 0.50 fuse 0.10 execute 0.90 flush 0.50" in frame
         assert "\x1b" not in frame  # screen control stays in run_top
+
+    def test_router_entry_shows_its_own_stages(self):
+        # A parked request through the router: none of its stages is a
+        # worker stage, and each lands under its own name.
+        slow = {"observed": 1, "slowest": [
+            {"trace_id": "00cd00cd00cd00cd", "type": "step_block",
+             "source": "router", "latency_ms": 10.0,
+             "stages_ms": {"write": 1.0, "proxy": 4.0, "route": 1.0,
+                           "unpark": 1.0, "park": 3.0}}]}
+        frame = render_dashboard("http://h:1", self.HEALTH, self.SLO,
+                                 slow)
+        assert ("route 1.00 park 3.00 unpark 1.00 proxy 4.00 write 1.00"
+                in frame)
 
     def test_alerts_line_lists_burns(self):
         health = dict(self.HEALTH, status="degraded",

@@ -5,9 +5,10 @@ sockets and real worker processes: one request proxied through the
 router leaves a router span and a worker span under the same trace id,
 retrievable merged from the router's ``/trace/<id>``; a request that
 survives a mid-flight worker SIGKILL reconstructs as a single ordered
-cross-process trace spanning both workers; ``/scale`` strict-parses as
-a Kubernetes custom-metrics MetricValueList; and ``run_soak`` holds a
-fleet under sustained load and passes its own SLO-burn gate.
+cross-process trace spanning both workers; every live span's stages
+add up to its latency; ``/scale`` strict-parses as a Kubernetes
+custom-metrics MetricValueList; and ``run_soak`` holds a fleet under
+sustained load and passes its own SLO-burn gate.
 """
 
 import io
@@ -24,9 +25,12 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.spec import DFCMSpec
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.cluster import ClusterThread
-from repro.serve.tracing import format_trace_id
+from repro.serve.server import ServerThread
+from repro.serve.tracing import STAGES, format_trace_id
+from repro.telemetry import run as telemetry_run_module
+from repro.telemetry.export import find_run, read_events
 
 HEX16 = r"[0-9a-f]{16}"
 
@@ -43,6 +47,17 @@ def http_json(port, path, timeout=10.0):
     url = f"http://127.0.0.1:{port}{path}"
     with urllib.request.urlopen(url, timeout=timeout) as resp:
         return json.loads(resp.read().decode("utf-8"))
+
+
+def assert_partitioned(spans):
+    """Every span carries only STAGES names and its stages add up to
+    its latency (each stage is rounded to 1e-4 ms on the wire)."""
+    assert spans
+    for span in spans:
+        stages = span["stages_ms"]
+        assert set(stages) <= set(STAGES), span
+        assert abs(sum(stages.values()) - span["latency_ms"]) \
+            <= 1e-3 * len(stages), span
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +203,103 @@ class TestFailoverTrace:
         assert [s["worker"] for s in worker_spans] == [survivor]
         assert worker_spans[0]["trace_id"] == hex_id
         assert worker_spans[0]["status"] == "ok"
+        assert_partitioned(report["spans"])
+
+
+class TestSpanPartition:
+    """Every live span's stages add up to its latency, stamped under
+    the names that say where the time went."""
+
+    def test_server_spans_partition(self):
+        pcs, values = workload(64)
+        with ServerThread(obs_port=0, max_delay=0) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                sid = client.open_session(DFCMSpec(64, 256))
+                client.step_block(sid, pcs, values)
+                client.step(sid, 0x400, 7)
+                client.stats(0)
+                with pytest.raises(ServeError):
+                    client.step(sid + 99, 0x400, 7)
+                client.close_session(sid)
+            dump = http_json(server.obs_port, "/trace")
+        assert dump["retained"] == 6
+        assert_partitioned(dump["spans"])
+        stats = [s for s in dump["spans"] if s["type"] == "stats"]
+        assert set(stats[0]["stages_ms"]) == {"decode", "flush"}
+
+    def test_batch_window_lands_in_fuse(self):
+        pcs, values = workload(64)
+        with ServerThread(shards=1, max_delay=0.05, obs_port=0) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                sid = client.open_session(DFCMSpec(64, 256))
+                client.step_block(sid, pcs, values)
+                hex_id = format_trace_id(client.last_trace_id)
+            (span,) = http_json(server.obs_port,
+                                f"/trace/{hex_id}")["spans"]
+        # A lone request waits out the accumulation window after it
+        # has left the queue.
+        assert span["stages_ms"]["fuse"] >= 40.0, span
+        assert span["stages_ms"]["queue"] < 10.0, span
+
+    def test_fleet_spans_partition_under_migration(self, fleet):
+        spec = DFCMSpec(64, 256)
+        pcs, values = workload(64)
+        with ServeClient("127.0.0.1", fleet.port) as client, \
+                ServeClient("127.0.0.1", fleet.port) as stepper:
+            sids = [client.open_session(spec) for _ in range(2)]
+            client.stats(0)
+            with pytest.raises(ServeError):
+                client.step(max(sids) + 999, 0x400, 7)
+            stop = threading.Event()
+            errors = []
+
+            def step_forever():
+                try:
+                    while not stop.is_set():
+                        for sid in sids:
+                            stepper.step_block(sid, pcs, values)
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            thread = threading.Thread(target=step_forever)
+            thread.start()
+            try:
+                # Migrate until a frame has waited out a migration
+                # parked (bounded: each round moves both sessions).
+                for _ in range(40):
+                    for sid in sids:
+                        owner = fleet.router.session_owner(sid)
+                        fleet.call(fleet.router.migrate(sid, 1 - owner))
+                    router = http_json(fleet.obs_port, "/trace")
+                    if any(s["parked"] for s in router["spans"]):
+                        break
+            finally:
+                stop.set()
+                thread.join(timeout=60)
+            assert not thread.is_alive() and errors == []
+        router = http_json(fleet.obs_port, "/trace")
+        assert any(s["parked"] for s in router["spans"])
+        assert_partitioned(router["spans"])
+        for handle in fleet.supervisor.handles.values():
+            assert_partitioned(
+                http_json(handle.obs_port, "/trace")["spans"])
+
+    def test_router_spans_reach_an_active_run(self, fleet, tmp_path):
+        run = telemetry_run_module.start_run(tmp_path, command="trace")
+        try:
+            with ServeClient("127.0.0.1", fleet.port) as client:
+                sid = client.open_session(DFCMSpec(64, 256))
+                client.step(sid, 0x400, 7)
+                hex_id = format_trace_id(client.last_trace_id)
+        finally:
+            telemetry_run_module.finish_run()
+        spans = [e for e in read_events(find_run(tmp_path, run.run_id))
+                 if e.get("type") == "span"
+                 and e.get("name") == "serve.request"]
+        mine = [s for s in spans if s["attrs"]["trace_id"] == hex_id]
+        assert [s["attrs"]["source"] for s in mine] == ["router"]
+        assert mine[0]["duration_s"] == pytest.approx(
+            mine[0]["attrs"]["latency_ms"] / 1e3, abs=1e-6)
 
 
 class TestScaleEndpoint:

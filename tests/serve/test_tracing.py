@@ -2,19 +2,21 @@
 
 import pytest
 
-from repro.serve.tracing import (RequestTrace, RouterTrace,
-                                 SlowRequestSampler, TraceStore,
-                                 format_trace_id, new_trace_id,
+from repro.serve.tracing import (STAGES, RequestTrace, SlowRequestSampler,
+                                 TraceStore, format_trace_id, new_trace_id,
                                  parse_trace_id, render_trace_report)
 
 
-def make_trace(trace_id=1, latency=0.01, **overrides):
-    base = dict(trace_id=trace_id, frame_type="step", request_id=1,
-                t_recv=100.0, t_submit=100.001,
-                t_dequeue=100.002, t_exec_start=100.003,
-                t_exec_end=100.004, t_done=100.0 + latency)
-    base.update(overrides)
-    return RequestTrace(**base)
+def make_trace(trace_id=1, latency=0.01):
+    """A worker span: recv at 100.0, one stage per millisecond, then
+    flush until *latency*."""
+    trace = RequestTrace(trace_id=trace_id, frame_type="step",
+                         request_id=1, t_recv=100.0)
+    for offset, stage in enumerate(("decode", "queue", "fuse", "execute"),
+                                   start=1):
+        trace.mark(stage, 100.0 + offset * 0.001)
+    trace.finish("flush", 100.0 + latency)
+    return trace
 
 
 class TestTraceIds:
@@ -61,38 +63,60 @@ class TestRequestTrace:
     def test_stage_durations(self):
         trace = make_trace()
         stages = trace.stages()
-        assert set(stages) == {"queue", "fuse", "execute", "flush"}
+        assert set(stages) == {"decode", "queue", "fuse", "execute",
+                               "flush"}
+        assert stages["decode"] == pytest.approx(0.001)
         assert stages["queue"] == pytest.approx(0.001)
         assert stages["fuse"] == pytest.approx(0.001)
         assert stages["execute"] == pytest.approx(0.001)
+        assert stages["flush"] == pytest.approx(0.006)
 
     def test_skipped_stages_absent(self):
-        trace = RequestTrace(trace_id=1, frame_type="stats",
-                             t_recv=1.0, t_done=1.5)
-        assert trace.stages() == {}
+        # An immediate response never enters queue/fuse/execute.
+        trace = RequestTrace(trace_id=1, frame_type="stats", t_recv=1.0)
+        trace.mark("decode", 1.1)
+        trace.finish("flush", 1.5)
+        assert set(trace.stages()) == {"decode", "flush"}
+
+    def test_stages_partition_the_latency(self):
+        trace = make_trace(latency=0.0173)
+        assert sum(trace.stages().values()) == pytest.approx(
+            trace.latency_s())
+        entry = trace.to_dict()
+        assert sum(entry["stages_ms"].values()) == pytest.approx(
+            entry["latency_ms"], abs=1e-3)
 
     def test_to_dict_shape(self):
-        trace = make_trace(trace_id=0xFF, latency=0.002)
+        trace = make_trace(trace_id=0xFF, latency=0.006)
         entry = trace.to_dict()
+        assert entry["source"] == "worker"
         assert entry["trace_id"] == format_trace_id(0xFF)
         assert entry["type"] == "step"
-        assert entry["latency_ms"] == pytest.approx(2.0)
-        assert set(entry["stages_ms"]) == {"queue", "fuse", "execute",
-                                           "flush"}
+        assert entry["latency_ms"] == pytest.approx(6.0)
+        assert set(entry["stages_ms"]) == {"decode", "queue", "fuse",
+                                           "execute", "flush"}
+        # Router-only keys are present with their empty values.
+        assert entry["workers"] == [] and entry["resends"] == 0
+        assert entry["parked"] is False
         assert "error" not in entry
 
     def test_to_dict_carries_error(self):
-        trace = make_trace(status="error", error="boom")
+        trace = make_trace()
+        trace.fail("boom")
         entry = trace.to_dict()
         assert entry["status"] == "error"
         assert entry["error"] == "boom"
+
+
+def offer(sampler, trace):
+    sampler.add(trace.latency_s(), trace.to_dict())
 
 
 class TestSlowRequestSampler:
     def test_keeps_top_k_by_latency(self):
         sampler = SlowRequestSampler(k=3)
         for i, latency in enumerate([0.01, 0.05, 0.02, 0.09, 0.001]):
-            sampler.add(make_trace(trace_id=i + 1, latency=latency))
+            offer(sampler, make_trace(trace_id=i + 1, latency=latency))
         snap = sampler.snapshot()
         assert snap["observed"] == 5
         assert snap["k"] == 3
@@ -102,7 +126,7 @@ class TestSlowRequestSampler:
 
     def test_fills_below_k(self):
         sampler = SlowRequestSampler(k=8)
-        sampler.add(make_trace(latency=0.01))
+        offer(sampler, make_trace(latency=0.01))
         snap = sampler.snapshot()
         assert snap["observed"] == 1
         assert len(snap["slowest"]) == 1
@@ -114,26 +138,30 @@ class TestSlowRequestSampler:
     def test_snapshot_is_json_able(self):
         import json
         sampler = SlowRequestSampler(k=2)
-        sampler.add(make_trace(latency=0.01))
+        offer(sampler, make_trace(latency=0.01))
         json.dumps(sampler.snapshot())
 
     def test_accepts_router_traces(self):
         sampler = SlowRequestSampler(k=2)
-        sampler.add(make_router_trace(latency=0.5))
+        offer(sampler, make_router_trace(latency=0.5))
         entry = sampler.snapshot()["slowest"][0]
         assert entry["source"] == "router"
         assert entry["latency_ms"] == pytest.approx(500.0)
 
 
-def make_router_trace(trace_id=1, latency=0.01, **overrides):
-    trace = RouterTrace(trace_id=trace_id, frame_type="step_block",
-                        request_id=7, session_id=3,
-                        records=256, t_recv=200.0)
-    trace.on_forward(0, 200.001)
-    trace.t_replied = 200.0 + latency * 0.9
-    trace.t_done = 200.0 + latency
-    for key, value in overrides.items():
-        setattr(trace, key, value)
+def make_router_trace(trace_id=1, latency=0.01, resend_at=None):
+    """A router span: forwarded to worker 0 at 200.001 (and re-sent to
+    worker 2 at *resend_at*), replied at 90% of *latency*."""
+    trace = RequestTrace(trace_id=trace_id, frame_type="step_block",
+                         source="router", request_id=7, session_id=3,
+                         records=256, t_recv=200.0)
+    trace.mark("route", 200.001)
+    trace.workers.append(0)
+    if resend_at is not None:
+        trace.mark("migrate_wait", resend_at)
+        trace.workers.append(2)
+    trace.mark("proxy", 200.0 + latency * 0.9)
+    trace.finish("write", 200.0 + latency)
     return trace
 
 
@@ -147,43 +175,57 @@ class TestRouterTrace:
         assert trace.latency_s() == pytest.approx(0.010)
 
     def test_failover_resend_adds_migrate_wait(self):
-        trace = make_router_trace()
-        trace.on_forward(2, 200.005)
+        trace = make_router_trace(resend_at=200.005)
         stages = trace.stages()
         assert trace.resends == 1
         assert stages["migrate_wait"] == pytest.approx(0.004)
         # proxy is measured from the forward that actually answered.
-        assert stages["proxy"] == pytest.approx(
-            trace.t_replied - 200.005)
+        assert stages["proxy"] == pytest.approx(0.009 - 0.005)
 
-    def test_park_and_flush_stages(self):
-        trace = RouterTrace(trace_id=9, frame_type="step",
-                            t_recv=300.0)
-        trace.on_park(300.002)
-        trace.on_park(300.003)      # re-parked: first stamp wins
-        trace.on_unpark(300.010)
-        trace.on_forward(1, 300.011)
-        trace.t_replied = 300.020
-        trace.t_done = 300.021
+    def test_park_and_unpark_stages(self):
+        trace = RequestTrace(trace_id=9, frame_type="step",
+                             source="router", t_recv=300.0)
+        trace.mark("route", 300.002)      # parked
+        trace.mark("park", 300.010)       # unparked
+        trace.mark("unpark", 300.011)     # forwarded
+        trace.workers.append(1)
+        trace.mark("proxy", 300.020)
+        trace.finish("write", 300.021)
         stages = trace.stages()
         assert stages["route"] == pytest.approx(0.002)
         assert stages["park"] == pytest.approx(0.008)
-        assert stages["flush"] == pytest.approx(0.001)
-        assert trace.parks == 2
+        assert stages["unpark"] == pytest.approx(0.001)
+        assert trace.parked is True
+        assert sum(stages.values()) == pytest.approx(trace.latency_s())
+
+    def test_repeated_stage_sums(self):
+        # Re-sent twice: both waits land in migrate_wait.
+        trace = RequestTrace(trace_id=9, frame_type="step",
+                             source="router", t_recv=1.0)
+        for stage, at in (("route", 1.001), ("migrate_wait", 1.003),
+                          ("migrate_wait", 1.007), ("proxy", 1.009)):
+            trace.mark(stage, at)
+        trace.finish("write", 1.010)
+        stages = trace.stages()
+        assert stages["migrate_wait"] == pytest.approx(0.006)
+        assert sum(stages.values()) == pytest.approx(trace.latency_s())
 
     def test_to_dict_shape(self):
-        trace = make_router_trace(trace_id=0xFF)
-        trace.on_forward(2, 200.005)
+        trace = make_router_trace(trace_id=0xFF, resend_at=200.005)
         entry = trace.to_dict()
         assert entry["source"] == "router"
         assert entry["trace_id"] == format_trace_id(0xFF)
         assert entry["workers"] == [0, 2]
         assert entry["resends"] == 1
         assert entry["parked"] is False
+        # Worker-only keys are present with their empty values.
+        assert entry["shard"] is None and entry["batch_size"] == 0
         assert "error" not in entry
+        assert set(entry["stages_ms"]) <= set(STAGES)
 
     def test_to_dict_carries_error(self):
-        trace = make_router_trace(status="timeout", error="boom")
+        trace = make_router_trace()
+        trace.fail("boom", timeout=True)
         entry = trace.to_dict()
         assert entry["status"] == "timeout"
         assert entry["error"] == "boom"
@@ -253,8 +295,7 @@ class TestRenderTraceReport:
         assert "not found" in text
 
     def test_cross_process_timeline(self):
-        router = make_router_trace(trace_id=0xAB)
-        router.on_forward(2, 200.005)
+        router = make_router_trace(trace_id=0xAB, resend_at=200.005)
         worker = dict(make_trace(trace_id=0xAB).to_dict(),
                       source="worker", worker=2)
         text = render_trace_report(
@@ -264,3 +305,6 @@ class TestRenderTraceReport:
         assert "router" in text and "worker 2" in text
         assert "workers 0->2" in text and "resends 1" in text
         assert "proxy" in text and "queue" in text
+        # Stages render in pipeline order.
+        assert ("route 1.000ms | migrate_wait 4.000ms | proxy 4.000ms | "
+                "write 1.000ms") in text

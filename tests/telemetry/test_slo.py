@@ -1,5 +1,6 @@
 """SLO validation, burn-rate math, and two-window alerting."""
 
+import numpy as np
 import pytest
 
 from repro.telemetry.slo import SLO, SLOMonitor, default_serve_slos
@@ -139,6 +140,36 @@ class TestTwoWindowAlerting:
         assert not statuses["lat"]["alerting"]
         assert statuses["queue"]["alerting"]
         assert monitor.alerting() == ["queue"]
+
+
+class TestSecondTallies:
+    def test_a_busy_stream_keeps_one_tally_per_second(self):
+        """2,000 observations/s for the whole slow window coalesce into
+        one tally per second, and at whole-second evaluation times the
+        windows count exactly the observations a per-observation log
+        would."""
+        rate, seconds, start = 2000, 300, 1000.0
+        monitor = SLOMonitor(default_serve_slos(), clock=FakeClock(start))
+        slo = monitor.slos[0]
+        assert slo.name == "step_latency_p99"
+        index = np.arange(rate * seconds)
+        times = start + index / rate
+        bad = (index % 100) < (times.astype(np.int64) % 7)
+        for now, is_bad in zip(times.tolist(), bad.tolist()):
+            monitor.record(slo.name, good=int(not is_bad),
+                           bad=int(is_bad), now=now)
+        assert len(monitor._streams[slo.name].entries) <= seconds + 1
+        for now in (start + seconds, start + seconds + 30):
+            status = monitor.evaluate(now)[0]
+            for key, window in (("fast", slo.fast_window_s),
+                                ("slow", slo.slow_window_s)):
+                inside = times >= now - window
+                n_bad = int(np.count_nonzero(bad & inside))
+                n_good = int(np.count_nonzero(~bad & inside))
+                assert status[f"{key}_bad"] == n_bad
+                assert status[f"{key}_good"] == n_good
+                assert status[f"{key}_burn"] == round(
+                    n_bad / (n_bad + n_good) / slo.budget, 4)
 
 
 class TestDefaults:
