@@ -315,9 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 2)")
     serving.add_argument("--max-batch", type=int, default=64,
                          help="micro-batch size cap (default 64)")
-    serving.add_argument("--max-delay-ms", type=float, default=2.0,
-                         help="micro-batch accumulation window "
-                              "(default 2ms)")
     serving.add_argument("--queue-depth", type=int, default=1024,
                          help="per-shard queue bound / backpressure point")
     serving.add_argument("--request-timeout-s", type=float, default=30.0,
@@ -973,8 +970,7 @@ def _cmd_serve(args, out) -> int:
             accuracy_floor=args.slo_accuracy_floor)
         return PredictionServer(
             host=args.host, port=args.port, shards=args.shards,
-            max_batch=args.max_batch, max_delay=args.max_delay_ms / 1e3,
-            queue_depth=args.queue_depth,
+            max_batch=args.max_batch, queue_depth=args.queue_depth,
             request_timeout=args.request_timeout_s,
             obs_port=args.obs_port, slos=slos,
             state_dir=args.state_dir, max_resident=args.max_resident)
@@ -992,8 +988,7 @@ def _cmd_serve(args, out) -> int:
               "sessions_spilled": (server.server_stats()["sessions_spilled"]
                                    if args.state_dir else 0)},
              f"listening on {args.host}:{server.port} "
-             f"({args.shards} shards, batch<={args.max_batch}, "
-             f"delay<={args.max_delay_ms:g}ms"
+             f"({args.shards} shards, batch<={args.max_batch}"
              f"{obs_note}) -- SIGTERM/SIGINT drains and exits")
 
     with _maybe_telemetry(args) as telemetry:
@@ -1136,8 +1131,7 @@ def _cluster_serve(args, out) -> int:
     emit = _emitter(args, out)
     supervisor = ClusterSupervisor(
         args.workers, host="127.0.0.1", shards=args.shards,
-        max_batch=args.max_batch, max_delay=args.max_delay_ms / 1e3,
-        queue_depth=args.queue_depth,
+        max_batch=args.max_batch, queue_depth=args.queue_depth,
         request_timeout=args.request_timeout_s,
         state_dir=args.state_dir,
         max_resident=args.max_resident).start()

@@ -37,6 +37,13 @@ recurrences into per-group array operations:
   the classic lane *rounds* loop instead (``_stride_rounds``), which
   also backstops the (never yet observed) non-converged case.
 
+Given a warm state dict (see :mod:`repro.core.engines.resume`), a
+kernel reads every entry it needs first and then scatters each touched
+entry's last write into that dict's tables in place (``_store``); an
+array that is not writable is first replaced in the dict by a private
+copy.  Two kernel calls must therefore never share one writable state.
+A cold run (no state) writes into fresh zero tables.
+
 All kernels share one :class:`_KernelContext` per run: hybrid specs
 whose components use the same ``((pc >> 2) & (entries - 1), entries)``
 index function -- e.g. the paper's stride + DFCM pairing -- compute
@@ -122,16 +129,31 @@ class _Groups:
         out[self.order] = arr_sorted
         return out
 
-    def final_table(self, entries: int, payload_sorted: np.ndarray,
-                    base: Optional[np.ndarray] = None) -> np.ndarray:
-        """End-of-block table: *base* (default zeros) with each group's
-        final payload written to its entry."""
-        if base is None:
-            table = np.zeros(entries, dtype=np.int64)
-        else:
-            table = np.asarray(base, dtype=np.int64).copy()
-        table[self.keys_sorted[self.is_last]] = payload_sorted[self.is_last]
-        return table
+    def final_table(self, state, key: str, entries: int,
+                    payload_sorted: np.ndarray) -> np.ndarray:
+        """End-of-block table *key*: each group's final payload written
+        to its entry (see :func:`_store`)."""
+        return _store(state, key, entries, self.keys_sorted[self.is_last],
+                      payload_sorted[self.is_last])
+
+
+def _store(state, key: str, entries: int, keys: np.ndarray,
+           payload: np.ndarray) -> np.ndarray:
+    """Write *payload* to entries *keys* of table *key*; returns it.
+
+    Cold (*state* None): a fresh zero table.  Warm: ``state[key]`` in
+    place -- replaced in *state* by a private int64 copy first when it
+    is read-only (an arena's mmap view) or of another dtype, so the
+    caller's array is never written.
+    """
+    if state is None:
+        table = np.zeros(entries, dtype=np.int64)
+    else:
+        table = state[key]
+        if not table.flags.writeable or table.dtype != np.int64:
+            table = state[key] = np.array(table, dtype=np.int64)
+    table[keys] = payload
+    return table
 
 
 class _NoopProbe:
@@ -259,12 +281,11 @@ def _store_strides(strides: np.ndarray, stride_bits: int) -> np.ndarray:
 
 
 def _table_init(state, key, groups):
-    """Warm-start helpers for one table: per-sorted-record group-initial
-    values (or scalar 0) and the base array for the final table."""
+    """Per-sorted-record group-initial values of one table (a copy), or
+    scalar 0 on a cold run."""
     if state is None:
-        return 0, None
-    table = state[key]
-    return table[groups.keys_sorted], table
+        return 0
+    return state[key][groups.keys_sorted]
 
 
 def _conf_scan(correct_sorted: np.ndarray, rank: np.ndarray,
@@ -357,9 +378,9 @@ def _stride_fixpoint(spec, groups, values_sorted, state, want_predicted):
     n = len(values_sorted)
     counter_max = (1 << spec.counter_bits) - 1
     inc, dec = spec.counter_inc, spec.counter_dec
-    last_init, last_base = _table_init(state, "last", groups)
-    s0_init, stride_base = _table_init(state, "stride", groups)
-    c0_init, conf_base = _table_init(state, "conf", groups)
+    last_init = _table_init(state, "last", groups)
+    s0_init = _table_init(state, "stride", groups)
+    c0_init = _table_init(state, "conf", groups)
     last_before = _prev_in_group(values_sorted, groups.is_start, last_init)
     d = (values_sorted - last_before) & MASK32
     pos = np.arange(n, dtype=np.int64)
@@ -399,9 +420,11 @@ def _stride_fixpoint(spec, groups, values_sorted, state, want_predicted):
     correct = groups.unsort(correct_sorted)
     stride_after = np.where(gate, d, stride_before)
     return predicted, correct, {
-        "last": groups.final_table(spec.entries, values_sorted, last_base),
-        "stride": groups.final_table(spec.entries, stride_after, stride_base),
-        "conf": groups.final_table(spec.entries, conf_after, conf_base),
+        "last": groups.final_table(state, "last", spec.entries,
+                                   values_sorted),
+        "stride": groups.final_table(state, "stride", spec.entries,
+                                     stride_after),
+        "conf": groups.final_table(state, "conf", spec.entries, conf_after),
     }
 
 
@@ -480,19 +503,10 @@ def _stride_rounds(spec, groups, values_sorted, state, want_predicted):
     predicted = (groups.unsort(predictions_sorted)
                  if want_predicted else None)
     correct = groups.unsort(predictions_sorted == values_sorted)
-
-    def lane_table(key: str, lane_values: np.ndarray) -> np.ndarray:
-        if state is None:
-            table = np.zeros(spec.entries, dtype=np.int64)
-        else:
-            table = state[key].copy()
-        table[lane_key] = lane_values
-        return table
-
     return predicted, correct, {
-        "last": lane_table("last", last),
-        "stride": lane_table("stride", stride),
-        "conf": lane_table("conf", conf),
+        key: _store(state, key, spec.entries, lane_key, lane_values)
+        for key, lane_values in (("last", last), ("stride", stride),
+                                 ("conf", conf))
     }
 
 
@@ -508,19 +522,20 @@ def _run_stride(spec, ctx, state=None, want_predicted=True):
 
 def _run_last_value(spec, ctx, state=None, want_predicted=True):
     groups, values_sorted = ctx.pc_groups(spec.entries)
-    init, base = _table_init(state, "values", groups)
+    init = _table_init(state, "values", groups)
     predicted_sorted = _prev_in_group(values_sorted, groups.is_start, init)
     predicted = groups.unsort(predicted_sorted) if want_predicted else None
     correct = groups.unsort(predicted_sorted == values_sorted)
     return predicted, correct, {
-        "values": groups.final_table(spec.entries, values_sorted, base),
+        "values": groups.final_table(state, "values", spec.entries,
+                                     values_sorted),
     }
 
 
 def _run_fcm(spec, ctx, state=None, want_predicted=True):
     hash_spec = spec.hash  # kind 'fs' guaranteed by supports()
     groups, values_sorted = ctx.pc_groups(spec.l1_entries)
-    s0, l1_base = _table_init(state, "l1", groups)
+    s0 = _table_init(state, "l1", groups)
     s0_arr = s0 if isinstance(s0, np.ndarray) else None
     state_after = _fs_states(values_sorted, groups.rank,
                              hash_spec.index_bits, hash_spec.shift, s0_arr)
@@ -532,7 +547,7 @@ def _run_fcm(spec, ctx, state=None, want_predicted=True):
     if ctx.probe.enabled:
         ctx.probe.observe_l2(spec, slots)
     slot_groups = _Groups(slots, spec.l2_entries)
-    l2_init, l2_base = _table_init(state, "l2", slot_groups)
+    l2_init = _table_init(state, "l2", slot_groups)
     slot_values_sorted = ctx.values[slot_groups.order]
     predicted_sorted = _prev_in_group(slot_values_sorted,
                                       slot_groups.is_start, l2_init)
@@ -540,17 +555,17 @@ def _run_fcm(spec, ctx, state=None, want_predicted=True):
                  if want_predicted else None)
     correct = slot_groups.unsort(predicted_sorted == slot_values_sorted)
     return predicted, correct, {
-        "l1": groups.final_table(spec.l1_entries, state_after, l1_base),
-        "l2": slot_groups.final_table(spec.l2_entries, slot_values_sorted,
-                                      l2_base),
+        "l1": groups.final_table(state, "l1", spec.l1_entries, state_after),
+        "l2": slot_groups.final_table(state, "l2", spec.l2_entries,
+                                      slot_values_sorted),
     }
 
 
 def _run_dfcm(spec, ctx, state=None, want_predicted=True):
     hash_spec = spec.hash
     groups, values_sorted = ctx.pc_groups(spec.l1_entries)
-    last_init, last_base = _table_init(state, "last", groups)
-    h0, hist_base = _table_init(state, "hist", groups)
+    last_init = _table_init(state, "last", groups)
+    h0 = _table_init(state, "hist", groups)
     h0_arr = h0 if isinstance(h0, np.ndarray) else None
     last_before = _prev_in_group(values_sorted, groups.is_start, last_init)
     strides = (values_sorted - last_before) & MASK32
@@ -561,7 +576,7 @@ def _run_dfcm(spec, ctx, state=None, want_predicted=True):
     if ctx.probe.enabled:
         ctx.probe.observe_l2(spec, slots)
     slot_groups = _Groups(slots, spec.l2_entries)
-    l2_init, l2_base = _table_init(state, "l2", slot_groups)
+    l2_init = _table_init(state, "l2", slot_groups)
     stored_by_slot = groups.unsort(stored)[slot_groups.order]
     l2_read = slot_groups.unsort(
         _prev_in_group(stored_by_slot, slot_groups.is_start, l2_init))
@@ -571,18 +586,20 @@ def _run_dfcm(spec, ctx, state=None, want_predicted=True):
     predicted = ((groups.unsort(last_before) + l2_read) & MASK32
                  if want_predicted else None)
     return predicted, correct, {
-        "last": groups.final_table(spec.l1_entries, values_sorted, last_base),
-        "hist": groups.final_table(spec.l1_entries, state_after, hist_base),
-        "l2": slot_groups.final_table(spec.l2_entries, stored_by_slot,
-                                      l2_base),
+        "last": groups.final_table(state, "last", spec.l1_entries,
+                                   values_sorted),
+        "hist": groups.final_table(state, "hist", spec.l1_entries,
+                                   state_after),
+        "l2": slot_groups.final_table(state, "l2", spec.l2_entries,
+                                      stored_by_slot),
     }
 
 
 def _run_stride2d(spec, ctx, state=None, want_predicted=True):
     groups, values_sorted = ctx.pc_groups(spec.entries)
-    last_init, last_base = _table_init(state, "last", groups)
-    s1_init, s1_base = _table_init(state, "s1", groups)
-    s2_init, s2_base = _table_init(state, "s2", groups)
+    last_init = _table_init(state, "last", groups)
+    s1_init = _table_init(state, "s1", groups)
+    s2_init = _table_init(state, "s2", groups)
     last_before = _prev_in_group(values_sorted, groups.is_start, last_init)
     new_stride = (values_sorted - last_before) & MASK32
     s2_before = _prev_in_group(new_stride, groups.is_start, s2_init)
@@ -605,9 +622,10 @@ def _run_stride2d(spec, ctx, state=None, want_predicted=True):
                  if want_predicted else None)
     s1_after = np.where(promote, new_stride, s1_before)
     return predicted, correct, {
-        "last": groups.final_table(spec.entries, values_sorted, last_base),
-        "s1": groups.final_table(spec.entries, s1_after, s1_base),
-        "s2": groups.final_table(spec.entries, new_stride, s2_base),
+        "last": groups.final_table(state, "last", spec.entries,
+                                   values_sorted),
+        "s1": groups.final_table(state, "s1", spec.entries, s1_after),
+        "s2": groups.final_table(state, "s2", spec.entries, new_stride),
     }
 
 

@@ -3,10 +3,10 @@
 The whole-trace kernels in :mod:`repro.core.engines.batch` assume
 cold (all-zero) tables.  An online service cannot: a session's tables
 are live between requests.  This module runs the *same* kernels from an
-explicit table-state snapshot -- the canonical
+explicit table state -- the canonical
 :meth:`~repro.core.spec.PredictorSpec.extract_state` dict of int64
-arrays -- and returns the per-record predictions together with the
-state after the block:
+arrays -- advances that state in place, and returns the per-record
+predictions together with it:
 
     state = initial_state(spec)
     predicted, state = step_block(spec, state, pcs, values)
@@ -32,13 +32,18 @@ latter two with the paper's FS hash, same restriction as
 :meth:`BatchEngine.supports`).  Hybrids, meta predictors and delayed
 wrappers keep their stateful scalar objects in the serving layer.
 
-The kernels never write into the input state dict (warm tables are
-fancy-index *copies*; final tables are rebuilt fresh), so *state* may
-be a read-only view -- in particular the zero-copy mmap views handed
-out by :func:`repro.core.state.open_arena`.  That is the contract the
-durable-state layer stands on: a spilled session is re-seated straight
-onto its arena's mapped arrays, no payload copy, and the next
-``step_block`` is bit-identical.
+A block touches one entry per record and level, so ``step_block``
+costs what the block touches, not what the tables hold: it reads the
+touched entries first, then scatters each one's last write into the
+tables of *state* in place (``table[keys] = payload``).  An array that
+is not writable -- in particular the zero-copy mmap views handed out by
+:func:`repro.core.state.open_arena` -- is never written: on its first
+write it is replaced *in the dict* by a private copy (copy-on-write).
+A session re-seated onto its arena's mapped arrays therefore pays one
+table copy on its first block after a reload, none after, and the
+arena stays untouched.  Two calls must never share one writable state;
+to step without training, pass read-only views (see
+:meth:`repro.serve.session.Session.predict`).
 """
 
 from __future__ import annotations
@@ -94,9 +99,11 @@ def step_block(spec, state: State, pcs: np.ndarray,
                values: np.ndarray) -> Tuple[np.ndarray, State]:
     """Predict-then-update every ``(pc, value)`` record, warm-started.
 
-    *state* is not mutated; the returned pair is ``(predicted, state')``
-    where ``predicted[i]`` is the prediction issued for record ``i``
-    with all earlier records already trained -- exactly the scalar
+    *state* is advanced in place -- its writable tables are written,
+    its read-only ones replaced in the dict by updated copies -- and
+    returned as the second element of ``(predicted, state)``, where
+    ``predicted[i]`` is the prediction issued for record ``i`` with all
+    earlier records already trained: exactly the scalar
     ``predict(pc); update(pc, value)`` loop.
     """
     if not supports_resume(spec):
@@ -110,5 +117,5 @@ def step_block(spec, state: State, pcs: np.ndarray,
     if len(pcs) == 0:
         return np.zeros(0, dtype=np.int64), state
     ctx = _KernelContext(pcs, values)
-    predicted, _, new_state = _KERNELS[spec.family](spec, ctx, state)
-    return predicted, new_state
+    predicted, _, _ = _KERNELS[spec.family](spec, ctx, state)
+    return predicted, state

@@ -25,10 +25,11 @@ The header JSON carries the spec config
 the array directory (key, dtype, shape, offset, nbytes) and arbitrary
 JSON metadata (session counters and the like).  Because each array is
 stored contiguous, little-endian and 64-byte aligned, :func:`open_arena`
-maps the file read-only and hands back zero-copy NumPy views -- the
-warm-start kernels in :mod:`repro.core.engines.resume` never mutate
-their input state, so a session can be re-seated directly on the
-mapped arrays without a single payload copy.
+maps the file read-only and hands back zero-copy NumPy views, and a
+session is re-seated directly on the mapped arrays without a payload
+copy: :func:`repro.core.engines.resume.step_block` replaces a
+read-only table by a private copy on its first write (copy-on-write),
+so stepping never writes the arena.
 
 Robustness reuses the trace cache's discipline (the cache now shares
 these helpers):
@@ -239,9 +240,10 @@ class Arena:
     The arrays returned by :meth:`state` alias the read-only memory
     map; NumPy keeps the map alive through each array's ``.base``, so
     views stay valid even after the :class:`Arena` object itself is
-    garbage collected.  The warm-start kernels never write into their
-    input state, so these views feed
-    :func:`repro.core.engines.step_block` directly.
+    garbage collected.  The views are read-only, and
+    :func:`repro.core.engines.step_block` never writes a read-only
+    table: it replaces it in the state dict by a private copy on the
+    first write, so these views can seat a session directly.
     """
 
     def __init__(self, path: Path, header: dict, buffer,

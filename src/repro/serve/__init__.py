@@ -11,8 +11,9 @@ this package serves the same predictors over TCP, online:
   in-flight *window* implementing delayed update online
   (:mod:`repro.core.delayed` semantics, bit-for-bit).
 - :mod:`repro.serve.batcher` -- the cross-connection micro-batcher:
-  bounded queues, max-batch-size / max-delay knobs, backpressure,
-  graceful drain.
+  bounded queues, batch-while-busy (an idle shard runs a request at
+  once; a busy one batches and fuses its backlog, up to a max batch
+  size), backpressure, graceful drain.
 - :mod:`repro.serve.service` -- the chassis the server and the cluster
   router share: listener, connection loop and drain, request log,
   observability route table, start/stop lifecycle and the

@@ -1,10 +1,13 @@
 """Cross-connection micro-batching for one shard.
 
 Each shard owns a :class:`MicroBatcher`: a bounded asyncio queue of
-:class:`WorkItem` requests feeding one worker task.  The worker drains
-the queue into micro-batches -- everything immediately available, then
-up to ``max_delay`` of waiting for stragglers, capped at ``max_batch``
-items -- and executes them against the shard's sessions.
+:class:`WorkItem` requests feeding one worker task.  Batching is
+*batch-while-busy*: the worker takes the next micro-batch the moment
+it is free -- the first item together with whatever is already queued,
+i.e. what arrived while the previous batch executed, capped at
+``max_batch`` items -- and executes it against the shard's sessions.
+A request to an idle shard therefore runs at once, and batches grow
+(and fuse) only when the shard has a backlog.
 
 Within a batch, runs of STEP / STEP_BLOCK items for the *same* session
 are fused into a single :meth:`~repro.serve.session.Session.step_block`
@@ -66,16 +69,12 @@ class WorkItem:
 class MicroBatcher:
     """Bounded queue + batch-draining worker for one shard."""
 
-    def __init__(self, max_batch: int = 64, max_delay: float = 0.002,
-                 queue_depth: int = 1024):
+    def __init__(self, max_batch: int = 64, queue_depth: int = 1024):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
         self.batches = 0
         self.items = 0
@@ -98,32 +97,16 @@ class MicroBatcher:
     async def next_batch(self) -> List[WorkItem]:
         """Block for the next micro-batch.
 
-        Waits for the first item, then keeps accepting until the batch
-        is full, the queue is empty *and* ``max_delay`` has elapsed
-        since the batch opened.
+        Waits only for the first item, then returns it together with
+        everything already queued behind it, up to ``max_batch`` items.
         """
-        loop = asyncio.get_running_loop()
-        item = await self._queue.get()
-        deadline = loop.time() + self.max_delay
-        batch: List[WorkItem] = []
-        while True:
+        batch = [await self._queue.get()]
+        while len(batch) < self.max_batch and not self._queue.empty():
+            batch.append(self._queue.get_nowait())
+        now = time.monotonic()
+        for item in batch:
             if item.trace is not None:
-                item.trace.mark("queue", time.monotonic())
-            batch.append(item)
-            if len(batch) >= self.max_batch:
-                break
-            try:
-                item = self._queue.get_nowait()
-                continue
-            except asyncio.QueueEmpty:
-                pass
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                break
-            try:
-                item = await asyncio.wait_for(self._queue.get(), remaining)
-            except asyncio.TimeoutError:
-                break
+                item.trace.mark("queue", now)
         self.batches += 1
         self.items += len(batch)
         return batch

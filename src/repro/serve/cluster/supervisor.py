@@ -39,7 +39,7 @@ __all__ = ["ClusterSupervisor", "WorkerHandle"]
 #: is rejected up front (a typo'd knob must not silently vanish into
 #: a child process).
 _WORKER_KWARGS = frozenset({
-    "host", "shards", "max_batch", "max_delay", "queue_depth",
+    "host", "shards", "max_batch", "queue_depth",
     "request_timeout", "state_dir", "max_resident",
 })
 

@@ -214,7 +214,7 @@ class PredictionServer(FrameService):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  shards: int = 2, max_batch: int = 64,
-                 max_delay: float = 0.002, queue_depth: int = 1024,
+                 queue_depth: int = 1024,
                  request_timeout: float = 30.0,
                  obs_port: Optional[int] = None,
                  slos: Optional[List[SLO]] = None,
@@ -232,7 +232,7 @@ class PredictionServer(FrameService):
                          self.metrics.request_seconds)
         self.request_timeout = request_timeout
         self.shards = [
-            _Shard(i, MicroBatcher(max_batch=max_batch, max_delay=max_delay,
+            _Shard(i, MicroBatcher(max_batch=max_batch,
                                    queue_depth=queue_depth))
             for i in range(shards)
         ]

@@ -31,16 +31,23 @@ PREDICT is remembered per pc (FIFO), the next OUTCOME for that pc is
 scored against it.  An OUTCOME with no outstanding prediction still
 trains the tables and reports :data:`Session.NO_PREDICTION`.
 
+An engine-mode session owns its tables and each block scatters only
+the entries it touched into them in place (see
+:func:`~repro.core.engines.step_block`), so a 64-record block costs
+its kernel, not a rebuild of every table.
+
 Engine-mode sessions are **spillable**: :meth:`Session.snapshot`
 serialises the table state plus the session's auxiliary bookkeeping
 (recent-hit window, outstanding predictions, aliasing counters) into
 the array-dict + metadata shape that
 :class:`~repro.core.state.ArenaStore` persists, and
-:meth:`Session.restore` rebuilds an equivalent session from it -- the
-restored tables may be the store's read-only mmap views, since the
-warm-start kernels never write into their input state.  Scalar-mode
-sessions (windowed or composite predictors) have no canonical state
-snapshot and stay resident.
+:meth:`Session.restore` rebuilds an equivalent session from it.  The
+restored session sits on read-only views of the arrays it was given
+-- the store's zero-copy mmap views among them -- and its first block
+copies each table it writes (copy-on-write), so a reload costs one
+copy and never writes the arena.  Scalar-mode sessions (windowed or
+composite predictors) have no canonical state snapshot and stay
+resident.
 """
 
 from __future__ import annotations
@@ -58,6 +65,13 @@ from repro.telemetry.tables import level1_entries, table_stats_from_state
 __all__ = ["Session"]
 
 _MASK32 = 0xFFFFFFFF
+
+
+def _read_only(table) -> np.ndarray:
+    """A read-only int64 view of *table*: stepping it copies on write."""
+    view = np.asarray(table, dtype=np.int64).view()
+    view.flags.writeable = False
+    return view
 
 
 class _AliasTracker:
@@ -159,11 +173,14 @@ class Session:
     def predict(self, pc: int) -> int:
         """Issue (and remember) a prediction for *pc*."""
         if self.mode == "engine":
-            # The kernels predict before they train, so stepping a
-            # throwaway copy of the state with a dummy outcome yields
-            # exactly the prediction the live tables would give.
-            block = np.asarray([pc], dtype=np.int64)
-            predicted, _ = step_block(self.spec, self._state, block,
+            # The kernels predict before they train, so stepping
+            # read-only views of the state with a dummy outcome yields
+            # exactly the prediction the live tables would give; the
+            # dummy write lands in throwaway copies.
+            view = {key: _read_only(table)
+                    for key, table in self._state.items()}
+            predicted, _ = step_block(self.spec, view,
+                                      np.asarray([pc], dtype=np.int64),
                                       np.zeros(1, dtype=np.int64))
             value = int(predicted[0]) & _MASK32
         else:
@@ -194,8 +211,8 @@ class Session:
             self._aliases.observe(pc)
         if self.mode == "engine":
             # Updates never depend on the prediction, so stepping the
-            # live state and discarding the predicted column applies
-            # exactly the scalar ``update(pc, value)``.
+            # live state in place and discarding the predicted column
+            # applies exactly the scalar ``update(pc, value)``.
             _, self._state = step_block(
                 self.spec, self._state,
                 np.asarray([pc], dtype=np.int64),
@@ -270,6 +287,10 @@ class Session:
         arrays (recent-hit window, outstanding PREDICTs in per-pc FIFO
         order, the aliasing tracker's last-writer table); *meta* holds
         the scalar counters.  :meth:`restore` inverts it exactly.
+
+        The table and last-writer arrays *alias the live tables*, which
+        the next step writes in place: persist them (``ArenaStore.save``)
+        before this session steps again.
         """
         if not self.spillable:
             raise ValueError(f"session {self.session_id} "
@@ -307,10 +328,12 @@ class Session:
                 meta: dict) -> "Session":
         """Rebuild a session from a :meth:`snapshot`-shaped payload.
 
-        *arrays* may be read-only (the arena store's zero-copy mmap
-        views): table state feeds the warm-start kernels untouched,
-        and the one array the session mutates in place -- the aliasing
-        tracker's last-writer table -- is copied on the way in.
+        The session re-seats onto read-only views of the table arrays
+        in *arrays* -- typically the arena store's zero-copy mmap views
+        -- so restoring copies nothing and *arrays* is never written:
+        the first block replaces each table it writes by a private copy
+        (copy-on-write).  The aliasing tracker's last-writer table, the
+        one auxiliary array updated in place, is copied on the way in.
         """
         session = cls(session_id, spec,
                       window=int(meta.get("window", 0)))
@@ -318,7 +341,8 @@ class Session:
             raise ValueError(f"session {session_id}: {spec.name} with "
                              f"window {meta.get('window', 0)} does not "
                              "restore from an arena")
-        session._state = {key: value for key, value in arrays.items()
+        session._state = {key: _read_only(value)
+                          for key, value in arrays.items()
                           if not key.startswith("__")}
         recent = arrays.get("__recent")
         if recent is not None:

@@ -22,7 +22,8 @@ mean one interval::
 ``write``        reply to client-socket drain;
 ``decode``       frame body decode and dispatch, to the response slot;
 ``queue``        waiting in the shard's bounded queue;
-``fuse``         held in the micro-batch accumulation window;
+``fuse``         out of the queue, waiting behind earlier runs of
+                 the same micro-batch;
 ``execute``      the (possibly fused) kernel call;
 ``flush``        writer wait + frame write + socket drain.
 

@@ -138,9 +138,14 @@ class TestStridePaths:
         }
         ctx = _KernelContext(pcs, values)
         groups, values_sorted = ctx.pc_groups(SPEC.entries)
-        fixpoint = _stride_fixpoint(SPEC, groups, values_sorted, state, True)
+        # Kernels advance a warm state in place: each path gets its own.
+        fixpoint = _stride_fixpoint(SPEC, groups, values_sorted,
+                                    {k: v.copy() for k, v in state.items()},
+                                    True)
         assert fixpoint is not None
-        rounds = _stride_rounds(SPEC, groups, values_sorted, state, True)
+        rounds = _stride_rounds(SPEC, groups, values_sorted,
+                                {k: v.copy() for k, v in state.items()},
+                                True)
         self.assert_same_result(fixpoint, rounds)
 
     @pytest.mark.parametrize("n", [_STRIDE_FIXPOINT_MIN_N - 1,

@@ -139,14 +139,48 @@ class TestStepBlockContract:
                                       np.zeros(0, np.int64))
         assert len(predicted) == 0 and after is state
 
-    def test_input_state_not_mutated(self):
+    def test_read_only_state_not_mutated(self):
+        # A read-only state (an arena's mmap views) is never written:
+        # each table step_block writes is replaced in the dict by a
+        # private copy, which advances exactly like a writable copy.
+        # 3000 stride records take the fixpoint path, 200 the rounds.
+        for spec, n in [(spec, 200) for spec in SPECS] + [(StrideSpec(64),
+                                                           3000)]:
+            self.check_read_only_state(spec, n)
+
+    @staticmethod
+    def check_read_only_state(spec, n):
+        state = initial_state(spec)
+        step_block(spec, state, *random_trace(12, n=300, pcs_pool=5))
+        frozen = {}
+        for key, table in state.items():
+            table.flags.writeable = False
+            frozen[key] = table
+        before = {k: v.copy() for k, v in frozen.items()}
+        writable = {k: v.copy() for k, v in frozen.items()}
+        pcs, values = random_trace(11, n=n, pcs_pool=5)
+        predicted, after = step_block(spec, dict(frozen), pcs, values)
+        want_predicted, want = step_block(spec, writable, pcs, values)
+        np.testing.assert_array_equal(predicted, want_predicted)
+        assert after.keys() == frozen.keys()
+        for key in frozen:
+            np.testing.assert_array_equal(frozen[key], before[key],
+                                          err_msg=f"{spec.name} {key}")
+            np.testing.assert_array_equal(after[key], want[key],
+                                          err_msg=f"{spec.name} {key}")
+            assert after[key].flags.writeable
+
+    def test_writable_state_advances_in_place(self):
         spec = DFCMSpec(16, 64)
         state = initial_state(spec)
-        before = {k: v.copy() for k, v in state.items()}
+        tables = dict(state)
         pcs, values = random_trace(11, n=200, pcs_pool=5)
-        step_block(spec, state, pcs, values)
-        for key in state:
-            np.testing.assert_array_equal(state[key], before[key])
+        _, want = scalar_reference(spec, pcs, values)
+        _, after = step_block(spec, state, pcs, values)
+        assert after is state
+        for key, table in tables.items():
+            assert state[key] is table
+            np.testing.assert_array_equal(table, want[key])
 
     def test_length_mismatch_raises(self):
         spec = LastValueSpec(16)

@@ -25,10 +25,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_batch"):
             MicroBatcher(max_batch=0)
 
-    def test_bad_max_delay(self):
-        with pytest.raises(ValueError, match="max_delay"):
-            MicroBatcher(max_delay=-1)
-
     def test_bad_queue_depth(self):
         with pytest.raises(ValueError, match="queue_depth"):
             MicroBatcher(queue_depth=0)
@@ -38,7 +34,7 @@ class TestNextBatch:
     def test_collects_everything_available(self):
         async def body():
             loop = asyncio.get_running_loop()
-            batcher = MicroBatcher(max_batch=64, max_delay=0)
+            batcher = MicroBatcher(max_batch=64)
             for i in range(5):
                 await batcher.submit(make_item(loop, i))
             batch = await batcher.next_batch()
@@ -50,35 +46,63 @@ class TestNextBatch:
     def test_caps_at_max_batch(self):
         async def body():
             loop = asyncio.get_running_loop()
-            batcher = MicroBatcher(max_batch=3, max_delay=0)
+            batcher = MicroBatcher(max_batch=3)
             for i in range(5):
                 await batcher.submit(make_item(loop, i))
             assert len(await batcher.next_batch()) == 3
             assert len(await batcher.next_batch()) == 2
         run(body())
 
-    def test_waits_max_delay_for_stragglers(self):
+    def test_lone_item_leaves_without_a_timer(self):
+        # Nothing else queued: next_batch hands the item over without
+        # ever suspending -- no straggler window, no timer.
         async def body():
             loop = asyncio.get_running_loop()
-            batcher = MicroBatcher(max_batch=8, max_delay=0.2)
-
-            async def straggler():
-                await asyncio.sleep(0.01)
-                await batcher.submit(make_item(loop, 2))
-
+            batcher = MicroBatcher()
             await batcher.submit(make_item(loop, 1))
-            task = asyncio.ensure_future(straggler())
-            batch = await batcher.next_batch()
-            await task
-            assert len(batch) == 2
+            pending = batcher.next_batch()
+            try:
+                pending.send(None)
+            except StopIteration as done:
+                batch = done.value
+            else:
+                pending.close()
+                pytest.fail("next_batch suspended with an item queued")
+            assert [item.session_id for item in batch] == [1]
         run(body())
 
-    def test_zero_delay_returns_immediately(self):
+    def test_items_queued_while_busy_form_the_next_batch_and_fuse(self):
         async def body():
             loop = asyncio.get_running_loop()
-            batcher = MicroBatcher(max_batch=8, max_delay=0)
-            await batcher.submit(make_item(loop, 1))
-            assert len(await batcher.next_batch()) == 1
+            batcher = MicroBatcher()
+            session = Session(1, StrideSpec(64))
+            reference = Session(2, StrideSpec(64))
+            blocks = [([4, 8], [10, 20]), ([4], [17]), ([8, 4], [31, 24]),
+                      ([12], [5])]
+
+            def step(pcs, values):
+                return make_item(loop, 1, fuse_key="step", pcs=pcs,
+                                 values=values)
+
+            async def arrive_while_busy():
+                for pcs, values in blocks[1:]:
+                    await batcher.submit(step(pcs, values))
+
+            await batcher.submit(step(*blocks[0]))
+            late = asyncio.ensure_future(arrive_while_busy())
+            first = await batcher.next_batch()
+            assert len(first) == 1  # an idle shard does not wait
+            await late  # the shard is busy with `first` meanwhile
+            batcher.execute(first, {1: session})
+            second = await batcher.next_batch()
+            assert len(second) == 3
+            batcher.execute(second, {1: session})
+            assert batcher.fused_records == 4
+            for item, (pcs, values) in zip(first + second, blocks):
+                got, hits = item.future.result()
+                want, want_hits = reference.step_block(pcs, values)
+                assert list(got) == list(want) and hits == want_hits
+            assert (batcher.batches, batcher.items) == (2, 4)
         run(body())
 
 
@@ -169,7 +193,7 @@ class TestDrain:
     def test_drain_waits_for_task_done(self):
         async def body():
             loop = asyncio.get_running_loop()
-            batcher = MicroBatcher(max_delay=0)
+            batcher = MicroBatcher()
             await batcher.submit(make_item(loop, 1))
             await batcher.submit(make_item(loop, 2))
 

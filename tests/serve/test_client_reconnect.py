@@ -31,7 +31,7 @@ def start_server(port, state_dir):
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", "--json",
-         "--port", str(port), "--shards", "1", "--max-delay-ms", "0",
+         "--port", str(port), "--shards", "1",
          "--state-dir", str(state_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         text=True)
@@ -109,7 +109,7 @@ class TestTransparentReconnect:
 
     def test_reconnect_zero_surfaces_transport_error(self):
         spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0) as server:
+        with ServerThread() as server:
             client = ServeClient("127.0.0.1", server.port, reconnect=0)
             sid = client.open_session(spec)
             # Tear the transport under the client.
@@ -189,7 +189,7 @@ class TestTransparentReconnect:
         port = free_port()  # nothing listening here
         delays = []
         monkeypatch.setattr(time, "sleep", delays.append)
-        with ServerThread(max_delay=0) as server:
+        with ServerThread() as server:
             client = ServeClient("127.0.0.1", server.port, reconnect=3)
         # Server gone: every re-dial is refused; after the budget the
         # original error propagates.

@@ -45,7 +45,7 @@ def fleet(tmp_path_factory):
     workers is the expensive part; failover tests build their own)."""
     state_dir = tmp_path_factory.mktemp("fleet-state")
     with ClusterThread(workers=2, state_dir=str(state_dir),
-                       obs_port=0, max_delay=0) as cluster:
+                       obs_port=0) as cluster:
         yield cluster
 
 
@@ -205,7 +205,7 @@ class TestFailover:
         pcs, values = workload(900)
         want = offline_hits(spec, pcs, values)
         with ClusterThread(workers=3, state_dir=str(tmp_path),
-                           obs_port=0, max_delay=0,
+                           obs_port=0,
                            router_kwargs={"auto_restart": False}) \
                 as cluster:
             with ServeClient("127.0.0.1", cluster.port) as client:
@@ -255,7 +255,7 @@ class TestFailover:
         spec = DFCMSpec(64, 256)
         pcs, values = workload(200)
         with ClusterThread(workers=2, state_dir=str(tmp_path),
-                           obs_port=0, max_delay=0,
+                           obs_port=0,
                            router_kwargs={"tick_interval": 0.1}) \
                 as cluster:
             with ServeClient("127.0.0.1", cluster.port) as client:
@@ -302,7 +302,7 @@ class TestFailover:
         pcs, values = workload(200)
         want = offline_hits(spec, pcs, values)
         with ClusterThread(workers=2, state_dir=str(tmp_path),
-                           obs_port=0, max_delay=0,
+                           obs_port=0,
                            router_kwargs={"auto_restart": False}) \
                 as cluster:
             with ServeClient("127.0.0.1", cluster.port,
@@ -338,15 +338,13 @@ class TestDrainRestart:
         spec = DFCMSpec(64, 256)
         pcs, values = workload(240)
         want = offline_hits(spec, pcs, values)
-        with ClusterThread(workers=2, state_dir=str(tmp_path),
-                           max_delay=0) as cluster:
+        with ClusterThread(workers=2, state_dir=str(tmp_path)) as cluster:
             with ServeClient("127.0.0.1", cluster.port) as client:
                 sid = client.open_session(spec)
                 first = client.step_block(sid, pcs[:120], values[:120])[1]
         # The whole fleet drained; arenas are on disk.  A fresh fleet
         # over the same state dir adopts them at router startup.
-        with ClusterThread(workers=2, state_dir=str(tmp_path),
-                           max_delay=0) as cluster:
+        with ClusterThread(workers=2, state_dir=str(tmp_path)) as cluster:
             assert cluster.router.adopted_at_start >= 1
             with ServeClient("127.0.0.1", cluster.port) as client:
                 second = client.step_block(sid, pcs[120:], values[120:])[1]

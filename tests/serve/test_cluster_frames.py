@@ -45,7 +45,7 @@ class TestCodecs:
 class TestOpenSessionAs:
     def test_explicit_id_is_honoured(self, tmp_path):
         spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient("127.0.0.1", server.port) as client:
             sid = client.open_session_as(1234, spec)
             assert sid == 1234
@@ -55,14 +55,14 @@ class TestOpenSessionAs:
 
     def test_id_counter_advances_past_dictated_ids(self, tmp_path):
         spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient("127.0.0.1", server.port) as client:
             client.open_session_as(50, spec)
             assert client.open_session(spec) > 50
 
     def test_duplicate_id_is_rejected(self, tmp_path):
         spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient("127.0.0.1", server.port) as client:
             client.open_session_as(7, spec)
             with pytest.raises(ServeError) as excinfo:
@@ -71,7 +71,7 @@ class TestOpenSessionAs:
 
     def test_zero_id_is_rejected(self, tmp_path):
         spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient("127.0.0.1", server.port) as client:
             with pytest.raises(ServeError) as excinfo:
                 client.open_session_as(0, spec)
@@ -85,8 +85,8 @@ class TestReleaseAdopt:
         uninterrupted session."""
         spec = DFCMSpec(64, 256)
         pcs, values = workload(160)
-        with ServerThread(max_delay=0, state_dir=tmp_path) as source, \
-                ServerThread(max_delay=0, state_dir=tmp_path,
+        with ServerThread(state_dir=tmp_path) as source, \
+                ServerThread(state_dir=tmp_path,
                              adopt_arenas=False) as target, \
                 ServeClient("127.0.0.1", source.port) as src_client, \
                 ServeClient("127.0.0.1", target.port) as dst_client:
@@ -101,7 +101,7 @@ class TestReleaseAdopt:
             dst_client.adopt_session(sid)
             _, hits_b = dst_client.step_block(sid, pcs[80:], values[80:])
 
-        with ServerThread(max_delay=0) as oracle, \
+        with ServerThread() as oracle, \
                 ServeClient("127.0.0.1", oracle.port) as client:
             ref = client.open_session(spec)
             _, want = client.step_block(ref, pcs, values)
@@ -109,7 +109,7 @@ class TestReleaseAdopt:
 
     def test_adopt_is_idempotent(self, tmp_path):
         spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient("127.0.0.1", server.port) as client:
             sid = client.open_session_as(5, spec)
             client.release_session(sid)
@@ -118,14 +118,14 @@ class TestReleaseAdopt:
             assert first["session"] == second["session"] == 5
 
     def test_adopt_without_arena_is_unknown_session(self, tmp_path):
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient("127.0.0.1", server.port) as client:
             with pytest.raises(ServeError) as excinfo:
                 client.adopt_session(999)
             assert excinfo.value.code == protocol.ErrorCode.UNKNOWN_SESSION
 
     def test_release_unknown_session_is_unknown_session(self, tmp_path):
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient("127.0.0.1", server.port) as client:
             with pytest.raises(ServeError) as excinfo:
                 client.release_session(999)
@@ -134,7 +134,7 @@ class TestReleaseAdopt:
     def test_scalar_session_cannot_release(self, tmp_path):
         # Windowed (scalar-mode) sessions have no arena shape.
         spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient("127.0.0.1", server.port) as client:
             sid = client.open_session(spec, window=4)
             with pytest.raises(ServeError) as excinfo:
@@ -143,7 +143,7 @@ class TestReleaseAdopt:
 
     def test_without_state_dir_release_is_state_unavailable(self):
         spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0) as server, \
+        with ServerThread() as server, \
                 ServeClient("127.0.0.1", server.port) as client:
             sid = client.open_session(spec)
             with pytest.raises(ServeError) as excinfo:
@@ -153,7 +153,7 @@ class TestReleaseAdopt:
 
     def test_release_counts_in_server_metrics(self, tmp_path):
         spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient("127.0.0.1", server.port) as client:
             sid = client.open_session_as(3, spec)
             client.release_session(sid)

@@ -28,7 +28,7 @@ def report(tmp_path_factory):
     state_dir = tmp_path_factory.mktemp("scaling-state")
     return run_scaling_loadgen(DFCMSpec(64, 256), make_trace(),
                                workers=(1, 2), sessions=2, block=128,
-                               state_dir=str(state_dir), max_delay=0)
+                               state_dir=str(state_dir))
 
 
 FAKE_BENCH = {
@@ -79,7 +79,7 @@ class TestScalingReport:
         gated = run_scaling_loadgen(DFCMSpec(64, 256), make_trace(200),
                                     workers=(1, 2), sessions=1,
                                     block=64, state_dir=str(tmp_path),
-                                    min_scaling=100.0, max_delay=0)
+                                    min_scaling=100.0)
         # Nothing scales 100x -- the gate must say so without raising
         # (callers decide the exit code).
         assert gated["scaling_ok"] is False

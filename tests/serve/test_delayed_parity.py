@@ -35,7 +35,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(shards=2, max_delay=0.001) as thread:
+    with ServerThread(shards=2) as thread:
         yield thread
 
 

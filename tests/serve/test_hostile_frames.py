@@ -29,15 +29,14 @@ VALUES = [(7 * i) & 0xFFFFFFFF for i in range(64)]
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(max_delay=0) as served:
+    with ServerThread() as served:
         yield served
 
 
 @pytest.fixture(scope="module")
 def fleet(tmp_path_factory):
     state_dir = tmp_path_factory.mktemp("hostile-state")
-    with ClusterThread(workers=2, state_dir=str(state_dir),
-                       max_delay=0) as cluster:
+    with ClusterThread(workers=2, state_dir=str(state_dir)) as cluster:
         yield cluster
 
 
@@ -142,8 +141,7 @@ class TestOversizedOpenAtTheRouter:
         body = protocol.encode_open_session(config, 0)
         body += bytes(protocol.MAX_FRAME_BYTES - protocol.HEADER_SIZE
                       - len(body))
-        with ClusterThread(workers=2, state_dir=str(tmp_path),
-                           max_delay=0) as cluster, \
+        with ClusterThread(workers=2, state_dir=str(tmp_path)) as cluster, \
                 ServeClient(port=cluster.port, timeout=10,
                             reconnect=0) as client:
             sessions = [client.open_session(SPEC) for _ in range(8)]

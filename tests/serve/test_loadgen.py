@@ -81,7 +81,7 @@ class TestRunLoadgen:
     def test_report_shape_and_verify(self):
         spec = DFCMSpec(256, 1024)
         trace = make_trace()
-        with ServerThread(shards=2, max_delay=0.001) as server:
+        with ServerThread(shards=2) as server:
             report = run_loadgen(spec, trace, "127.0.0.1", server.port,
                                  mode="both", block=64, min_speedup=0.01)
         assert report["schema"] == 1
@@ -102,7 +102,7 @@ class TestRunLoadgen:
 
     def test_windowed_verify(self):
         spec = DFCMSpec(256, 1024)
-        with ServerThread(max_delay=0.001) as server:
+        with ServerThread() as server:
             report = run_loadgen(spec, make_trace(), "127.0.0.1",
                                  server.port, window=4, mode="batched",
                                  block=50)
@@ -121,7 +121,7 @@ class TestRunLoadgen:
 
     def test_no_verify_skips_offline_replay(self):
         spec = DFCMSpec(256, 1024)
-        with ServerThread(max_delay=0.001) as server:
+        with ServerThread() as server:
             report = run_loadgen(spec, make_trace(120), "127.0.0.1",
                                  server.port, mode="naive", verify=False)
         assert "verify" not in report
@@ -135,7 +135,7 @@ class TestRunLoadgen:
         # bit-exact parity with the offline engines.
         spec = DFCMSpec(256, 1024)
         trace = make_trace(4098)
-        with ServerThread(shards=2, max_delay=0.001) as server:
+        with ServerThread(shards=2) as server:
             report = run_loadgen(spec, trace, "127.0.0.1", server.port,
                                  mode="batched", block=1024)
         assert report["modes"]["batched"]["records"] == 4098

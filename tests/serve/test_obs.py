@@ -93,7 +93,7 @@ def parse_prometheus(text):
 
 class TestEndpointSurface:
     def test_routes_and_content_types(self):
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             assert server.obs_port  # ephemeral port was bound
             status, ctype, body = http_get(server.obs_port, "/")
             assert status == 200 and "json" in ctype
@@ -107,14 +107,14 @@ class TestEndpointSurface:
                 json.loads(body)
 
     def test_unknown_path_is_404(self):
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             # /scale and /cluster exist only on the cluster router.
             for path in ("/nope", "/scale", "/cluster"):
                 status, _, _ = http_get(server.obs_port, path)
                 assert status == 404
 
     def test_non_get_is_405(self):
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             req = urllib.request.Request(
                 f"http://127.0.0.1:{server.obs_port}/metrics",
                 data=b"x", method="POST")
@@ -123,13 +123,13 @@ class TestEndpointSurface:
             assert err.value.code == 405
 
     def test_no_obs_port_means_no_endpoint(self):
-        with ServerThread(max_delay=0) as server:
+        with ServerThread() as server:
             assert server.obs_port is None
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="needs all of 127.0.0.0/8 on loopback")
     @pytest.mark.parametrize("make", [
-        lambda: ServerThread(host="0.0.0.0", max_delay=0, obs_port=0),
+        lambda: ServerThread(host="0.0.0.0", obs_port=0),
         lambda: ClusterThread(workers=1, host="0.0.0.0", obs_port=0),
     ], ids=["server", "cluster"])
     def test_obs_binds_the_data_host(self, make):
@@ -161,8 +161,7 @@ class TestScrapeUnderTraffic:
                     return
                 time.sleep(0.01)
 
-        with ServerThread(shards=2, max_delay=0.001,
-                          obs_port=0) as server:
+        with ServerThread(shards=2, obs_port=0) as server:
             thread = threading.Thread(target=poller,
                                       args=(server.obs_port,))
             thread.start()
@@ -203,7 +202,7 @@ class TestScrapeUnderTraffic:
         assert all(s["queue_depth"] >= 0 for s in health["shards"])
 
     def test_slo_report_has_live_percentiles(self):
-        with ServerThread(max_delay=0, obs_port=0) as server, \
+        with ServerThread(obs_port=0) as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(StrideSpec(64))
             for i in range(20):
@@ -217,7 +216,7 @@ class TestScrapeUnderTraffic:
         assert "step_latency_p99" in names and "queue_depth" in names
 
     def test_metrics_exemplars_opt_in(self):
-        with ServerThread(max_delay=0, obs_port=0) as server, \
+        with ServerThread(obs_port=0) as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(StrideSpec(64))
             client.step(session, 0x40, 7)
@@ -233,7 +232,7 @@ class TestTraceVisibility:
     def test_trace_id_reaches_spans_and_slow_sample(self, tmp_path):
         run = telemetry_run_module.start_run(tmp_path, command="obs-test")
         try:
-            with ServerThread(max_delay=0, obs_port=0) as server:
+            with ServerThread(obs_port=0) as server:
                 with ServeClient(port=server.port) as client:
                     session = client.open_session(StrideSpec(64))
                     client.step(session, 0x40, 7)
@@ -266,7 +265,7 @@ class TestTraceVisibility:
             span["attrs"]["stages_ms"])
 
     def test_slow_endpoint_matches_final_sample(self):
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             with ServeClient(port=server.port) as client:
                 session = client.open_session(StrideSpec(64))
                 for i in range(10):
@@ -279,7 +278,7 @@ class TestTraceVisibility:
             assert re.fullmatch(r"[0-9a-f]{16}", entry["trace_id"])
 
     def test_trace_endpoint_serves_stored_spans(self):
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             with ServeClient(port=server.port) as client:
                 session = client.open_session(StrideSpec(64))
                 client.step(session, 0x40, 7)
@@ -302,7 +301,7 @@ class TestTraceVisibility:
                 assert dump["stored"] >= 2  # open_session + step
 
     def test_trace_endpoint_unknown_id_and_bad_id(self):
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             status, _, body = http_get(
                 server.obs_port, "/trace/00000000000000ff")
             assert status == 200
@@ -319,7 +318,7 @@ class TestBurnRateDegrade:
         slo = SLO(name="latency_breach", kind="latency", threshold=0.0,
                   objective=0.5, fast_window_s=5.0, slow_window_s=10.0,
                   burn_rate=1.0)
-        with ServerThread(max_delay=0, obs_port=0, slos=[slo]) as server:
+        with ServerThread(obs_port=0, slos=[slo]) as server:
             with ServeClient(port=server.port) as client:
                 session = client.open_session(StrideSpec(64))
                 for i in range(10):
@@ -356,7 +355,7 @@ class TestBurnRateDegrade:
 
     def test_healthy_server_stays_ok(self):
         # Generous bounds: nothing should fire on a quiet local replay.
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             with ServeClient(port=server.port) as client:
                 session = client.open_session(StrideSpec(64))
                 for i in range(10):
@@ -367,7 +366,7 @@ class TestBurnRateDegrade:
         assert health["alerts"] == []
 
     def test_empty_slo_list_disables_monitor(self):
-        with ServerThread(max_delay=0, obs_port=0, slos=[]) as server:
+        with ServerThread(obs_port=0, slos=[]) as server:
             _, _, body = http_get(server.obs_port, "/slo")
             report = json.loads(body)
             assert report["slos"] == []
@@ -386,7 +385,7 @@ class TestOverheadGuard:
         trace = make_trace(12_000)
 
         def rate(**kwargs):
-            with ServerThread(shards=1, max_delay=0, **kwargs) as server:
+            with ServerThread(shards=1, **kwargs) as server:
                 report = run_loadgen(spec, trace, "127.0.0.1",
                                      server.port, mode="batched",
                                      block=512, verify=False)

@@ -1,5 +1,6 @@
 """End-to-end service tests over real sockets (thread-hosted server)."""
 
+import asyncio
 import threading
 import time
 
@@ -20,11 +21,39 @@ def workload(n, seed=0):
     return pcs, values
 
 
+def hold_shard(server, until):
+    """Keep shard 0 busy until ``until()`` holds, as a long batch would.
+
+    The worker is already waiting for the request it takes next; from
+    the batch after that one, it stays off its queue while ``until()``
+    is false, so requests sent meanwhile queue up behind it.  (Blocking
+    inside a session would not do: execution runs on the event loop,
+    so the burst would wait in the socket, not in the queue.)
+    """
+    batcher = server.server.shards[0].batcher
+    take = batcher.next_batch
+
+    async def busy_then_next_batch():
+        while not until():
+            await asyncio.sleep(0.001)
+        return await take()
+
+    batcher.next_batch = busy_then_next_batch
+    return batcher
+
+
+def wait_queued(batcher, n, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while batcher.qsize() < n:
+        assert time.monotonic() < deadline, f"{batcher.qsize()}/{n} queued"
+        time.sleep(0.005)
+
+
 class TestRoundTrips:
     def test_mixed_ops_match_local_session(self):
         spec = DFCMSpec(64, 256)
         reference = Session(0, spec)
-        with ServerThread(shards=2, max_delay=0) as server, \
+        with ServerThread(shards=2) as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(spec)
             assert session >= 1
@@ -49,7 +78,7 @@ class TestRoundTrips:
             assert stats["predictions"] == reference.predictions
 
     def test_windowed_session_flush_and_stats(self):
-        with ServerThread(max_delay=0) as server, \
+        with ServerThread() as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(DFCMSpec(64, 256), window=4)
             for pc, value in zip(*workload(10)):
@@ -62,7 +91,7 @@ class TestRoundTrips:
             assert stats["outcomes"] == 10
 
     def test_server_stats(self):
-        with ServerThread(shards=3, max_delay=0) as server, \
+        with ServerThread(shards=3) as server, \
                 ServeClient(port=server.port) as client:
             client.open_session(StrideSpec(64))
             stats = client.stats(0)
@@ -73,7 +102,7 @@ class TestRoundTrips:
             assert stats["draining"] is False
 
     def test_sessions_land_on_distinct_shards(self):
-        with ServerThread(shards=2, max_delay=0) as server, \
+        with ServerThread(shards=2) as server, \
                 ServeClient(port=server.port) as client:
             ids = [client.open_session(StrideSpec(64)) for _ in range(4)]
             assert len({i % 2 for i in ids}) == 2
@@ -84,14 +113,14 @@ class TestRoundTrips:
 
 class TestErrors:
     def test_unknown_session(self):
-        with ServerThread(max_delay=0) as server, \
+        with ServerThread() as server, \
                 ServeClient(port=server.port) as client:
             with pytest.raises(ServeError) as err:
                 client.step(12345, 4, 7)
             assert err.value.code == protocol.ErrorCode.UNKNOWN_SESSION
 
     def test_closed_session_is_unknown(self):
-        with ServerThread(max_delay=0) as server, \
+        with ServerThread() as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(StrideSpec(64))
             client.close_session(session)
@@ -100,7 +129,7 @@ class TestErrors:
             assert err.value.code == protocol.ErrorCode.UNKNOWN_SESSION
 
     def test_bad_spec(self):
-        with ServerThread(max_delay=0) as server, \
+        with ServerThread() as server, \
                 ServeClient(port=server.port) as client:
             with pytest.raises(ServeError) as err:
                 client.request(protocol.FrameType.OPEN_SESSION,
@@ -109,14 +138,14 @@ class TestErrors:
             assert err.value.code == protocol.ErrorCode.BAD_SPEC
 
     def test_unknown_frame_type(self):
-        with ServerThread(max_delay=0) as server, \
+        with ServerThread() as server, \
                 ServeClient(port=server.port) as client:
             with pytest.raises(ServeError) as err:
                 client.request(0x55, b"")
             assert err.value.code == protocol.ErrorCode.UNKNOWN_TYPE
 
     def test_connection_survives_errors(self):
-        with ServerThread(max_delay=0) as server, \
+        with ServerThread() as server, \
                 ServeClient(port=server.port) as client:
             with pytest.raises(ServeError):
                 client.step(99, 4, 7)
@@ -143,7 +172,7 @@ class TestConcurrency:
             except Exception as exc:  # noqa: BLE001 - reported by the test
                 failures.append(exc)
 
-        with ServerThread(shards=2, max_delay=0.001) as server:
+        with ServerThread(shards=2) as server:
             threads = [threading.Thread(target=one_client,
                                         args=(server.port, seed))
                        for seed in range(4)]
@@ -154,15 +183,20 @@ class TestConcurrency:
         assert not failures
 
     def test_pipelined_steps_fuse(self):
-        # A generous accumulation window plus back-to-back sends makes
-        # the shard worker see several STEPs for one session per batch.
-        with ServerThread(shards=1, max_delay=0.05) as server, \
+        # STEPs pipelined while the shard is busy queue up behind it;
+        # once free, the worker takes them as batches of max_batch (64)
+        # and fuses each into one kernel call.
+        with ServerThread(shards=1) as server, \
                 ServeClient(port=server.port) as client:
+            free = threading.Event()
+            batcher = hold_shard(server, free.is_set)
             session = client.open_session(StrideSpec(64))
             pcs, values = workload(80)
             for pc, value in zip(pcs, values):
                 client.send(protocol.FrameType.STEP,
                             protocol.encode_session_op(session, pc, value))
+            wait_queued(batcher, len(pcs))
+            free.set()
             results = [protocol.decode_step_result(client.recv().body)
                        for _ in range(len(pcs))]
             assert len(results) == 80
@@ -170,22 +204,24 @@ class TestConcurrency:
             reference = Session(0, StrideSpec(64))
             expected, _ = reference.step_block(pcs, values)
             assert [p for p, _hit in results] == list(expected)
-        assert server.final_stats["fused_records"] > 0
+        assert server.final_stats["fused_records"] == len(pcs)
 
 
 
 class TestDrain:
     def test_stop_answers_every_inflight_request(self):
-        # A long accumulation window holds the whole pipelined burst in
-        # the shard queue; stop() must still answer every request.
-        with ServerThread(shards=1, max_delay=0.5) as server:
+        # The shard stays busy until the drain begins, so the whole
+        # pipelined burst is still queued when stop() starts; stop()
+        # must still answer every request.
+        with ServerThread(shards=1) as server:
             client = ServeClient(port=server.port)
+            batcher = hold_shard(server, lambda: server.server._stopping)
             session = client.open_session(StrideSpec(64))
             pcs, values = workload(50)
             for pc, value in zip(pcs, values):
                 client.send(protocol.FrameType.STEP,
                             protocol.encode_session_op(session, pc, value))
-            time.sleep(0.15)  # let the reader dispatch the burst
+            wait_queued(batcher, len(pcs))
             stats = server.stop()
             # Every pipelined request was answered before the server
             # closed the connection; the responses sit in the socket.
@@ -197,7 +233,7 @@ class TestDrain:
             assert stats["draining"] is True
 
     def test_open_rejected_while_draining(self):
-        server = ServerThread(max_delay=0).start()
+        server = ServerThread().start()
         try:
             with ServeClient(port=server.port) as client:
                 client.stats(0)  # connection fully accepted first

@@ -1,5 +1,9 @@
-"""Session semantics: mode selection, accounting, engine/scalar parity."""
+"""Session semantics: mode selection, accounting, engine/scalar parity,
+in-place tables."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.core.spec import (DFCMSpec, FCMSpec, HashSpec, LastValueSpec,
@@ -131,3 +135,41 @@ class TestEngineScalarParity:
                 assert engine_hits == scalar_hits
         assert engine.hits == scalar.hits
         assert engine.stats()["hits"] == scalar.stats()["hits"]
+
+
+class TestInPlaceTables:
+    """A warm block costs what it touches, not a rebuild of the tables."""
+
+    SPEC = DFCMSpec(1 << 16, 1 << 12)  # ~1.06 MB of int64 tables
+
+    @staticmethod
+    def block(seed, n=64):
+        rng = np.random.default_rng(seed)
+        return (rng.integers(0, 1 << 20, size=n) << 2,
+                rng.integers(0, 1 << 32, size=n))
+
+    def test_warm_block_allocates_no_table(self):
+        session = Session(1, self.SPEC)
+        session.step_block(*self.block(1))
+        tables = dict(session.table_state())
+        pcs, values = self.block(2)
+        tracemalloc.start()
+        try:
+            session.step_block(pcs, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"peak {peak} bytes for 64 records"
+        for key, table in tables.items():
+            assert session.table_state()[key] is table, key
+
+    def test_predict_does_not_train(self):
+        session = Session(1, self.SPEC)
+        session.step_block(*self.block(3))
+        tables = dict(session.table_state())
+        before = {key: table.copy() for key, table in tables.items()}
+        first = session.predict(0x400)
+        assert session.predict(0x400) == first
+        for key, table in tables.items():
+            assert session.table_state()[key] is table, key
+            np.testing.assert_array_equal(table, before[key], err_msg=key)

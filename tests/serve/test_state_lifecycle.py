@@ -60,6 +60,38 @@ class TestSessionSnapshotRestore:
         for key, arr in session.table_state().items():
             np.testing.assert_array_equal(restored.table_state()[key], arr)
 
+    def test_restored_session_copies_on_write(self, tmp_path):
+        # Re-seated on the arena's read-only mmap views, the session
+        # copies each table once, on its first block, and never writes
+        # the arena: stepped twice it matches a never-spilled twin, and
+        # the file and the store's verify sweep are unchanged.
+        spec = DFCMSpec(64, 256)
+        session, twin = Session(1, spec), Session(2, spec)
+        pcs, values = workload(240)
+        for live in (session, twin):
+            live.step_block(pcs[:80], values[:80])
+        store = ArenaStore(tmp_path)
+        store.save(1, spec.to_config(), *session.snapshot())
+        path = store.path_for(1)
+        on_disk, verified = path.read_bytes(), store.verify()
+        arena = store.load(1)
+        mapped = arena.table_state()
+        restored = Session.restore(1, spec_from_config(arena.spec_config),
+                                   arena.state(), arena.meta)
+        tables = None
+        for lo, hi in ((80, 160), (160, 240)):
+            assert tuple_of(restored.step_block(pcs[lo:hi], values[lo:hi])) \
+                == tuple_of(twin.step_block(pcs[lo:hi], values[lo:hi]))
+            if tables is None:
+                tables = dict(restored.table_state())
+        for key, table in twin.table_state().items():
+            np.testing.assert_array_equal(restored.table_state()[key], table)
+            # One private copy per table, made by the first block only.
+            assert restored.table_state()[key] is tables[key], key
+            assert not np.shares_memory(tables[key], mapped[key]), key
+        assert path.read_bytes() == on_disk
+        assert store.verify() == verified
+
     def test_outstanding_outcome_scores_after_restore(self, tmp_path):
         spec = StrideSpec(64)
         session = Session(1, spec)
@@ -87,7 +119,7 @@ class TestSnapshotFrame:
             self, tmp_path):
         spec = DFCMSpec(64, 256)
         reference = Session(0, spec)
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(spec)
             pcs, values = workload(40)
@@ -108,7 +140,7 @@ class TestSnapshotFrame:
             assert stats["snapshots_total"] == 1
 
     def test_snapshot_without_state_dir_is_state_unavailable(self):
-        with ServerThread(max_delay=0) as server, \
+        with ServerThread() as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(DFCMSpec(64, 256))
             with pytest.raises(ServeError) as err:
@@ -116,14 +148,14 @@ class TestSnapshotFrame:
             assert err.value.code == protocol.ErrorCode.STATE_UNAVAILABLE
 
     def test_snapshot_unknown_session(self, tmp_path):
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient(port=server.port) as client:
             with pytest.raises(ServeError) as err:
                 client.snapshot(999)
             assert err.value.code == protocol.ErrorCode.UNKNOWN_SESSION
 
     def test_snapshot_scalar_session_is_bad_frame(self, tmp_path):
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(DFCMSpec(64, 256), window=4)
             with pytest.raises(ServeError) as err:
@@ -135,7 +167,7 @@ class TestLRUEviction:
     def test_spill_and_transparent_reload_under_load(self, tmp_path):
         spec = DFCMSpec(64, 256)
         references = {}
-        with ServerThread(shards=2, max_delay=0, state_dir=tmp_path,
+        with ServerThread(shards=2, state_dir=tmp_path,
                           max_resident=1) as server:
             with ServeClient(port=server.port) as client:
                 sessions = [client.open_session(spec) for _ in range(3)]
@@ -164,8 +196,7 @@ class TestLRUEviction:
         assert ArenaStore(tmp_path).session_ids() == []
 
     def test_scalar_sessions_never_evict(self, tmp_path):
-        with ServerThread(max_delay=0, state_dir=tmp_path,
-                          max_resident=1) as server, \
+        with ServerThread(state_dir=tmp_path, max_resident=1) as server, \
                 ServeClient(port=server.port) as client:
             scalar = [client.open_session(DFCMSpec(64, 256), window=2)
                       for _ in range(3)]
@@ -177,7 +208,7 @@ class TestLRUEviction:
             assert ArenaStore(tmp_path).session_ids() == []
 
     def test_close_deletes_the_arena(self, tmp_path):
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(DFCMSpec(64, 256))
             client.step(session, 0x400, 7)
@@ -198,8 +229,7 @@ class TestRestartParity:
         pcs, values = workload(200, seed=3)
         reference = Session(0, spec)
 
-        with ServerThread(shards=2, max_delay=0,
-                          state_dir=tmp_path) as first:
+        with ServerThread(shards=2, state_dir=tmp_path) as first:
             with ServeClient(port=first.port) as client:
                 session = client.open_session(spec)
                 first_half = (pcs[:100], values[:100])
@@ -209,8 +239,7 @@ class TestRestartParity:
         assert first.final_stats["sessions_spilled_on_drain"] == 1
         assert ArenaStore(tmp_path).session_ids() == [session]
 
-        with ServerThread(shards=2, max_delay=0,
-                          state_dir=tmp_path) as second:
+        with ServerThread(shards=2, state_dir=tmp_path) as second:
             with ServeClient(port=second.port) as client:
                 stats = client.stats(0)
                 assert stats["sessions_open"] == 1
@@ -227,12 +256,12 @@ class TestRestartParity:
     def test_adopted_tables_match_offline_bit_for_bit(self, tmp_path):
         spec = DFCMSpec(64, 256)
         pcs, values = workload(150, seed=5)
-        with ServerThread(max_delay=0, state_dir=tmp_path) as first:
+        with ServerThread(state_dir=tmp_path) as first:
             with ServeClient(port=first.port) as client:
                 session = client.open_session(spec)
                 client.step_block(session, pcs[:75], values[:75])
 
-        with ServerThread(max_delay=0, state_dir=tmp_path) as second:
+        with ServerThread(state_dir=tmp_path) as second:
             with ServeClient(port=second.port) as client:
                 client.step_block(session, pcs[75:], values[75:])
                 client.snapshot(session)
@@ -254,7 +283,7 @@ class TestStateVersionGate:
         write_arena(store.path_for(1), spec.to_config(), arrays, meta,
                     state_version=STATE_VERSION + 1)
 
-        with ServerThread(max_delay=0, state_dir=tmp_path) as server, \
+        with ServerThread(state_dir=tmp_path) as server, \
                 ServeClient(port=server.port) as client:
             assert client.stats(0)["sessions_spilled"] == 1
             with pytest.raises(ServeError) as err:

@@ -94,7 +94,7 @@ class TestSessionTableStats:
 
 class TestTablesEndpoint:
     def test_tables_route_serves_live_per_shard_stats(self):
-        with ServerThread(shards=2, max_delay=0, obs_port=0) as server, \
+        with ServerThread(shards=2, obs_port=0) as server, \
                 ServeClient(port=server.port) as client:
             first = client.open_session(DFCMSpec(64, 256))
             second = client.open_session(StrideSpec(64))
@@ -122,7 +122,7 @@ class TestTablesEndpoint:
                 s["live_bits"] for s in shard["sessions"])
 
     def test_gauges_exported_after_report(self):
-        with ServerThread(shards=1, max_delay=0, obs_port=0) as server, \
+        with ServerThread(shards=1, obs_port=0) as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(StrideSpec(64))
             for i in range(20):
@@ -146,7 +146,7 @@ class TestTablesEndpoint:
         assert live["0"] > 0
 
     def test_empty_server_reports_zero_totals(self):
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             _, _, body = http_get(server.obs_port, "/tables")
         report = json.loads(body)
         assert report["totals"]["sessions"] == 0
@@ -187,7 +187,7 @@ class TestTopPanel:
         import io
 
         from repro.serve.top import run_top
-        with ServerThread(max_delay=0, obs_port=0) as server, \
+        with ServerThread(obs_port=0) as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(StrideSpec(64))
             for i in range(10):

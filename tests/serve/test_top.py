@@ -192,7 +192,7 @@ class TestRenderDashboard:
 
 class TestRunTop:
     def test_once_against_live_server(self):
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             with ServeClient(port=server.port) as client:
                 session = client.open_session(StrideSpec(64))
                 for i in range(10):
@@ -207,7 +207,7 @@ class TestRunTop:
         assert "\x1b" not in frame  # --once is plain text for CI logs
 
     def test_iterations_bound_the_loop(self):
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             out = io.StringIO()
             rc = run_top(f"http://127.0.0.1:{server.obs_port}",
                          interval=0.01, iterations=2, out=out)

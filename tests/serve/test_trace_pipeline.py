@@ -64,7 +64,7 @@ def assert_partitioned(spans):
 def fleet(tmp_path_factory):
     state_dir = tmp_path_factory.mktemp("trace-fleet-state")
     with ClusterThread(workers=2, state_dir=str(state_dir),
-                       obs_port=0, max_delay=0) as cluster:
+                       obs_port=0) as cluster:
         yield cluster
 
 
@@ -156,7 +156,7 @@ class TestFailoverTrace:
         spec = DFCMSpec(64, 256)
         pcs, values = workload(200)
         with ClusterThread(workers=2, state_dir=str(tmp_path),
-                           obs_port=0, max_delay=0,
+                           obs_port=0,
                            router_kwargs={"auto_restart": False}) \
                 as cluster:
             with ServeClient("127.0.0.1", cluster.port,
@@ -212,7 +212,7 @@ class TestSpanPartition:
 
     def test_server_spans_partition(self):
         pcs, values = workload(64)
-        with ServerThread(obs_port=0, max_delay=0) as server:
+        with ServerThread(obs_port=0) as server:
             with ServeClient("127.0.0.1", server.port) as client:
                 sid = client.open_session(DFCMSpec(64, 256))
                 client.step_block(sid, pcs, values)
@@ -227,19 +227,28 @@ class TestSpanPartition:
         stats = [s for s in dump["spans"] if s["type"] == "stats"]
         assert set(stats[0]["stages_ms"]) == {"decode", "flush"}
 
-    def test_batch_window_lands_in_fuse(self):
-        pcs, values = workload(64)
-        with ServerThread(shards=1, max_delay=0.05, obs_port=0) as server:
+    def test_lone_request_is_dominated_by_execute(self):
+        # The observability check: a lone 64-record STEP_BLOCK reaches
+        # an idle shard and runs at once, so its trace names the kernel
+        # (`execute`) as the dominant stage and spends nothing waiting
+        # in `fuse`.  The client idles between requests so each one is
+        # alone; medians over a few keep one noisy sample from deciding.
+        traces = []
+        with ServerThread(obs_port=0) as server:
             with ServeClient("127.0.0.1", server.port) as client:
-                sid = client.open_session(DFCMSpec(64, 256))
-                client.step_block(sid, pcs, values)
-                hex_id = format_trace_id(client.last_trace_id)
-            (span,) = http_json(server.obs_port,
-                                f"/trace/{hex_id}")["spans"]
-        # A lone request waits out the accumulation window after it
-        # has left the queue.
-        assert span["stages_ms"]["fuse"] >= 40.0, span
-        assert span["stages_ms"]["queue"] < 10.0, span
+                sid = client.open_session(DFCMSpec(1 << 16, 1 << 12))
+                for seed in range(9):
+                    client.step_block(sid, *workload(64, seed))
+                    traces.append(format_trace_id(client.last_trace_id))
+                    time.sleep(0.02)
+            stages = [http_json(server.obs_port, f"/trace/{hex_id}")
+                      ["spans"][0]["stages_ms"] for hex_id in traces]
+        median = {name: float(np.median([s[name] for s in stages]))
+                  for name in stages[0]}
+        assert set(median) == {"decode", "queue", "fuse", "execute",
+                               "flush"}, median
+        assert median["fuse"] < 0.5, median
+        assert max(median, key=median.get) == "execute", median
 
     def test_fleet_spans_partition_under_migration(self, fleet):
         spec = DFCMSpec(64, 256)
@@ -352,7 +361,7 @@ class TestSoakHarness:
                            np.asarray(values, dtype=np.uint32))
         report = run_soak(DFCMSpec(64, 256), trace, workers=2,
                           sessions=2, duration_s=2.0, block=64,
-                          poll_interval_s=0.5, max_delay=0)
+                          poll_interval_s=0.5)
         assert report["kind"] == "cluster_soak"
         assert report["passes"] >= 2
         assert report["parity_ok"] is True

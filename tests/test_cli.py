@@ -217,7 +217,7 @@ class TestServeAndLoadgen:
     def test_loadgen_against_live_server(self, tmp_path):
         from repro.serve.server import ServerThread
         out_path = tmp_path / "loadgen.json"
-        with ServerThread(shards=2, max_delay=0.001) as server:
+        with ServerThread(shards=2) as server:
             code, text = run_cli(
                 "loadgen", "li", "--port", str(server.port),
                 "--limit", "400", "--mode", "batched", "--block", "64",
@@ -231,7 +231,7 @@ class TestServeAndLoadgen:
 
     def test_loadgen_windowed_human_output(self):
         from repro.serve.server import ServerThread
-        with ServerThread(max_delay=0.001) as server:
+        with ServerThread() as server:
             code, text = run_cli(
                 "loadgen", "li", "--port", str(server.port),
                 "--limit", "300", "--window", "4", "--mode", "batched",
@@ -241,7 +241,7 @@ class TestServeAndLoadgen:
 
     def test_loadgen_speedup_guard_fails(self):
         from repro.serve.server import ServerThread
-        with ServerThread(max_delay=0.001) as server:
+        with ServerThread() as server:
             code, _text = run_cli(
                 "loadgen", "li", "--port", str(server.port),
                 "--limit", "200", "--min-speedup", "1000000")
@@ -357,7 +357,7 @@ class TestServeAndLoadgen:
 class TestTopCommand:
     def test_once_against_live_server(self):
         from repro.serve.server import ServerThread
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             code, text = run_cli("top", str(server.obs_port), "--once")
         assert code == 0
         assert "status: OK" in text
@@ -365,7 +365,7 @@ class TestTopCommand:
 
     def test_host_port_target_normalised(self):
         from repro.serve.server import ServerThread
-        with ServerThread(max_delay=0, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             code, text = run_cli("top", f"127.0.0.1:{server.obs_port}",
                                  "--once")
         assert code == 0
