@@ -29,7 +29,8 @@ from typing import Optional
 
 from repro.core.engines.batch import BatchEngine
 from repro.core.engines.resume import (RESUMABLE_FAMILIES, initial_state,
-                                       step_block, supports_resume)
+                                       predict_record, step_block,
+                                       supports_resume)
 from repro.core.engines.scalar import EngineResult, ScalarEngine, count_correct
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "supports_resume",
     "initial_state",
     "step_block",
+    "predict_record",
 ]
 
 ENGINE_NAMES = ("auto", "scalar", "batch")

@@ -42,7 +42,8 @@ kernel reads every entry it needs first and then scatters each touched
 entry's last write into that dict's tables in place (``_store``); an
 array that is not writable is first replaced in the dict by a private
 copy.  Two kernel calls must therefore never share one writable state.
-A cold run (no state) writes into fresh zero tables.
+A cold run (no state) writes into fresh zero tables; a predict-only
+pass (a :class:`_ReadOnly` state) skips the write-back altogether.
 
 All kernels share one :class:`_KernelContext` per run: hybrid specs
 whose components use the same ``((pc >> 2) & (entries - 1), entries)``
@@ -137,6 +138,14 @@ class _Groups:
                       payload_sorted[self.is_last])
 
 
+class _ReadOnly(dict):
+    """A warm state a kernel only reads: :func:`_store` writes nothing
+    back into it (the predict-only pass,
+    :func:`repro.core.engines.resume.predict_record`)."""
+
+    __slots__ = ()
+
+
 def _store(state, key: str, entries: int, keys: np.ndarray,
            payload: np.ndarray) -> np.ndarray:
     """Write *payload* to entries *keys* of table *key*; returns it.
@@ -144,10 +153,13 @@ def _store(state, key: str, entries: int, keys: np.ndarray,
     Cold (*state* None): a fresh zero table.  Warm: ``state[key]`` in
     place -- replaced in *state* by a private int64 copy first when it
     is read-only (an arena's mmap view) or of another dtype, so the
-    caller's array is never written.
+    caller's array is never written.  A :class:`_ReadOnly` state is
+    returned as it stands: nothing is written or copied.
     """
     if state is None:
         table = np.zeros(entries, dtype=np.int64)
+    elif type(state) is _ReadOnly:
+        return state[key]
     else:
         table = state[key]
         if not table.flags.writeable or table.dtype != np.int64:

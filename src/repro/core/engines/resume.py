@@ -41,9 +41,11 @@ is not writable -- in particular the zero-copy mmap views handed out by
 write it is replaced *in the dict* by a private copy (copy-on-write).
 A session re-seated onto its arena's mapped arrays therefore pays one
 table copy on its first block after a reload, none after, and the
-arena stays untouched.  Two calls must never share one writable state;
-to step without training, pass read-only views (see
-:meth:`repro.serve.session.Session.predict`).
+arena stays untouched.  Two calls must never share one writable state.
+
+:func:`predict_record` is the read-only pass: the same kernel over one
+record with the write-back skipped, so it reads the entries that record
+touches and writes nothing -- neither *state* nor a copy of it.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.engines.batch import _KERNELS, _KernelContext
+from repro.core.engines.batch import _KERNELS, _KernelContext, _ReadOnly
 
 __all__ = ["RESUMABLE_FAMILIES", "NON_RESUMABLE_FAMILIES",
-           "supports_resume", "initial_state", "step_block"]
+           "supports_resume", "initial_state", "step_block",
+           "predict_record"]
 
 #: Families whose batch kernel accepts a warm-start state.
 RESUMABLE_FAMILIES = ("last_value", "stride", "stride2d", "fcm", "dfcm")
@@ -82,17 +85,26 @@ def supports_resume(spec) -> bool:
     return True
 
 
-def initial_state(spec) -> State:
-    """The cold (all-zero) table snapshot for *spec*.
-
-    Derived from a freshly built predictor through the canonical
-    :meth:`~repro.core.spec.PredictorSpec.extract_state`, so the state
-    layout is the one the cross-engine equivalence suite already pins.
-    """
+def _require_resumable(spec) -> None:
     if not supports_resume(spec):
         raise ValueError(f"{spec.name}: family {spec.family!r} is not "
                          "resumable")
-    return spec.extract_state(spec.build())
+
+
+def initial_state(spec) -> State:
+    """The cold (all-zero) table snapshot for *spec*.
+
+    One writable ``np.zeros(entries, int64)`` per declared table
+    (:meth:`~repro.core.spec.PredictorSpec.tables`), keyed by table
+    name -- no predictor is built.
+    ``tests/engines/test_state_contracts.py`` pins it equal, key for
+    key, to the canonical
+    :meth:`~repro.core.spec.PredictorSpec.extract_state` of a freshly
+    built predictor for every resumable family of the spec registry.
+    """
+    _require_resumable(spec)
+    return {table.name: np.zeros(table.entries, dtype=np.int64)
+            for table in spec.tables()}
 
 
 def step_block(spec, state: State, pcs: np.ndarray,
@@ -106,9 +118,7 @@ def step_block(spec, state: State, pcs: np.ndarray,
     earlier records already trained: exactly the scalar
     ``predict(pc); update(pc, value)`` loop.
     """
-    if not supports_resume(spec):
-        raise ValueError(f"{spec.name}: family {spec.family!r} is not "
-                         "resumable")
+    _require_resumable(spec)
     pcs = np.asarray(pcs, dtype=np.int64)
     values = np.asarray(values, dtype=np.int64)
     if pcs.shape != values.shape:
@@ -119,3 +129,19 @@ def step_block(spec, state: State, pcs: np.ndarray,
     ctx = _KernelContext(pcs, values)
     predicted, _, _ = _KERNELS[spec.family](spec, ctx, state)
     return predicted, state
+
+
+def predict_record(spec, state: State, pc: int) -> int:
+    """The prediction *state*'s tables give for *pc*, without training.
+
+    One kernel pass over the single record ``(pc, 0)`` with the
+    write-back skipped: it reads the entries *pc* touches and writes
+    nothing, so a prediction costs the same on any table size.  The
+    kernels predict before they train, so this equals
+    ``step_block(spec, copy_of_state, [pc], [v])[0][0]`` for any *v*.
+    """
+    _require_resumable(spec)
+    ctx = _KernelContext(np.array([pc], dtype=np.int64),
+                         np.zeros(1, dtype=np.int64))
+    predicted, _, _ = _KERNELS[spec.family](spec, ctx, _ReadOnly(state))
+    return int(predicted[0])

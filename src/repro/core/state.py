@@ -31,11 +31,17 @@ copy: :func:`repro.core.engines.resume.step_block` replaces a
 read-only table by a private copy on its first write (copy-on-write),
 so stepping never writes the arena.
 
-Robustness reuses the trace cache's discipline (the cache now shares
-these helpers):
+Writing mirrors that: :func:`write_arena` streams the header and each
+array's own buffer to disk with one running CRC, copying no table.
+:func:`arena_bytes` is the reference encoder that assembles the same
+bytes in memory; both share one layout function, whose absolute
+offsets are computed to a fixpoint.
+
+Robustness reuses the trace cache's discipline (the cache shares
+:func:`quarantine_file`):
 
 - **writes are atomic** -- :func:`atomic_write_bytes` writes a
-  ``*.tmp`` sibling and ``os.replace``\\ s it into place;
+  ``*.tmp`` sibling, fsyncs it and ``os.replace``\\ s it into place;
 - **reads are verified** -- magic, format version, truncation and the
   CRC are checked before any view is built, and defective files are
   :func:`quarantine_file`'d (renamed ``*.corrupt``) by the store;
@@ -87,6 +93,7 @@ ARENA_SUFFIX = ".arena"
 
 _PREFIX = struct.Struct("!8sIIIIQ")
 _ALIGN = 64
+_ZEROS = memoryview(bytes(_ALIGN))
 
 
 class ArenaError(Exception):
@@ -108,20 +115,32 @@ class StateVersionError(ArenaError):
 def atomic_write_bytes(path, payload) -> int:
     """Write *payload* to *path* atomically; returns the bytes written.
 
-    The payload goes to a ``*.tmp`` sibling first and is
+    *payload* is one bytes-like object, or a list or tuple of them
+    written back to back -- so a caller can stream several buffers
+    (an arena's header and each table's own memory) without joining
+    them first.  Short writes are resumed until every byte is out.
+    The bytes go to a ``*.tmp`` sibling, are fsynced, and the file is
     ``os.replace``'d into place, so an interrupted write leaves at
     worst a stray temp file, never a truncated target.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    view = memoryview(payload)
-    with open(tmp, "wb") as handle:
-        handle.write(view)
-        handle.flush()
-        os.fsync(handle.fileno())
+    chunks = payload if isinstance(payload, (list, tuple)) else (payload,)
+    written = 0
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        for chunk in chunks:
+            view = memoryview(chunk).cast("B")
+            while view:
+                count = os.write(fd, view)
+                written += count
+                view = view[count:]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
-    return len(view)
+    return written
 
 
 def quarantine_file(path) -> Path:
@@ -149,6 +168,58 @@ def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
+def _arena_layout(spec_config: dict, state: Dict[str, np.ndarray],
+                  meta: Optional[dict], state_version: int):
+    """Everything both encoders share: ``(blob, payload_start,
+    payload_len, directory, arrays)``.
+
+    *arrays* holds each stored array -- contiguous and little-endian,
+    so its own buffer is its payload bytes -- in *directory* order, and
+    *blob* is the header JSON whose directory carries their absolute
+    file offsets.
+    """
+    directory: List[dict] = []
+    arrays: List[np.ndarray] = []
+    relative: List[int] = []
+    payload_len = 0
+    for key in sorted(state):
+        arr = np.ascontiguousarray(state[key])
+        if arr.dtype.byteorder == ">":
+            arr = arr.astype(arr.dtype.newbyteorder("<"))
+        payload_len = _align(payload_len)
+        relative.append(payload_len)
+        directory.append({
+            "key": key,
+            "dtype": arr.dtype.str,
+            "shape": list(arr.shape),
+            "offset": payload_len,
+            "nbytes": arr.nbytes,
+        })
+        arrays.append(arr)
+        payload_len += arr.nbytes
+    header = {
+        "schema": 1,
+        "state_version": state_version,
+        "spec": spec_config,
+        "spec_digest": spec_digest(spec_config),
+        "arrays": directory,
+        "meta": meta or {},
+    }
+    # The offsets are absolute, so they depend on the header length --
+    # and the header length on their digits: rebasing can push the
+    # header across a 64-byte boundary.  Iterate from the relative
+    # offsets to the fixpoint; the start only grows, so this ends.
+    payload_start = 0
+    while True:
+        blob = json.dumps(header, sort_keys=True).encode()
+        start = _align(_PREFIX.size + len(blob))
+        if start == payload_start:
+            return blob, payload_start, payload_len, directory, arrays
+        payload_start = start
+        for entry, offset in zip(directory, relative):
+            entry["offset"] = payload_start + offset
+
+
 def arena_bytes(spec_config: dict, state: Dict[str, np.ndarray],
                 meta: Optional[dict] = None,
                 state_version: int = STATE_VERSION) -> bytearray:
@@ -158,53 +229,19 @@ def arena_bytes(spec_config: dict, state: Dict[str, np.ndarray],
     little-endian, contiguous).  Keys starting with ``__`` are
     auxiliary (session bookkeeping) rather than table state; the
     layout gate in :func:`Arena.table_state` ignores them.
+
+    The reference encoder: it assembles the whole file in memory and
+    checksums it in one go.  :func:`write_arena` streams the same
+    bytes from the arrays' own buffers; the tests pin the two
+    byte-identical.
     """
-    directory: List[dict] = []
-    chunks: List[bytes] = []
-    offset = 0  # filled in once the header size is known
-    payload_len = 0
-    for key in sorted(state):
-        arr = np.ascontiguousarray(state[key])
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        data = arr.tobytes()
-        payload_len = _align(payload_len)
-        directory.append({
-            "key": key,
-            "dtype": arr.dtype.str,
-            "shape": list(arr.shape),
-            "offset": payload_len,  # relative; rebased below
-            "nbytes": len(data),
-        })
-        chunks.append(data)
-        payload_len += len(data)
-    header = {
-        "schema": 1,
-        "state_version": state_version,
-        "spec": spec_config,
-        "spec_digest": spec_digest(spec_config),
-        "arrays": directory,
-        "meta": meta or {},
-    }
-    # The directory stores absolute file offsets, but those depend on
-    # the header length -- encode twice: relative first, then rebased.
-    blob = json.dumps(header, sort_keys=True).encode()
-    payload_start = _align(_PREFIX.size + len(blob))
-    for entry in directory:
-        entry["offset"] += payload_start
-    blob = json.dumps(header, sort_keys=True).encode()
-    # Rebasing never changes the header length (offsets grow by the
-    # same payload_start for every array), but guard it anyway.
-    payload_start2 = _align(_PREFIX.size + len(blob))
-    if payload_start2 != payload_start:  # pragma: no cover - defensive
-        for entry in directory:
-            entry["offset"] += payload_start2 - payload_start
-        payload_start = payload_start2
-        blob = json.dumps(header, sort_keys=True).encode()
+    blob, payload_start, payload_len, directory, arrays = _arena_layout(
+        spec_config, state, meta, state_version)
     out = bytearray(payload_start + payload_len)
     out[_PREFIX.size:_PREFIX.size + len(blob)] = blob
-    for entry, data in zip(directory, chunks):
-        out[entry["offset"]:entry["offset"] + entry["nbytes"]] = data
+    for entry, arr in zip(directory, arrays):
+        out[entry["offset"]:entry["offset"] + entry["nbytes"]] = \
+            arr.tobytes()
     crc = zlib.crc32(memoryview(out)[_PREFIX.size:]) & 0xFFFFFFFF
     _PREFIX.pack_into(out, 0, ARENA_MAGIC, ARENA_FORMAT_VERSION,
                       state_version, len(blob), crc, payload_len)
@@ -214,9 +251,31 @@ def arena_bytes(spec_config: dict, state: Dict[str, np.ndarray],
 def write_arena(path, spec_config: dict, state: Dict[str, np.ndarray],
                 meta: Optional[dict] = None,
                 state_version: int = STATE_VERSION) -> int:
-    """Atomically write a table-state arena; returns bytes written."""
-    return atomic_write_bytes(
-        path, arena_bytes(spec_config, state, meta, state_version))
+    """Atomically write a table-state arena; returns bytes written.
+
+    Writes exactly :func:`arena_bytes`' output without assembling it:
+    the header and its padding, then each array's own buffer and the
+    zero padding between arrays, go to :func:`atomic_write_bytes` as a
+    list of buffers, and one running CRC pass over the same buffers
+    fills the prefix.  No array is copied.
+    """
+    blob, payload_start, payload_len, directory, arrays = _arena_layout(
+        spec_config, state, meta, state_version)
+    head = bytearray(payload_start)
+    head[_PREFIX.size:_PREFIX.size + len(blob)] = blob
+    chunks = [head]
+    crc = zlib.crc32(memoryview(head)[_PREFIX.size:])
+    position = payload_start
+    for entry, arr in zip(directory, arrays):
+        padding = _ZEROS[:entry["offset"] - position]
+        data = arr.reshape(-1).view(np.uint8)
+        crc = zlib.crc32(data, zlib.crc32(padding, crc))
+        chunks += (padding, data)
+        position = entry["offset"] + entry["nbytes"]
+    _PREFIX.pack_into(head, 0, ARENA_MAGIC, ARENA_FORMAT_VERSION,
+                      state_version, len(blob), crc & 0xFFFFFFFF,
+                      payload_len)
+    return atomic_write_bytes(path, chunks)
 
 
 # ------------------------------------------------------------- decoding

@@ -259,7 +259,10 @@ class ClusterSupervisor:
         """Read the pipe until the worker exits (so a large drained
         message never deadlocks the child in ``send``), then record
         the final stats and stitch the worker's telemetry into this
-        process.  Idempotent."""
+        process.  A worker still alive once *timeout* has passed is
+        killed (SIGKILL): a worker treats SIGTERM as one more drain
+        request, so only a kill ends one whose drain is stuck.
+        Idempotent."""
         if handle.collected:
             return handle.final
         deadline = time.monotonic() + timeout
@@ -277,7 +280,7 @@ class ClusterSupervisor:
             pass
         handle.process.join(max(0.1, deadline - time.monotonic()))
         if handle.alive:
-            handle.process.terminate()
+            handle.process.kill()
             handle.process.join(5)
         handle.collected = True
         handle.conn.close()

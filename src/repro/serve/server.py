@@ -25,15 +25,16 @@ per-session arena files (:class:`~repro.core.state.ArenaStore`) when a
 shard exceeds its resident cap, and the shard's session resolver
 transparently reloads a spilled session on its next request -- the
 client never sees an eviction, only (at worst) one slightly slower
-request.  The SNAPSHOT frame checkpoints a session on demand (the
-durability barrier for kill-safety), a graceful stop spills every
-spillable session, and a restarting server picks up the arena
-directory where the last process left off -- session ids continue
-above the highest spilled id, and the first request for a spilled
-session restores it bit-identically.  Arenas from a different
-state-layout generation are refused with ``STATE_VERSION`` (see
-:data:`repro.core.state.STATE_VERSION`): a rolling deploy gets a clear
-error, never misread tables.
+request; a spill whose arena write fails leaves its session resident
+(counted in ``spill_failures_total``).  The SNAPSHOT frame checkpoints
+a session on demand (the durability barrier for kill-safety), a
+graceful stop spills every spillable session, and a restarting server
+picks up the arena directory where the last process left off --
+session ids continue above the highest spilled id, and the first
+request for a spilled session restores it bit-identically.  Arenas
+from a different state-layout generation are refused with
+``STATE_VERSION`` (see :data:`repro.core.state.STATE_VERSION`): a
+rolling deploy gets a clear error, never misread tables.
 
 Everything is observable through :mod:`repro.telemetry`: request /
 batch / record counters, queue-depth and batch-size distributions,
@@ -49,6 +50,7 @@ so nothing outside this module needs an event loop.
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import time
 from typing import Dict, List, Optional, Set
@@ -71,6 +73,8 @@ from repro.telemetry.slo import SLO, SLOMonitor, default_serve_slos
 from repro.telemetry.spans import emit_span
 
 __all__ = ["PredictionServer", "ServerThread"]
+
+_log = logging.getLogger(__name__)
 
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
@@ -175,6 +179,10 @@ class _ServeMetrics:
             "repro_serve_session_evictions_total",
             "Sessions spilled to the arena store by the LRU evictor "
             "or the shutdown drain.")
+        self.spill_failures = reg.counter(
+            "repro_serve_session_spill_failures_total",
+            "Spills whose arena write raised; the session stayed "
+            "resident.")
         self.reloads = reg.counter(
             "repro_serve_session_reloads_total",
             "Spilled sessions transparently restored from the arena "
@@ -245,6 +253,7 @@ class PredictionServer(FrameService):
         self._store = ArenaStore(state_dir) if state_dir else None
         self._last_used: Dict[int, float] = {}
         self.snapshots_taken = 0
+        self.spill_failures = 0
         self.releases = 0
         if self._store is not None and adopt_arenas:
             # Adopt the previous process's spilled sessions: each id
@@ -311,10 +320,9 @@ class PredictionServer(FrameService):
         # everything when no store is configured) close normally.
         for shard in self.shards:
             for session_id in list(shard.sessions):
-                if (self._store is not None
-                        and shard.sessions[session_id].spillable):
-                    self._spill(shard, session_id)
-                else:
+                if not (self._store is not None
+                        and shard.sessions[session_id].spillable
+                        and self._spill(shard, session_id)):
                     self._finish_session(shard, session_id)
         stats["sessions_spilled_on_drain"] = sum(
             len(s.spilled) for s in self.shards)
@@ -845,16 +853,32 @@ class PredictionServer(FrameService):
             return session
         return resolve
 
-    def _spill(self, shard: _Shard, session_id: int) -> None:
-        """Move one resident spillable session out to the arena store."""
-        session = shard.sessions.pop(session_id)
-        arrays, meta = session.snapshot()
-        self._store.save(session_id, session.spec.to_config(), arrays,
-                         meta)
+    def _spill(self, shard: _Shard, session_id: int) -> bool:
+        """Move one resident spillable session out to the arena store.
+
+        The arena is written before the session leaves the shard, so a
+        save that raises (a full disk, an encoder fault) loses nothing:
+        the session stays resident and serving, the failure is logged
+        and counted, and the spill reports ``False``.
+        """
+        session = shard.sessions[session_id]
+        try:
+            arrays, meta = session.snapshot()
+            self._store.save(session_id, session.spec.to_config(), arrays,
+                             meta)
+        except Exception as exc:  # noqa: BLE001 - must not end the shard
+            self.spill_failures += 1
+            self.metrics.spill_failures.inc()
+            _log.warning("spilling session %d failed; it stays "
+                         "resident: %s: %s", session_id,
+                         type(exc).__name__, exc)
+            return False
+        del shard.sessions[session_id]
         shard.spilled.add(session_id)
         shard.evictions += 1
         self.metrics.evictions.inc()
         self._refresh_residency()
+        return True
 
     def _maybe_evict(self) -> None:
         """Spill coldest spillable sessions until the resident count is
@@ -863,7 +887,8 @@ class PredictionServer(FrameService):
         Runs synchronously inside a shard worker's scheduling slice --
         all shards share one event loop, so no other worker is
         mid-batch -- and an evicted session with queued work on another
-        shard simply reloads when that batch executes.
+        shard simply reloads when that batch executes.  A failed spill
+        ends the round (the next batch tries again) and never raises.
         """
         while (sum(len(s.sessions) for s in self.shards)
                > self.max_resident):
@@ -876,7 +901,8 @@ class PredictionServer(FrameService):
             if not candidates:
                 return  # everything resident is scalar-mode
             _, session_id, shard = min(candidates)
-            self._spill(shard, session_id)
+            if not self._spill(shard, session_id):
+                return
 
     def _snapshot_session(self, session: Session) -> dict:
         """Explicit SNAPSHOT: checkpoint to the arena, stay resident."""
@@ -989,6 +1015,7 @@ class PredictionServer(FrameService):
             "sessions_resident": sum(len(s.sessions) for s in self.shards),
             "sessions_spilled": sum(len(s.spilled) for s in self.shards),
             "evictions_total": sum(s.evictions for s in self.shards),
+            "spill_failures_total": self.spill_failures,
             "reloads_total": sum(s.reloads for s in self.shards),
             "snapshots_total": self.snapshots_taken,
             "releases_total": self.releases,

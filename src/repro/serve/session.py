@@ -41,13 +41,16 @@ serialises the table state plus the session's auxiliary bookkeeping
 (recent-hit window, outstanding predictions, aliasing counters) into
 the array-dict + metadata shape that
 :class:`~repro.core.state.ArenaStore` persists, and
-:meth:`Session.restore` rebuilds an equivalent session from it.  The
-restored session sits on read-only views of the arrays it was given
--- the store's zero-copy mmap views among them -- and its first block
-copies each table it writes (copy-on-write), so a reload costs one
-copy and never writes the arena.  Scalar-mode sessions (windowed or
-composite predictors) have no canonical state snapshot and stay
-resident.
+:meth:`Session.restore` seats an equivalent session straight onto it,
+without building a fresh one first.  The restored session sits on
+read-only views of the arrays it was given -- the store's zero-copy
+mmap views among them -- and its first block copies each table it
+writes (copy-on-write), so a reload costs one copy and never writes
+the arena.  A PREDICT reads the entries its pc touches through a
+read-only kernel pass and writes nothing
+(:func:`~repro.core.engines.predict_record`).  Scalar-mode sessions
+(windowed or composite predictors) have no canonical state snapshot
+and stay resident.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.delayed import DelayedUpdatePredictor
-from repro.core.engines import initial_state, step_block, supports_resume
+from repro.core.engines import (initial_state, predict_record,
+                                 step_block, supports_resume)
 from repro.core.spec import PredictorSpec
 from repro.telemetry.tables import level1_entries, table_stats_from_state
 
@@ -87,11 +91,15 @@ class _AliasTracker:
 
     __slots__ = ("mask", "accesses", "conflicts", "_last_writer")
 
-    def __init__(self, entries: int):
+    def __init__(self, entries: int, last_writer=None, accesses: int = 0,
+                 conflicts: int = 0):
         self.mask = entries - 1
-        self.accesses = 0
-        self.conflicts = 0
-        self._last_writer = np.full(entries, -1, dtype=np.int64)
+        self.accesses = accesses
+        self.conflicts = conflicts
+        # A restored table is copied: observe_block writes it in place.
+        self._last_writer = (np.full(entries, -1, dtype=np.int64)
+                             if last_writer is None
+                             else np.array(last_writer, dtype=np.int64))
 
     def observe(self, pc: int) -> None:
         key = (pc >> 2) & self.mask
@@ -147,14 +155,7 @@ class Session:
     def __init__(self, session_id: int, spec: PredictorSpec, window: int = 0):
         if window < 0:
             raise ValueError(f"window must be >= 0, got {window}")
-        self.session_id = session_id
-        self.spec = spec
-        self.window = window
-        self.predictions = 0
-        self.outcomes = 0
-        self.hits = 0
-        self._issued: Dict[int, deque] = {}
-        self._recent: deque = deque(maxlen=self.RECENT_WINDOW)
+        self._seat(session_id, spec, window)
         l1 = level1_entries(spec)
         self._aliases = _AliasTracker(l1) if l1 else None
         if window == 0 and supports_resume(spec):
@@ -168,21 +169,26 @@ class Session:
             self._predictor = (DelayedUpdatePredictor(inner, window)
                                if window else inner)
 
+    def _seat(self, session_id: int, spec: PredictorSpec,
+              window: int) -> None:
+        """Identity and empty bookkeeping, shared by open and restore."""
+        self.session_id = session_id
+        self.spec = spec
+        self.window = window
+        self.predictions = 0
+        self.outcomes = 0
+        self.hits = 0
+        self._issued: Dict[int, deque] = {}
+        self._recent: deque = deque(maxlen=self.RECENT_WINDOW)
+
     # --------------------------------------------------------------- ops
 
     def predict(self, pc: int) -> int:
         """Issue (and remember) a prediction for *pc*."""
         if self.mode == "engine":
-            # The kernels predict before they train, so stepping
-            # read-only views of the state with a dummy outcome yields
-            # exactly the prediction the live tables would give; the
-            # dummy write lands in throwaway copies.
-            view = {key: _read_only(table)
-                    for key, table in self._state.items()}
-            predicted, _ = step_block(self.spec, view,
-                                      np.asarray([pc], dtype=np.int64),
-                                      np.zeros(1, dtype=np.int64))
-            value = int(predicted[0]) & _MASK32
+            # A read-only kernel pass: it reads the entries pc touches
+            # and writes (or copies) nothing.
+            value = predict_record(self.spec, self._state, pc) & _MASK32
         else:
             value = self._predictor.predict(pc) & _MASK32
         self.predictions += 1
@@ -326,40 +332,43 @@ class Session:
     def restore(cls, session_id: int, spec: PredictorSpec,
                 arrays: Dict[str, np.ndarray],
                 meta: dict) -> "Session":
-        """Rebuild a session from a :meth:`snapshot`-shaped payload.
+        """Seat a session straight onto a :meth:`snapshot`-shaped payload.
 
-        The session re-seats onto read-only views of the table arrays
-        in *arrays* -- typically the arena store's zero-copy mmap views
-        -- so restoring copies nothing and *arrays* is never written:
-        the first block replaces each table it writes by a private copy
-        (copy-on-write).  The aliasing tracker's last-writer table, the
-        one auxiliary array updated in place, is copied on the way in.
+        No fresh session is built first: the tables are read-only views
+        of the table arrays in *arrays* -- typically the arena store's
+        zero-copy mmap views -- so restoring copies no table, builds no
+        predictor, and never writes *arrays*: the first block replaces
+        each table it writes by a private copy (copy-on-write).  The
+        aliasing tracker's last-writer table, the one auxiliary array
+        updated in place, is the only array copied on the way in.
         """
-        session = cls(session_id, spec,
-                      window=int(meta.get("window", 0)))
-        if not session.spillable:
+        window = int(meta.get("window", 0))
+        if window != 0 or not supports_resume(spec):
             raise ValueError(f"session {session_id}: {spec.name} with "
-                             f"window {meta.get('window', 0)} does not "
-                             "restore from an arena")
+                             f"window {window} does not restore from an "
+                             "arena")
+        session = cls.__new__(cls)
+        session._seat(session_id, spec, window)
+        session.mode = "engine"
+        session._predictor = None
         session._state = {key: _read_only(value)
                           for key, value in arrays.items()
                           if not key.startswith("__")}
+        l1 = level1_entries(spec)
+        session._aliases = (
+            _AliasTracker(l1, arrays.get("__alias_last_writer"),
+                          int(meta.get("alias_accesses", 0)),
+                          int(meta.get("alias_conflicts", 0)))
+            if l1 else None)
         recent = arrays.get("__recent")
         if recent is not None:
-            session._recent.extend(int(hit) for hit in recent)
+            session._recent.extend(recent.tolist())
         issued_pcs = arrays.get("__issued_pc")
         issued_values = arrays.get("__issued_value")
         if issued_pcs is not None and issued_values is not None:
             for pc, value in zip(issued_pcs.tolist(),
                                  issued_values.tolist()):
                 session._issued.setdefault(pc, deque()).append(value)
-        last_writer = arrays.get("__alias_last_writer")
-        if session._aliases is not None and last_writer is not None:
-            session._aliases._last_writer = np.array(last_writer,
-                                                     dtype=np.int64)
-            session._aliases.accesses = int(meta.get("alias_accesses", 0))
-            session._aliases.conflicts = int(meta.get("alias_conflicts",
-                                                      0))
         session.predictions = int(meta.get("predictions", 0))
         session.outcomes = int(meta.get("outcomes", 0))
         session.hits = int(meta.get("hits", 0))

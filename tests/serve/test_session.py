@@ -173,3 +173,58 @@ class TestInPlaceTables:
         for key, table in tables.items():
             assert session.table_state()[key] is table, key
             np.testing.assert_array_equal(table, before[key], err_msg=key)
+
+    def test_predict_allocates_what_one_record_touches(self, tmp_path):
+        # Neither a live session nor one re-seated on its arena's
+        # read-only views copies a table to answer a PREDICT.
+        from repro.core.state import ArenaStore
+        session = Session(1, self.SPEC)
+        session.step_block(*self.block(4))
+        store = ArenaStore(tmp_path)
+        store.save(1, self.SPEC.to_config(), *session.snapshot())
+        arena = store.load(1)
+        restored = Session.restore(1, self.SPEC, arena.state(), arena.meta)
+        for live in (session, restored):
+            tables = dict(live.table_state())
+            live.predict(0x400)  # first call pays imports and caches
+            tracemalloc.start()
+            try:
+                live.predict(0x404)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, f"peak {peak} bytes for one PREDICT"
+            for key, table in tables.items():
+                assert live.table_state()[key] is table, key
+        assert restored.predict(0x408) == session.predict(0x408)
+
+
+class TestRestore:
+    SPEC = DFCMSpec(256, 1024)
+
+    def test_restore_builds_no_session(self, tmp_path, monkeypatch):
+        # Restore seats the session on the arena's arrays directly: no
+        # zero tables, no predictor, nothing thrown away.
+        from repro.core.state import ArenaStore
+        from repro.serve import session as session_module
+        live = Session(1, self.SPEC)
+        rng = np.random.default_rng(8)
+        pcs = rng.integers(0, 1 << 12, size=300) << 2
+        values = rng.integers(0, 1 << 32, size=300)
+        live.step_block(pcs[:200], values[:200])
+        store = ArenaStore(tmp_path)
+        store.save(1, self.SPEC.to_config(), *live.snapshot())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("restore built a fresh session")
+
+        monkeypatch.setattr(session_module, "initial_state", refuse)
+        monkeypatch.setattr(DFCMSpec, "build", refuse)
+        arena = store.load(1)
+        restored = Session.restore(1, self.SPEC, arena.state(), arena.meta)
+        assert restored.predict(int(pcs[0])) == live.predict(int(pcs[0]))
+        got = restored.step_block(pcs[200:], values[200:])
+        want = live.step_block(pcs[200:], values[200:])
+        assert list(got[0]) == list(want[0]) and got[1] == want[1]
+        assert restored.table_stats()["aliasing"] == \
+            live.table_stats()["aliasing"]
