@@ -395,10 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--state-dir", default=None,
                          help="shared state directory for the "
                               "self-hosted fleet (scaling mode)")
-    loadgen.add_argument("--history", metavar="FILE", default=None,
-                         help="append the scaling record to this bench "
-                              "history JSONL ('repro bench diff' gates "
-                              "it; scaling mode)")
 
     cluster = sub.add_parser(
         "cluster", help="multi-worker cluster serving (router + fleet)")
@@ -460,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--trace-out", metavar="FILE", default=None,
                       help="write the router's trace-store dump (the "
                            "most recent cross-process spans) to FILE")
-    soak.add_argument("--history", metavar="FILE", default=None,
-                      help="append the soak record to this bench "
-                           "history JSONL")
     soak.add_argument("--ci", action="store_true",
                       help="bounded CI profile: clamps --duration-s to "
                            "90 and --limit to 2000")
@@ -1073,16 +1066,10 @@ def _loadgen_scaling(args, out, spec, trace) -> int:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if args.history:
-        from repro.harness.bench import (append_history,
-                                         cluster_history_entry)
-        append_history(cluster_history_entry(report), args.history)
     if args.json:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
         out.write(render_scaling(report))
-        if args.history:
-            out.write(f"history: appended to {args.history}\n")
     failed = (not report["parity_ok"]
               or report.get("scaling_ok") is False)
     return 1 if failed else 0
@@ -1198,15 +1185,10 @@ def _cmd_soak(args, out) -> int:
             json.dump(report["trace_dump"], handle, indent=2,
                       sort_keys=True)
             handle.write("\n")
-    if args.history:
-        from repro.harness.bench import append_history, soak_history_entry
-        append_history(soak_history_entry(report), args.history)
     if args.json:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
         out.write(render_soak(report))
-        if args.history:
-            out.write(f"history: appended to {args.history}\n")
         if args.trace_out:
             out.write(f"trace dump: {args.trace_out}\n")
     return 0 if report["soak_ok"] else 1

@@ -31,8 +31,8 @@ from repro.trace.trace import ValueTrace
 __all__ = ["MIN_SPEEDUP", "MAX_REGRESSION_PCT", "bench_specs",
            "resolve_min_speedup", "resolve_max_regression_pct", "run_bench",
            "render_bench", "write_report", "history_entry",
-           "cluster_history_entry", "soak_history_entry", "append_history",
-           "read_history", "diff_history", "render_history_diff"]
+           "append_history", "read_history", "diff_history",
+           "render_history_diff"]
 
 #: Default full-mode guard: flagship DFCM batch replay vs the scalar
 #: loop.  Override per run with ``--min-speedup`` or
@@ -316,9 +316,8 @@ def history_entry(report: dict) -> dict:
 
 
 def append_history(entry: dict, path: str = "BENCH_history.jsonl") -> dict:
-    """Append one history record -- built by :func:`history_entry`,
-    :func:`cluster_history_entry` or :func:`soak_history_entry` -- to
-    the JSONL history file; returns the entry written."""
+    """Append one :func:`history_entry` record to the JSONL history
+    file; returns the entry written."""
     with open(path, "a") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
     return entry
@@ -345,96 +344,10 @@ def read_history(path: str = "BENCH_history.jsonl") -> List[dict]:
     return entries
 
 
-def cluster_history_entry(report: dict) -> dict:
-    """One ``kind: cluster_scaling`` history record from a
-    :func:`repro.serve.cluster.loadgen.run_scaling_loadgen` report --
-    aggregate throughput and tail latency per worker count, so ``repro
-    bench diff`` can gate the cluster tier the same way it gates the
-    kernels."""
-    return {
-        "schema": HISTORY_SCHEMA,
-        "kind": "cluster_scaling",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "git_sha": _bench_git_sha(),
-        "trace": report.get("trace"),
-        "spec": report.get("spec"),
-        "sessions": report.get("sessions"),
-        "points": {
-            str(p["workers"]): {
-                "records_per_s": p["records_per_s"],
-                "p99_ms": p["latency"]["p99_ms"],
-            } for p in report.get("points", [])},
-        "speedup": report.get("speedup"),
-    }
-
-
-def soak_history_entry(report: dict) -> dict:
-    """One ``kind: cluster_soak`` history record from a
-    :func:`repro.serve.cluster.soak.run_soak` report -- the sustained
-    throughput, tail latency and SLO-burn verdict of one soak run.
-    ``repro bench diff`` ignores the kind today (soaks gate themselves
-    pass/fail); the record is the longitudinal trail."""
-    return {
-        "schema": HISTORY_SCHEMA,
-        "kind": "cluster_soak",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "git_sha": _bench_git_sha(),
-        "trace": report.get("trace"),
-        "spec": report.get("spec"),
-        "workers": report.get("workers"),
-        "sessions": report.get("sessions"),
-        "seconds": report.get("seconds"),
-        "passes": report.get("passes"),
-        "records_per_s": report.get("records_per_s"),
-        "p99_ms": report.get("latency", {}).get("p99_ms"),
-        "peak_burn": report.get("peak_burn"),
-        "parity_ok": report.get("parity_ok"),
-        "slo_ok": report.get("slo_ok"),
-        "soak_ok": report.get("soak_ok"),
-    }
-
-
 def _entry_kind(entry: dict) -> str:
     """Records written before kinds existed are bench records."""
     return entry.get("kind") or ("bench" if "families" in entry
                                  else "unknown")
-
-
-def _diff_cluster(base: dict, head: dict, threshold: float) -> dict:
-    """Per-worker-count throughput comparison of two cluster records.
-
-    Only worker counts present in both records gate (a widened or
-    narrowed sweep re-baselines itself); a point regresses when its
-    aggregate throughput drops more than *threshold* percent.
-    """
-    points = []
-    regressed = []
-    shared = sorted(set(base.get("points", {}))
-                    & set(head.get("points", {})), key=int)
-    for workers in shared:
-        old = base["points"][workers]["records_per_s"]
-        new = head["points"][workers]["records_per_s"]
-        delta_pct = ((new - old) / old * 100.0) if old else 0.0
-        is_regressed = delta_pct < -threshold
-        if is_regressed:
-            regressed.append(f"cluster:w{workers}")
-        points.append({
-            "workers": int(workers),
-            "base_records_per_s": old,
-            "head_records_per_s": new,
-            "base_p99_ms": base["points"][workers].get("p99_ms"),
-            "head_p99_ms": head["points"][workers].get("p99_ms"),
-            "delta_pct": round(delta_pct, 2),
-            "regressed": is_regressed,
-        })
-    return {
-        "base": {"git_sha": base.get("git_sha"),
-                 "timestamp": base.get("timestamp")},
-        "head": {"git_sha": head.get("git_sha"),
-                 "timestamp": head.get("timestamp")},
-        "points": points,
-        "regressed": regressed,
-    }
 
 
 def diff_history(path: str = "BENCH_history.jsonl",
@@ -450,17 +363,11 @@ def diff_history(path: str = "BENCH_history.jsonl",
     with both sides named -- re-run ``bench --history`` after a grid
     change to re-baseline.
 
-    The history file may interleave record kinds (plain bench records
-    and ``cluster_scaling`` records from the scaling loadgen); each
-    kind diffs against its own predecessor.  The cluster comparison
-    rides along under ``"cluster"`` whenever two scaling records
-    exist, gated by the same threshold.
+    Records of any other kind in the history file are skipped.
     """
     threshold = resolve_max_regression_pct(max_regression_pct)
-    entries = read_history(path)
-    bench_entries = [e for e in entries if _entry_kind(e) == "bench"]
-    cluster_entries = [e for e in entries
-                       if _entry_kind(e) == "cluster_scaling"]
+    bench_entries = [e for e in read_history(path)
+                     if _entry_kind(e) == "bench"]
     if len(bench_entries) < 2:
         raise ValueError(
             f"{path}: need at least 2 bench history records to diff, "
@@ -507,7 +414,7 @@ def diff_history(path: str = "BENCH_history.jsonl",
             "head_table_efficiency": new_eff,
             "efficiency_delta_pct": eff_delta,
         })
-    diff = {
+    return {
         "schema": HISTORY_SCHEMA,
         "path": path,
         "max_regression_pct": threshold,
@@ -521,13 +428,6 @@ def diff_history(path: str = "BENCH_history.jsonl",
         "regressed": regressed,
         "passed": not regressed,
     }
-    if len(cluster_entries) >= 2:
-        cluster = _diff_cluster(cluster_entries[-2], cluster_entries[-1],
-                                threshold)
-        diff["cluster"] = cluster
-        diff["regressed"] = regressed + cluster["regressed"]
-        diff["passed"] = not diff["regressed"]
-    return diff
 
 
 def render_history_diff(diff: dict) -> str:
@@ -551,18 +451,6 @@ def render_history_diff(diff: dict) -> str:
          "verdict"], rows,
         title=(f"bench history diff: {_ident(diff['base'])} -> "
                f"{_ident(diff['head'])}"))]
-    cluster = diff.get("cluster")
-    if cluster:
-        cluster_rows = [
-            [f"{p['workers']}",
-             f"{p['base_records_per_s']:,}",
-             f"{p['head_records_per_s']:,}",
-             f"{p['delta_pct']:+.2f}%",
-             "REGRESSED" if p["regressed"] else "ok"]
-            for p in cluster["points"]]
-        lines.append(format_table(
-            ["workers", "base rec/s", "head rec/s", "delta", "verdict"],
-            cluster_rows, title="cluster scaling diff"))
     verdict = "PASS" if diff["passed"] else "FAIL"
     lines.append(f"gate: batch throughput drop <= "
                  f"{diff['max_regression_pct']:g}% per family -- {verdict}")

@@ -23,7 +23,9 @@ reader (and, through TCP, the client) instead of buffering unboundedly.
 
 Results travel back through per-item futures.  The worker never lets a
 session's exception kill the shard: it lands on the item's future and
-the batch continues.
+the batch continues.  A future may already be done when its item
+executes -- the connection's deadline answered it TIMEOUT -- and the
+item still executes; only its result is dropped.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ class MicroBatcher:
                 session = resolve(session_id)
             except Exception as exc:  # noqa: BLE001 - must reach the client
                 for item in items:
-                    if not item.future.cancelled():
+                    if not item.future.done():
                         item.future.set_exception(exc)
                 continue
             for fused in self._fuse_runs(items):
@@ -159,9 +161,6 @@ class MicroBatcher:
         return runs
 
     def _execute_fused(self, fused: List[WorkItem], session) -> None:
-        done = [item for item in fused if not item.future.cancelled()]
-        if not done:
-            return
         traces = [item.trace for item in fused if item.trace is not None]
         start = time.monotonic()
         for trace in traces:
@@ -172,7 +171,7 @@ class MicroBatcher:
             if fused[0].fuse_key is None:
                 item = fused[0]
                 result = item.run(session)
-                if not item.future.cancelled():
+                if not item.future.done():
                     item.future.set_result(result)
                 return
             if len(fused) == 1:
@@ -199,11 +198,11 @@ class MicroBatcher:
                 offset += len(item.pcs)
                 if self.on_records is not None:
                     self.on_records(item.session_id, len(item.pcs), hits)
-                if not item.future.cancelled():
+                if not item.future.done():
                     item.future.set_result((part, hits))
         except Exception as exc:  # noqa: BLE001 - must reach the client
             for item in fused:
-                if not item.future.cancelled():
+                if not item.future.done():
                     item.future.set_exception(exc)
         finally:
             end = time.monotonic()

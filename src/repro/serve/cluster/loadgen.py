@@ -18,10 +18,7 @@ largest fleet over the single-worker point.  ``min_scaling`` gates
 the speedup (``scaling_ok``); leave it None on machines whose core
 count cannot possibly show scaling (the report records
 ``cpu_count`` so a reader can tell why a local run stays flat).
-
-:func:`repro.harness.bench.cluster_history_entry` turns the report
-into a ``BENCH_history.jsonl`` record so ``repro bench diff`` gates
-cluster throughput regressions alongside the kernel families.
+The report gates itself; nothing files it in ``BENCH_history.jsonl``.
 """
 
 from __future__ import annotations

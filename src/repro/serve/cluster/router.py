@@ -25,7 +25,9 @@ on the way in and restored on the way out, which is what lets many
 client connections multiplex over one connection per worker while
 responses still come back to the right requester in FIFO order per
 client (response slots are enqueued before the frame is forwarded,
-exactly like the single-process server's writer queue).
+exactly like the single-process server's writer queue).  Every frame,
+to a worker or back to a client, leaves in one write: length prefix
+and bytes together.
 
 **No dropped or reordered frames.**  Hot migration parks a session
 (new frames queue in arrival order), sends RELEASE_SESSION to the old
@@ -61,9 +63,8 @@ from repro.serve.cluster.aggregate import (http_get, http_get_json,
 from repro.serve.cluster.ring import RendezvousRing
 from repro.serve.cluster.supervisor import ClusterSupervisor
 from repro.serve.protocol import HEADER_SIZE
-from repro.serve.service import (LATENCY_BUCKETS, FrameService,
-                                 ServiceThread, consume_exception,
-                                 pooled_table_ratios)
+from repro.serve.service import (FrameService, Refusal, ServiceMetrics,
+                                 ServiceThread, Slot, pooled_table_ratios)
 from repro.serve.tracing import (RequestTrace, format_trace_id,
                                  new_trace_id, parse_trace_id)
 from repro.telemetry.registry import registry
@@ -104,10 +105,11 @@ class ClusterControlError(Exception):
         self.message = message
 
 
-class _ClusterMetrics:
+class _ClusterMetrics(ServiceMetrics):
     """Registry handles for the router tier (``repro_cluster_*``)."""
 
     def __init__(self):
+        super().__init__("repro_cluster")
         reg = registry()
         self.workers = reg.gauge(
             "repro_cluster_workers", "Worker slots the router manages.")
@@ -120,19 +122,10 @@ class _ClusterMetrics:
         self.parked = reg.gauge(
             "repro_cluster_parked_sessions",
             "Sessions parked mid-migration or mid-failover.")
-        self.connections_open = reg.gauge(
-            "repro_cluster_connections_open",
-            "Client connections open at the router.")
         self.frames = reg.counter(
             "repro_cluster_frames_proxied_total",
             "Client frames accepted by the router, by frame type.",
             labels=("type",))
-        self.records = reg.counter(
-            "repro_cluster_records_total",
-            "Prediction records proxied to workers (STEP/STEP_BLOCK).")
-        self.hits = reg.counter(
-            "repro_cluster_hits_total",
-            "Correct predictions in proxied responses.")
         self.migrations = reg.counter(
             "repro_cluster_migrations_total",
             "Sessions moved between workers, by reason.",
@@ -143,47 +136,37 @@ class _ClusterMetrics:
         self.restarts = reg.counter(
             "repro_cluster_worker_restarts_total",
             "Replacement workers spawned into dead slots.")
-        self.errors = reg.counter(
-            "repro_cluster_errors_total",
-            "Error responses synthesized by the router, by code.",
-            labels=("code",))
-        self.request_seconds = reg.histogram(
-            "repro_cluster_request_seconds",
-            "Proxied request latency (client frame read to response "
-            "written).", buckets=LATENCY_BUCKETS, labels=("type",))
 
 
-class _Entry:
-    """One in-flight client (or control) frame."""
+class _Entry(Slot):
+    """One in-flight client (or control) frame.  As a client frame's
+    response slot it carries the client's request and trace ids; its
+    future resolves to the worker's reply (bytes after the length
+    prefix) or a :class:`~repro.serve.service.Refusal`."""
 
-    __slots__ = ("payload", "conn", "future", "frame_type", "session_id",
-                 "client_request_id", "respond_open", "kind", "records",
-                 "brid", "trace_id", "trace")
+    __slots__ = ("payload", "conn", "frame_type", "session_id",
+                 "respond_open", "kind", "records", "brid")
 
     def __init__(self, payload, conn, future, frame_type, trace_id,
-                 client_request_id, session_id=0, respond_open=False,
-                 kind=None, records=0):
+                 request_id, session_id=0):
+        # The router-side span of a client frame, under the client's
+        # trace id (a frame carrying 0 gets a router-assigned one: it
+        # still records the router-side timeline, it just won't match
+        # the worker's); None for router-internal control frames.
+        trace = None if conn is None else RequestTrace(
+            trace_id=trace_id or new_trace_id(),
+            frame_type=protocol.frame_type_name(frame_type),
+            source="router", request_id=request_id,
+            t_recv=time.monotonic())
+        super().__init__(future, trace, request_id, trace_id)
         self.payload = payload
         self.conn = conn
-        self.future = future
         self.frame_type = frame_type
-        self.trace_id = trace_id
-        self.client_request_id = client_request_id
         self.session_id = session_id
-        self.respond_open = respond_open
-        self.kind = kind
-        self.records = records
+        self.respond_open = False
+        self.kind = None
+        self.records = 0
         self.brid = 0
-        #: Router-side span of a client frame, under the client's trace
-        #: id (a frame carrying 0 gets a router-assigned one: it still
-        #: records the router-side timeline, it just won't match the
-        #: worker's); None for router-internal control frames.
-        self.trace: Optional[RequestTrace] = (
-            None if conn is None else RequestTrace(
-                trace_id=trace_id or new_trace_id(),
-                frame_type=protocol.frame_type_name(frame_type),
-                source="router", request_id=client_request_id,
-                t_recv=time.monotonic()))
 
 
 class _Backend:
@@ -211,6 +194,8 @@ class Router(FrameService):
     """The cluster's client-facing listener and placement brain."""
 
     service_name = "repro-serve-cluster"
+    trace_source, answer_stage, write_stage = "router", "route", "write"
+    timeout_message = "request not served within {:g}s by the cluster"
 
     def __init__(self, supervisor: ClusterSupervisor,
                  host: str = "127.0.0.1", port: int = 0,
@@ -218,12 +203,9 @@ class Router(FrameService):
                  request_timeout: float = 60.0,
                  auto_restart: bool = True,
                  tick_interval: float = 0.5):
-        self.metrics = _ClusterMetrics()
-        super().__init__(host, port, obs_port,
-                         self.metrics.connections_open,
-                         self.metrics.request_seconds)
+        super().__init__(host, port, obs_port, _ClusterMetrics(),
+                         request_timeout)
         self.supervisor = supervisor
-        self.request_timeout = request_timeout
         self.auto_restart = auto_restart
         self.tick_interval = tick_interval
         self.state_dir = supervisor.worker_kwargs.get("state_dir")
@@ -382,9 +364,8 @@ class Router(FrameService):
         except ConnectionError:
             # The owner is already known dead and the session was not
             # parked for a failover (the router is stopping, say).
-            if not entry.future.done():
-                self._fail_entry(entry, protocol.ErrorCode.INTERNAL,
-                                 f"worker {owner} connection lost")
+            self._fail_entry(entry, protocol.ErrorCode.INTERNAL,
+                             f"worker {owner} connection lost")
 
     async def _route_open(self, entry: _Entry) -> None:
         """Rewrite OPEN_SESSION -> OPEN_SESSION_AS with a router-global
@@ -425,38 +406,13 @@ class Router(FrameService):
             await self._forward(entry, self._backends[target])
         except ConnectionError:
             self._sessions.pop(gid, None)
-            if not entry.future.done():
-                self._fail_entry(entry, protocol.ErrorCode.INTERNAL,
-                                 f"worker {target} connection lost")
+            self._fail_entry(entry, protocol.ErrorCode.INTERNAL,
+                             f"worker {target} connection lost")
 
-    async def _writer_loop(self, conn) -> None:
-        while True:
-            entry = await conn.responses.get()
-            if entry is None:
-                return
-            try:
-                payload = await asyncio.wait_for(
-                    asyncio.shield(entry.future), self.request_timeout)
-            except asyncio.TimeoutError:
-                entry.future.add_done_callback(consume_exception)
-                payload = self._error_frame(
-                    entry, protocol.ErrorCode.TIMEOUT,
-                    f"request not served within "
-                    f"{self.request_timeout:g}s by the cluster")
-            except Exception as exc:  # noqa: BLE001
-                payload = self._error_frame(
-                    entry, protocol.ErrorCode.INTERNAL,
-                    f"{type(exc).__name__}: {exc}")
-            try:
-                conn.writer.write(_LEN.pack(len(payload)))
-                conn.writer.write(payload)
-                await conn.writer.drain()
-            except (ConnectionError, OSError):
-                return
-            # The router's span is complete: client-experienced latency
-            # plus every stage between accept and drain.
-            entry.trace.finish("write", time.monotonic())
-            self.request_log.record(entry.trace)
+    def _response_frame(self, entry: _Entry, payload) -> bytes:
+        """The worker's reply (or the router's own answer) behind its
+        length prefix, so the frame goes out in one write."""
+        return _LEN.pack(len(payload)) + payload
 
     # ------------------------------------------------------ backend side
 
@@ -486,7 +442,7 @@ class Router(FrameService):
             entry.trace.mark("proxy", time.monotonic())
             if is_error:
                 entry.trace.fail()
-        protocol.patch_request_id(payload, entry.client_request_id)
+        protocol.patch_request_id(payload, entry.request_id)
         if entry.respond_open and not is_error:
             protocol.patch_type(payload, protocol.FrameType.OPEN_SESSION
                                 | protocol.RESPONSE_BIT)
@@ -538,8 +494,7 @@ class Router(FrameService):
             trace.workers.append(backend.index)
         protocol.patch_request_id(entry.payload, brid)
         backend.pending[brid] = entry
-        backend.writer.write(_LEN.pack(len(entry.payload)))
-        backend.writer.write(entry.payload)
+        backend.writer.write(_LEN.pack(len(entry.payload)) + entry.payload)
         try:
             await backend.writer.drain()
         except ConnectionError:
@@ -725,9 +680,9 @@ class Router(FrameService):
         self._refresh_gauges()
 
     async def _resend(self, entry: _Entry) -> None:
-        """Re-drive one in-flight frame after its worker died."""
-        if entry.future.done():
-            return
+        """Re-drive one in-flight frame after its worker died -- even
+        one already answered TIMEOUT: the client was told it timed out,
+        not that it never happened."""
         if entry.kind == "open":
             # The open never completed anywhere; place it afresh.
             try:
@@ -761,9 +716,8 @@ class Router(FrameService):
         if entries is None:
             return
         while entries:
+            # An entry answered TIMEOUT while parked is forwarded too.
             entry = entries.pop(0)
-            if entry.future.done():
-                continue
             entry.trace.mark("park", time.monotonic())
             owner = self._sessions.get(session_id)
             if owner is None:
@@ -825,35 +779,15 @@ class Router(FrameService):
         self.metrics.parked.set(len(self._parked))
 
     def _fail_entry(self, entry: _Entry, code: int, message: str) -> None:
-        if entry.future.done():
-            return
-        self._complete(entry, self._error_frame(entry, code, message))
+        self._complete(entry, Refusal(code, message))
 
-    def _error_frame(self, entry: _Entry, code: int,
-                     message: str) -> bytes:
-        self.metrics.errors.inc(code=protocol.error_code_name(code))
-        if entry.trace is not None:
-            entry.trace.fail(message,
-                             timeout=code == protocol.ErrorCode.TIMEOUT)
-        return _bare_frame(protocol.FrameType.ERROR,
-                           entry.client_request_id,
-                           protocol.encode_error(code, message),
-                           entry.trace_id)
-
-    def _enqueue_error(self, conn, request_id: int, code: int,
-                       message: str) -> None:
-        entry = _Entry(b"", conn, self._loop.create_future(),
-                       protocol.FrameType.ERROR, 0, request_id)
-        self._fail_entry(entry, code, message)
-        conn.responses.put_nowait(entry)
-
-    def _complete(self, entry: _Entry, payload: bytes) -> None:
+    def _complete(self, entry: _Entry, result) -> None:
         """Answer *entry*; one never handed off ends ``route`` here."""
         if entry.future.done():
             return
         if entry.trace is not None and not entry.trace.marks:
             entry.trace.mark("route", time.monotonic())
-        entry.future.set_result(payload)
+        entry.future.set_result(result)
 
     # ----------------------------------------------------------- reports
 
@@ -1253,8 +1187,8 @@ class ClusterThread(ServiceThread):
 
 def _bare_frame(frame_type: int, request_id: int, body: bytes,
                 trace_id: int) -> bytes:
-    """A complete frame without its length prefix (the writers add
-    it), matching what :func:`~repro.serve.protocol.read_payload`
+    """A complete frame without its length prefix (prepended as it is
+    written), matching what :func:`~repro.serve.protocol.read_payload`
     returns."""
     return protocol.encode_frame(frame_type, request_id, body,
                                  trace_id)[4:]

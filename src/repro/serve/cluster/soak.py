@@ -22,9 +22,8 @@ out", cheap enough to run for a couple of minutes per push.
 The report (``kind: cluster_soak``) carries every telemetry sample,
 pass counts, pooled latency percentiles and a bounded dump of the
 router's trace store (the cross-process spans of the most recent
-requests) so a failed run ships its own forensics.
-:func:`repro.harness.bench.soak_history_entry` files it in
-``BENCH_history.jsonl``.
+requests) so a failed run ships its own forensics.  The report
+gates itself; nothing files it in ``BENCH_history.jsonl``.
 """
 
 from __future__ import annotations

@@ -7,17 +7,18 @@ through its shard's queue -- per-session FIFO without locks -- while
 different sessions proceed in parallel across shards.
 
 Connections run on the :class:`~repro.serve.service.FrameService`
-chassis (reader, writer, drain).  Dispatch enqueues a response slot,
-then submits the work item to the owning shard's
+chassis (reader, the one response writer, drain).  Dispatch enqueues a
+response slot, then submits the work item to the owning shard's
 :class:`~repro.serve.batcher.MicroBatcher`, awaiting there under
-backpressure; the writer awaits each slot's future (bounded by
-``request_timeout``; the timeout produces an ERROR response, never
-cancels the work) and encodes the frame.
+backpressure.  The chassis writer answers the slots in order (a slot
+not served within ``request_timeout`` of reaching the head is answered
+TIMEOUT; its work still executes); this module supplies only
+:meth:`PredictionServer._response_frame`, which encodes a result.
 
 Graceful shutdown (:meth:`PredictionServer.stop`): close the listener,
-cancel the readers (shielded dispatches finish), let every writer
-drain its pending responses while the shard workers keep executing,
-then cancel the (now idle) workers and close the transports.
+stop the readers (a dispatch in progress finishes first), let every
+writer drain its pending responses while the shard workers keep
+executing, then cancel the (now idle) workers and close the transports.
 
 With a state directory configured (``--state-dir``), sessions are
 **durable**: an LRU evictor spills the coldest engine-mode sessions to
@@ -58,12 +59,11 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.core.spec import spec_from_config
-from repro.core.state import (STATE_VERSION, ArenaStore,
-                              StateVersionError)
+from repro.core.state import STATE_VERSION, ArenaStore
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher, WorkItem
-from repro.serve.service import (LATENCY_BUCKETS, FrameService,
-                                 ServiceThread, consume_exception,
+from repro.serve.service import (LATENCY_BUCKETS, FrameService, Refusal,
+                                 ServiceMetrics, ServiceThread, Slot,
                                  pooled_table_ratios)
 from repro.serve.session import Session
 from repro.serve.tracing import RequestTrace, new_trace_id
@@ -82,42 +82,29 @@ _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 _SLO_INTERVAL_S = 0.25
 
 
-class _WholeFrameEncoder:
-    """A response encoder that builds the complete wire frame itself.
+class _Response(Slot):
+    """A worker's response slot: the request's frame type and the
+    encoder of its result body (None for a STEP_BLOCK result, which is
+    written straight into the wire buffer)."""
 
-    The writer loop normally wraps an encoder's body in
-    ``protocol.encode_frame``; encoders wrapped in this marker are
-    called as ``fn(result, frame_type, request_id, trace_id)`` and
-    return the finished frame -- the single-allocation path for
-    large STEP_BLOCK responses.
-    """
+    __slots__ = ("frame_type", "encode")
 
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, future, trace: RequestTrace, frame_type: int,
+                 encode):
+        super().__init__(future, trace, trace.request_id, trace.trace_id)
+        self.frame_type = frame_type
+        self.encode = encode
 
 
-_BLOCK_RESULT_FRAME = _WholeFrameEncoder(
-    lambda res, frame_type, request_id, trace_id:
-    protocol.encode_block_result_frame(frame_type, request_id,
-                                       res[0], res[1], trace_id))
-
-
-class _ServeMetrics:
+class _ServeMetrics(ServiceMetrics):
     """Handles into the process registry for the serving data path."""
 
     def __init__(self):
+        super().__init__("repro_serve")
         reg = registry()
         self.requests = reg.counter(
             "repro_serve_requests_total",
             "Requests dispatched, by frame type.", labels=("type",))
-        self.errors = reg.counter(
-            "repro_serve_errors_total",
-            "Error responses sent, by error code.", labels=("code",))
-        self.records = reg.counter(
-            "repro_serve_records_total",
-            "Prediction records stepped through sessions.")
         self.fused = reg.counter(
             "repro_serve_fused_records_total",
             "Records that shared a kernel call with another request.")
@@ -134,14 +121,6 @@ class _ServeMetrics:
             "Items waiting in each shard's queue.", labels=("shard",))
         self.sessions_open = reg.gauge(
             "repro_serve_sessions_open", "Sessions currently open.")
-        self.connections_open = reg.gauge(
-            "repro_serve_connections_open", "Client connections open.")
-        self.request_seconds = reg.histogram(
-            "repro_serve_request_seconds",
-            "End-to-end request latency (frame read to response written).",
-            buckets=LATENCY_BUCKETS, labels=("type",))
-        self.hits = reg.counter(
-            "repro_serve_hits_total", "Correct predictions served.")
         self.slo_burn = reg.gauge(
             "repro_serve_slo_burn_rate",
             "Burn rate per SLO and window at the last evaluation.",
@@ -234,11 +213,8 @@ class PredictionServer(FrameService):
         if max_resident is not None and max_resident < 1:
             raise ValueError(f"max_resident must be >= 1, "
                              f"got {max_resident}")
-        self.metrics = _ServeMetrics()
-        super().__init__(host, port, obs_port,
-                         self.metrics.connections_open,
-                         self.metrics.request_seconds)
-        self.request_timeout = request_timeout
+        super().__init__(host, port, obs_port, _ServeMetrics(),
+                         request_timeout)
         self.shards = [
             _Shard(i, MicroBatcher(max_batch=max_batch,
                                    queue_depth=queue_depth))
@@ -512,49 +488,19 @@ class PredictionServer(FrameService):
         return {"schema": 1, "shards": shards_out,
                 "totals": pooled_table_ratios(totals)}
 
-    # -------------------------------------------------------- connections
+    # -------------------------------------------------------- responses
 
-    async def _writer_loop(self, conn) -> None:
-        while True:
-            slot = await conn.responses.get()
-            if slot is None:
-                return
-            frame_type, request_id, encode, future, trace = slot
-            trace_id = trace.trace_id if trace is not None else 0
-            if future is None:
-                payload = encode  # pre-encoded immediate response
-            else:
-                try:
-                    result = await asyncio.wait_for(
-                        asyncio.shield(future), self.request_timeout)
-                    if isinstance(encode, _WholeFrameEncoder):
-                        payload = encode.fn(
-                            result, frame_type | protocol.RESPONSE_BIT,
-                            request_id, trace_id)
-                    else:
-                        payload = protocol.encode_frame(
-                            frame_type | protocol.RESPONSE_BIT, request_id,
-                            encode(result), trace_id)
-                except asyncio.TimeoutError:
-                    # The shielded future stays with the shard worker;
-                    # consume its eventual exception so an abandoned
-                    # failure doesn't warn "never retrieved".
-                    future.add_done_callback(consume_exception)
-                    payload = self._error_frame(
-                        request_id, protocol.ErrorCode.TIMEOUT,
-                        f"request not served within "
-                        f"{self.request_timeout:g}s", trace)
-                except Exception as exc:  # noqa: BLE001
-                    payload = self._error_frame(
-                        request_id, *_classify_error(exc), trace)
-            try:
-                conn.writer.write(payload)
-                await conn.writer.drain()
-            except (ConnectionError, OSError):
-                return
-            if trace is not None:
-                trace.finish("flush", time.monotonic())
-                self.request_log.record(trace)
+    def _response_frame(self, slot: _Response, result) -> bytes:
+        """A served result's frame; ends the span's ``encode``."""
+        frame_type = slot.frame_type | protocol.RESPONSE_BIT
+        if slot.encode is None:
+            frame = protocol.encode_block_result_frame(
+                frame_type, slot.request_id, *result, slot.trace_id)
+        else:
+            frame = protocol.encode_frame(frame_type, slot.request_id,
+                                          slot.encode(result), slot.trace_id)
+        slot.trace.mark("encode", time.monotonic())
+        return frame
 
     # ----------------------------------------------------------- dispatch
 
@@ -574,15 +520,12 @@ class PredictionServer(FrameService):
         try:
             handler = _DISPATCH.get(frame.type)
             if handler is None:
-                self._enqueue_error(
-                    conn, frame.request_id, protocol.ErrorCode.UNKNOWN_TYPE,
-                    f"unknown frame type {frame.type}", trace=trace)
+                self._refuse(conn, trace, protocol.ErrorCode.UNKNOWN_TYPE,
+                             f"unknown frame type {frame.type}")
                 return
             await handler(self, conn, frame, trace)
         except protocol.ProtocolError as exc:
-            self._enqueue_error(conn, frame.request_id,
-                                protocol.ErrorCode.BAD_FRAME, str(exc),
-                                trace=trace)
+            self._refuse(conn, trace, protocol.ErrorCode.BAD_FRAME, str(exc))
 
     async def _dispatch_open(self, conn, frame, trace) -> None:
         config, window = protocol.decode_open_session(frame.body)
@@ -593,10 +536,8 @@ class PredictionServer(FrameService):
         session_id, config, window = protocol.decode_open_session_as(
             frame.body)
         if session_id < 1:
-            self._enqueue_error(conn, frame.request_id,
-                                protocol.ErrorCode.BAD_FRAME,
-                                f"session id must be >= 1, "
-                                f"got {session_id}", trace=trace)
+            self._refuse(conn, trace, protocol.ErrorCode.BAD_FRAME,
+                         f"session id must be >= 1, got {session_id}")
             return
         self._note_session_id(session_id)
         await self._open_session(conn, frame, trace, config, window,
@@ -605,18 +546,15 @@ class PredictionServer(FrameService):
     async def _open_session(self, conn, frame, trace, config, window,
                             session_id) -> None:
         if self._stopping:
-            self._enqueue_error(conn, frame.request_id,
-                                protocol.ErrorCode.SHUTTING_DOWN,
-                                "server is draining", trace=trace)
+            self._refuse(conn, trace, protocol.ErrorCode.SHUTTING_DOWN,
+                         "server is draining")
             return
         try:
             spec = spec_from_config(config)
             if window < 0:
                 raise ValueError(f"window must be >= 0, got {window}")
         except (ValueError, TypeError, KeyError) as exc:
-            self._enqueue_error(conn, frame.request_id,
-                                protocol.ErrorCode.BAD_SPEC, str(exc),
-                                trace=trace)
+            self._refuse(conn, trace, protocol.ErrorCode.BAD_SPEC, str(exc))
             return
         shard = self.shards[session_id % len(self.shards)]
 
@@ -672,7 +610,7 @@ class PredictionServer(FrameService):
             conn, frame, trace, self._shard_of(session_id),
             fuse_key="step", pcs=pcs, values=values,
             session_id=session_id,
-            encode=_BLOCK_RESULT_FRAME)
+            encode=None)
 
     async def _dispatch_flush(self, conn, frame, trace) -> None:
         (session_id,) = protocol.decode_session_op(frame.body, 0)
@@ -684,12 +622,9 @@ class PredictionServer(FrameService):
     async def _dispatch_stats(self, conn, frame, trace) -> None:
         (session_id,) = protocol.decode_session_op(frame.body, 0)
         if session_id == 0:
-            payload = protocol.encode_frame(
-                frame.type | protocol.RESPONSE_BIT, frame.request_id,
-                protocol.encode_json_body(self.server_stats()),
-                frame.trace_id)
-            self._enqueue(conn, frame.type, frame.request_id, payload, None,
-                          trace)
+            self._enqueue(conn, frame.type, trace,
+                          protocol.encode_json_body).set_result(
+                              self.server_stats())
             return
         await self._submit_session(
             conn, frame, trace, session_id,
@@ -801,11 +736,9 @@ class PredictionServer(FrameService):
         """Answer STATE_UNAVAILABLE when no state directory is set."""
         if self._store is not None:
             return False
-        self._enqueue_error(
-            conn, frame.request_id, protocol.ErrorCode.STATE_UNAVAILABLE,
-            f"server is running without a state directory "
-            f"(start it with --state-dir to enable {feature})",
-            trace=trace)
+        self._refuse(conn, trace, protocol.ErrorCode.STATE_UNAVAILABLE,
+                     f"server is running without a state directory "
+                     f"(start it with --state-dir to enable {feature})")
         return True
 
     def _touch(self, session_id: int) -> None:
@@ -939,12 +872,10 @@ class PredictionServer(FrameService):
     async def _submit(self, conn, frame, trace, shard, session_id, encode,
                       run=None, fuse_key=None, pcs=None,
                       values=None) -> None:
-        future = asyncio.get_running_loop().create_future()
         trace.session_id = session_id
         trace.shard = shard.index
         trace.records = len(pcs) if pcs is not None else 0
-        self._enqueue(conn, frame.type, frame.request_id, encode, future,
-                      trace)
+        future = self._enqueue(conn, frame.type, trace, encode)
         item = WorkItem(session_id=session_id, future=future, run=run,
                         fuse_key=fuse_key, pcs=pcs if pcs is not None else [],
                         values=values if values is not None else [],
@@ -953,30 +884,21 @@ class PredictionServer(FrameService):
                                      shard=str(shard.index))
         await shard.batcher.submit(item)
 
-    def _enqueue(self, conn, frame_type, request_id, encode, future,
-                 trace) -> None:
-        """Queue a response slot, ending the request's ``decode``."""
-        if trace is not None:
-            trace.mark("decode", time.monotonic())
-        conn.responses.put_nowait((frame_type, request_id, encode, future,
-                                   trace))
+    def _enqueue(self, conn, frame_type: int, trace: RequestTrace,
+                 encode) -> asyncio.Future:
+        """Queue a response slot, ending the request's ``decode``;
+        returns the future its result goes on."""
+        future = asyncio.get_running_loop().create_future()
+        trace.mark("decode", time.monotonic())
+        conn.responses.put_nowait(_Response(future, trace, frame_type,
+                                            encode))
+        return future
 
-    def _enqueue_error(self, conn, request_id: int, code: int,
-                       message: str, trace=None) -> None:
-        self._enqueue(conn, protocol.FrameType.ERROR, request_id,
-                      self._error_frame(request_id, code, message, trace),
-                      None, trace)
-
-    def _error_frame(self, request_id: int, code: int, message: str,
-                     trace: Optional[RequestTrace] = None) -> bytes:
-        """A counted ERROR frame; *trace* records the failure."""
-        self.metrics.errors.inc(code=protocol.error_code_name(code))
-        if trace is not None:
-            trace.fail(message, timeout=code == protocol.ErrorCode.TIMEOUT)
-        return protocol.encode_frame(
-            protocol.FrameType.ERROR, request_id,
-            protocol.encode_error(code, message),
-            trace.trace_id if trace is not None else 0)
+    def _refuse(self, conn, trace: RequestTrace, code: int,
+                message: str) -> None:
+        """Answer the request ERROR without executing anything."""
+        self._enqueue(conn, protocol.FrameType.ERROR, trace,
+                      None).set_result(Refusal(code, message))
 
     def _finish_session(self, shard: _Shard, session_id: int) -> dict:
         session = shard.sessions.pop(session_id)
@@ -1041,21 +963,6 @@ _DISPATCH = {
     protocol.FrameType.RELEASE_SESSION: PredictionServer._dispatch_release,
     protocol.FrameType.OPEN_SESSION_AS: PredictionServer._dispatch_open_as,
 }
-
-
-def _classify_error(exc: Exception):
-    if isinstance(exc, KeyError):
-        return (protocol.ErrorCode.UNKNOWN_SESSION,
-                f"unknown session {exc.args[0] if exc.args else ''}")
-    if isinstance(exc, StateVersionError):
-        # The arena is sound but from another deploy generation: a
-        # distinct code so rolling-deploy tooling can tell "refused
-        # restore" from a generic failure.
-        return protocol.ErrorCode.STATE_VERSION, str(exc)
-    if isinstance(exc, (ValueError, protocol.ProtocolError)):
-        return protocol.ErrorCode.BAD_FRAME, str(exc)
-    return (protocol.ErrorCode.INTERNAL,
-            f"{type(exc).__name__}: {exc}")
 
 
 class ServerThread(ServiceThread):

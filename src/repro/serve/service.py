@@ -4,9 +4,10 @@
 :class:`~repro.serve.cluster.router.Router` are each a TCP listener
 speaking the frame protocol with an HTTP observability endpoint beside
 it.  What they share lives here once: :class:`FrameService` (listener,
-connection loop, drain, obs endpoint, session ids), :class:`RequestLog`
-(completed-request bookkeeping), :func:`run_service` /
-:func:`serve_until_signalled` (start, announce, wait, drain) and
+connection loop, the one in-order response path, drain, obs endpoint,
+session ids), :class:`ServiceMetrics` (the instruments both declare),
+:class:`RequestLog` (completed-request bookkeeping), :func:`run_service`
+/ :func:`serve_until_signalled` (start, announce, wait, drain) and
 :class:`ServiceThread` (the same on a background thread).
 """
 
@@ -17,19 +18,22 @@ import signal
 import threading
 import time
 from collections import deque
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
+from repro.core.state import StateVersionError
 from repro.serve import protocol
 from repro.serve.obs import ObservabilityServer
-from repro.serve.tracing import (SlowRequestSampler, TraceStore,
-                                 latency_summary)
+from repro.serve.tracing import (RequestTrace, SlowRequestSampler,
+                                 TraceStore, latency_summary, new_trace_id)
 from repro.telemetry import run as telemetry_run_module
 from repro.telemetry.live import live_prometheus_text
+from repro.telemetry.registry import registry
 from repro.telemetry.spans import emit_span
 
-__all__ = ["FrameService", "RequestLog", "ServiceThread", "run_service",
-           "serve_until_signalled", "consume_exception",
-           "pooled_table_ratios", "LATENCY_BUCKETS", "DATA_TYPES"]
+__all__ = ["FrameService", "ServiceMetrics", "Slot", "Refusal",
+           "RequestLog", "ServiceThread", "run_service",
+           "serve_until_signalled", "pooled_table_ratios",
+           "LATENCY_BUCKETS", "DATA_TYPES"]
 
 #: Upper bounds (seconds) of every ``*_request_seconds`` histogram.
 LATENCY_BUCKETS = (.0001, .0005, .001, .005, .025, .1, .5, 2.5)
@@ -50,6 +54,30 @@ WINDOW_S = 60.0
 
 _START_TIMEOUT_S = 60.0
 _STOP_TIMEOUT_S = 90.0
+
+
+class ServiceMetrics:
+    """Registry handles every service declares, under its own metric
+    prefix (``repro_serve`` on a worker, ``repro_cluster`` at the
+    router); each service's metrics class adds its own."""
+
+    def __init__(self, prefix: str):
+        reg = registry()
+        self.connections_open = reg.gauge(
+            f"{prefix}_connections_open", "Client connections open.")
+        self.errors = reg.counter(
+            f"{prefix}_errors_total",
+            "ERROR responses this process sent, by error code.",
+            labels=("code",))
+        self.records = reg.counter(
+            f"{prefix}_records_total",
+            "Prediction records served (STEP/STEP_BLOCK).")
+        self.hits = reg.counter(
+            f"{prefix}_hits_total", "Correct predictions served.")
+        self.request_seconds = reg.histogram(
+            f"{prefix}_request_seconds",
+            "End-to-end request latency (frame read to response written).",
+            buckets=LATENCY_BUCKETS, labels=("type",))
 
 
 class RequestLog:
@@ -101,16 +129,60 @@ class RequestLog:
             [lat for t_done, lat in self._data if t_done >= horizon])
 
 
-class Connection:
-    """One client connection: its writer, response queue and tasks."""
+class Refusal(NamedTuple):
+    """An answer that is an ERROR frame: what a response future
+    resolves to when its request is refused rather than served."""
 
-    __slots__ = ("writer", "responses", "reader_task", "writer_task")
+    code: int
+    message: str
+
+
+def _refusal_for(exc: Exception) -> Refusal:
+    """The ERROR answer for a request whose execution raised *exc*."""
+    if isinstance(exc, KeyError):
+        return Refusal(protocol.ErrorCode.UNKNOWN_SESSION,
+                       f"unknown session {exc.args[0] if exc.args else ''}")
+    if isinstance(exc, StateVersionError):
+        # The arena is sound but from another deploy generation: a
+        # distinct code so rolling-deploy tooling can tell "refused
+        # restore" from a generic failure.
+        return Refusal(protocol.ErrorCode.STATE_VERSION, str(exc))
+    if isinstance(exc, (ValueError, protocol.ProtocolError)):
+        return Refusal(protocol.ErrorCode.BAD_FRAME, str(exc))
+    return Refusal(protocol.ErrorCode.INTERNAL,
+                   f"{type(exc).__name__}: {exc}")
+
+
+class Slot:
+    """One response on a connection, answered in request order: the
+    future its result (or :class:`Refusal`) arrives on, the span it
+    completes, and the request and trace ids its frame carries."""
+
+    __slots__ = ("future", "trace", "request_id", "trace_id")
+
+    def __init__(self, future: asyncio.Future,
+                 trace: Optional[RequestTrace], request_id: int,
+                 trace_id: int):
+        self.future = future
+        self.trace = trace
+        self.request_id = request_id
+        self.trace_id = trace_id
+
+
+class Connection:
+    """One client connection: its writer, response queue and tasks.
+    ``reading`` is true while the reader waits for the next frame --
+    the only point where a drain may cancel it."""
+
+    __slots__ = ("writer", "responses", "reader_task", "writer_task",
+                 "reading")
 
     def __init__(self, writer):
         self.writer = writer
         self.responses: asyncio.Queue = asyncio.Queue()
         self.reader_task: Optional[asyncio.Task] = None
         self.writer_task: Optional[asyncio.Task] = None
+        self.reading = False
 
 
 class FrameService:
@@ -118,16 +190,23 @@ class FrameService:
 
     ``start()`` calls :meth:`_listen`, ``stop()`` calls
     :meth:`_stop_listening`.  A connection is two tasks.  The reader
-    hands each frame (the bytes after its length prefix) to the
-    subclass's ``async _dispatch_payload(conn, payload)``, shielded so a
-    reader cancelled mid-request still completes it; the dispatch
-    enqueues the response slot on ``conn.responses`` before anything
-    else, so responses go out in request order and no accepted request
-    is dropped.  A bad length prefix or header raises
-    :class:`~repro.serve.protocol.ProtocolError`: the reader queues
-    ``_enqueue_error(conn, 0, BAD_FRAME, message)`` and closes the
-    connection.  The subclass's ``async _writer_loop(conn)`` answers
-    the slots in order until the reader's ``None`` sentinel.
+    awaits the subclass's ``async _dispatch_payload(conn, payload)``
+    for each frame (the bytes after its length prefix) in turn; the
+    dispatch queues a :class:`Slot` on ``conn.responses`` before
+    anything else, so responses go out in request order and no
+    accepted request is dropped.  A bad length prefix or header raises
+    :class:`~repro.serve.protocol.ProtocolError`: the reader queues a
+    BAD_FRAME answer and closes the connection.
+
+    The writer, :meth:`_writer_loop`, is the one response path: it
+    answers the slots in order until the reader's ``None`` sentinel,
+    each with one frame written in one piece.  A subclass supplies only
+    ``_response_frame(slot, result)``, the wire bytes of a served
+    result; every ERROR frame comes from :meth:`_error_frame`.  A
+    connection has one deadline, armed for its head slot while the
+    writer waits on it: after ``request_timeout`` the slot's future
+    resolves to a ``TIMEOUT`` refusal.  The work itself is never
+    cancelled -- its late result finds the future done and is dropped.
 
     The observability endpoint (when *obs_port* is not None) binds the
     data listener's host and serves this object's report methods (see
@@ -136,14 +215,20 @@ class FrameService:
 
     #: The ``service`` field of the observability endpoint's index.
     service_name = "repro-serve"
+    #: ``RequestTrace.source`` of this service's spans, the stage an
+    #: immediate answer ends, and the last stage (response written).
+    trace_source, answer_stage, write_stage = "worker", "decode", "flush"
+    #: The TIMEOUT message, formatted with ``request_timeout``.
+    timeout_message = "request not served within {:g}s"
 
     def __init__(self, host: str, port: int, obs_port: Optional[int],
-                 connections_open, request_seconds):
+                 metrics: ServiceMetrics, request_timeout: float):
         self.host = host
         self.port = port
         self.obs_port: Optional[int] = obs_port
-        self.request_log = RequestLog(request_seconds)
-        self._connections_open = connections_open
+        self.metrics = metrics
+        self.request_timeout = request_timeout
+        self.request_log = RequestLog(metrics.request_seconds)
         self._connections: List[Connection] = []
         self._listener: Optional[asyncio.base_events.Server] = None
         self._obs = (ObservabilityServer(self, host, obs_port)
@@ -164,20 +249,21 @@ class FrameService:
     async def _stop_listening(self) -> None:
         """Stop accepting, drain every connection, close the obs port.
 
-        Readers first: a cancel interrupts the blocking frame read,
-        while any shielded dispatch runs to completion.  Each reader's
-        cleanup then closes its own response queue and awaits the
-        writer, which answers everything already accepted -- whatever
-        executes the requests must still be running underneath.
-        ``wait_closed()`` comes after this drain: on Python >= 3.12.1
-        it also waits for the connection handlers (the readers), so
-        awaiting it first would deadlock against any open connection.
+        Readers first: a reader waiting for a frame is cancelled, one
+        mid-dispatch (say, blocked on a full shard queue) finishes
+        that dispatch and then stops reading.  Each reader's cleanup
+        then closes its own response queue and awaits the writer, which
+        answers everything already accepted -- whatever executes the
+        requests must still be running underneath.  ``wait_closed()``
+        comes after this drain: on Python >= 3.12.1 it also waits for
+        the connection handlers (the readers), so awaiting it first
+        would deadlock against any open connection.
         """
         self._stopping = True
         if self._listener is not None:
             self._listener.close()
         for conn in list(self._connections):
-            if conn.reader_task is not None:
+            if conn.reading:
                 conn.reader_task.cancel()
         await asyncio.gather(
             *(c.reader_task for c in self._connections if c.reader_task),
@@ -225,35 +311,23 @@ class FrameService:
         conn.reader_task = asyncio.current_task()
         conn.writer_task = asyncio.ensure_future(self._writer_loop(conn))
         self._connections.append(conn)
-        self._connections_open.inc()
-        dispatch: Optional[asyncio.Future] = None
+        self.metrics.connections_open.inc()
         try:
-            while True:
+            while not self._stopping:
+                conn.reading = True
                 payload = await protocol.read_payload(reader)
+                conn.reading = False
                 if payload is None:
                     break
-                dispatch = asyncio.ensure_future(
-                    self._dispatch_payload(conn, payload))
-                await asyncio.shield(dispatch)
-                dispatch = None
+                await self._dispatch_payload(conn, payload)
         except asyncio.CancelledError:
             pass
         except protocol.ProtocolError as exc:
-            self._enqueue_error(conn, 0, protocol.ErrorCode.BAD_FRAME,
-                                str(exc))
+            self._refuse_connection(conn, str(exc))
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass
         finally:
-            # Cancellation (stop) may land on any of these awaits --
-            # cleanup must still run to completion.
-            if dispatch is not None:
-                # A cancelled reader may have been interrupted while a
-                # shielded dispatch was still enqueueing; finish it so
-                # its response slot exists before the sentinel.
-                try:
-                    await dispatch
-                except (Exception, asyncio.CancelledError):
-                    pass
+            conn.reading = False
             conn.responses.put_nowait(None)
             try:
                 await conn.writer_task
@@ -265,7 +339,73 @@ class FrameService:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
             self._connections.remove(conn)
-            self._connections_open.dec()
+            self.metrics.connections_open.dec()
+
+    def _refuse_connection(self, conn: Connection, message: str) -> None:
+        """Answer a frame too broken to dispatch (a bad length prefix
+        or header) with BAD_FRAME under request and trace id 0, in a
+        span of its own; the connection closes after it."""
+        now = time.monotonic()
+        trace = RequestTrace(trace_id=new_trace_id(), frame_type="error",
+                             source=self.trace_source, t_recv=now)
+        trace.mark(self.answer_stage, now)
+        future = asyncio.get_running_loop().create_future()
+        future.set_result(Refusal(protocol.ErrorCode.BAD_FRAME, message))
+        conn.responses.put_nowait(Slot(future, trace, 0, 0))
+
+    async def _writer_loop(self, conn: Connection) -> None:
+        """Answer *conn*'s slots in request order, one write each."""
+        loop = asyncio.get_running_loop()
+        while True:
+            slot = await conn.responses.get()
+            if slot is None:
+                return
+            if not slot.future.done():
+                deadline = loop.call_later(self.request_timeout,
+                                           self._expire, slot.future)
+                try:
+                    await slot.future
+                except Exception:  # noqa: BLE001 - answered below
+                    pass
+                deadline.cancel()
+            frame = self._answer(slot)
+            try:
+                conn.writer.write(frame)
+                await conn.writer.drain()
+            except (ConnectionError, OSError):
+                return
+            if slot.trace is not None:
+                slot.trace.finish(self.write_stage, time.monotonic())
+                self.request_log.record(slot.trace)
+
+    def _expire(self, future: asyncio.Future) -> None:
+        """The connection's deadline: the head slot is answered
+        TIMEOUT.  Whoever resolves *future* later finds it done."""
+        if not future.done():
+            future.set_result(Refusal(
+                protocol.ErrorCode.TIMEOUT,
+                self.timeout_message.format(self.request_timeout)))
+
+    def _answer(self, slot: Slot) -> bytes:
+        """The frame answering *slot*, whose future is done."""
+        try:
+            result = slot.future.result()
+            if not isinstance(result, Refusal):
+                return self._response_frame(slot, result)
+        except Exception as exc:  # noqa: BLE001 - the client gets it
+            result = _refusal_for(exc)
+        return self._error_frame(slot, result)
+
+    def _error_frame(self, slot: Slot, refusal: Refusal) -> bytes:
+        """A counted ERROR frame; the slot's span records the failure."""
+        self.metrics.errors.inc(code=protocol.error_code_name(refusal.code))
+        if slot.trace is not None:
+            slot.trace.fail(refusal.message,
+                            timeout=refusal.code == protocol.ErrorCode.TIMEOUT)
+        return protocol.encode_frame(
+            protocol.FrameType.ERROR, slot.request_id,
+            protocol.encode_error(refusal.code, refusal.message),
+            slot.trace_id)
 
     def _alloc_session_id(self) -> int:
         session_id = self._next_session_id
@@ -294,13 +434,6 @@ def pooled_table_ratios(totals: dict) -> dict:
         round(totals["alias_conflicts"] / totals["alias_accesses"], 6)
         if totals["alias_accesses"] else 0.0)
     return totals
-
-
-def consume_exception(future: "asyncio.Future") -> None:
-    """Done-callback for a future nobody awaits any more: retrieves its
-    exception so asyncio does not warn that it was never retrieved."""
-    if not future.cancelled():
-        future.exception()
 
 
 async def run_service(service, announce: Callable, stop_event) -> dict:

@@ -10,7 +10,7 @@ mean one interval::
 
     router:  accept -> route -> [park -> unpark] -> [migrate_wait]
              -> proxy -> write
-    worker:  recv -> decode -> queue -> fuse -> execute -> flush
+    worker:  recv -> decode -> queue -> fuse -> execute -> encode -> flush
 
 ``route``        accept to the first hand-off: forward, park, or the
                  router's own answer;
@@ -25,7 +25,9 @@ mean one interval::
 ``fuse``         out of the queue, waiting behind earlier runs of
                  the same micro-batch;
 ``execute``      the (possibly fused) kernel call;
-``flush``        writer wait + frame write + socket drain.
+``encode``       the writer taking up the result and building its
+                 response frame (ERROR answers have none);
+``flush``        frame write + socket drain.
 
 Traces are cheap (one small object and a few marks per request) so
 they are **always on** -- no run needs to be active.  Completed spans
@@ -95,7 +97,7 @@ def parse_trace_id(text: str) -> int:
 
 #: Every stage a span can carry, in pipeline order: router, then worker.
 STAGES = ("route", "park", "unpark", "migrate_wait", "proxy", "write",
-          "decode", "queue", "fuse", "execute", "flush")
+          "decode", "queue", "fuse", "execute", "encode", "flush")
 
 
 @dataclass

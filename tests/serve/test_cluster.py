@@ -8,9 +8,12 @@ nothing; a SIGTERM'd worker's sessions re-home with zero loss; the
 aggregated observability endpoints describe the whole fleet.
 """
 
+import gc
 import json
+import logging
 import os
 import signal
+import socket
 import threading
 import time
 import urllib.request
@@ -19,8 +22,10 @@ import pytest
 
 from repro.core.spec import DFCMSpec
 from repro.harness.simulate import measure_accuracy
+from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.cluster import ClusterThread
+from repro.serve.session import Session
 from repro.trace.trace import ValueTrace
 
 
@@ -349,3 +354,64 @@ class TestDrainRestart:
             with ServeClient("127.0.0.1", cluster.port) as client:
                 second = client.step_block(sid, pcs[120:], values[120:])[1]
                 assert first + second == want
+
+
+class TestResponsePath:
+    def test_stalled_worker_times_out_and_the_block_still_runs(self,
+                                                               caplog):
+        # The worker is stopped with the block in flight: the router
+        # answers TIMEOUT once request_timeout has passed, keeps the
+        # frame pending, and drops the worker's late reply.  The block
+        # still executed, as the next one's predictions show.
+        spec = DFCMSpec(64, 256)
+        blocks = [workload(16, seed) for seed in range(2)]
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        with ClusterThread(workers=1,
+                           router_kwargs={"request_timeout": 0.5}) \
+                as cluster, \
+                ServeClient("127.0.0.1", cluster.port) as client:
+            sid = client.open_session(spec)
+            worker_pid = cluster.supervisor.handles[0].pid
+            os.kill(worker_pid, signal.SIGSTOP)
+            try:
+                started = time.monotonic()
+                with pytest.raises(ServeError) as err:
+                    client.step_block(sid, *blocks[0])
+                assert err.value.code == protocol.ErrorCode.TIMEOUT
+                assert time.monotonic() - started >= 0.5
+            finally:
+                os.kill(worker_pid, signal.SIGCONT)
+            predicted, hits = client.step_block(sid, *blocks[1])
+        reference = Session(0, spec)
+        reference.step_block(*blocks[0])
+        want, want_hits = reference.step_block(*blocks[1])
+        assert list(predicted) == list(want)
+        assert hits == want_hits
+        gc.collect()
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"
+                and "never retrieved" in r.getMessage()] == []
+
+    def test_routed_frames_leave_in_one_send_each(self, monkeypatch):
+        # The router writes a frame's length prefix and bytes together:
+        # one send to the worker and one back to the client per routed
+        # request, never a bare 4-byte prefix on the wire.
+        spec = DFCMSpec(64, 256)
+        pcs, values = workload(64)
+        sends = []
+        send = socket.socket.send
+
+        def counted_send(sock, data, *args):
+            if threading.current_thread().name == "repro-serve":
+                sends.append(len(data))
+            return send(sock, data, *args)
+
+        with ClusterThread(workers=1) as cluster, \
+                ServeClient("127.0.0.1", cluster.port) as client:
+            sid = client.open_session(spec)
+            monkeypatch.setattr(socket.socket, "send", counted_send)
+            for _ in range(20):
+                client.step_block(sid, pcs, values)
+            monkeypatch.undo()
+        assert len(sends) == 40, sends
+        assert 4 not in sends, sends

@@ -1,12 +1,11 @@
-"""Scaling loadgen: report shape, parity, and the bench-history gate.
+"""Scaling loadgen: report shape, parity, and its scaling gate.
 
 The scaling run itself is expensive (it spawns a fleet per point), so
-one module-scoped run feeds every report-shape test; the history /
-diff tests then work on that report plus synthetic mutations.
+one module-scoped run feeds every report-shape test; the history test
+checks that ``bench diff`` skips the report's kind.
 """
 
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -88,54 +87,24 @@ class TestScalingReport:
 
 
 class TestClusterHistory:
-    def test_entry_shape(self, report):
-        entry = bench.cluster_history_entry(report)
-        assert entry["kind"] == "cluster_scaling"
-        assert set(entry["points"]) == {"1", "2"}
-        assert entry["points"]["1"]["records_per_s"] > 0
-
     def test_mixed_history_diffs_both_kinds(self, report, tmp_path):
+        # Scaling and soak reports gate themselves; a history file that
+        # still holds records of those (or any other) kinds diffs its
+        # bench records only.
         path = tmp_path / "hist.jsonl"
         bench.append_history(bench.history_entry(copy.deepcopy(FAKE_BENCH)),
                              str(path))
-        bench.append_history(bench.cluster_history_entry(report),
+        bench.append_history(report, str(path))
+        bench.append_history({"kind": "cluster_soak", "soak_ok": True},
                              str(path))
         newer = copy.deepcopy(FAKE_BENCH)
         newer["families"][0]["batch_records_per_sec"] = 104.0
         bench.append_history(bench.history_entry(newer), str(path))
-        bench.append_history(bench.cluster_history_entry(report),
-                             str(path))
         diff = bench.diff_history(str(path), max_regression_pct=10)
         assert diff["passed"] is True
-        assert [p["workers"] for p in diff["cluster"]["points"]] == [1, 2]
-        rendered = bench.render_history_diff(diff)
-        assert "cluster scaling diff" in rendered
-
-    def test_cluster_regression_fails_the_gate(self, report, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        bench.append_history(bench.history_entry(copy.deepcopy(FAKE_BENCH)),
-                             str(path))
-        bench.append_history(bench.history_entry(copy.deepcopy(FAKE_BENCH)),
-                             str(path))
-        bench.append_history(bench.cluster_history_entry(report),
-                             str(path))
-        slower = copy.deepcopy(report)
-        for point in slower["points"]:
-            point["records_per_s"] *= 0.5
-        bench.append_history(bench.cluster_history_entry(slower),
-                             str(path))
-        diff = bench.diff_history(str(path), max_regression_pct=10)
-        assert diff["passed"] is False
-        assert any(tag.startswith("cluster:w")
-                   for tag in diff["regressed"])
-
-    def test_cluster_entries_are_jsonl_appended(self, report, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        bench.append_history(bench.cluster_history_entry(report),
-                             str(path))
-        bench.append_history(bench.cluster_history_entry(report),
-                             str(path))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert all(json.loads(line)["kind"] == "cluster_scaling"
-                   for line in lines)
+        assert [f["family"] for f in diff["families"]] == ["dfcm"]
+        assert diff["families"][0]["head_records_per_sec"] == 104.0
+        assert set(diff) == {"schema", "path", "max_regression_pct",
+                             "base", "head", "families", "regressed",
+                             "passed"}
+        assert "cluster" not in bench.render_history_diff(diff)

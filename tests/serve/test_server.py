@@ -1,6 +1,8 @@
 """End-to-end service tests over real sockets (thread-hosted server)."""
 
 import asyncio
+import gc
+import logging
 import threading
 import time
 
@@ -47,6 +49,13 @@ def wait_queued(batcher, n, timeout=30.0):
     while batcher.qsize() < n:
         assert time.monotonic() < deadline, f"{batcher.qsize()}/{n} queued"
         time.sleep(0.005)
+
+
+def unretrieved_exceptions(caplog):
+    """asyncio's complaints about futures whose exception nobody read."""
+    gc.collect()
+    return [r.getMessage() for r in caplog.records
+            if r.name == "asyncio" and "never retrieved" in r.getMessage()]
 
 
 class TestRoundTrips:
@@ -207,6 +216,46 @@ class TestConcurrency:
         assert server.final_stats["fused_records"] == len(pcs)
 
 
+class TestTimeout:
+    def test_held_blocks_time_out_in_order_and_still_execute(self, caplog):
+        # The shard is held, so nothing queued executes: each pipelined
+        # block is answered TIMEOUT once request_timeout has passed
+        # since it reached the head of the connection.  Released, the
+        # shard still executes both (their results are dropped), and
+        # the next block's predictions show it.  A third, for a
+        # session that does not exist, fails after its TIMEOUT: that
+        # late exception must not be left unretrieved.
+        spec = DFCMSpec(64, 256)
+        blocks = [workload(16, seed) for seed in range(3)]
+        free = threading.Event()
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        with ServerThread(shards=1, request_timeout=0.3) as server, \
+                ServeClient(port=server.port) as client:
+            hold_shard(server, free.is_set)
+            session = client.open_session(spec)
+            started = time.monotonic()
+            for pcs, values in blocks[:2]:
+                client.send(protocol.FrameType.STEP_BLOCK,
+                            protocol.encode_step_block(session, pcs, values))
+            client.send(protocol.FrameType.STEP_BLOCK,
+                        protocol.encode_step_block(session + 99, [4], [7]))
+            for _ in range(3):
+                with pytest.raises(ServeError) as err:
+                    client.recv()
+                assert err.value.code == protocol.ErrorCode.TIMEOUT
+                assert time.monotonic() - started >= 0.3
+            free.set()
+            predicted, hits = client.step_block(session, *blocks[2])
+            reference = Session(0, spec)
+            for pcs, values in blocks[:2]:
+                reference.step_block(pcs, values)
+            want, want_hits = reference.step_block(*blocks[2])
+            assert list(predicted) == list(want)
+            assert hits == want_hits
+            assert client.stats(session)["predictions"] == \
+                reference.predictions
+        assert unretrieved_exceptions(caplog) == []
+
 
 class TestDrain:
     def test_stop_answers_every_inflight_request(self):
@@ -231,6 +280,32 @@ class TestDrain:
             assert client.recv() is None  # clean EOF after the drain
             client.close()
             assert stats["draining"] is True
+
+    def test_stop_finishes_a_dispatch_blocked_on_a_full_queue(self):
+        # queue_depth=2 and the shard held until the drain: two STEPs
+        # fill the queue and the reader blocks submitting the third.
+        # The drain lets that dispatch finish -- its request was
+        # accepted, so it is answered -- and reads nothing after it.
+        with ServerThread(shards=1, queue_depth=2) as server:
+            client = ServeClient(port=server.port)
+            batcher = hold_shard(server, lambda: server.server._stopping)
+            session = client.open_session(StrideSpec(64))
+            pcs, values = workload(6)
+            for pc, value in zip(pcs, values):
+                client.send(protocol.FrameType.STEP,
+                            protocol.encode_session_op(session, pc, value))
+            wait_queued(batcher, 2)
+            time.sleep(0.2)  # the reader reaches the third STEP's submit
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            answers = []
+            while (frame := client.recv()) is not None:
+                answers.append(protocol.decode_step_result(frame.body))
+            stopper.join(timeout=60)
+            client.close()
+        reference = Session(0, StrideSpec(64))
+        assert answers == [reference.step(pc, value)
+                           for pc, value in zip(pcs[:3], values[:3])]
 
     def test_open_rejected_while_draining(self):
         server = ServerThread().start()

@@ -225,7 +225,7 @@ class TestSpanPartition:
         assert dump["retained"] == 6
         assert_partitioned(dump["spans"])
         stats = [s for s in dump["spans"] if s["type"] == "stats"]
-        assert set(stats[0]["stages_ms"]) == {"decode", "flush"}
+        assert set(stats[0]["stages_ms"]) == {"decode", "encode", "flush"}
 
     def test_lone_request_is_dominated_by_execute(self):
         # The observability check: a lone 64-record STEP_BLOCK reaches
@@ -246,7 +246,7 @@ class TestSpanPartition:
         median = {name: float(np.median([s[name] for s in stages]))
                   for name in stages[0]}
         assert set(median) == {"decode", "queue", "fuse", "execute",
-                               "flush"}, median
+                               "encode", "flush"}, median
         assert median["fuse"] < 0.5, median
         assert max(median, key=median.get) == "execute", median
 
@@ -300,6 +300,13 @@ class TestSpanPartition:
                 sid = client.open_session(DFCMSpec(64, 256))
                 client.step(sid, 0x400, 7)
                 hex_id = format_trace_id(client.last_trace_id)
+            # The router records its span once the reply has drained
+            # out of its socket, which can be after the client read it.
+            deadline = time.monotonic() + 10.0
+            while (not fleet.router.request_log.traces.get(
+                    client.last_trace_id)
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
         finally:
             telemetry_run_module.finish_run()
         spans = [e for e in read_events(find_run(tmp_path, run.run_id))
@@ -350,8 +357,7 @@ class TestScaleEndpoint:
 
 
 class TestSoakHarness:
-    def test_short_soak_passes_its_gates(self, tmp_path):
-        from repro.harness.bench import append_history, soak_history_entry
+    def test_short_soak_passes_its_gates(self):
         from repro.serve.cluster.soak import render_soak, run_soak
         from repro.trace.trace import ValueTrace
 
@@ -380,13 +386,6 @@ class TestSoakHarness:
             assert span["source"] == "router"
         text = render_soak(report)
         assert "soak: PASS" in text
-        # The history record files under its own kind.
-        history = tmp_path / "hist.jsonl"
-        entry = append_history(soak_history_entry(report), str(history))
-        assert entry["kind"] == "cluster_soak"
-        assert entry["soak_ok"] is True
-        line = json.loads(history.read_text().splitlines()[0])
-        assert line["passes"] == report["passes"]
 
     def test_soak_rejects_bad_arguments(self):
         from repro.serve.cluster.soak import run_soak
