@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="run id (default: most recent run)")
 
     # Flags shared by `serve` and `cluster serve`; a cluster applies the
-    # server ones (shards, batching, state) to every worker it spawns.
+    # server ones (queue bound, timeout, state) to every worker it
+    # spawns.
     serving = argparse.ArgumentParser(add_help=False)
     serving.add_argument("--host", default="127.0.0.1")
     serving.add_argument("--port", type=int, default=0,
@@ -310,13 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument("--obs-port", type=int, default=None,
                          help="serve HTTP /metrics /healthz /slo /slow "
                               "on this port (0 = ephemeral; default off)")
-    serving.add_argument("--shards", type=int, default=2,
-                         help="session shards / worker tasks per server "
-                              "(default 2)")
-    serving.add_argument("--max-batch", type=int, default=64,
-                         help="micro-batch size cap (default 64)")
     serving.add_argument("--queue-depth", type=int, default=1024,
-                         help="per-shard queue bound / backpressure point")
+                         help="per-server queue bound / backpressure "
+                              "point (default 1024)")
     serving.add_argument("--request-timeout-s", type=float, default=30.0,
                          help="per-request response deadline "
                               "(default 30s)")
@@ -343,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="latency SLO: p99 of data-path requests "
                             "must stay under this (default 250ms)")
     serve.add_argument("--slo-queue-depth", type=float, default=512.0,
-                       help="queue SLO: shard queue depth ceiling "
+                       help="queue SLO: queue depth ceiling "
                             "(default 512)")
     serve.add_argument("--slo-accuracy-floor", type=float, default=None,
                        help="accuracy SLO: per-session recent hit-rate "
@@ -962,8 +959,7 @@ def _cmd_serve(args, out) -> int:
             queue_depth_ceiling=args.slo_queue_depth,
             accuracy_floor=args.slo_accuracy_floor)
         return PredictionServer(
-            host=args.host, port=args.port, shards=args.shards,
-            max_batch=args.max_batch, queue_depth=args.queue_depth,
+            host=args.host, port=args.port, queue_depth=args.queue_depth,
             request_timeout=args.request_timeout_s,
             obs_port=args.obs_port, slos=slos,
             state_dir=args.state_dir, max_resident=args.max_resident)
@@ -976,13 +972,12 @@ def _cmd_serve(args, out) -> int:
                          f"({server.server_stats()['sessions_spilled']} "
                          f"spilled session(s) adopted)")
         emit({"event": "listening", "host": args.host, "port": server.port,
-              "obs_port": server.obs_port, "shards": args.shards,
-              "state_dir": args.state_dir,
+              "obs_port": server.obs_port, "state_dir": args.state_dir,
               "sessions_spilled": (server.server_stats()["sessions_spilled"]
                                    if args.state_dir else 0)},
              f"listening on {args.host}:{server.port} "
-             f"({args.shards} shards, batch<={args.max_batch}"
-             f"{obs_note}) -- SIGTERM/SIGINT drains and exits")
+             f"(queue<={args.queue_depth}{obs_note}) -- SIGTERM/SIGINT "
+             f"drains and exits")
 
     with _maybe_telemetry(args) as telemetry:
         stats = _run_signalled(make_server, announce)
@@ -1117,8 +1112,7 @@ def _cluster_serve(args, out) -> int:
 
     emit = _emitter(args, out)
     supervisor = ClusterSupervisor(
-        args.workers, host="127.0.0.1", shards=args.shards,
-        max_batch=args.max_batch, queue_depth=args.queue_depth,
+        args.workers, host="127.0.0.1", queue_depth=args.queue_depth,
         request_timeout=args.request_timeout_s,
         state_dir=args.state_dir,
         max_resident=args.max_resident).start()

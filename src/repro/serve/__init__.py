@@ -11,7 +11,7 @@ this package serves the same predictors over TCP, online:
   in-flight *window* implementing delayed update online
   (:mod:`repro.core.delayed` semantics, bit-for-bit).
 - :mod:`repro.serve.batcher` -- the cross-connection micro-batcher:
-  bounded queues, batch-while-busy (an idle shard runs a request at
+  a bounded queue, batch-while-busy (an idle worker runs a request at
   once; a busy one batches and fuses its backlog, up to a max batch
   size), backpressure, graceful drain.
 - :mod:`repro.serve.service` -- the chassis the server and the cluster
@@ -21,8 +21,8 @@ this package serves the same predictors over TCP, online:
 - :mod:`repro.serve.tracing` -- the one request span both record
   (:class:`~repro.serve.tracing.RequestTrace`): stage marks named from
   one vocabulary that add up to the request's latency.
-- :mod:`repro.serve.server` -- the asyncio TCP server; sessions are
-  sharded across worker tasks by session id.
+- :mod:`repro.serve.server` -- the asyncio TCP server: one queue, one
+  worker task, one least-recently-used session table.
 - :mod:`repro.serve.client` / :mod:`repro.serve.loadgen` -- a blocking
   client (with reconnect-on-reset backoff) and a trace-replay load
   generator reporting throughput and latency percentiles, verified

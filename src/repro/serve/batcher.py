@@ -1,13 +1,13 @@
-"""Cross-connection micro-batching for one shard.
+"""Cross-connection micro-batching for one server.
 
-Each shard owns a :class:`MicroBatcher`: a bounded asyncio queue of
-:class:`WorkItem` requests feeding one worker task.  Batching is
+A server owns one :class:`MicroBatcher`: a bounded asyncio queue of
+:class:`WorkItem` requests feeding its one worker task.  Batching is
 *batch-while-busy*: the worker takes the next micro-batch the moment
 it is free -- the first item together with whatever is already queued,
 i.e. what arrived while the previous batch executed, capped at
-``max_batch`` items -- and executes it against the shard's sessions.
-A request to an idle shard therefore runs at once, and batches grow
-(and fuse) only when the shard has a backlog.
+``max_batch`` items -- and executes it against the server's sessions.
+A request to an idle server therefore runs at once, and batches grow
+(and fuse) only when the worker has a backlog.
 
 Within a batch, runs of STEP / STEP_BLOCK items for the *same* session
 are fused into a single :meth:`~repro.serve.session.Session.step_block`
@@ -17,13 +17,13 @@ items are grouped by session but executed in arrival order within each
 session, and non-fusible items (PREDICT, OUTCOME, FLUSH, ...) act as
 fences in that session's stream.
 
-Backpressure is the queue bound: ``submit`` awaits when the shard is
+Backpressure is the queue bound: ``submit`` awaits when the worker is
 ``queue_depth`` items behind, which stalls the submitting connection's
 reader (and, through TCP, the client) instead of buffering unboundedly.
 
 Results travel back through per-item futures.  The worker never lets a
-session's exception kill the shard: it lands on the item's future and
-the batch continues.  A future may already be done when its item
+session's exception kill it: it lands on the item's future and the
+batch continues.  A future may already be done when its item
 executes -- the connection's deadline answered it TIMEOUT -- and the
 item still executes; only its result is dropped.
 """
@@ -69,7 +69,7 @@ class WorkItem:
 
 
 class MicroBatcher:
-    """Bounded queue + batch-draining worker for one shard."""
+    """Bounded queue + batch-draining worker for one server."""
 
     def __init__(self, max_batch: int = 64, queue_depth: int = 1024):
         if max_batch < 1:
@@ -91,7 +91,7 @@ class MicroBatcher:
         return self._queue.qsize()
 
     async def submit(self, item: WorkItem) -> None:
-        """Enqueue; awaits (backpressure) when the shard is behind."""
+        """Enqueue; awaits (backpressure) when the worker is behind."""
         await self._queue.put(item)
 
     # ------------------------------------------------------------- drain
@@ -124,10 +124,10 @@ class MicroBatcher:
         exception (corrupt arena, state-version mismatch) lands on that
         session's futures and the rest of the batch proceeds: resolver
         failures must reach the client as ERROR responses, never kill
-        the shard worker.
+        the worker.
 
         Synchronous on purpose: one batch is one scheduling unit of the
-        shard worker, and nothing inside it awaits.
+        worker, and nothing inside it awaits.
         """
         resolve = sessions.get if hasattr(sessions, "get") else sessions
         for session_id, items in self._by_session(batch).items():

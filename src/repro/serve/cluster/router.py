@@ -53,6 +53,7 @@ tests, loadgen, and the ``repro cluster serve`` CLI.
 from __future__ import annotations
 
 import asyncio
+import math
 import struct
 import time
 from typing import Dict, List, Optional
@@ -909,7 +910,6 @@ class Router(FrameService):
             "workers_down": dead,
             "alerts": sorted(alerts),
             "workers": workers,
-            "shards": [],
         }
 
     async def slo_report(self) -> dict:
@@ -1036,8 +1036,9 @@ class Router(FrameService):
         Kubernetes custom-metrics API ``MetricValueList``.
 
         Signals: average sessions per live worker, p99 data-frame
-        latency over the router's 60s window (client-experienced),
-        the deepest shard queue across the fleet, and the worst
+        latency over the router's window (client-experienced; its
+        span rides in each item's ``windowSeconds``), the deepest
+        worker queue across the fleet, and the worst
         *sustained* SLO burn (min of the fast and slow windows, so a
         single spike does not scale the fleet, matching the
         multi-window alert rule).  ``signals`` carries the raw floats
@@ -1050,13 +1051,9 @@ class Router(FrameService):
         workers_alive = self._workers_alive()
         sessions_per_worker = (len(self._sessions)
                                / max(1, workers_alive))
-        queue_depth = 0
-        for _, health in scraped_health:
-            if health is None:
-                continue
-            for shard in health.get("shards", []):
-                queue_depth = max(queue_depth,
-                                  shard.get("queue_depth", 0))
+        queue_depth = max((health.get("queue_depth", 0)
+                           for _, health in scraped_health
+                           if health is not None), default=0)
         burn = 0.0
         alerting = []
         for index, report in scraped_slo:
@@ -1070,10 +1067,10 @@ class Router(FrameService):
                 if status.get("alerting"):
                     alerting.append(
                         f"w{index}:{status.get('name', '?')}")
+        latency = self.request_log.window_summary()
         signals = {
             "sessions_per_worker": round(sessions_per_worker, 4),
-            "step_latency_p99_ms":
-                self.request_log.window_summary()["p99_ms"],
+            "step_latency_p99_ms": latency["p99_ms"],
             "queue_depth": queue_depth,
             "slo_burn_rate": round(burn, 4),
         }
@@ -1083,7 +1080,7 @@ class Router(FrameService):
                                 "name": "repro-serve"},
             "metric": {"name": f"repro_{name}"},
             "timestamp": timestamp,
-            "windowSeconds": 60,
+            "windowSeconds": max(1, math.ceil(latency["window_s"])),
             "value": _quantity(value),
         } for name, value in signals.items()]
         return {
@@ -1099,25 +1096,21 @@ class Router(FrameService):
         }
 
     async def tables_report(self) -> dict:
-        """Aggregated ``/tables``: per-worker shard rows (relabelled
-        ``<worker>.<shard>``) and fleet-pooled totals."""
+        """Aggregated ``/tables``: one row per worker (its pooled
+        totals; per-session detail stays on the worker) and
+        fleet-pooled totals."""
         scraped = await self._scrape_workers("/tables")
-        shards = []
+        workers = []
         totals = {"sessions": 0, "live_bits": 0, "storage_bits": 0,
                   "hits": 0, "alias_accesses": 0, "alias_conflicts": 0}
         for index, report in scraped:
             if report is None:
                 continue
-            for shard in report.get("shards", []):
-                shard = dict(shard)
-                shard["worker"] = index
-                shard["shard"] = f"{index}.{shard.get('shard', '?')}"
-                shard.pop("sessions", None)  # per-session detail: bulky
-                shards.append(shard)
             rep_totals = report.get("totals", {})
+            workers.append(dict(rep_totals, worker=index))
             for key in totals:
                 totals[key] += rep_totals.get(key, 0)
-        return {"schema": 1, "cluster": True, "shards": shards,
+        return {"schema": 1, "cluster": True, "workers": workers,
                 "totals": pooled_table_ratios(totals)}
 
     async def metrics_text(self, prefix: Optional[str] = None,

@@ -39,8 +39,8 @@ __all__ = ["ClusterSupervisor", "WorkerHandle"]
 #: is rejected up front (a typo'd knob must not silently vanish into
 #: a child process).
 _WORKER_KWARGS = frozenset({
-    "host", "shards", "max_batch", "queue_depth",
-    "request_timeout", "state_dir", "max_resident",
+    "host", "queue_depth", "request_timeout", "state_dir",
+    "max_resident",
 })
 
 #: Seconds a worker may take to report ``listening``.

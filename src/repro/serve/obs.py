@@ -12,14 +12,14 @@ methods aggregate the fleet (coroutine methods are awaited).  Routes:
     The live process registry in Prometheus text exposition format
     0.0.4 (``?exemplars=1`` adds OpenMetrics-style trace-id exemplars
     to histogram buckets; ``?prefix=repro_serve`` restricts names).
+    A server refreshes its table-usage gauges as it builds the body.
 ``/healthz``
     JSON liveness: overall status (``ok`` / ``degraded`` /
-    ``draining``), per-shard queue depth and session counts, firing
-    SLO alerts.  Servers running with ``--state-dir`` additionally
-    report the durable-state gauges (``sessions_resident`` /
+    ``draining``), queue depth, batch and session counts, firing SLO
+    alerts.  Servers running with ``--state-dir`` additionally report
+    the durable-state gauges (``sessions_resident`` /
     ``sessions_spilled``) and counters (``evictions_total``,
-    ``reloads_total``, ``snapshots_total``) plus per-shard
-    ``spilled`` / ``evictions`` / ``reloads``.  Always HTTP 200 --
+    ``reloads_total``, ``snapshots_total``).  Always HTTP 200 --
     health is in the body's ``status`` field so scripted probes can
     parse one shape.
 ``/slo``
@@ -34,9 +34,10 @@ methods aggregate the fleet (coroutine methods are awaited).  Routes:
     fleet-wide (its ``/trace/<id>`` merges the router's own span with
     the worker spans into one ordered cross-process timeline).
 ``/tables``
-    Live table-usage report: per-shard (and per-session) occupancy,
-    live bits, hits per live bit, and level-1 aliasing ratios from the
-    actual session table state.
+    Live table-usage report: per-session rows and pooled totals of
+    occupancy, live bits, hits per live bit, and level-1 aliasing
+    ratios from the actual session table state (per-worker rows at
+    the router).
 ``/scale`` and ``/cluster``
     Only on a service that has ``scale_report`` / ``cluster_report``
     (the router): autoscaling signals and the fleet control report.

@@ -1,47 +1,51 @@
 """The asyncio prediction server.
 
-One process, one event loop, ``shards`` independent worker tasks.
-Sessions are assigned to a shard by ``session_id % shards`` at open
-and never migrate, so all of a session's requests are serialized
-through its shard's queue -- per-session FIFO without locks -- while
-different sessions proceed in parallel across shards.
+One process, one event loop, one :class:`~repro.serve.batcher
+.MicroBatcher` queue feeding one worker task.  Every request for every
+session goes through that queue in arrival order, so a session's
+requests execute in FIFO order without locks.  Parallelism comes from
+processes, not tasks: ``repro cluster serve --workers N`` runs N of
+these servers behind a session-affine router.
 
 Connections run on the :class:`~repro.serve.service.FrameService`
 chassis (reader, the one response writer, drain).  Dispatch enqueues a
-response slot, then submits the work item to the owning shard's
-:class:`~repro.serve.batcher.MicroBatcher`, awaiting there under
-backpressure.  The chassis writer answers the slots in order (a slot
-not served within ``request_timeout`` of reaching the head is answered
-TIMEOUT; its work still executes); this module supplies only
-:meth:`PredictionServer._response_frame`, which encodes a result.
+response slot, then submits the work item to the batcher, awaiting
+there under backpressure.  The chassis writer answers the slots in
+order (a slot not served within ``request_timeout`` of reaching the
+head is answered TIMEOUT; its work still executes); this module
+supplies only :meth:`PredictionServer._response_frame`, which encodes
+a result.
 
 Graceful shutdown (:meth:`PredictionServer.stop`): close the listener,
 stop the readers (a dispatch in progress finishes first), let every
-writer drain its pending responses while the shard workers keep
-executing, then cancel the (now idle) workers and close the transports.
+writer drain its pending responses while the worker keeps executing,
+then cancel the (now idle) worker and close the transports.
 
+Resident sessions live in one table kept in least-recently-used order.
 With a state directory configured (``--state-dir``), sessions are
-**durable**: an LRU evictor spills the coldest engine-mode sessions to
-per-session arena files (:class:`~repro.core.state.ArenaStore`) when a
-shard exceeds its resident cap, and the shard's session resolver
-transparently reloads a spilled session on its next request -- the
-client never sees an eviction, only (at worst) one slightly slower
-request; a spill whose arena write fails leaves its session resident
-(counted in ``spill_failures_total``).  The SNAPSHOT frame checkpoints
-a session on demand (the durability barrier for kill-safety), a
-graceful stop spills every spillable session, and a restarting server
-picks up the arena directory where the last process left off --
-session ids continue above the highest spilled id, and the first
-request for a spilled session restores it bit-identically.  Arenas
-from a different state-layout generation are refused with
-``STATE_VERSION`` (see :data:`repro.core.state.STATE_VERSION`): a
-rolling deploy gets a clear error, never misread tables.
+**durable**: an LRU evictor spills the least recently used engine-mode
+sessions to per-session arena files
+(:class:`~repro.core.state.ArenaStore`) when more than
+``max_resident`` are resident, and the session resolver transparently
+reloads a spilled session on its next request -- the client never sees
+an eviction, only (at worst) one slightly slower request; a spill
+whose arena write fails leaves its session resident (counted in
+``spill_failures_total``).  The SNAPSHOT frame checkpoints a session
+on demand (the durability barrier for kill-safety), a graceful stop
+spills every spillable session, and a restarting server picks up the
+arena directory where the last process left off -- session ids
+continue above the highest spilled id, and the first request for a
+spilled session restores it bit-identically.  Arenas from a different
+state-layout generation are refused with ``STATE_VERSION`` (see
+:data:`repro.core.state.STATE_VERSION`): a rolling deploy gets a clear
+error, never misread tables.
 
 Everything is observable through :mod:`repro.telemetry`: request /
 batch / record counters, queue-depth and batch-size distributions,
 open-session / resident / spilled gauges, eviction / reload / snapshot
-counters, and one ``serve.session`` span event per closed session when
-a telemetry run is active.
+counters, table-usage gauges refreshed whenever ``/metrics`` or
+``/tables`` is read, and one ``serve.session`` span event per closed
+session when a telemetry run is active.
 
 :class:`ServerThread` hosts the server on a background thread with a
 plain blocking API -- the test suite and the CLI's loadgen path use it
@@ -54,6 +58,7 @@ import asyncio
 import logging
 import os
 import time
+from collections import OrderedDict
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -110,15 +115,13 @@ class _ServeMetrics(ServiceMetrics):
             "Records that shared a kernel call with another request.")
         self.batches = reg.histogram(
             "repro_serve_batch_size",
-            "Micro-batch sizes per shard drain.",
-            buckets=_BATCH_BUCKETS, labels=("shard",))
+            "Micro-batch sizes the worker took off its queue.",
+            buckets=_BATCH_BUCKETS)
         self.batch_seconds = reg.histogram(
             "repro_serve_batch_seconds",
-            "Micro-batch execution time.",
-            buckets=LATENCY_BUCKETS, labels=("shard",))
+            "Micro-batch execution time.", buckets=LATENCY_BUCKETS)
         self.queue_depth = reg.gauge(
-            "repro_serve_queue_depth",
-            "Items waiting in each shard's queue.", labels=("shard",))
+            "repro_serve_queue_depth", "Items waiting in the queue.")
         self.sessions_open = reg.gauge(
             "repro_serve_sessions_open", "Sessions currently open.")
         self.slo_burn = reg.gauge(
@@ -133,20 +136,18 @@ class _ServeMetrics(ServiceMetrics):
             "repro_serve_healthy", "1 while no SLO alert fires, else 0.")
         self.table_occupancy = reg.gauge(
             "repro_serve_table_occupancy",
-            "Live (nonzero) fraction of session table storage, pooled "
-            "per shard.", labels=("shard",))
+            "Live (nonzero) fraction of resident session table storage.")
         self.table_live_bits = reg.gauge(
             "repro_serve_table_live_bits",
-            "Live table bits across a shard's open sessions.",
-            labels=("shard",))
+            "Live table bits across the resident sessions.")
         self.table_efficiency = reg.gauge(
             "repro_serve_table_efficiency",
-            "Served hits per live table bit, pooled per shard.",
-            labels=("shard",))
+            "Served hits per live table bit, pooled over the resident "
+            "sessions.")
         self.table_aliasing = reg.gauge(
             "repro_serve_table_aliasing_ratio",
             "Training accesses whose level-1 entry was last written by "
-            "a different pc, pooled per shard.", labels=("shard",))
+            "a different pc, pooled over the resident sessions.")
         self.sessions_resident = reg.gauge(
             "repro_serve_sessions_resident",
             "Open sessions whose tables are resident in memory.")
@@ -179,28 +180,10 @@ class _ServeMetrics(ServiceMetrics):
             "Arena files adopted via ADOPT_SESSION.")
 
 
-class _Shard:
-    def __init__(self, index: int, batcher: MicroBatcher):
-        self.index = index
-        self.batcher = batcher
-        self.sessions: Dict[int, Session] = {}
-        #: Open sessions currently living in the arena store rather
-        #: than in :attr:`sessions`; the resolver moves ids back on
-        #: their next request.
-        self.spilled: Set[int] = set()
-        self.task: Optional[asyncio.Task] = None
-        self.evictions = 0
-        self.reloads = 0
-        # Bound by the server once the store is known (resolver needs
-        # both the shard and the store).
-        self.resolve = self.sessions.get
-
-
 class PredictionServer(FrameService):
-    """Sharded, micro-batching TCP value-prediction service."""
+    """Micro-batching TCP value-prediction service."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 shards: int = 2, max_batch: int = 64,
                  queue_depth: int = 1024,
                  request_timeout: float = 30.0,
                  obs_port: Optional[int] = None,
@@ -208,18 +191,24 @@ class PredictionServer(FrameService):
                  state_dir: Optional[str] = None,
                  max_resident: Optional[int] = None,
                  adopt_arenas: bool = True):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         if max_resident is not None and max_resident < 1:
             raise ValueError(f"max_resident must be >= 1, "
                              f"got {max_resident}")
         super().__init__(host, port, obs_port, _ServeMetrics(),
                          request_timeout)
-        self.shards = [
-            _Shard(i, MicroBatcher(max_batch=max_batch,
-                                   queue_depth=queue_depth))
-            for i in range(shards)
-        ]
+        self.batcher = MicroBatcher(queue_depth=queue_depth)
+        self.batcher.on_records = self._on_records
+        self._task: Optional[asyncio.Task] = None
+        #: Resident sessions, least recently used first: a resolve
+        #: moves its session to the end, an open or a reload inserts
+        #: there, and the evictor spills from the front.
+        self.sessions: "OrderedDict[int, Session]" = OrderedDict()
+        #: Open sessions currently living in the arena store rather
+        #: than in :attr:`sessions`; :meth:`_resolve` moves ids back on
+        #: their next request.
+        self.spilled: Set[int] = set()
+        self.evictions = 0
+        self.reloads = 0
         self._session_opened_at: Dict[int, float] = {}
         # ----------------------------------------------- durable state
         # Normalised to str: this field travels in JSON bodies
@@ -227,7 +216,6 @@ class PredictionServer(FrameService):
         self.state_dir = os.fspath(state_dir) if state_dir else None
         self.max_resident = max_resident
         self._store = ArenaStore(state_dir) if state_dir else None
-        self._last_used: Dict[int, float] = {}
         self.snapshots_taken = 0
         self.spill_failures = 0
         self.releases = 0
@@ -240,12 +228,9 @@ class PredictionServer(FrameService):
             # and run with adopt_arenas=False -- their router assigns
             # arenas explicitly with ADOPT_SESSION frames instead.
             adopted = self._store.session_ids()
-            for session_id in adopted:
-                self.shards[session_id % shards].spilled.add(session_id)
+            self.spilled.update(adopted)
             if adopted:
                 self._note_session_id(adopted[-1])
-        for shard in self.shards:
-            shard.resolve = self._resolver_for(shard)
         self._refresh_residency()
         slo_list = default_serve_slos() if slos is None else list(slos)
         self.monitor = SLOMonitor(slo_list) if slo_list else None
@@ -257,17 +242,13 @@ class PredictionServer(FrameService):
         self._slo_statuses: List[dict] = []
         self._alerting: List[str] = []
         self._slo_task: Optional[asyncio.Task] = None
-        self._table_tick = 0
         self.records_served = 0
         self.hits_served = 0
-        for shard in self.shards:
-            shard.batcher.on_records = self._on_records
 
     # ---------------------------------------------------------- lifecycle
 
     async def start(self) -> None:
-        for shard in self.shards:
-            shard.task = asyncio.ensure_future(self._worker(shard))
+        self._task = asyncio.ensure_future(self._worker())
         await self._listen()
         if self.monitor is not None:
             self._slo_task = asyncio.ensure_future(self._slo_loop())
@@ -275,54 +256,45 @@ class PredictionServer(FrameService):
 
     async def stop(self) -> dict:
         """Graceful drain; returns the final server stats."""
-        # The shard workers keep running under the connection drain, so
-        # every accepted request is answered before they are cancelled.
+        # The worker keeps running under the connection drain, so every
+        # accepted request is answered before it is cancelled.
         await self._stop_listening()
-        for shard in self.shards:
-            await shard.batcher.drain()
-            if shard.task is not None:
-                shard.task.cancel()
-        await asyncio.gather(*(s.task for s in self.shards if s.task),
-                             return_exceptions=True)
-        if self._slo_task is not None:
-            self._slo_task.cancel()
-            await asyncio.gather(self._slo_task, return_exceptions=True)
-            self._slo_task = None
+        await self.batcher.drain()
+        for task in (self._task, self._slo_task):
+            if task is not None:
+                task.cancel()
+                await asyncio.gather(task, return_exceptions=True)
+        self._task = self._slo_task = None
         stats = self.server_stats()
         stats["slow_requests"] = self.slow_requests()
         # With a state directory, a graceful drain spills every
         # spillable session -- the next process adopts them, so they
         # stay open rather than closing.  Scalar-mode sessions (and
         # everything when no store is configured) close normally.
-        for shard in self.shards:
-            for session_id in list(shard.sessions):
-                if not (self._store is not None
-                        and shard.sessions[session_id].spillable
-                        and self._spill(shard, session_id)):
-                    self._finish_session(shard, session_id)
-        stats["sessions_spilled_on_drain"] = sum(
-            len(s.spilled) for s in self.shards)
+        for session_id in list(self.sessions):
+            if not (self._store is not None
+                    and self.sessions[session_id].spillable
+                    and self._spill(session_id)):
+                self._finish_session(session_id)
+        stats["sessions_spilled_on_drain"] = len(self.spilled)
         return stats
 
-    async def _worker(self, shard: _Shard) -> None:
+    async def _worker(self) -> None:
         loop = asyncio.get_running_loop()
-        fused_seen = shard.batcher.fused_records
+        batcher = self.batcher
+        fused_seen = batcher.fused_records
         while True:
-            batch = await shard.batcher.next_batch()
+            batch = await batcher.next_batch()
             started = loop.time()
-            shard.batcher.execute(batch, shard.resolve)
-            shard.batcher.task_done(len(batch))
-            if self._store is not None and self.max_resident is not None:
-                self._maybe_evict()
-            if shard.batcher.fused_records != fused_seen:
-                self.metrics.fused.inc(
-                    shard.batcher.fused_records - fused_seen)
-                fused_seen = shard.batcher.fused_records
-            label = str(shard.index)
-            self.metrics.batches.observe(len(batch), shard=label)
-            self.metrics.batch_seconds.observe(loop.time() - started,
-                                               shard=label)
-            self.metrics.queue_depth.set(shard.batcher.qsize(), shard=label)
+            batcher.execute(batch, self._resolve)
+            batcher.task_done(len(batch))
+            self._maybe_evict()
+            if batcher.fused_records != fused_seen:
+                self.metrics.fused.inc(batcher.fused_records - fused_seen)
+                fused_seen = batcher.fused_records
+            self.metrics.batches.observe(len(batch))
+            self.metrics.batch_seconds.observe(loop.time() - started)
+            self.metrics.queue_depth.set(batcher.qsize())
             # One batch per scheduling slice keeps readers responsive.
             await asyncio.sleep(0)
 
@@ -340,32 +312,23 @@ class PredictionServer(FrameService):
             self._slo_tick()
 
     def _slo_tick(self) -> None:
-        """One periodic sample: queue depths and per-session accuracy
-        into their SLO streams, then a burn-rate evaluation."""
+        """One periodic sample: the queue depth and per-session
+        accuracy into their SLO streams, then a burn-rate evaluation."""
         now = time.monotonic()
-        for shard in self.shards:
-            depth = shard.batcher.qsize()
-            self.metrics.queue_depth.set(depth, shard=str(shard.index))
-            for slo in self._queue_slos:
-                good = 1 if depth <= slo.threshold else 0
+        depth = self.batcher.qsize()
+        self.metrics.queue_depth.set(depth)
+        for slo in self._queue_slos:
+            good = 1 if depth <= slo.threshold else 0
+            self.monitor.record(slo.name, good=good, bad=1 - good, now=now)
+        for slo in self._accuracy_slos:
+            for session in self.sessions.values():
+                recent = session.recent_accuracy()
+                if recent is None:
+                    continue
+                good = 1 if recent >= slo.threshold else 0
                 self.monitor.record(slo.name, good=good, bad=1 - good,
                                     now=now)
-            for slo in self._accuracy_slos:
-                for session in shard.sessions.values():
-                    recent = session.recent_accuracy()
-                    if recent is None:
-                        continue
-                    good = 1 if recent >= slo.threshold else 0
-                    self.monitor.record(slo.name, good=good, bad=1 - good,
-                                        now=now)
         self._refresh_slo_state(now)
-        # Table gauges refresh on a slower multiple of the SLO cadence:
-        # snapshotting scalar-mode session state costs more than a
-        # counter read, and occupancy moves slowly.
-        self._table_tick += 1
-        if self._table_tick >= 4:
-            self._table_tick = 0
-            self.tables_report(include_sessions=False)
 
     def _refresh_slo_state(self, now: Optional[float] = None) -> List[dict]:
         """Evaluate burn rates, update gauges, and emit one telemetry
@@ -404,14 +367,7 @@ class PredictionServer(FrameService):
             self._counters(),
             status=self._health_status(self._alerting),
             protocol_version=protocol.PROTOCOL_VERSION,
-            state_version=STATE_VERSION if self.state_dir else None,
-            shards=[
-                {"shard": s.index, "queue_depth": s.batcher.qsize(),
-                 "sessions": len(s.sessions), "spilled": len(s.spilled),
-                 "evictions": s.evictions, "reloads": s.reloads,
-                 "batches": s.batcher.batches,
-                 "items": s.batcher.items}
-                for s in self.shards])
+            state_version=STATE_VERSION if self.state_dir else None)
 
     def slo_report(self) -> dict:
         """The ``/slo`` body: burn-rate statuses + live percentiles."""
@@ -430,63 +386,44 @@ class PredictionServer(FrameService):
             "uptime_s": self.uptime_s(),
         }
 
-    def tables_report(self, include_sessions: bool = True) -> dict:
-        """The ``/tables`` body: live table usage per shard and pooled.
+    def tables_report(self) -> dict:
+        """The ``/tables`` body: live table usage per resident session
+        and pooled.
 
-        Walks every open session's actual table-state snapshot (see
+        Walks every resident session's actual table-state snapshot (see
         :meth:`~repro.serve.session.Session.table_stats`), pools the
-        live-bit / hit / conflict counts per shard, and refreshes the
-        ``repro_serve_table_*`` gauges as a side effect -- the SLO loop
-        calls this periodically with ``include_sessions=False`` so the
-        gauges stay warm between scrapes.
+        live-bit / hit / conflict counts, and refreshes the
+        ``repro_serve_table_*`` gauges as a side effect -- so does every
+        ``/metrics`` scrape (:meth:`metrics_text`), and nothing else:
+        a scalar-mode session's snapshot costs milliseconds of the
+        worker's event loop.
         """
-        shards_out = []
-        totals = {"sessions": 0, "live_bits": 0, "storage_bits": 0,
-                  "hits": 0, "alias_accesses": 0, "alias_conflicts": 0}
-        for shard in self.shards:
-            live_bits = storage_bits = hits = 0
-            accesses = conflicts = 0
-            sessions = []
-            for session in shard.sessions.values():
-                stats = session.table_stats()
-                live_bits += stats["live_bits"]
-                storage_bits += stats["storage_bits"]
-                hits += session.hits
-                alias = stats["aliasing"]
-                if alias is not None:
-                    accesses += alias["accesses"]
-                    conflicts += alias["conflicts"]
-                if include_sessions:
-                    sessions.append(stats)
-            occupancy = live_bits / storage_bits if storage_bits else 0.0
-            efficiency = hits / live_bits if live_bits else 0.0
-            ratio = conflicts / accesses if accesses else 0.0
-            label = str(shard.index)
-            self.metrics.table_occupancy.set(occupancy, shard=label)
-            self.metrics.table_live_bits.set(live_bits, shard=label)
-            self.metrics.table_efficiency.set(efficiency, shard=label)
-            self.metrics.table_aliasing.set(ratio, shard=label)
-            entry = {
-                "shard": shard.index,
-                "sessions_open": len(shard.sessions),
-                "live_bits": live_bits,
-                "storage_bits": storage_bits,
-                "occupancy": round(occupancy, 6),
-                "hits": hits,
-                "efficiency": round(efficiency, 9),
-                "aliasing_ratio": round(ratio, 6),
-            }
-            if include_sessions:
-                entry["sessions"] = sessions
-            shards_out.append(entry)
-            totals["sessions"] += len(shard.sessions)
-            totals["live_bits"] += live_bits
-            totals["storage_bits"] += storage_bits
-            totals["hits"] += hits
-            totals["alias_accesses"] += accesses
-            totals["alias_conflicts"] += conflicts
-        return {"schema": 1, "shards": shards_out,
-                "totals": pooled_table_ratios(totals)}
+        sessions = []
+        totals = {"sessions": len(self.sessions), "live_bits": 0,
+                  "storage_bits": 0, "hits": 0, "alias_accesses": 0,
+                  "alias_conflicts": 0}
+        for session in self.sessions.values():
+            stats = session.table_stats()
+            totals["live_bits"] += stats["live_bits"]
+            totals["storage_bits"] += stats["storage_bits"]
+            totals["hits"] += session.hits
+            alias = stats["aliasing"]
+            if alias is not None:
+                totals["alias_accesses"] += alias["accesses"]
+                totals["alias_conflicts"] += alias["conflicts"]
+            sessions.append(stats)
+        pooled_table_ratios(totals)
+        self.metrics.table_occupancy.set(totals["occupancy"])
+        self.metrics.table_live_bits.set(totals["live_bits"])
+        self.metrics.table_efficiency.set(totals["efficiency"])
+        self.metrics.table_aliasing.set(totals["aliasing_ratio"])
+        return {"schema": 1, "sessions": sessions, "totals": totals}
+
+    def metrics_text(self, prefix: Optional[str] = None,
+                     exemplars: bool = False) -> str:
+        """The ``/metrics`` body, with the table gauges refreshed."""
+        self.tables_report()
+        return super().metrics_text(prefix=prefix, exemplars=exemplars)
 
     # -------------------------------------------------------- responses
 
@@ -556,22 +493,19 @@ class PredictionServer(FrameService):
         except (ValueError, TypeError, KeyError) as exc:
             self._refuse(conn, trace, protocol.ErrorCode.BAD_SPEC, str(exc))
             return
-        shard = self.shards[session_id % len(self.shards)]
 
         def run(session):
-            if session is not None or session_id in shard.spilled:
+            if session is not None or session_id in self.spilled:
                 raise ValueError(f"session id {session_id} is already "
                                  f"in use")
-            shard.sessions[session_id] = Session(session_id, spec, window)
+            self.sessions[session_id] = Session(session_id, spec, window)
             self._session_opened_at[session_id] = time.time()
             self.metrics.sessions_open.inc()
-            self._touch(session_id)
             self._refresh_residency()
-            if self._store is not None and self.max_resident is not None:
-                self._maybe_evict()
+            self._maybe_evict()
             return session_id
 
-        await self._submit(conn, frame, trace, shard, run=run,
+        await self._submit(conn, frame, trace, run=run,
                            session_id=session_id,
                            encode=protocol.encode_session_op)
 
@@ -593,8 +527,7 @@ class PredictionServer(FrameService):
         session_id, pc, value = protocol.decode_session_op(frame.body, 2)
         self.metrics.records.inc()
         await self._submit(
-            conn, frame, trace, self._shard_of(session_id),
-            fuse_key="step",
+            conn, frame, trace, fuse_key="step",
             pcs=np.asarray([pc], dtype=np.int64),
             values=np.asarray([value], dtype=np.int64),
             session_id=session_id,
@@ -607,10 +540,8 @@ class PredictionServer(FrameService):
         if len(pcs):
             self.metrics.records.inc(len(pcs))
         await self._submit(
-            conn, frame, trace, self._shard_of(session_id),
-            fuse_key="step", pcs=pcs, values=values,
-            session_id=session_id,
-            encode=None)
+            conn, frame, trace, fuse_key="step", pcs=pcs, values=values,
+            session_id=session_id, encode=None)
 
     async def _dispatch_flush(self, conn, frame, trace) -> None:
         (session_id,) = protocol.decode_session_op(frame.body, 0)
@@ -633,10 +564,9 @@ class PredictionServer(FrameService):
 
     async def _dispatch_close(self, conn, frame, trace) -> None:
         (session_id,) = protocol.decode_session_op(frame.body, 0)
-        shard = self._shard_of(session_id)
 
         def run(session):
-            stats = self._finish_session(shard, session_id)
+            stats = self._finish_session(session_id)
             if self._store is not None:
                 # A closed session's state is gone by definition; the
                 # arena must not resurrect it on the next restart.
@@ -657,17 +587,16 @@ class PredictionServer(FrameService):
     async def _dispatch_adopt(self, conn, frame, trace) -> None:
         """ADOPT_SESSION: take ownership of an arena in the shared
         state directory.  The session becomes addressable immediately
-        (listed as spilled) and is restored lazily by the shard
+        (listed as spilled) and is restored lazily by the session
         resolver on its first request -- adoption itself never loads
         table state, so re-homing N sessions is O(N) dictionary work.
         """
         (session_id,) = protocol.decode_session_op(frame.body, 0)
         if self._lacks_store(conn, frame, trace, "adoption"):
             return
-        shard = self._shard_of(session_id)
 
         def run(session):
-            if session is not None or session_id in shard.spilled:
+            if session is not None or session_id in self.spilled:
                 # Idempotent: adopting a session already here is a
                 # no-op, so a router retry after a torn control frame
                 # is always safe.
@@ -675,7 +604,7 @@ class PredictionServer(FrameService):
                         "adopted": False, "reason": "already owned"}
             if not self._store.path_for(session_id).exists():
                 raise KeyError(session_id)
-            shard.spilled.add(session_id)
+            self.spilled.add(session_id)
             self._note_session_id(session_id)
             self._session_opened_at.setdefault(session_id, time.time())
             self.metrics.sessions_open.inc()
@@ -684,24 +613,23 @@ class PredictionServer(FrameService):
             return {"schema": 1, "session": session_id, "adopted": True,
                     "path": str(self._store.path_for(session_id))}
 
-        await self._submit(conn, frame, trace, shard, run=run,
+        await self._submit(conn, frame, trace, run=run,
                            session_id=session_id,
                            encode=protocol.encode_json_body)
 
     async def _dispatch_release(self, conn, frame, trace) -> None:
         """RELEASE_SESSION: checkpoint to the arena and forget.
 
-        The migration barrier: submitted through the owning shard's
-        batcher like any data frame, so every STEP accepted before it
-        has executed (and its response slot filled) by the time the
-        release report goes out.  After a release the session is gone
+        The migration barrier: submitted through the batcher like any
+        data frame, so every STEP accepted before it has executed (and
+        its response slot filled) by the time the release report goes
+        out.  After a release the session is gone
         from this worker -- later frames for it get UNKNOWN_SESSION --
         and the arena belongs to whoever adopts it.
         """
         (session_id,) = protocol.decode_session_op(frame.body, 0)
         if self._lacks_store(conn, frame, trace, "release"):
             return
-        shard = self._shard_of(session_id)
 
         def run(session):
             if not session.spillable:
@@ -713,9 +641,7 @@ class PredictionServer(FrameService):
             nbytes = self._store.save(session_id,
                                       session.spec.to_config(), arrays,
                                       meta)
-            shard.sessions.pop(session_id)
-            shard.spilled.discard(session_id)
-            self._last_used.pop(session_id, None)
+            del self.sessions[session_id]
             self._session_opened_at.pop(session_id, None)
             self.metrics.sessions_open.dec()
             self.metrics.releases.inc()
@@ -741,20 +667,16 @@ class PredictionServer(FrameService):
                      f"(start it with --state-dir to enable {feature})")
         return True
 
-    def _touch(self, session_id: int) -> None:
-        self._last_used[session_id] = time.monotonic()
-
     def _refresh_residency(self) -> None:
-        self.metrics.sessions_resident.set(
-            sum(len(s.sessions) for s in self.shards))
-        self.metrics.sessions_spilled.set(
-            sum(len(s.spilled) for s in self.shards))
+        self.metrics.sessions_resident.set(len(self.sessions))
+        self.metrics.sessions_spilled.set(len(self.spilled))
 
-    def _resolver_for(self, shard: _Shard):
-        """The shard's ``session_id -> Session | None`` resolver.
+    def _resolve(self, session_id: int) -> Optional[Session]:
+        """The batcher's ``session_id -> Session | None`` resolver.
 
-        Resident sessions come straight out of the dict; a spilled id
-        is restored from its arena, re-seated as resident, and counted
+        A resident session comes straight out of the table and becomes
+        the most recently used; a spilled id is restored from its
+        arena, re-seated as resident (most recently used) and counted
         as a reload -- the caller (batch execution, admin frames) never
         sees the difference.  ``None`` means the session does not exist
         anywhere.  A :class:`StateVersionError` propagates to the
@@ -762,79 +684,73 @@ class PredictionServer(FrameService):
         ``STATE_VERSION`` error); a corrupt arena was quarantined by
         the store and reports as an unknown session.
         """
-        def resolve(session_id: int) -> Optional[Session]:
-            session = shard.sessions.get(session_id)
-            if session is not None:
-                self._touch(session_id)
-                return session
-            if self._store is None or session_id not in shard.spilled:
-                return None
-            arena = self._store.load(session_id)
-            if arena is None:  # corrupt arena, quarantined by the store
-                shard.spilled.discard(session_id)
-                self._refresh_residency()
-                return None
-            spec = spec_from_config(arena.spec_config)
-            session = Session.restore(session_id, spec, arena.state(),
-                                      arena.meta)
-            shard.sessions[session_id] = session
-            shard.spilled.discard(session_id)
-            shard.reloads += 1
-            self.metrics.reloads.inc()
-            self._refresh_residency()
-            self._touch(session_id)
+        session = self.sessions.get(session_id)
+        if session is not None:
+            self.sessions.move_to_end(session_id)
             return session
-        return resolve
+        if self._store is None or session_id not in self.spilled:
+            return None
+        arena = self._store.load(session_id)
+        if arena is None:  # corrupt arena, quarantined by the store
+            self.spilled.discard(session_id)
+            self._refresh_residency()
+            return None
+        spec = spec_from_config(arena.spec_config)
+        session = Session.restore(session_id, spec, arena.state(),
+                                  arena.meta)
+        self.sessions[session_id] = session
+        self.spilled.discard(session_id)
+        self.reloads += 1
+        self.metrics.reloads.inc()
+        self._refresh_residency()
+        return session
 
-    def _spill(self, shard: _Shard, session_id: int) -> bool:
+    def _spill(self, session_id: int) -> bool:
         """Move one resident spillable session out to the arena store.
 
-        The arena is written before the session leaves the shard, so a
+        The arena is written before the session leaves the table, so a
         save that raises (a full disk, an encoder fault) loses nothing:
         the session stays resident and serving, the failure is logged
         and counted, and the spill reports ``False``.
         """
-        session = shard.sessions[session_id]
+        session = self.sessions[session_id]
         try:
             arrays, meta = session.snapshot()
             self._store.save(session_id, session.spec.to_config(), arrays,
                              meta)
-        except Exception as exc:  # noqa: BLE001 - must not end the shard
+        except Exception as exc:  # noqa: BLE001 - must not end the worker
             self.spill_failures += 1
             self.metrics.spill_failures.inc()
             _log.warning("spilling session %d failed; it stays "
                          "resident: %s: %s", session_id,
                          type(exc).__name__, exc)
             return False
-        del shard.sessions[session_id]
-        shard.spilled.add(session_id)
-        shard.evictions += 1
+        del self.sessions[session_id]
+        self.spilled.add(session_id)
+        self.evictions += 1
         self.metrics.evictions.inc()
         self._refresh_residency()
         return True
 
     def _maybe_evict(self) -> None:
-        """Spill coldest spillable sessions until the resident count is
-        back under ``max_resident`` (LRU by last request time).
+        """Spill least recently used sessions until at most
+        ``max_resident`` stay resident (with a state directory and a
+        cap configured).
 
-        Runs synchronously inside a shard worker's scheduling slice --
-        all shards share one event loop, so no other worker is
-        mid-batch -- and an evicted session with queued work on another
-        shard simply reloads when that batch executes.  A failed spill
-        ends the round (the next batch tries again) and never raises.
+        Victims come from the front of :attr:`sessions`, skipping
+        scalar-mode sessions, which cannot spill.  Runs synchronously
+        between batches (or inside an open), so no batch is mid-flight;
+        an evicted session with queued work simply reloads when that
+        work executes.  A failed spill ends the round (the next batch
+        tries again) and never raises.
         """
-        while (sum(len(s.sessions) for s in self.shards)
-               > self.max_resident):
-            candidates = [
-                (self._last_used.get(session_id, 0.0), session_id, shard)
-                for shard in self.shards
-                for session_id, session in shard.sessions.items()
-                if session.spillable
-            ]
-            if not candidates:
-                return  # everything resident is scalar-mode
-            _, session_id, shard = min(candidates)
-            if not self._spill(shard, session_id):
+        if self._store is None or self.max_resident is None:
+            return
+        while len(self.sessions) > self.max_resident:
+            victim = next((session_id for session_id, session
+                           in self.sessions.items() if session.spillable),
+                          None)
+            if victim is None or not self._spill(victim):
                 return
 
     def _snapshot_session(self, session: Session) -> dict:
@@ -856,9 +772,6 @@ class PredictionServer(FrameService):
 
     # ------------------------------------------------------------ helpers
 
-    def _shard_of(self, session_id: int) -> _Shard:
-        return self.shards[session_id % len(self.shards)]
-
     async def _submit_session(self, conn, frame, trace, session_id, run,
                               encode):
         def checked(session):
@@ -866,23 +779,21 @@ class PredictionServer(FrameService):
                 raise KeyError(session_id)
             return run(session)
 
-        await self._submit(conn, frame, trace, self._shard_of(session_id),
-                           run=checked, session_id=session_id, encode=encode)
+        await self._submit(conn, frame, trace, run=checked,
+                           session_id=session_id, encode=encode)
 
-    async def _submit(self, conn, frame, trace, shard, session_id, encode,
+    async def _submit(self, conn, frame, trace, session_id, encode,
                       run=None, fuse_key=None, pcs=None,
                       values=None) -> None:
         trace.session_id = session_id
-        trace.shard = shard.index
         trace.records = len(pcs) if pcs is not None else 0
         future = self._enqueue(conn, frame.type, trace, encode)
         item = WorkItem(session_id=session_id, future=future, run=run,
                         fuse_key=fuse_key, pcs=pcs if pcs is not None else [],
                         values=values if values is not None else [],
                         trace=trace)
-        self.metrics.queue_depth.set(shard.batcher.qsize() + 1,
-                                     shard=str(shard.index))
-        await shard.batcher.submit(item)
+        self.metrics.queue_depth.set(self.batcher.qsize() + 1)
+        await self.batcher.submit(item)
 
     def _enqueue(self, conn, frame_type: int, trace: RequestTrace,
                  encode) -> asyncio.Future:
@@ -900,10 +811,8 @@ class PredictionServer(FrameService):
         self._enqueue(conn, protocol.FrameType.ERROR, trace,
                       None).set_result(Refusal(code, message))
 
-    def _finish_session(self, shard: _Shard, session_id: int) -> dict:
-        session = shard.sessions.pop(session_id)
-        shard.spilled.discard(session_id)
-        self._last_used.pop(session_id, None)
+    def _finish_session(self, session_id: int) -> dict:
+        session = self.sessions.pop(session_id)
         self.metrics.sessions_open.dec()
         self._refresh_residency()
         stats = session.stats()
@@ -917,13 +826,9 @@ class PredictionServer(FrameService):
 
     def server_stats(self) -> dict:
         """The STATS (session 0) report."""
-        return dict(
-            self._counters(),
-            shards=len(self.shards),
-            batches=sum(s.batcher.batches for s in self.shards),
-            requests_batched=sum(s.batcher.items for s in self.shards),
-            fused_records=sum(s.batcher.fused_records for s in self.shards),
-            obs_port=self.obs_port)
+        return dict(self._counters(),
+                    fused_records=self.batcher.fused_records,
+                    obs_port=self.obs_port)
 
     def _counters(self) -> dict:
         """The fields ``/healthz`` and the STATS report share."""
@@ -932,13 +837,15 @@ class PredictionServer(FrameService):
             "draining": self._stopping,
             "uptime_s": self.uptime_s(),
             "connections_open": len(self._connections),
-            "sessions_open": sum(len(s.sessions) + len(s.spilled)
-                                 for s in self.shards),
-            "sessions_resident": sum(len(s.sessions) for s in self.shards),
-            "sessions_spilled": sum(len(s.spilled) for s in self.shards),
-            "evictions_total": sum(s.evictions for s in self.shards),
+            "queue_depth": self.batcher.qsize(),
+            "batches": self.batcher.batches,
+            "requests_batched": self.batcher.items,
+            "sessions_open": len(self.sessions) + len(self.spilled),
+            "sessions_resident": len(self.sessions),
+            "sessions_spilled": len(self.spilled),
+            "evictions_total": self.evictions,
             "spill_failures_total": self.spill_failures,
-            "reloads_total": sum(s.reloads for s in self.shards),
+            "reloads_total": self.reloads,
             "snapshots_total": self.snapshots_taken,
             "releases_total": self.releases,
             "state_dir": self.state_dir,
@@ -970,7 +877,7 @@ class ServerThread(ServiceThread):
 
     Blocking API for callers without an event loop (tests, loadgen):
 
-        with ServerThread(shards=2) as server:
+        with ServerThread() as server:
             client = ServeClient("127.0.0.1", server.port)
             ...
 

@@ -49,8 +49,11 @@ SLOW_K = 32
 #: Completed spans kept per process for ``/trace``.
 TRACE_CAPACITY = 4096
 
-#: The rolling data-path window behind ``/slo`` and ``/scale``.
+#: The rolling data-path window behind ``/slo`` and ``/scale``: the
+#: last ``WINDOW_S`` seconds or the last ``WINDOW_REQUESTS`` data-path
+#: requests, whichever is shorter.
 WINDOW_S = 60.0
+WINDOW_REQUESTS = 4096
 
 _START_TIMEOUT_S = 60.0
 _STOP_TIMEOUT_S = 90.0
@@ -92,7 +95,7 @@ class RequestLog:
         self._request_seconds = request_seconds
         self.slow = SlowRequestSampler(SLOW_K)
         self.traces = TraceStore(TRACE_CAPACITY)
-        self._data: deque = deque(maxlen=4096)  # (t_done, seconds)
+        self._data: deque = deque(maxlen=WINDOW_REQUESTS)  # (t_done, s)
         self._monitor = None
         self._latency_slos: list = []
 
@@ -123,10 +126,15 @@ class RequestLog:
 
     def window_summary(self) -> dict:
         """:func:`~repro.serve.tracing.latency_summary` of the data-path
-        latencies completed in the last :data:`WINDOW_S` seconds."""
-        horizon = time.monotonic() - WINDOW_S
-        return latency_summary(
-            [lat for t_done, lat in self._data if t_done >= horizon])
+        window, plus ``window_s``: the age of its oldest sample, i.e.
+        the seconds the summary covers (0 when it is empty)."""
+        now = time.monotonic()
+        window = [(t_done, lat) for t_done, lat in self._data
+                  if t_done >= now - WINDOW_S]
+        summary = latency_summary([lat for _, lat in window])
+        summary["window_s"] = (round(now - window[0][0], 3)
+                               if window else 0.0)
+        return summary
 
 
 class Refusal(NamedTuple):
@@ -250,7 +258,7 @@ class FrameService:
         """Stop accepting, drain every connection, close the obs port.
 
         Readers first: a reader waiting for a frame is cancelled, one
-        mid-dispatch (say, blocked on a full shard queue) finishes
+        mid-dispatch (say, blocked on a full work queue) finishes
         that dispatch and then stops reading.  Each reader's cleanup
         then closes its own response queue and awaits the writer, which
         answers everything already accepted -- whatever executes the
@@ -524,12 +532,18 @@ class ServiceThread:
             coro, self._loop).result(timeout)
 
     def stop(self) -> Optional[dict]:
-        if self._thread is None:
+        # One read of the thread: a concurrent caller may clear
+        # ``self._thread`` while this one waits in join().
+        thread = self._thread
+        if thread is None:
             return self.final_stats
         if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout=_STOP_TIMEOUT_S)
-        alive = self._thread.is_alive()
+            try:
+                self._loop.call_soon_threadsafe(self._stop_event.set)
+            except RuntimeError:  # the loop is closed: already stopped
+                pass
+        thread.join(timeout=_STOP_TIMEOUT_S)
+        alive = thread.is_alive()
         self._thread = None
         if alive:
             raise RuntimeError(f"service thread did not stop within "

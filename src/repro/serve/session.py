@@ -3,7 +3,7 @@
 A :class:`Session` is one live predictor instance, described by a
 :class:`~repro.core.spec.PredictorSpec` plus an in-flight *window*
 (the delayed-update depth of :mod:`repro.core.delayed`; 0 means tables
-train immediately).  Sessions are owned by exactly one shard worker,
+train immediately).  Sessions are owned by exactly one server worker,
 so they need no locking.
 
 Two execution modes, chosen automatically:

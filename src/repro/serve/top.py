@@ -3,22 +3,23 @@
 Polls a running server's observability endpoint (``repro serve
 --obs-port``) and renders an ANSI dashboard: overall status, record
 throughput and hit-rate with sparklines, latency percentiles over the
-rolling window, per-shard queue depth and throughput, firing SLO
-alerts with burn rates, live table usage (occupancy / efficiency /
-aliasing per shard, from ``/tables``), and the current slowest
-requests with their stage breakdowns.  Servers running with
+rolling window, the server's queue line (depth, batches, requests
+batched), firing SLO alerts with burn rates, live table usage
+(occupancy / efficiency / aliasing, from ``/tables``), and the current
+slowest requests with their stage breakdowns.  Servers running with
 ``--state-dir`` additionally get a durable-state line (resident /
-spilled / evictions / reloads / snapshots) and a per-shard eviction
-column; against older servers those simply render as absent / ``--``.
+spilled / evictions / reloads / snapshots); against older servers it
+simply does not render.
 
 Pointed at a cluster router's aggregated endpoint (``repro cluster
 serve --obs-port``) the same dashboard additionally renders a fleet
 panel -- one row per worker (pid, status, sessions, resident /
 spilled / evictions, restarts, firing alerts) plus migration and
 session-loss counters -- because the router's ``/healthz`` carries a
-``workers`` list.  Single-process servers never report that field, so
-the panel simply does not render; every other section works
-identically against either endpoint.
+``workers`` list; its ``/tables`` adds one table-usage row per worker.
+A single server reports neither list, and the router has no queue of
+its own, so each renders only where its data exists; every other
+section works identically against either endpoint.
 
 Rates are computed client-side from counter deltas between polls, so
 the server needs no extra bookkeeping for the dashboard.  ``--once``
@@ -75,32 +76,23 @@ class _History:
     def __init__(self, depth: int = 60):
         self.t: Optional[float] = None
         self.records: Optional[int] = None
-        self.shard_items: dict = {}
         self.rate_series: deque = deque(maxlen=depth)
         self.hit_series: deque = deque(maxlen=depth)
 
     def update(self, health: dict, slo: dict) -> dict:
-        """Fold one poll in; returns {rate, shard_rates}."""
+        """Fold one poll in; returns {rate}."""
         now = time.monotonic()
         records = int(health.get("records_served", 0))
-        items = {s["shard"]: int(s.get("items", 0))
-                 for s in health.get("shards", [])}
         rate = None
-        shard_rates = {}
-        if self.t is not None:
-            dt = max(now - self.t, 1e-9)
-            if self.records is not None and records >= self.records:
-                rate = (records - self.records) / dt
-                self.rate_series.append(rate)
-            for shard, count in items.items():
-                prev = self.shard_items.get(shard)
-                if prev is not None and count >= prev:
-                    shard_rates[shard] = (count - prev) / dt
+        if (self.t is not None and self.records is not None
+                and records >= self.records):
+            rate = (records - self.records) / max(now - self.t, 1e-9)
+            self.rate_series.append(rate)
         hit_rate = slo.get("hit_rate")
         if hit_rate is not None:
             self.hit_series.append(float(hit_rate))
-        self.t, self.records, self.shard_items = now, records, items
-        return {"rate": rate, "shard_rates": shard_rates}
+        self.t, self.records = now, records
+        return {"rate": rate}
 
 
 def _fmt_rate(rate: Optional[float]) -> str:
@@ -171,22 +163,11 @@ def render_dashboard(base_url: str, health: dict, slo: dict, slow: dict,
                      f"p90 {latency['p90_ms']:.3f}ms   "
                      f"p99 {latency['p99_ms']:.3f}ms   "
                      f"max {latency['max_ms']:.3f}ms")
-    lines.append("")
-    lines.append("  shard  queue  sessions  batches     items  evict  "
-                 "    rec/s")
-    shard_rates = rates.get("shard_rates", {})
-    for shard in health.get("shards", []):
-        idx = shard["shard"]
-        rate = shard_rates.get(idx)
-        rate_col = f"{rate:>9,.0f}" if rate is not None else "       --"
-        # Older servers report no eviction counter -- show "--".
-        evict_col = (f"{shard['evictions']:>5}"
-                     if "evictions" in shard else "   --")
-        lines.append(f"  {idx:>5}  {shard.get('queue_depth', 0):>5}  "
-                     f"{shard.get('sessions', 0):>8}  "
-                     f"{shard.get('batches', 0):>7}  "
-                     f"{shard.get('items', 0):>8}  {evict_col}  "
-                     f"{rate_col}")
+    # A server's one queue; the router has none of its own.
+    if "queue_depth" in health:
+        lines.append(f"queue  depth {health['queue_depth']}   "
+                     f"batches {health.get('batches', 0):,}   "
+                     f"requests {health.get('requests_batched', 0):,}")
     lines.append("")
     alerts = health.get("alerts") or []
     if alerts:
@@ -217,16 +198,18 @@ def render_dashboard(base_url: str, health: dict, slo: dict, slow: dict,
             f"{totals.get('storage_bits', 0):,} bits   "
             f"efficiency {totals.get('efficiency', 0):.3g} hits/bit   "
             f"aliasing {totals.get('aliasing_ratio', 0) * 100:.1f}%")
-        lines.append("  shard  sessions   live bits  occupancy  "
-                     "efficiency  aliasing")
-        for shard in tables.get("shards", []):
+        workers = tables.get("workers") or []
+        if workers:
+            lines.append("  worker  sessions   live bits  occupancy  "
+                         "efficiency  aliasing")
+        for row in workers:
             lines.append(
-                f"  {shard.get('shard', '?'):>5}  "
-                f"{shard.get('sessions_open', 0):>8}  "
-                f"{shard.get('live_bits', 0):>10,}  "
-                f"{shard.get('occupancy', 0) * 100:>8.1f}%  "
-                f"{shard.get('efficiency', 0):>10.3g}  "
-                f"{shard.get('aliasing_ratio', 0) * 100:>7.1f}%")
+                f"  {row.get('worker', '?'):>6}  "
+                f"{row.get('sessions', 0):>8}  "
+                f"{row.get('live_bits', 0):>10,}  "
+                f"{row.get('occupancy', 0) * 100:>8.1f}%  "
+                f"{row.get('efficiency', 0):>10.3g}  "
+                f"{row.get('aliasing_ratio', 0) * 100:>7.1f}%")
     slowest = (slow.get("slowest") or [])[:max_slow]
     if slowest:
         lines.append("")

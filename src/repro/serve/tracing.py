@@ -21,7 +21,7 @@ mean one interval::
                  round trip);
 ``write``        reply to client-socket drain;
 ``decode``       frame body decode and dispatch, to the response slot;
-``queue``        waiting in the shard's bounded queue;
+``queue``        waiting in the worker's bounded queue;
 ``fuse``         out of the queue, waiting behind earlier runs of
                  the same micro-batch;
 ``execute``      the (possibly fused) kernel call;
@@ -106,8 +106,8 @@ class RequestTrace:
     the cluster router (``source="router"``): ``(stage, time)`` marks
     after ``t_recv``, the last one set by :meth:`finish`.  A stage
     marked twice (a frame re-sent twice) sums, so :meth:`stages` add up
-    to :meth:`latency_s`.  Workers fill ``shard``, ``batch_size`` and
-    ``fused``; the router fills ``workers``, the hop list.
+    to :meth:`latency_s`.  Workers fill ``batch_size`` and ``fused``;
+    the router fills ``workers``, the hop list.
     """
 
     trace_id: int
@@ -121,7 +121,6 @@ class RequestTrace:
     marks: List[Tuple[str, float]] = field(default_factory=list)
     status: str = "ok"
     error: Optional[str] = None
-    shard: Optional[int] = None
     batch_size: int = 0
     fused: bool = False
     workers: List[int] = field(default_factory=list)
@@ -173,7 +172,6 @@ class RequestTrace:
             "type": self.frame_type,
             "request_id": self.request_id,
             "session": self.session_id,
-            "shard": self.shard,
             "records": self.records,
             "batch_size": self.batch_size,
             "fused": self.fused,
@@ -279,8 +277,6 @@ def render_trace_report(report: dict) -> str:
             extra += f"  resends {span['resends']}"
         elif span.get("parked"):
             extra += "  parked"
-        if span.get("shard") is not None:
-            extra += f"  shard {span['shard']}"
         if span.get("batch_size"):
             extra += (f"  batch {span['batch_size']}"
                       + ("+fused" if span.get("fused") else ""))

@@ -9,7 +9,7 @@ stream:
   seconds -- an objective of 0.99 is exactly "p99 <= threshold";
 - **accuracy**: a session sample is good when its recent hit rate is
   at or above the ``threshold`` floor;
-- **queue_depth**: a shard sample is good when its queue is at or
+- **queue_depth**: a sample is good when the server's queue is at or
   below the ``threshold`` ceiling.
 
 The :class:`SLOMonitor` keeps a time-bucketed tally per SLO and

@@ -31,7 +31,7 @@ def start_server(port, state_dir):
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", "--json",
-         "--port", str(port), "--shards", "1",
+         "--port", str(port),
          "--state-dir", str(state_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         text=True)

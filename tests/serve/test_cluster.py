@@ -190,7 +190,7 @@ class TestObservability:
                  if line.startswith("# HELP repro_serve_records_total ")]
         assert len(helps) == 1
 
-    def test_tables_relabel_shards_per_worker(self, fleet):
+    def test_tables_rows_per_worker(self, fleet):
         spec = DFCMSpec(64, 256)
         with ServeClient("127.0.0.1", fleet.port) as client:
             sid = client.open_session(spec)
@@ -199,8 +199,11 @@ class TestObservability:
                     f"http://127.0.0.1:{fleet.obs_port}/tables") as resp:
                 tables = json.loads(resp.read())
             client.close_session(sid)
-        shard_ids = {s["shard"] for s in tables["shards"]}
-        assert all("." in shard for shard in shard_ids)
+        rows = tables["workers"]
+        assert sorted(row["worker"] for row in rows) == \
+            list(range(len(rows)))
+        assert sum(row["live_bits"] for row in rows) == \
+            tables["totals"]["live_bits"]
         assert tables["totals"]["storage_bits"] > 0
 
 

@@ -35,7 +35,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(shards=2) as thread:
+    with ServerThread() as thread:
         yield thread
 
 

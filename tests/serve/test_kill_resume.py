@@ -39,7 +39,7 @@ def start_server(state_dir):
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", "--json",
-         "--port", "0", "--shards", "2",
+         "--port", "0",
          "--state-dir", str(state_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         text=True)

@@ -81,7 +81,7 @@ class TestRunLoadgen:
     def test_report_shape_and_verify(self):
         spec = DFCMSpec(256, 1024)
         trace = make_trace()
-        with ServerThread(shards=2) as server:
+        with ServerThread() as server:
             report = run_loadgen(spec, trace, "127.0.0.1", server.port,
                                  mode="both", block=64, min_speedup=0.01)
         assert report["schema"] == 1
@@ -135,7 +135,7 @@ class TestRunLoadgen:
         # bit-exact parity with the offline engines.
         spec = DFCMSpec(256, 1024)
         trace = make_trace(4098)
-        with ServerThread(shards=2) as server:
+        with ServerThread() as server:
             report = run_loadgen(spec, trace, "127.0.0.1", server.port,
                                  mode="batched", block=1024)
         assert report["modes"]["batched"]["records"] == 4098

@@ -26,7 +26,8 @@ from repro.serve.client import ServeClient
 from repro.serve.cluster import ClusterThread
 from repro.serve.loadgen import run_loadgen
 from repro.serve.server import ServerThread
-from repro.serve.tracing import format_trace_id
+from repro.serve.service import RequestLog
+from repro.serve.tracing import RequestTrace, format_trace_id
 from repro.telemetry import run as telemetry_run_module
 from repro.telemetry.export import find_run, read_events
 from repro.telemetry.slo import SLO
@@ -161,7 +162,7 @@ class TestScrapeUnderTraffic:
                     return
                 time.sleep(0.01)
 
-        with ServerThread(shards=2, obs_port=0) as server:
+        with ServerThread(obs_port=0) as server:
             thread = threading.Thread(target=poller,
                                       args=(server.obs_port,))
             thread.start()
@@ -198,8 +199,7 @@ class TestScrapeUnderTraffic:
         health = json.loads(final_health)
         assert health["status"] == "ok"
         assert health["records_served"] >= 600
-        assert len(health["shards"]) == 2
-        assert all(s["queue_depth"] >= 0 for s in health["shards"])
+        assert health["queue_depth"] >= 0
 
     def test_slo_report_has_live_percentiles(self):
         with ServerThread(obs_port=0) as server, \
@@ -373,6 +373,29 @@ class TestBurnRateDegrade:
             assert report["healthy"] is True
 
 
+class _NullHistogram:
+    def observe(self, *args, **kwargs):
+        pass
+
+
+class TestLatencyWindow:
+    def test_window_reports_the_span_it_covers(self):
+        # 5,000 data-path requests 1 ms apart: the window keeps the
+        # last 4,096, which cover about 4.1 s, not the nominal 60 s.
+        log = RequestLog(_NullHistogram())
+        assert log.window_summary()["window_s"] == 0.0
+        now = time.monotonic()
+        for i in range(5000):
+            t_done = now - (4999 - i) * 1e-3
+            trace = RequestTrace(trace_id=i + 1, frame_type="step",
+                                 t_recv=t_done - 1e-4)
+            trace.finish("flush", t_done)
+            log.record(trace)
+        summary = log.window_summary()
+        assert summary["count"] == 4096
+        assert 4.0 <= summary["window_s"] <= 4.2
+
+
 class TestOverheadGuard:
     def test_observability_keeps_batched_throughput(self):
         """Tracing + SLO monitor + obs endpoint must cost < 5% batched
@@ -385,7 +408,7 @@ class TestOverheadGuard:
         trace = make_trace(12_000)
 
         def rate(**kwargs):
-            with ServerThread(shards=1, **kwargs) as server:
+            with ServerThread(**kwargs) as server:
                 report = run_loadgen(spec, trace, "127.0.0.1",
                                      server.port, mode="batched",
                                      block=512, verify=False)

@@ -2,6 +2,7 @@
 
 import asyncio
 import gc
+import json
 import logging
 import threading
 import time
@@ -9,10 +10,12 @@ import time
 import pytest
 
 from repro.core.spec import DFCMSpec, StrideSpec
+from repro.core.state import ArenaStore
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import ServerThread
 from repro.serve.session import Session
+from tests.serve.test_obs import http_get
 
 
 def workload(n, seed=0):
@@ -23,8 +26,9 @@ def workload(n, seed=0):
     return pcs, values
 
 
-def hold_shard(server, until):
-    """Keep shard 0 busy until ``until()`` holds, as a long batch would.
+def hold_batcher(server, until):
+    """Keep the worker busy until ``until()`` holds, as a long batch
+    would.
 
     The worker is already waiting for the request it takes next; from
     the batch after that one, it stays off its queue while ``until()``
@@ -32,7 +36,7 @@ def hold_shard(server, until):
     inside a session would not do: execution runs on the event loop,
     so the burst would wait in the socket, not in the queue.)
     """
-    batcher = server.server.shards[0].batcher
+    batcher = server.server.batcher
     take = batcher.next_batch
 
     async def busy_then_next_batch():
@@ -62,7 +66,7 @@ class TestRoundTrips:
     def test_mixed_ops_match_local_session(self):
         spec = DFCMSpec(64, 256)
         reference = Session(0, spec)
-        with ServerThread(shards=2) as server, \
+        with ServerThread() as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(spec)
             assert session >= 1
@@ -100,24 +104,14 @@ class TestRoundTrips:
             assert stats["outcomes"] == 10
 
     def test_server_stats(self):
-        with ServerThread(shards=3) as server, \
+        with ServerThread() as server, \
                 ServeClient(port=server.port) as client:
             client.open_session(StrideSpec(64))
             stats = client.stats(0)
             assert stats["schema"] == 1
             assert stats["sessions_open"] == 1
             assert stats["connections_open"] == 1
-            assert stats["shards"] == 3
             assert stats["draining"] is False
-
-    def test_sessions_land_on_distinct_shards(self):
-        with ServerThread(shards=2) as server, \
-                ServeClient(port=server.port) as client:
-            ids = [client.open_session(StrideSpec(64)) for _ in range(4)]
-            assert len({i % 2 for i in ids}) == 2
-            for session in ids:
-                client.step(session, 4, 7)
-        assert server.final_stats["sessions_open"] == 4
 
 
 class TestErrors:
@@ -181,7 +175,7 @@ class TestConcurrency:
             except Exception as exc:  # noqa: BLE001 - reported by the test
                 failures.append(exc)
 
-        with ServerThread(shards=2) as server:
+        with ServerThread() as server:
             threads = [threading.Thread(target=one_client,
                                         args=(server.port, seed))
                        for seed in range(4)]
@@ -192,13 +186,13 @@ class TestConcurrency:
         assert not failures
 
     def test_pipelined_steps_fuse(self):
-        # STEPs pipelined while the shard is busy queue up behind it;
+        # STEPs pipelined while the worker is busy queue up behind it;
         # once free, the worker takes them as batches of max_batch (64)
         # and fuses each into one kernel call.
-        with ServerThread(shards=1) as server, \
+        with ServerThread() as server, \
                 ServeClient(port=server.port) as client:
             free = threading.Event()
-            batcher = hold_shard(server, free.is_set)
+            batcher = hold_batcher(server, free.is_set)
             session = client.open_session(StrideSpec(64))
             pcs, values = workload(80)
             for pc, value in zip(pcs, values):
@@ -216,12 +210,80 @@ class TestConcurrency:
         assert server.final_stats["fused_records"] == len(pcs)
 
 
+class TestQueue:
+    def test_healthz_reports_the_queue_depth(self):
+        with ServerThread(obs_port=0) as server, \
+                ServeClient(port=server.port) as client:
+            free = threading.Event()
+            batcher = hold_batcher(server, free.is_set)
+            session = client.open_session(StrideSpec(64))
+            pcs, values = workload(5)
+            for pc, value in zip(pcs, values):
+                client.send(protocol.FrameType.STEP,
+                            protocol.encode_session_op(session, pc, value))
+            wait_queued(batcher, len(pcs))
+            _, _, body = http_get(server.obs_port, "/healthz")
+            free.set()
+            for _ in pcs:
+                client.recv()
+        assert json.loads(body)["queue_depth"] == 5
+
+
+class TestEviction:
+    def test_spills_the_least_recently_used_spillable_session(
+            self, tmp_path):
+        # max_resident=2 and a windowed session that cannot spill at the
+        # front of the LRU order: every spill must take the least
+        # recently used session that can.  A spill writes a fresh arena
+        # file (a new inode), which names the victim.
+        store = ArenaStore(tmp_path)
+
+        def inodes():
+            return {sid: store.path_for(sid).stat().st_ino
+                    for sid in store.session_ids()}
+
+        def spilled_by(action):
+            before = inodes()
+            action()
+            return sorted(sid for sid, ino in inodes().items()
+                          if before.get(sid) != ino)
+
+        with ServerThread(state_dir=tmp_path, max_resident=2) as server, \
+                ServeClient(port=server.port) as client:
+            ids = []
+
+            def open_session(window=0):
+                ids.append(client.open_session(StrideSpec(64), window))
+
+            def step(sid):
+                return lambda: client.step(sid, 0x40, 7)
+
+            # LRU order, least recent first, in the comments.
+            assert spilled_by(lambda: open_session(window=2)) == []  # w
+            assert spilled_by(open_session) == []                  # w a
+            windowed, a = ids
+            assert spilled_by(open_session) == [a]                 # w b
+            b = ids[2]
+            assert {sid % 2 for sid in ids} == {0, 1}
+            assert spilled_by(step(windowed)) == []                # b w
+            assert spilled_by(step(a)) == [b]                      # w a
+            assert spilled_by(step(windowed)) == []                # a w
+            assert spilled_by(open_session) == [a]                 # w c
+            c = ids[3]
+            assert spilled_by(step(b)) == [c]                      # w b
+            assert spilled_by(step(a)) == [b]                      # w a
+            stats = client.stats(0)
+        assert stats["evictions_total"] == 5
+        assert stats["reloads_total"] == 3
+        assert stats["sessions_resident"] == 2
+
+
 class TestTimeout:
     def test_held_blocks_time_out_in_order_and_still_execute(self, caplog):
-        # The shard is held, so nothing queued executes: each pipelined
+        # The worker is held, so nothing queued executes: each pipelined
         # block is answered TIMEOUT once request_timeout has passed
         # since it reached the head of the connection.  Released, the
-        # shard still executes both (their results are dropped), and
+        # worker still executes both (their results are dropped), and
         # the next block's predictions show it.  A third, for a
         # session that does not exist, fails after its TIMEOUT: that
         # late exception must not be left unretrieved.
@@ -229,9 +291,9 @@ class TestTimeout:
         blocks = [workload(16, seed) for seed in range(3)]
         free = threading.Event()
         caplog.set_level(logging.ERROR, logger="asyncio")
-        with ServerThread(shards=1, request_timeout=0.3) as server, \
+        with ServerThread(request_timeout=0.3) as server, \
                 ServeClient(port=server.port) as client:
-            hold_shard(server, free.is_set)
+            hold_batcher(server, free.is_set)
             session = client.open_session(spec)
             started = time.monotonic()
             for pcs, values in blocks[:2]:
@@ -259,12 +321,12 @@ class TestTimeout:
 
 class TestDrain:
     def test_stop_answers_every_inflight_request(self):
-        # The shard stays busy until the drain begins, so the whole
+        # The worker stays busy until the drain begins, so the whole
         # pipelined burst is still queued when stop() starts; stop()
         # must still answer every request.
-        with ServerThread(shards=1) as server:
+        with ServerThread() as server:
             client = ServeClient(port=server.port)
-            batcher = hold_shard(server, lambda: server.server._stopping)
+            batcher = hold_batcher(server, lambda: server.server._stopping)
             session = client.open_session(StrideSpec(64))
             pcs, values = workload(50)
             for pc, value in zip(pcs, values):
@@ -282,13 +344,13 @@ class TestDrain:
             assert stats["draining"] is True
 
     def test_stop_finishes_a_dispatch_blocked_on_a_full_queue(self):
-        # queue_depth=2 and the shard held until the drain: two STEPs
+        # queue_depth=2 and the worker held until the drain: two STEPs
         # fill the queue and the reader blocks submitting the third.
         # The drain lets that dispatch finish -- its request was
         # accepted, so it is answered -- and reads nothing after it.
-        with ServerThread(shards=1, queue_depth=2) as server:
+        with ServerThread(queue_depth=2) as server:
             client = ServeClient(port=server.port)
-            batcher = hold_shard(server, lambda: server.server._stopping)
+            batcher = hold_batcher(server, lambda: server.server._stopping)
             session = client.open_session(StrideSpec(64))
             pcs, values = workload(6)
             for pc, value in zip(pcs, values):
@@ -306,6 +368,52 @@ class TestDrain:
         reference = Session(0, StrideSpec(64))
         assert answers == [reference.step(pc, value)
                            for pc, value in zip(pcs[:3], values[:3])]
+
+    def test_concurrent_stops_return_the_same_stats(self):
+        # Two callers stop one server; the second leaves join() only
+        # after the first's stop() has returned (and cleared the
+        # thread), so it must not touch the thread attribute again.
+        server = ServerThread().start()
+        thread = server._thread
+        real_join = thread.join
+        both_joining = threading.Barrier(2, timeout=30)
+        order = []
+        lock = threading.Lock()
+        first_returned = threading.Event()
+
+        def join(timeout=None):
+            both_joining.wait()
+            with lock:
+                order.append(threading.current_thread())
+                leader = len(order) == 1
+            if not leader:
+                assert first_returned.wait(30)
+            real_join(timeout)
+
+        thread.join = join
+        results, errors = {}, []
+
+        def stop():
+            try:
+                results[threading.current_thread().name] = server.stop()
+            except Exception as exc:  # noqa: BLE001 - fails the test
+                errors.append(exc)
+            finally:
+                if order and order[0] is threading.current_thread():
+                    first_returned.set()
+
+        callers = [threading.Thread(target=stop, name=f"stop-{i}")
+                   for i in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert not any(caller.is_alive() for caller in callers)
+        assert errors == []
+        assert len(results) == 2
+        first, second = results.values()
+        assert first is second is server.final_stats
+        assert first["draining"] is True
 
     def test_open_rejected_while_draining(self):
         server = ServerThread().start()

@@ -54,7 +54,7 @@ def stepper(client, references):
 
 
 def serve(tmp_path):
-    return ServerThread(shards=1, state_dir=tmp_path, max_resident=1,
+    return ServerThread(state_dir=tmp_path, max_resident=1,
                         request_timeout=5.0).start()
 
 

@@ -167,7 +167,7 @@ class TestLRUEviction:
     def test_spill_and_transparent_reload_under_load(self, tmp_path):
         spec = DFCMSpec(64, 256)
         references = {}
-        with ServerThread(shards=2, state_dir=tmp_path,
+        with ServerThread(state_dir=tmp_path,
                           max_resident=1) as server:
             with ServeClient(port=server.port) as client:
                 sessions = [client.open_session(spec) for _ in range(3)]
@@ -229,7 +229,7 @@ class TestRestartParity:
         pcs, values = workload(200, seed=3)
         reference = Session(0, spec)
 
-        with ServerThread(shards=2, state_dir=tmp_path) as first:
+        with ServerThread(state_dir=tmp_path) as first:
             with ServeClient(port=first.port) as client:
                 session = client.open_session(spec)
                 first_half = (pcs[:100], values[:100])
@@ -239,7 +239,7 @@ class TestRestartParity:
         assert first.final_stats["sessions_spilled_on_drain"] == 1
         assert ArenaStore(tmp_path).session_ids() == [session]
 
-        with ServerThread(shards=2, state_dir=tmp_path) as second:
+        with ServerThread(state_dir=tmp_path) as second:
             with ServeClient(port=second.port) as client:
                 stats = client.stats(0)
                 assert stats["sessions_open"] == 1

@@ -2,12 +2,14 @@
 
 The serve counterpart of the offline table auditor: every session
 tracks level-1 write conflicts and can snapshot its live table state;
-the server aggregates those into per-shard occupancy / efficiency /
-aliasing, serves them on GET /tables, exports them as
-``repro_serve_table_*`` gauges, and ``repro top`` renders the panel.
+the server pools those into occupancy / efficiency / aliasing, serves
+them per session on GET /tables, exports them as
+``repro_serve_table_*`` gauges (refreshed as /metrics is read), and
+``repro top`` renders the panel.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,11 @@ from repro.serve.server import ServerThread
 from repro.serve.session import Session, _AliasTracker
 from repro.serve.top import render_dashboard
 from tests.serve.test_obs import http_get, parse_prometheus
+
+TABLE_GAUGES = {"repro_serve_table_occupancy",
+                "repro_serve_table_live_bits",
+                "repro_serve_table_efficiency",
+                "repro_serve_table_aliasing_ratio"}
 
 
 class TestAliasTracker:
@@ -93,8 +100,8 @@ class TestSessionTableStats:
 
 
 class TestTablesEndpoint:
-    def test_tables_route_serves_live_per_shard_stats(self):
-        with ServerThread(shards=2, obs_port=0) as server, \
+    def test_tables_route_serves_live_session_stats(self):
+        with ServerThread(obs_port=0) as server, \
                 ServeClient(port=server.port) as client:
             first = client.open_session(DFCMSpec(64, 256))
             second = client.open_session(StrideSpec(64))
@@ -112,17 +119,13 @@ class TestTablesEndpoint:
         assert totals["live_bits"] > 0
         assert totals["storage_bits"] > totals["live_bits"]
         assert 0 < totals["occupancy"] <= 1
-        assert len(report["shards"]) == 2
-        sessions = [s for shard in report["shards"]
-                    for s in shard["sessions"]]
+        sessions = report["sessions"]
         assert {s["spec"] for s in sessions} == {"dfcm_l1=64_l2=256",
                                                  "stride_64"}
-        for shard in report["shards"]:
-            assert shard["live_bits"] == sum(
-                s["live_bits"] for s in shard["sessions"])
+        assert totals["live_bits"] == sum(s["live_bits"] for s in sessions)
 
     def test_gauges_exported_after_report(self):
-        with ServerThread(shards=1, obs_port=0) as server, \
+        with ServerThread(obs_port=0) as server, \
                 ServeClient(port=server.port) as client:
             session = client.open_session(StrideSpec(64))
             for i in range(20):
@@ -130,20 +133,46 @@ class TestTablesEndpoint:
             http_get(server.obs_port, "/tables")  # refreshes the gauges
             _, _, text = http_get(server.obs_port, "/metrics")
         metrics, types = parse_prometheus(text)
-        for name in ("repro_serve_table_occupancy",
-                     "repro_serve_table_live_bits",
-                     "repro_serve_table_efficiency",
-                     "repro_serve_table_aliasing_ratio"):
+        for name in TABLE_GAUGES:
             assert types[name] == "gauge"
-            # The registry is process-global, so earlier servers in the
-            # test run may have left other shard labels behind; this
-            # server's shard 0 must be present and sane.
-            by_shard = {labels["shard"]: v for labels, v in metrics[name]}
-            assert "0" in by_shard
-            assert all(v >= 0 for v in by_shard.values())
-        live = {labels["shard"]: v for labels, v
-                in metrics["repro_serve_table_live_bits"]}
-        assert live["0"] > 0
+            [(labels, value)] = metrics[name]
+            assert labels == {}
+            assert value >= 0
+        assert metrics["repro_serve_table_live_bits"][0][1] > 0
+
+    def test_metrics_scrape_refreshes_table_gauges(self):
+        spec = DFCMSpec(64, 256)
+        reference = Session(0, spec, window=4)
+        with ServerThread(obs_port=0) as server, \
+                ServeClient(port=server.port) as client:
+            session = client.open_session(spec, window=4)
+            for i in range(30):
+                client.step(session, 0x40 + 4 * (i % 3), i * 4)
+                reference.step(0x40 + 4 * (i % 3), i * 4)
+            _, _, text = http_get(server.obs_port, "/metrics")
+        metrics, _ = parse_prometheus(text)
+        assert {name for name in metrics
+                if name.startswith("repro_serve_table_")} == TABLE_GAUGES
+        live_bits = reference.table_stats()["live_bits"]
+        assert live_bits > 0
+        assert metrics["repro_serve_table_live_bits"] == [({}, live_bits)]
+
+    def test_idle_server_does_not_walk_tables(self, monkeypatch):
+        walks = []
+        table_stats = Session.table_stats
+
+        def counted(session):
+            walks.append(session.session_id)
+            return table_stats(session)
+
+        monkeypatch.setattr(Session, "table_stats", counted)
+        with ServerThread(obs_port=0) as server, \
+                ServeClient(port=server.port) as client:
+            client.open_session(DFCMSpec(64, 256), window=4)
+            walks.clear()
+            time.sleep(1.5)
+            idle_walks = list(walks)
+        assert idle_walks == []
 
     def test_empty_server_reports_zero_totals(self):
         with ServerThread(obs_port=0) as server:
@@ -156,7 +185,7 @@ class TestTablesEndpoint:
 class TestTopPanel:
     def fake_feeds(self):
         health = {"status": "ok", "uptime_s": 1, "records_served": 10,
-                  "sessions_open": 1, "shards": [], "alerts": []}
+                  "sessions_open": 1, "queue_depth": 0, "alerts": []}
         slo = {"hit_rate": 0.5, "slos": [], "latency": {}}
         slow = {"observed": 0, "slowest": []}
         return health, slo, slow
@@ -167,15 +196,15 @@ class TestTopPanel:
             "totals": {"sessions": 2, "live_bits": 512,
                        "storage_bits": 4096, "occupancy": 0.125,
                        "efficiency": 0.031, "aliasing_ratio": 0.25},
-            "shards": [{"shard": 0, "sessions_open": 2, "live_bits": 512,
-                        "occupancy": 0.125, "efficiency": 0.031,
-                        "aliasing_ratio": 0.25}],
+            "workers": [{"worker": 0, "sessions": 2, "live_bits": 512,
+                         "occupancy": 0.125, "efficiency": 0.031,
+                         "aliasing_ratio": 0.25}],
         }
         frame = render_dashboard("http://x", health, slo, slow,
                                  tables=tables)
         assert "tables  occupancy 12.5%" in frame
         assert "aliasing 25.0%" in frame
-        assert "shard  sessions   live bits" in frame
+        assert "worker  sessions   live bits" in frame
 
     def test_panel_omitted_without_tables_feed(self):
         health, slo, slow = self.fake_feeds()

@@ -34,23 +34,17 @@ class TestSparkline:
 class TestHistory:
     def test_first_poll_has_no_rate(self):
         history = _History()
-        rates = history.update({"records_served": 100, "shards": []}, {})
+        rates = history.update({"records_served": 100}, {})
         assert rates["rate"] is None
-        assert rates["shard_rates"] == {}
 
     def test_counter_deltas_become_rates(self, monkeypatch):
         clock = iter([10.0, 12.0])
         monkeypatch.setattr(top_module.time, "monotonic",
                             lambda: next(clock))
         history = _History()
-        history.update({"records_served": 100,
-                        "shards": [{"shard": 0, "items": 40}]},
-                       {"hit_rate": 0.5})
-        rates = history.update({"records_served": 300,
-                                "shards": [{"shard": 0, "items": 140}]},
-                               {"hit_rate": 0.6})
+        history.update({"records_served": 100}, {"hit_rate": 0.5})
+        rates = history.update({"records_served": 300}, {"hit_rate": 0.6})
         assert rates["rate"] == 100.0      # 200 records over 2s
-        assert rates["shard_rates"][0] == 50.0
         assert list(history.rate_series) == [100.0]
         assert list(history.hit_series) == [0.5, 0.6]
 
@@ -59,8 +53,8 @@ class TestHistory:
         monkeypatch.setattr(top_module.time, "monotonic",
                             lambda: next(clock))
         history = _History()
-        history.update({"records_served": 500, "shards": []}, {})
-        rates = history.update({"records_served": 10, "shards": []}, {})
+        history.update({"records_served": 500}, {})
+        rates = history.update({"records_served": 10}, {})
         assert rates["rate"] is None  # restarted server: skip the sample
 
 
@@ -69,11 +63,8 @@ class TestRenderDashboard:
         "status": "ok", "uptime_s": 12.5, "protocol_version": 2,
         "sessions_open": 3, "connections_open": 1,
         "records_served": 1234, "hits_served": 600,
-        "alerts": [],
-        "shards": [{"shard": 0, "queue_depth": 2, "sessions": 2,
-                    "batches": 10, "items": 700},
-                   {"shard": 1, "queue_depth": 0, "sessions": 1,
-                    "batches": 8, "items": 534}],
+        "alerts": [], "queue_depth": 2, "batches": 18,
+        "requests_batched": 1234,
     }
     SLO = {
         "hit_rate": 0.486,
@@ -97,6 +88,7 @@ class TestRenderDashboard:
         assert "records 1,234" in frame
         assert "hit-rate 48.6%" in frame
         assert "p99 1.100ms" in frame
+        assert "queue  depth 2   batches 18   requests 1,234" in frame
         assert "alerts: none" in frame
         assert "step_latency_p99" in frame
         assert "00ab00ab00ab00ab" in frame
@@ -128,38 +120,26 @@ class TestRenderDashboard:
         assert "ALERTS: step_latency_p99 (fast 3.5x, slow 2.1x)" in frame
 
     def test_empty_surfaces_render(self):
-        frame = render_dashboard("http://h:1",
-                                 {"status": "ok", "shards": []},
-                                 {}, {})
+        frame = render_dashboard("http://h:1", {"status": "ok"}, {}, {})
         assert "status: OK" in frame
         assert "slowest" not in frame
 
     def test_older_server_without_state_fields(self):
         # HEALTH above deliberately predates --state-dir: no state
-        # summary line, and the eviction column degrades to "--".
+        # summary line.
         frame = render_dashboard("http://h:1", self.HEALTH, self.SLO,
                                  self.SLOW)
         assert "state  resident" not in frame
-        for line in frame.splitlines():
-            if line.startswith("  ") and "queue" not in line \
-                    and line.strip().startswith(("0 ", "1 ")):
-                assert "--" in line
 
-    def test_durable_state_line_and_eviction_column(self):
+    def test_durable_state_line(self):
         health = dict(self.HEALTH, sessions_resident=2,
                       sessions_spilled=1, evictions_total=4,
                       reloads_total=3, snapshots_total=2,
                       state_dir=".state")
-        health["shards"] = [dict(s, spilled=0, evictions=2, reloads=1)
-                            for s in self.HEALTH["shards"]]
         frame = render_dashboard("http://h:1", health, self.SLO,
                                  self.SLOW)
         assert ("state  resident 2   spilled 1   evictions 4   "
                 "reloads 3   snapshots 2   dir .state") in frame
-        assert "evict" in frame  # the column header
-        shard_rows = [line for line in frame.splitlines()
-                      if line.strip().startswith(("0 ", "1 "))]
-        assert all("2" in row for row in shard_rows)
 
     def test_cluster_panel_renders_worker_rows(self):
         # A cluster router's aggregated /healthz carries per-worker

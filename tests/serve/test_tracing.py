@@ -219,7 +219,7 @@ class TestRouterTrace:
         assert entry["resends"] == 1
         assert entry["parked"] is False
         # Worker-only keys are present with their empty values.
-        assert entry["shard"] is None and entry["batch_size"] == 0
+        assert entry["batch_size"] == 0
         assert "error" not in entry
         assert set(entry["stages_ms"]) <= set(STAGES)
 

@@ -217,7 +217,7 @@ class TestServeAndLoadgen:
     def test_loadgen_against_live_server(self, tmp_path):
         from repro.serve.server import ServerThread
         out_path = tmp_path / "loadgen.json"
-        with ServerThread(shards=2) as server:
+        with ServerThread() as server:
             code, text = run_cli(
                 "loadgen", "li", "--port", str(server.port),
                 "--limit", "400", "--mode", "batched", "--block", "64",
@@ -246,6 +246,16 @@ class TestServeAndLoadgen:
                 "loadgen", "li", "--port", str(server.port),
                 "--limit", "200", "--min-speedup", "1000000")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [["serve", "--shards", "2"],
+                                      ["cluster", "serve",
+                                       "--max-batch", "8"]])
+    def test_deleted_server_knobs_are_usage_errors(self, argv, capsys):
+        from repro.cli import build_parser
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_subprocess_sigterm_drain(self):
         import os
