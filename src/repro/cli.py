@@ -326,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument("--max-resident", type=int, default=None,
                          help="LRU-evict spillable sessions to the state "
                               "directory beyond this many resident "
-                              "sessions per server (needs --state-dir; "
-                              "default: spill only on drain)")
+                              "sessions per server (requires "
+                              "--state-dir; default: spill only on "
+                              "drain)")
     serving.add_argument("--telemetry", metavar="DIR", default=None,
                          help="record this invocation as a telemetry run "
                               "under DIR")
@@ -1111,11 +1112,6 @@ def _cluster_serve(args, out) -> int:
     from repro.serve.cluster.supervisor import ClusterSupervisor
 
     emit = _emitter(args, out)
-    supervisor = ClusterSupervisor(
-        args.workers, host="127.0.0.1", queue_depth=args.queue_depth,
-        request_timeout=args.request_timeout_s,
-        state_dir=args.state_dir,
-        max_resident=args.max_resident).start()
 
     def make_router():
         return Router(supervisor, host=args.host, port=args.port,
@@ -1138,7 +1134,14 @@ def _cluster_serve(args, out) -> int:
              f"({args.workers} workers{obs_note}) -- SIGTERM/SIGINT "
              f"drains the fleet and exits")
 
+    # The run opens first: workers buffer telemetry events only if a
+    # run is recording when they spawn.
     with _maybe_telemetry(args) as telemetry:
+        supervisor = ClusterSupervisor(
+            args.workers, host="127.0.0.1", queue_depth=args.queue_depth,
+            request_timeout=args.request_timeout_s,
+            state_dir=args.state_dir,
+            max_resident=args.max_resident).start()
         try:
             stats = _run_signalled(make_router, announce)
         finally:
@@ -1248,7 +1251,12 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     errors) print ``error: ...`` on stderr and return 1; programming
     errors still raise.
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "max_resident", None) is not None \
+            and not args.state_dir:
+        parser.error("--max-resident requires --state-dir (without a "
+                     "state directory there is nowhere to spill to)")
     # Recorded verbatim in the telemetry run manifest.
     args._argv = list(argv) if argv is not None else sys.argv[1:]
     try:

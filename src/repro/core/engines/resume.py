@@ -36,12 +36,15 @@ A block touches one entry per record and level, so ``step_block``
 costs what the block touches, not what the tables hold: it reads the
 touched entries first, then scatters each one's last write into the
 tables of *state* in place (``table[keys] = payload``).  An array that
-is not writable -- in particular the zero-copy mmap views handed out by
-:func:`repro.core.state.open_arena` -- is never written: on its first
-write it is replaced *in the dict* by a private copy (copy-on-write).
-A session re-seated onto its arena's mapped arrays therefore pays one
-table copy on its first block after a reload, none after, and the
-arena stays untouched.  Two calls must never share one writable state.
+is not writable -- in particular the zero-copy mmap views
+:func:`repro.core.state.open_arena` hands out for an arena's dense
+entries -- is never written: on its first write it is replaced *in the
+dict* by a private copy (copy-on-write).  A session re-seated onto its
+arena therefore pays one copy of each dense table on its first block
+after a reload, none after, and the arena stays untouched; its sparse
+entries decode into fresh writable arrays, which are stepped in place
+from the first block on.  Two calls must never share one writable
+state.
 
 :func:`predict_record` is the read-only pass: the same kernel over one
 record with the write-back skipped, so it reads the entries that record

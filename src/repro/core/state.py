@@ -17,24 +17,45 @@ Arena file layout (all integers big-endian)::
     24  u64  payload length
     32  ...  header JSON (utf-8)
     --- zero padding to a 64-byte boundary ---
-    ...      payload: the table arrays back to back, each aligned
+    ...      payload: one entry per array back to back, each aligned
              to 64 bytes at the absolute offsets the header declares
 
 The header JSON carries the spec config
 (:meth:`~repro.core.spec.PredictorSpec.to_config`), a digest of it,
 the array directory (key, dtype, shape, offset, nbytes) and arbitrary
-JSON metadata (session counters and the like).  Because each array is
-stored contiguous, little-endian and 64-byte aligned, :func:`open_arena`
-maps the file read-only and hands back zero-copy NumPy views, and a
-session is re-seated directly on the mapped arrays without a payload
-copy: :func:`repro.core.engines.resume.step_block` replaces a
-read-only table by a private copy on its first write (copy-on-write),
-so stepping never writes the arena.
+JSON metadata (session counters and the like).
+
+A session's tables are mostly empty -- a few hundred live entries in a
+65,536-entry level-1 table -- so an entry is stored one of two ways,
+whichever is smaller; density is a property of the array, so nothing
+selects it:
+
+- **sparse**, for a 1-D little-endian int64 array whose non-*fill*
+  entries take less room as (index, value) pairs than the array does
+  whole: the directory entry adds ``fill`` (the value every absent
+  entry holds -- the encoder picks the array's minimum) and ``nnz``,
+  and the payload is ``nnz`` strictly increasing int64 indices
+  followed by their ``nnz`` values (``nbytes == 16 * nnz``).  It
+  decodes into a fresh array: ``np.zeros`` when ``fill`` is 0, so only
+  the pages holding entries are touched, then one scatter.
+- **dense**, for everything else (2-D, bool, big-endian and other
+  dtypes, and nearly full arrays): the array itself, contiguous and
+  little-endian, which :func:`open_arena` maps read-only and hands
+  back as a zero-copy NumPy view.  A session re-seated on such a view
+  copies it on its first write:
+  :func:`repro.core.engines.resume.step_block` replaces a read-only
+  table by a private copy (copy-on-write), so stepping never writes
+  the arena.
+
+Format 1 had dense entries only, so a format-1 file is a format-2 file
+whose entries all lack ``nnz``, and one decoder reads both.  Builds
+that predate format 2 refuse these files as an unknown format, so a
+rollback to one quarantines every arena written since.
 
 Writing mirrors that: :func:`write_arena` streams the header and each
-array's own buffer to disk with one running CRC, copying no table.
-:func:`arena_bytes` is the reference encoder that assembles the same
-bytes in memory; both share one layout function, whose absolute
+entry's buffer (a dense array's own memory) to disk with one running
+CRC.  :func:`arena_bytes` is the reference encoder that assembles the
+same bytes in memory; both share one layout function, whose absolute
 offsets are computed to a fixpoint.
 
 Robustness reuses the trace cache's discipline (the cache shares
@@ -43,7 +64,10 @@ Robustness reuses the trace cache's discipline (the cache shares
 - **writes are atomic** -- :func:`atomic_write_bytes` writes a
   ``*.tmp`` sibling, fsyncs it and ``os.replace``\\ s it into place;
 - **reads are verified** -- magic, format version, truncation and the
-  CRC are checked before any view is built, and defective files are
+  CRC are checked before any view is built, then every directory
+  entry (a sparse entry's indices in range and strictly increasing,
+  its ``nbytes`` agreeing with ``nnz``, every payload inside the
+  file); any defect is an :class:`ArenaError`, and defective files are
   :func:`quarantine_file`'d (renamed ``*.corrupt``) by the store;
 - **state is version-gated** -- an arena whose ``state_version``
   differs from this process's :data:`STATE_VERSION` raises
@@ -65,7 +89,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -80,7 +104,9 @@ __all__ = [
 ARENA_MAGIC = b"RPROARNA"
 
 #: File-layout generation: prefix struct, alignment, header fields.
-ARENA_FORMAT_VERSION = 1
+#: Format 2 added sparse entries; this build reads formats 1 and 2.
+ARENA_FORMAT_VERSION = 2
+_READABLE_FORMATS = (1, ARENA_FORMAT_VERSION)
 
 #: Table-state layout generation.  Bump whenever the canonical
 #: :meth:`~repro.core.spec.PredictorSpec.extract_state` layout of any
@@ -94,6 +120,7 @@ ARENA_SUFFIX = ".arena"
 _PREFIX = struct.Struct("!8sIIIIQ")
 _ALIGN = 64
 _ZEROS = memoryview(bytes(_ALIGN))
+_INT64 = np.dtype("<i8")
 
 
 class ArenaError(Exception):
@@ -168,35 +195,55 @@ def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
+def _sparse_payload(arr: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
+    """``(fill, indices + values)`` when *arr* is smaller stored as its
+    non-*fill* entries than whole, else ``None`` (store it dense).
+
+    Only 1-D little-endian int64 arrays qualify.  *fill* is the
+    array's minimum: 0 for every table, -1 for the aliasing tracker's
+    last-writer table.
+    """
+    if arr.ndim != 1 or arr.dtype != _INT64 or not arr.size:
+        return None
+    fill = arr.min()
+    indices = np.flatnonzero(arr != fill)
+    if 16 * len(indices) >= arr.nbytes:
+        return None
+    return int(fill), np.concatenate((indices, arr[indices]))
+
+
 def _arena_layout(spec_config: dict, state: Dict[str, np.ndarray],
                   meta: Optional[dict], state_version: int):
     """Everything both encoders share: ``(blob, payload_start,
-    payload_len, directory, arrays)``.
+    payload_len, directory, payloads)``.
 
-    *arrays* holds each stored array -- contiguous and little-endian,
-    so its own buffer is its payload bytes -- in *directory* order, and
-    *blob* is the header JSON whose directory carries their absolute
-    file offsets.
+    *payloads* holds each entry's stored bytes as one contiguous
+    little-endian array, in *directory* order: a dense array itself,
+    a sparse one's indices followed by its values.  *blob* is the
+    header JSON whose directory carries their absolute file offsets.
     """
     directory: List[dict] = []
-    arrays: List[np.ndarray] = []
+    payloads: List[np.ndarray] = []
     relative: List[int] = []
     payload_len = 0
     for key in sorted(state):
         arr = np.ascontiguousarray(state[key])
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
+        entry = {"key": key, "shape": list(arr.shape)}
+        sparse = _sparse_payload(arr)
+        if sparse is not None:
+            entry["fill"], payload = sparse
+            entry["nnz"] = len(payload) // 2
+        elif arr.dtype.byteorder == ">":
+            payload = arr.astype(arr.dtype.newbyteorder("<"))
+        else:
+            payload = arr
         payload_len = _align(payload_len)
         relative.append(payload_len)
-        directory.append({
-            "key": key,
-            "dtype": arr.dtype.str,
-            "shape": list(arr.shape),
-            "offset": payload_len,
-            "nbytes": arr.nbytes,
-        })
-        arrays.append(arr)
-        payload_len += arr.nbytes
+        entry.update(dtype=payload.dtype.str, offset=payload_len,
+                     nbytes=payload.nbytes)
+        directory.append(entry)
+        payloads.append(payload)
+        payload_len += payload.nbytes
     header = {
         "schema": 1,
         "state_version": state_version,
@@ -214,7 +261,7 @@ def _arena_layout(spec_config: dict, state: Dict[str, np.ndarray],
         blob = json.dumps(header, sort_keys=True).encode()
         start = _align(_PREFIX.size + len(blob))
         if start == payload_start:
-            return blob, payload_start, payload_len, directory, arrays
+            return blob, payload_start, payload_len, directory, payloads
         payload_start = start
         for entry, offset in zip(directory, relative):
             entry["offset"] = payload_start + offset
@@ -226,22 +273,23 @@ def arena_bytes(spec_config: dict, state: Dict[str, np.ndarray],
     """Serialise one table-state snapshot into arena file bytes.
 
     *state* maps table keys to arrays (any NumPy dtype; stored
-    little-endian, contiguous).  Keys starting with ``__`` are
-    auxiliary (session bookkeeping) rather than table state; the
-    layout gate in :func:`Arena.table_state` ignores them.
+    little-endian, contiguous, sparse where that is smaller).  Keys
+    starting with ``__`` are auxiliary (session bookkeeping) rather
+    than table state; the layout gate in :func:`Arena.table_state`
+    ignores them.
 
     The reference encoder: it assembles the whole file in memory and
     checksums it in one go.  :func:`write_arena` streams the same
     bytes from the arrays' own buffers; the tests pin the two
     byte-identical.
     """
-    blob, payload_start, payload_len, directory, arrays = _arena_layout(
+    blob, payload_start, payload_len, directory, payloads = _arena_layout(
         spec_config, state, meta, state_version)
     out = bytearray(payload_start + payload_len)
     out[_PREFIX.size:_PREFIX.size + len(blob)] = blob
-    for entry, arr in zip(directory, arrays):
+    for entry, payload in zip(directory, payloads):
         out[entry["offset"]:entry["offset"] + entry["nbytes"]] = \
-            arr.tobytes()
+            payload.tobytes()
     crc = zlib.crc32(memoryview(out)[_PREFIX.size:]) & 0xFFFFFFFF
     _PREFIX.pack_into(out, 0, ARENA_MAGIC, ARENA_FORMAT_VERSION,
                       state_version, len(blob), crc, payload_len)
@@ -254,21 +302,22 @@ def write_arena(path, spec_config: dict, state: Dict[str, np.ndarray],
     """Atomically write a table-state arena; returns bytes written.
 
     Writes exactly :func:`arena_bytes`' output without assembling it:
-    the header and its padding, then each array's own buffer and the
-    zero padding between arrays, go to :func:`atomic_write_bytes` as a
+    the header and its padding, then each entry's buffer and the zero
+    padding between entries, go to :func:`atomic_write_bytes` as a
     list of buffers, and one running CRC pass over the same buffers
-    fills the prefix.  No array is copied.
+    fills the prefix.  No dense array is copied; a sparse one costs
+    what it holds.
     """
-    blob, payload_start, payload_len, directory, arrays = _arena_layout(
+    blob, payload_start, payload_len, directory, payloads = _arena_layout(
         spec_config, state, meta, state_version)
     head = bytearray(payload_start)
     head[_PREFIX.size:_PREFIX.size + len(blob)] = blob
     chunks = [head]
     crc = zlib.crc32(memoryview(head)[_PREFIX.size:])
     position = payload_start
-    for entry, arr in zip(directory, arrays):
+    for entry, payload in zip(directory, payloads):
         padding = _ZEROS[:entry["offset"] - position]
-        data = arr.reshape(-1).view(np.uint8)
+        data = payload.reshape(-1).view(np.uint8)
         crc = zlib.crc32(data, zlib.crc32(padding, crc))
         chunks += (padding, data)
         position = entry["offset"] + entry["nbytes"]
@@ -293,16 +342,78 @@ class ArenaInfo:
     nbytes: int
 
 
-class Arena:
-    """One opened arena: header fields + zero-copy array views.
+class _Sparse(NamedTuple):
+    """A validated sparse entry: views of its indices and values."""
 
-    The arrays returned by :meth:`state` alias the read-only memory
-    map; NumPy keeps the map alive through each array's ``.base``, so
-    views stay valid even after the :class:`Arena` object itself is
-    garbage collected.  The views are read-only, and
-    :func:`repro.core.engines.step_block` never writes a read-only
-    table: it replaces it in the state dict by a private copy on the
-    first write, so these views can seat a session directly.
+    length: int
+    fill: int
+    indices: np.ndarray
+    values: np.ndarray
+
+    def decode(self) -> np.ndarray:
+        out = (np.zeros(self.length, dtype=np.int64) if self.fill == 0
+               else np.full(self.length, self.fill, dtype=np.int64))
+        out[self.indices] = self.values
+        return out
+
+
+def _entry(buffer, entry: dict):
+    """One directory entry, checked against the file it came from: a
+    read-only view (dense) or a :class:`_Sparse` (decoded per call).
+
+    Raises :class:`ArenaError` for an entry no encoder writes;
+    malformed fields (wrong types, unknown dtypes) raise ``KeyError``,
+    ``TypeError`` or ``ValueError``, which the caller converts.
+    """
+    dtype = np.dtype(entry["dtype"])
+    shape = [int(dim) for dim in entry["shape"]]
+    offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
+    if min(shape, default=0) < 0 or nbytes < 0:
+        raise ArenaError("negative shape or size")
+    if offset < 0 or offset + nbytes > len(buffer):
+        raise ArenaError(f"payload [{offset}, {offset + nbytes}) lies "
+                         f"outside the {len(buffer)}-byte file")
+    if "nnz" not in entry:
+        count = int(np.prod(shape, dtype=np.int64))
+        if count * dtype.itemsize != nbytes:
+            raise ArenaError(f"nbytes {nbytes} != {count} x {dtype}")
+        return np.frombuffer(buffer, dtype=dtype, count=count,
+                             offset=offset).reshape(shape)
+    nnz, fill = int(entry["nnz"]), int(entry["fill"])
+    if dtype != _INT64 or len(shape) != 1:
+        raise ArenaError(f"sparse entry of {dtype} with shape {shape}")
+    if nnz < 0 or nbytes != 16 * nnz:
+        raise ArenaError(f"sparse nbytes {nbytes} != 16 x nnz {nnz}")
+    if not -1 << 63 <= fill < 1 << 63:
+        raise ArenaError(f"fill {fill} is not an int64")
+    stored = np.frombuffer(buffer, dtype=_INT64, count=2 * nnz,
+                           offset=offset)
+    indices, values = stored[:nnz], stored[nnz:]
+    if nnz and (indices[0] < 0 or indices[-1] >= shape[0]
+                or not (indices[1:] > indices[:-1]).all()):
+        raise ArenaError(f"sparse indices are not strictly increasing "
+                         f"within [0, {shape[0]})")
+    return _Sparse(shape[0], fill, indices, values)
+
+
+class Arena:
+    """One opened arena: header fields + its arrays.
+
+    Every call to :meth:`state` (and :meth:`table_state`, :meth:`aux`)
+    returns arrays on the rule *writable means yours*:
+
+    - a **sparse** entry is decoded into a fresh writable array on
+      each call, which the caller owns outright;
+    - a **dense** entry is a read-only zero-copy view of the memory
+      map, shared by every caller.  NumPy keeps the map alive through
+      the view's ``.base``, so it stays valid after the :class:`Arena`
+      is garbage collected, and :func:`repro.core.engines.step_block`
+      never writes a read-only table: it replaces it in the state dict
+      by a private copy on the first write.
+
+    So a session can be seated directly on what :meth:`state` returns.
+    Every entry is validated when the arena is opened; a defect raises
+    :class:`ArenaError`.
     """
 
     def __init__(self, path: Path, header: dict, buffer,
@@ -310,28 +421,36 @@ class Arena:
         self.path = Path(path)
         self.header = header
         self.state_version = state_version
-        self.spec_config = header["spec"]
-        self.meta = header.get("meta", {})
         self._buffer = buffer
-        self._arrays: Dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            arr = np.frombuffer(
-                buffer, dtype=np.dtype(entry["dtype"]),
-                count=int(np.prod(entry["shape"], dtype=np.int64)),
-                offset=entry["offset"]).reshape(entry["shape"])
-            self._arrays[entry["key"]] = arr
+        self._entries: Dict[str, object] = {}
+        try:
+            self.spec_config = header["spec"]
+            self.meta = header.get("meta", {})
+            for entry in header["arrays"]:
+                key = entry["key"]
+                self._entries[key] = _entry(buffer, entry)
+        except ArenaError as exc:
+            raise ArenaError(f"{path}: array {key!r}: {exc}") from None
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ArenaError(f"{path}: malformed array directory "
+                             f"({type(exc).__name__}: {exc})") from exc
+
+    @staticmethod
+    def _array(entry) -> np.ndarray:
+        return entry.decode() if isinstance(entry, _Sparse) else entry
 
     def state(self) -> Dict[str, np.ndarray]:
         """Every stored array (tables and ``__`` auxiliaries)."""
-        return dict(self._arrays)
+        return {k: self._array(v) for k, v in self._entries.items()}
 
     def table_state(self) -> Dict[str, np.ndarray]:
         """Only the table arrays (auxiliary ``__`` keys stripped)."""
-        return {k: v for k, v in self._arrays.items()
+        return {k: self._array(v) for k, v in self._entries.items()
                 if not k.startswith("__")}
 
     def aux(self, key: str) -> Optional[np.ndarray]:
-        return self._arrays.get("__" + key)
+        entry = self._entries.get("__" + key)
+        return None if entry is None else self._array(entry)
 
     @property
     def nbytes(self) -> int:
@@ -346,9 +465,10 @@ def _read_prefix(raw, path) -> Tuple[int, int, int, int]:
         _PREFIX.unpack_from(raw)
     if magic != ARENA_MAGIC:
         raise ArenaError(f"{path}: not an arena file (bad magic)")
-    if fmt != ARENA_FORMAT_VERSION:
+    if fmt not in _READABLE_FORMATS:
         raise ArenaError(f"{path}: arena format v{fmt}, this build "
-                         f"reads v{ARENA_FORMAT_VERSION}")
+                         f"reads v{_READABLE_FORMATS[0]} to "
+                         f"v{ARENA_FORMAT_VERSION}")
     return state_version, header_len, crc, payload_len
 
 
@@ -370,6 +490,8 @@ def _parse_arena(raw, path, check_state_version: bool = True) -> Arena:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArenaError(f"{path}: unreadable arena header "
                          f"({exc})") from exc
+    if not isinstance(header, dict):
+        raise ArenaError(f"{path}: arena header is not a JSON object")
     if header.get("state_version") != state_version:
         raise ArenaError(f"{path}: header/prefix state version disagree "
                          f"({header.get('state_version')} vs "
@@ -384,11 +506,12 @@ def _parse_arena(raw, path, check_state_version: bool = True) -> Arena:
 
 
 def open_arena(path, check_state_version: bool = True) -> Arena:
-    """Open an arena read-only with zero payload copies.
+    """Open an arena read-only, copying no payload.
 
     The file is mapped (``mmap.ACCESS_READ``) and fully verified --
-    magic, format version, truncation, CRC -- before any array view is
-    built.  Raises :class:`ArenaError` on any defect and
+    magic, format version, truncation, CRC, then every directory entry
+    -- before any array is handed out.  Dense entries are views of the
+    map; sparse ones are decoded by :meth:`Arena.state`.  Raises :class:`ArenaError` on any defect and
     :class:`StateVersionError` on a state-layout generation mismatch
     (suppress with ``check_state_version=False`` for inspection tools).
     """

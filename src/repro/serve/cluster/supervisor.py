@@ -17,11 +17,14 @@ and tracks each through a :class:`WorkerHandle`.  Every worker:
   arenas), then ships its final stats, telemetry events and metrics
   snapshot back through the pipe.
 
-The supervisor stitches each drained worker's telemetry into the
-parent process exactly the way the sweep executor stitches cell
-workers (:func:`repro.harness.executor.forward_worker_events` +
-``registry().merge_snapshot``), so one telemetry run and one
-``/metrics`` registry cover the whole fleet.
+A worker buffers telemetry events (one ``serve.request`` span per
+request, for its whole life) only when the supervisor is recording a
+run as it spawns that worker; otherwise it buffers none, since nothing
+would receive them.  The supervisor stitches each drained worker's
+telemetry into the parent process exactly the way the sweep executor
+stitches cell workers (:func:`repro.harness.executor
+.forward_worker_events` + ``registry().merge_snapshot``), so one
+telemetry run and one ``/metrics`` registry cover the whole fleet.
 """
 
 from __future__ import annotations
@@ -76,13 +79,15 @@ class WorkerHandle:
         return self.process.exitcode
 
 
-def _worker_main(index: int, kwargs: dict, conn) -> None:
+def _worker_main(index: int, kwargs: dict, conn, collect: bool) -> None:
     """Child-process entry point (module-level so it spawns).
 
     Builds the server, reports its ports, serves until SIGTERM/SIGINT,
-    then drains and ships ``(stats, events, metrics)`` home.
+    then drains and ships ``(stats, events, metrics)`` home.  Events
+    are collected only with *collect* (the parent is recording a run).
     """
     import asyncio
+    import contextlib
 
     from repro.telemetry.registry import registry
     from repro.telemetry.run import collecting_run, detach_run
@@ -91,11 +96,12 @@ def _worker_main(index: int, kwargs: dict, conn) -> None:
     # drop it so this process's events go only through the collector.
     detach_run()
     registry().reset()
-    with collecting_run(f"cluster-worker-{index}") as collector:
+    with (collecting_run(f"cluster-worker-{index}") if collect
+          else contextlib.nullcontext()) as collector:
         stats = asyncio.run(_worker_async(index, kwargs, conn))
     try:
         conn.send({"event": "drained", "worker": index, "stats": stats,
-                   "events": collector.events,
+                   "events": collector.events if collect else [],
                    "metrics": registry().snapshot()})
     except (BrokenPipeError, OSError):
         pass
@@ -146,10 +152,11 @@ class ClusterSupervisor:
         return self
 
     def _spawn(self, index: int) -> WorkerHandle:
+        from repro.telemetry.run import enabled
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(index, self.worker_kwargs, child_conn),
+            args=(index, self.worker_kwargs, child_conn, enabled()),
             name=f"repro-serve-worker-{index}", daemon=True)
         restarts = (self.handles[index].restarts + 1
                     if index in self.handles else 0)

@@ -194,6 +194,9 @@ class PredictionServer(FrameService):
         if max_resident is not None and max_resident < 1:
             raise ValueError(f"max_resident must be >= 1, "
                              f"got {max_resident}")
+        if max_resident is not None and not state_dir:
+            raise ValueError("max_resident needs a state_dir: without "
+                             "one there is nowhere to spill to")
         super().__init__(host, port, obs_port, _ServeMetrics(),
                          request_timeout)
         self.batcher = MicroBatcher(queue_depth=queue_depth)
@@ -734,8 +737,8 @@ class PredictionServer(FrameService):
 
     def _maybe_evict(self) -> None:
         """Spill least recently used sessions until at most
-        ``max_resident`` stay resident (with a state directory and a
-        cap configured).
+        ``max_resident`` stay resident (when a cap is configured; the
+        constructor refuses one without a state directory).
 
         Victims come from the front of :attr:`sessions`, skipping
         scalar-mode sessions, which cannot spill.  Runs synchronously
@@ -744,7 +747,7 @@ class PredictionServer(FrameService):
         work executes.  A failed spill ends the round (the next batch
         tries again) and never raises.
         """
-        if self._store is None or self.max_resident is None:
+        if self.max_resident is None:
             return
         while len(self.sessions) > self.max_resident:
             victim = next((session_id for session_id, session

@@ -42,15 +42,18 @@ serialises the table state plus the session's auxiliary bookkeeping
 the array-dict + metadata shape that
 :class:`~repro.core.state.ArenaStore` persists, and
 :meth:`Session.restore` seats an equivalent session straight onto it,
-without building a fresh one first.  The restored session sits on
-read-only views of the arrays it was given -- the store's zero-copy
-mmap views among them -- and its first block copies each table it
-writes (copy-on-write), so a reload costs one copy and never writes
-the arena.  A PREDICT reads the entries its pc touches through a
-read-only kernel pass and writes nothing
-(:func:`~repro.core.engines.predict_record`).  Scalar-mode sessions
-(windowed or composite predictors) have no canonical state snapshot
-and stay resident.
+without building a fresh one first.  Arrays change hands on one rule,
+*writable means yours*: restore adopts a writable array as the
+session's own table (an arena's sparse entries decode into fresh ones,
+so a reload copies nothing), and keeps a read-only one -- an arena's
+dense zero-copy mmap view -- read-only, so the first block that writes
+it copies it (copy-on-write) and the arena is never written.  The
+snapshot in turn hands out read-only views of the live tables, so no
+snapshot can become another session's table.  A PREDICT reads the
+entries its pc touches through a read-only kernel pass and writes
+nothing (:func:`~repro.core.engines.predict_record`).  Scalar-mode
+sessions (windowed or composite predictors) have no canonical state
+snapshot and stay resident.
 """
 
 from __future__ import annotations
@@ -71,9 +74,10 @@ __all__ = ["Session"]
 _MASK32 = 0xFFFFFFFF
 
 
-def _read_only(table) -> np.ndarray:
-    """A read-only int64 view of *table*: stepping it copies on write."""
-    view = np.asarray(table, dtype=np.int64).view()
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """A read-only view of *table*: whoever is handed it cannot adopt
+    it, and stepping it copies on write."""
+    view = table.view()
     view.flags.writeable = False
     return view
 
@@ -96,10 +100,13 @@ class _AliasTracker:
         self.mask = entries - 1
         self.accesses = accesses
         self.conflicts = conflicts
-        # A restored table is copied: observe_block writes it in place.
-        self._last_writer = (np.full(entries, -1, dtype=np.int64)
-                             if last_writer is None
-                             else np.array(last_writer, dtype=np.int64))
+        # observe_block writes the table in place: a restored table is
+        # adopted when it is writable (ours), copied when read-only.
+        if last_writer is None:
+            last_writer = np.full(entries, -1, dtype=np.int64)
+        last_writer = np.asarray(last_writer, dtype=np.int64)
+        self._last_writer = (last_writer if last_writer.flags.writeable
+                             else last_writer.copy())
 
     def observe(self, pc: int) -> None:
         key = (pc >> 2) & self.mask
@@ -294,15 +301,18 @@ class Session:
         order, the aliasing tracker's last-writer table); *meta* holds
         the scalar counters.  :meth:`restore` inverts it exactly.
 
-        The table and last-writer arrays *alias the live tables*, which
-        the next step writes in place: persist them (``ArenaStore.save``)
-        before this session steps again.
+        The table and last-writer arrays are read-only views of the
+        live tables, which the next step writes in place: persist them
+        (``ArenaStore.save``) before this session steps again.  Being
+        read-only, they are never adopted by a session restored from
+        them.
         """
         if not self.spillable:
             raise ValueError(f"session {self.session_id} "
                              f"({self.spec.name}, window={self.window}) "
                              "is scalar-mode and cannot be snapshotted")
-        arrays = dict(self._state)
+        arrays = {key: _read_only(table)
+                  for key, table in self._state.items()}
         arrays["__recent"] = np.asarray(self._recent, dtype=np.int64)
         issued_pcs: List[int] = []
         issued_values: List[int] = []
@@ -314,7 +324,8 @@ class Session:
         arrays["__issued_value"] = np.asarray(issued_values,
                                               dtype=np.int64)
         if self._aliases is not None:
-            arrays["__alias_last_writer"] = self._aliases._last_writer
+            arrays["__alias_last_writer"] = _read_only(
+                self._aliases._last_writer)
         meta = {
             "session_id": self.session_id,
             "spec_name": self.spec.name,
@@ -334,13 +345,15 @@ class Session:
                 meta: dict) -> "Session":
         """Seat a session straight onto a :meth:`snapshot`-shaped payload.
 
-        No fresh session is built first: the tables are read-only views
-        of the table arrays in *arrays* -- typically the arena store's
-        zero-copy mmap views -- so restoring copies no table, builds no
-        predictor, and never writes *arrays*: the first block replaces
-        each table it writes by a private copy (copy-on-write).  The
-        aliasing tracker's last-writer table, the one auxiliary array
-        updated in place, is the only array copied on the way in.
+        No fresh session is built first, and no table is copied: the
+        tables are the table arrays in *arrays*, on the rule *writable
+        means yours*.  A writable array -- an arena's decoded sparse
+        entry -- becomes the session's own table, written in place
+        from the first block on, so the caller must not keep using
+        it.  A read-only one -- an arena's dense mmap view, a
+        snapshot's view of a live table -- is never written: the first
+        block replaces it by a private copy (copy-on-write).  The
+        aliasing tracker's last-writer table follows the same rule.
         """
         window = int(meta.get("window", 0))
         if window != 0 or not supports_resume(spec):
@@ -351,7 +364,7 @@ class Session:
         session._seat(session_id, spec, window)
         session.mode = "engine"
         session._predictor = None
-        session._state = {key: _read_only(value)
+        session._state = {key: np.asarray(value, dtype=np.int64)
                           for key, value in arrays.items()
                           if not key.startswith("__")}
         l1 = level1_entries(spec)

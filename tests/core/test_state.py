@@ -1,13 +1,18 @@
 """Durable arena layer: format round-trips, integrity, the store.
 
 The contract under test: an arena file round-trips table state
-bit-identically through zero-copy mmap views; every corruption mode is
-detected before any view is built; a state-version mismatch is a
-*distinct*, non-quarantining refusal; and the store's verify/compact
-sweeps classify files the way ``repro state`` reports them.
+bit-identically, dense entries through zero-copy mmap views and sparse
+ones through fresh decoded arrays; every corruption mode is detected
+before any array is handed out; a state-version mismatch is a
+*distinct*, non-quarantining refusal; a format-1 arena still restores;
+and the store's verify/compact sweeps classify files the way
+``repro state`` reports them.
 """
 
+import json
 import os
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,3 +394,304 @@ class TestHelpers:
         assert info.spec_name == spec.name
         assert info.meta["predictions"] == 300
         assert info.spec_digest == spec_digest(spec.to_config())
+
+
+# ------------------------------------------------------- sparse entries
+
+def sparse_session_arena():
+    """(spec config, arrays, meta) of a DFCM(2^16, 2^12) session that
+    touched 24 pcs: its tables, and most aux arrays, are stored sparse."""
+    from repro.serve.session import Session
+    spec = DFCMSpec(1 << 16, 1 << 12)
+    session = Session(1, spec)
+    rng = np.random.default_rng(3)
+    pcs = (0x400 + (rng.integers(0, 24, size=100) << 2)).astype(np.int64)
+    values = rng.integers(0, 1 << 32, size=100).astype(np.int64)
+    session.step_block(pcs, values)
+    arrays, meta = session.snapshot()
+    return spec.to_config(), arrays, meta
+
+
+def header_of(raw):
+    """The header JSON of arena bytes *raw*."""
+    header_len = int.from_bytes(raw[16:20], "big")
+    return json.loads(bytes(raw[32:32 + header_len]))
+
+
+def with_fresh_crc(raw):
+    """*raw* with the prefix CRC recomputed: a file whose checksum is
+    sound whatever its entries say."""
+    raw = bytearray(raw)
+    raw[20:24] = (zlib.crc32(raw[32:]) & 0xFFFFFFFF).to_bytes(4, "big")
+    return bytes(raw)
+
+
+class TestSparse:
+    def test_mostly_empty_tables_are_stored_sparse(self, tmp_path):
+        config, arrays, meta = sparse_session_arena()
+        path = tmp_path / "s.arena"
+        written = write_arena(path, config, arrays, meta)
+        dense_bytes = sum(a.nbytes for a in arrays.values())
+        assert written < dense_bytes / 20
+        arena = open_arena(path)
+        entries = {e["key"]: e for e in arena.header["arrays"]}
+        for key in ("last", "hist", "l2", "__alias_last_writer"):
+            entry = entries[key]
+            assert entry["nbytes"] == 16 * entry["nnz"], key
+            assert entry["fill"] == arrays[key].min(), key
+        assert entries["__alias_last_writer"]["fill"] == -1
+        got = arena.state()
+        for key, array in arrays.items():
+            np.testing.assert_array_equal(got[key], array, err_msg=key)
+            assert got[key].dtype == array.dtype, key
+            assert got[key].shape == array.shape, key
+
+    def test_density_decides_the_encoding(self, tmp_path):
+        # Sparse only when (index, value) pairs are smaller than the
+        # array; anything but a 1-D little-endian int64 array is dense.
+        half = np.zeros(64, dtype=np.int64)
+        half[::2] = 7  # 32 of 64 entries: pairs are no smaller
+        arrays = {
+            "under_half": np.where(np.arange(64) < 31, 5, 0),
+            "half": half,
+            "full": np.arange(1, 65, dtype=np.int64),
+            "big_endian": np.zeros(64, dtype=">i8"),
+            "int32": np.zeros(64, dtype=np.int32),
+            "flags": np.zeros(64, dtype=bool),
+            "matrix": np.zeros((8, 8), dtype=np.int64),
+            "negative_fill": np.full(64, -9, dtype=np.int64),
+            "empty": np.zeros(0, dtype=np.int64),
+        }
+        path = tmp_path / "s.arena"
+        write_arena(path, {"family": "test"}, arrays)
+        arena = open_arena(path)
+        stored = {e["key"]: e.get("nnz") for e in arena.header["arrays"]}
+        assert stored == {"under_half": 31, "half": None, "full": None,
+                          "big_endian": None, "int32": None,
+                          "flags": None, "matrix": None,
+                          "negative_fill": 0, "empty": None}
+        for key, array in arrays.items():
+            np.testing.assert_array_equal(arena.state()[key], array,
+                                          err_msg=key)
+
+    def test_each_call_decodes_fresh_writable_arrays(self, tmp_path):
+        config, arrays, meta = sparse_session_arena()
+        path = tmp_path / "s.arena"
+        write_arena(path, config, arrays, meta)
+        arena = open_arena(path)
+        first, second = arena.state(), arena.state()
+        for key in ("last", "hist", "l2"):
+            assert first[key].flags.writeable, key
+            assert not np.shares_memory(first[key], second[key]), key
+            first[key][:] = 1  # the caller's own: the arena is unmoved
+            np.testing.assert_array_equal(arena.state()[key], arrays[key])
+        assert arena.table_state().keys() == {"last", "hist", "l2"}
+        np.testing.assert_array_equal(arena.aux("alias_last_writer"),
+                                      arrays["__alias_last_writer"])
+
+    def test_every_bit_flip_is_refused(self, tmp_path):
+        raw = bytes(arena_bytes(*sparse_session_arena()))
+        assert len(raw) < 8192  # keeps the sweep cheap
+        path = tmp_path / "s.arena"
+        path.write_bytes(raw)
+        escaped = []
+        with open(path, "r+b") as handle:
+            for offset, byte in enumerate(raw):
+                for bit in range(8):
+                    os.pwrite(handle.fileno(), bytes([byte ^ (1 << bit)]),
+                              offset)
+                    outcome = refusal(path)
+                    if outcome != "refused":
+                        escaped.append((offset, bit, outcome))
+                os.pwrite(handle.fileno(), bytes([byte]), offset)
+        assert escaped == []
+        assert refusal(path) == "opened"  # restored byte for byte
+
+    def test_every_truncation_is_refused(self, tmp_path):
+        raw = bytes(arena_bytes(*sparse_session_arena()))
+        path = tmp_path / "s.arena"
+        path.write_bytes(raw)
+        escaped = []
+        for length in range(len(raw) - 1, -1, -1):
+            os.truncate(path, length)
+            outcome = refusal(path)
+            if outcome != "refused":
+                escaped.append((length, outcome))
+        assert escaped == []
+
+
+# Each defect edits the "last" entry or its payload (indices, then
+# values) in place; header edits keep the header's length.
+
+def out_of_range_index(payload, entry):
+    payload[entry["nnz"] - 1] = entry["shape"][0]
+
+
+def indices_not_increasing(payload, entry):
+    payload[[0, 1]] = payload[[1, 0]]
+
+
+def nbytes_disagrees_with_nnz(payload, entry):
+    entry["nnz"] -= 1
+
+
+def payload_outside_the_file(payload, entry):
+    assert 1000 <= entry["offset"] < 9984
+    entry["offset"] = 9984  # past the end of this < 8 KiB file
+
+
+class TestCraftedSparseEntries:
+    """Sparse entries no encoder writes, behind a sound CRC: each is
+    refused as corrupt and quarantined by the store -- never an
+    IndexError or ValueError, never state."""
+
+    @pytest.mark.parametrize("defect", [
+        out_of_range_index, indices_not_increasing,
+        nbytes_disagrees_with_nnz, payload_outside_the_file,
+    ], ids=lambda defect: defect.__name__)
+    def test_defect_is_refused_and_quarantined(self, tmp_path, defect):
+        raw = bytearray(arena_bytes(*sparse_session_arena()))
+        header = header_of(raw)
+        entry = next(e for e in header["arrays"] if e["key"] == "last")
+        assert entry["nnz"] >= 2
+        offset = entry["offset"]
+        payload = np.frombuffer(raw, dtype="<i8", count=2 * entry["nnz"],
+                                offset=offset).copy()
+        defect(payload, entry)
+        raw[offset:offset + payload.nbytes] = payload.tobytes()
+        blob = json.dumps(header, sort_keys=True).encode()
+        assert len(blob) == int.from_bytes(raw[16:20], "big")
+        raw[32:32 + len(blob)] = blob
+        crafted = with_fresh_crc(raw)
+
+        path = tmp_path / "s.arena"
+        path.write_bytes(crafted)
+        with pytest.raises(ArenaError, match="array 'last'"):
+            open_arena(path)
+        assert verify_arena(path) is not None
+        store = ArenaStore(tmp_path / "store")
+        store.path_for(1).write_bytes(crafted)
+        assert store.load(1) is None
+        assert not store.path_for(1).exists()
+        assert store.path_for(1).with_name(
+            store.path_for(1).name + ".corrupt").exists()
+
+
+# ------------------------------------------------------------ format 1
+
+#: A format-1 arena, written by the format-1 encoder (the last build
+#: before sparse entries) from the session :func:`v1_session` builds:
+#: ``Session(1, DFCMSpec(64, 256))`` stepped through the first 160
+#: records of :func:`v1_workload`, then ``predict(0x400)``.
+V1_ARENA = Path(__file__).parent / "data" / "dfcm_64_256_v1.arena"
+
+
+def v1_workload(n):
+    pcs = [0x400 + 4 * ((5 * i) % 13) for i in range(n)]
+    values = [(7 * i + 3 * (i % 4)) & 0xFFFFFFFF for i in range(n)]
+    return pcs, values
+
+
+def v1_session():
+    from repro.serve.session import Session
+    session = Session(1, DFCMSpec(64, 256))
+    pcs, values = v1_workload(160)
+    session.step_block(pcs, values)
+    session.predict(0x400)
+    return session
+
+
+class TestFormat1:
+    def test_fixture_is_format_1(self):
+        raw = V1_ARENA.read_bytes()
+        assert int.from_bytes(raw[8:12], "big") == 1
+        assert all("nnz" not in e for e in header_of(raw)["arrays"])
+
+    def test_restores_bit_identically_and_steps_in_lockstep(self):
+        from repro.serve.session import Session
+        twin = v1_session()
+        want, want_meta = twin.snapshot()
+        arena = open_arena(V1_ARENA)
+        assert arena.meta == want_meta
+        got = arena.state()
+        assert got.keys() == want.keys()
+        for key, array in want.items():
+            np.testing.assert_array_equal(got[key], array, err_msg=key)
+            assert got[key].dtype == array.dtype, key
+        restored = Session.restore(1, spec_from_config(arena.spec_config),
+                                   got, arena.meta)
+        # The outstanding PREDICT scores the same on both.
+        assert restored.outcome(0x400, 7) == twin.outcome(0x400, 7)
+        pcs, values = v1_workload(400)
+        for lo, hi in ((160, 161), (161, 300), (300, 400)):
+            got_pred, got_hits = restored.step_block(pcs[lo:hi],
+                                                     values[lo:hi])
+            want_pred, want_hits = twin.step_block(pcs[lo:hi],
+                                                   values[lo:hi])
+            assert list(got_pred) == list(want_pred)
+            assert got_hits == want_hits
+        assert restored.stats() == dict(twin.stats(), session=1)
+        for key, table in twin.table_state().items():
+            np.testing.assert_array_equal(restored.table_state()[key],
+                                          table, err_msg=key)
+
+    def test_resaved_as_the_current_format(self, tmp_path):
+        from repro.serve.session import Session
+        arena = open_arena(V1_ARENA)
+        session = Session.restore(1, spec_from_config(arena.spec_config),
+                                  arena.state(), arena.meta)
+        path = tmp_path / "s.arena"
+        write_arena(path, arena.spec_config, *session.snapshot())
+        assert int.from_bytes(path.read_bytes()[8:12], "big") == \
+            ARENA_FORMAT_VERSION == 2
+        again = open_arena(path).state()
+        for key, array in arena.state().items():
+            np.testing.assert_array_equal(again[key], array, err_msg=key)
+
+
+# ----------------------------------------------------------- ownership
+
+def test_sessions_restored_from_one_arena_share_no_writable_table(
+        tmp_path):
+    # Writable means yours: each restore from the same Arena gets its
+    # own sparse tables; the dense ones both hold are read-only views
+    # until each session's first write copies them.
+    from repro.serve.session import Session
+    spec = DFCMSpec(64, 256)
+    donor = Session(1, spec)
+    pcs = [0x400 + 4 * (i % 64) for i in range(256)]
+    values = [1000 * (i % 64) + 3 * (i // 64) + 1 for i in range(256)]
+    donor.step_block(pcs[:128], values[:128])
+    path = tmp_path / "s.arena"
+    write_arena(path, spec.to_config(), *donor.snapshot())
+    arena = open_arena(path)
+    assert any("nnz" in e for e in arena.header["arrays"])
+    assert any("nnz" not in e for e in arena.header["arrays"])
+    a, b = (Session.restore(n, spec, arena.state(), arena.meta)
+            for n in (1, 2))
+
+    def arrays(session):
+        return (list(session.table_state().values())
+                + [session._aliases._last_writer])
+
+    def assert_no_writable_sharing():
+        for x in arrays(a):
+            for y in arrays(b):
+                if x.flags.writeable or y.flags.writeable:
+                    assert not np.shares_memory(x, y)
+
+    assert_no_writable_sharing()
+    a.step_block(pcs[128:192], values[128:192])
+    assert_no_writable_sharing()
+    b.step_block(pcs[128:], values[128:])
+    assert_no_writable_sharing()
+    # A snapshot is read-only: a session restored from it copies on
+    # write instead of adopting the donor's live tables.
+    snapshot, meta = donor.snapshot()
+    for key in ("last", "hist", "l2", "__alias_last_writer"):
+        assert not snapshot[key].flags.writeable, key
+    c = Session.restore(3, spec, snapshot, meta)
+    c.step_block(pcs[128:], values[128:])
+    for x in arrays(c):
+        for y in arrays(donor):
+            assert not np.shares_memory(x, y)

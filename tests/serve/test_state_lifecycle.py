@@ -61,34 +61,48 @@ class TestSessionSnapshotRestore:
             np.testing.assert_array_equal(restored.table_state()[key], arr)
 
     def test_restored_session_copies_on_write(self, tmp_path):
-        # Re-seated on the arena's read-only mmap views, the session
-        # copies each table once, on its first block, and never writes
-        # the arena: stepped twice it matches a never-spilled twin, and
-        # the file and the store's verify sweep are unchanged.
+        # Writable means yours.  A sparse entry decodes into a fresh
+        # array the restored session owns: it is stepped in place from
+        # the first block, no copy.  A dense entry is a read-only view
+        # of the map: the first block copies it once (copy-on-write).
+        # Either way the arena is never written, and stepped twice the
+        # session matches a never-spilled twin.
         spec = DFCMSpec(64, 256)
         session, twin = Session(1, spec), Session(2, spec)
-        pcs, values = workload(240)
+        # Every level-1 entry live (dense), few level-2 ones (sparse).
+        pcs = [0x400 + 4 * (i % 64) for i in range(384)]
+        values = [1000 * (i % 64) + 3 * (i // 64) + 1 for i in range(384)]
         for live in (session, twin):
-            live.step_block(pcs[:80], values[:80])
+            live.step_block(pcs[:128], values[:128])
         store = ArenaStore(tmp_path)
         store.save(1, spec.to_config(), *session.snapshot())
         path = store.path_for(1)
         on_disk, verified = path.read_bytes(), store.verify()
         arena = store.load(1)
+        sparse = {entry["key"] for entry in arena.header["arrays"]
+                  if "nnz" in entry and not entry["key"].startswith("__")}
+        assert sparse == {"l2"}
         mapped = arena.table_state()
         restored = Session.restore(1, spec_from_config(arena.spec_config),
                                    arena.state(), arena.meta)
+        seated = dict(restored.table_state())
+        for key, table in seated.items():
+            assert table.flags.writeable == (key in sparse), key
         tables = None
-        for lo, hi in ((80, 160), (160, 240)):
+        for lo, hi in ((128, 256), (256, 384)):
             assert tuple_of(restored.step_block(pcs[lo:hi], values[lo:hi])) \
                 == tuple_of(twin.step_block(pcs[lo:hi], values[lo:hi]))
             if tables is None:
                 tables = dict(restored.table_state())
         for key, table in twin.table_state().items():
             np.testing.assert_array_equal(restored.table_state()[key], table)
-            # One private copy per table, made by the first block only.
+            # The first block's table is the one kept after it.
             assert restored.table_state()[key] is tables[key], key
             assert not np.shares_memory(tables[key], mapped[key]), key
+            if key in sparse:  # stepped in place: never copied
+                assert tables[key] is seated[key], key
+            else:  # one private copy, made by the first block
+                assert not np.shares_memory(tables[key], seated[key]), key
         assert path.read_bytes() == on_disk
         assert store.verify() == verified
 
@@ -221,6 +235,12 @@ class TestLRUEviction:
         from repro.serve.server import PredictionServer
         with pytest.raises(ValueError, match="max_resident"):
             PredictionServer(state_dir=tmp_path, max_resident=0)
+
+    def test_max_resident_requires_a_state_dir(self):
+        # A cap with nowhere to spill to would never evict.
+        from repro.serve.server import PredictionServer
+        with pytest.raises(ValueError, match="state_dir"):
+            PredictionServer(max_resident=2)
 
 
 class TestRestartParity:

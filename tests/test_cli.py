@@ -257,6 +257,27 @@ class TestServeAndLoadgen:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["serve", "--max-resident", "1"],
+                                      ["cluster", "serve", "--workers",
+                                       "1", "--max-resident", "4"]])
+    def test_max_resident_without_state_dir_is_a_usage_error(
+            self, argv, capsys, monkeypatch):
+        from repro import cli
+        from repro.serve.cluster.supervisor import ClusterSupervisor
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("started serving")
+
+        # Checked before anything spawns: were it not, these would
+        # raise instead of serving forever.
+        monkeypatch.setattr(cli, "_run_signalled", refuse)
+        monkeypatch.setattr(ClusterSupervisor, "start", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert "--max-resident requires --state-dir" in \
+            capsys.readouterr().err
+
     def test_serve_subprocess_sigterm_drain(self):
         import os
         import signal
