@@ -5,20 +5,17 @@ experiment registry and asserts the paper's *qualitative* claims (who
 wins, by roughly what factor, where the trends point).  Trace length
 is controlled by ``REPRO_BENCH_TRACE_LEN`` (default 30k predictions per
 benchmark -- enough for stable shapes, small enough to keep the whole
-bench suite to a few minutes).  ``REPRO_BENCH_ENGINE`` and
-``REPRO_BENCH_JOBS`` pin the replay engine / worker count for the whole
-session -- the figures are engine- and executor-invariant, so these
-knobs only move wall time.
+bench suite to a few minutes).  ``REPRO_BENCH_JOBS`` sets the worker
+count for the whole session -- the figures are executor-invariant, so
+it only moves wall time.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 import pytest
 
-from repro.core.engines import engine_default
 from repro.harness.config import suite_traces
 from repro.harness.executor import executor_default
 
@@ -28,15 +25,10 @@ def bench_trace_length() -> int:
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _bench_defaults():
-    """Session-wide engine/executor defaults from the environment."""
-    engine = os.environ.get("REPRO_BENCH_ENGINE")
+def _bench_jobs():
+    """Session-wide worker count from ``REPRO_BENCH_JOBS``."""
     jobs = os.environ.get("REPRO_BENCH_JOBS")
-    with contextlib.ExitStack() as stack:
-        if engine:
-            stack.enter_context(engine_default(engine))
-        if jobs:
-            stack.enter_context(executor_default(jobs=int(jobs)))
+    with executor_default(jobs=int(jobs) if jobs else None):
         yield
 
 

@@ -41,10 +41,10 @@ record the invocation as a telemetry run (manifest + JSONL spans/probes
 + metrics) under DIR; ``predict`` and ``compare`` accept ``--json`` for
 machine-readable output carrying the telemetry run id.
 
-``run``, ``predict`` and ``compare`` accept ``--engine`` to pin the
-replay engine (``auto``/``scalar``/``batch``); ``run`` additionally
-accepts ``--jobs N`` to fan the suite's measurement cells across N
-worker processes (output is byte-identical to the serial run).
+``run`` accepts ``--jobs N`` to fan the suite's measurement cells
+across N worker processes (output is byte-identical to the serial
+run).  The replay engine is chosen from each spec: the batch kernels
+where they exist, the scalar loop otherwise.
 """
 
 from __future__ import annotations
@@ -124,9 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--telemetry", metavar="DIR", default=None,
                      help="record this invocation as a telemetry run "
                           "under DIR")
-    run.add_argument("--engine", default=None,
-                     choices=["auto", "scalar", "batch"],
-                     help="replay engine (default auto)")
     run.add_argument("--jobs", type=int, default=None,
                      help="worker processes for suite measurement "
                           "(default 1 = serial)")
@@ -148,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--telemetry", metavar="DIR", default=None,
                          help="record this invocation as a telemetry run "
                               "under DIR")
-    predict.add_argument("--engine", default=None,
-                         choices=["auto", "scalar", "batch"],
-                         help="replay engine (default auto)")
 
     compare = sub.add_parser("compare",
                              help="measure every predictor on one benchmark")
@@ -161,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--telemetry", metavar="DIR", default=None,
                          help="record this invocation as a telemetry run "
                               "under DIR")
-    compare.add_argument("--engine", default=None,
-                         choices=["auto", "scalar", "batch"],
-                         help="replay engine (default auto)")
 
     bench = sub.add_parser(
         "bench", help="engine throughput benchmark (scalar vs batch)")
@@ -180,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--json", action="store_true",
                        help="print the report JSON instead of the table")
     bench.add_argument("--min-speedup", type=float, default=None,
-                       help="speedup the guard requires (default "
-                            "$REPRO_BENCH_MIN_SPEEDUP or 5.0)")
+                       help="speedup the guard requires (default 5.0)")
     bench.add_argument("--history", action="store_true",
                        help="append this run (git SHA + timestamp) to the "
                             "history file")
@@ -189,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="history path (default BENCH_history.jsonl)")
     bench.add_argument("--max-regression-pct", type=float, default=None,
                        help="bench diff: fail when batch throughput drops "
-                            "more than this percent (default "
-                            "$REPRO_BENCH_MAX_REGRESSION_PCT or 10)")
+                            "more than this percent (default 10)")
 
     tables = sub.add_parser(
         "tables", help="table-usage efficiency report across families "
@@ -205,9 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--families", default=None,
                         help="comma-separated families to sweep "
                              "(default lvp,stride,fcm,dfcm,hybrid)")
-    tables.add_argument("--engine", default="batch",
-                        choices=["batch", "scalar"],
-                        help="auditor replay engine (default batch)")
     tables.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
     tables.add_argument("--out", default=None,
@@ -343,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slo-queue-depth", type=float, default=512.0,
                        help="queue SLO: queue depth ceiling "
                             "(default 512)")
-    serve.add_argument("--slo-accuracy-floor", type=float, default=None,
-                       help="accuracy SLO: per-session recent hit-rate "
-                            "floor (default: not watched)")
     serve.add_argument("--slow-out", metavar="FILE", default=None,
                        help="write the slow-request sample JSON here on "
                             "drain")
@@ -454,9 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--trace-out", metavar="FILE", default=None,
                       help="write the router's trace-store dump (the "
                            "most recent cross-process spans) to FILE")
-    soak.add_argument("--ci", action="store_true",
-                      help="bounded CI profile: clamps --duration-s to "
-                           "90 and --limit to 2000")
 
     top = sub.add_parser(
         "top", help="live dashboard over a serve --obs-port endpoint")
@@ -542,8 +522,7 @@ def _cmd_run(args, out) -> int:
         return 0
     with _maybe_telemetry(args) as telemetry:
         result = run_experiment(args.experiment, fast=args.fast,
-                                limit=args.limit, engine=args.engine,
-                                jobs=args.jobs)
+                                limit=args.limit, jobs=args.jobs)
     out.write(result.render())
     if telemetry is not None:
         out.write(f"telemetry: {telemetry.dir}\n")
@@ -558,7 +537,7 @@ def _cmd_predict(args, out) -> int:
     predictor = spec_from_cli(args.predictor, 1 << args.l1, 1 << args.l2)
     with _maybe_telemetry(args) as telemetry:
         trace = cached_trace(args.name, args.limit)
-        result = measure_accuracy(predictor, trace, engine=args.engine)
+        result = measure_accuracy(predictor, trace)
     if args.json:
         out.write(json.dumps({
             "schema": 1,
@@ -599,7 +578,7 @@ def _cmd_compare(args, out) -> int:
                           TwoDeltaStrideSpec(1 << 12),
                           FCMSpec(1 << 16, 1 << 12),
                           DFCMSpec(1 << 16, 1 << 12)]:
-            result = measure_accuracy(predictor, trace, engine=args.engine)
+            result = measure_accuracy(predictor, trace)
             results.append((predictor, result))
     if args.json:
         out.write(json.dumps({
@@ -669,7 +648,7 @@ def _cmd_tables(args, out) -> int:
                 if args.families else None)
     trace = cached_trace(args.name, args.limit)
     report = run_tables_report(trace, budgets_kbit=budgets,
-                               families=families, engine=args.engine)
+                               families=families)
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -957,8 +936,7 @@ def _cmd_serve(args, out) -> int:
     def make_server():
         slos = default_serve_slos(
             p99_latency_s=args.slo_p99_ms / 1e3,
-            queue_depth_ceiling=args.slo_queue_depth,
-            accuracy_floor=args.slo_accuracy_floor)
+            queue_depth_ceiling=args.slo_queue_depth)
         return PredictionServer(
             host=args.host, port=args.port, queue_depth=args.queue_depth,
             request_timeout=args.request_timeout_s,
@@ -1161,16 +1139,11 @@ def _cmd_soak(args, out) -> int:
     from repro.serve.cluster.soak import render_soak, run_soak
     from repro.trace.cache import cached_trace
 
-    duration = args.duration_s
-    limit = args.limit
-    if args.ci:
-        duration = min(duration, 90.0)
-        limit = min(limit, 2000)
     spec = spec_from_cli(args.predictor, 1 << args.l1, 1 << args.l2)
-    trace = cached_trace(args.name, limit)
+    trace = cached_trace(args.name, args.limit)
     report = run_soak(
         spec, trace, workers=args.workers, sessions=args.sessions,
-        duration_s=duration, window=args.window, block=args.block,
+        duration_s=args.duration_s, window=args.window, block=args.block,
         state_dir=args.state_dir, max_burn=args.max_burn,
         poll_interval_s=args.poll_interval_s)
     if args.out:

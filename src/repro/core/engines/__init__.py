@@ -15,16 +15,13 @@ Both return an :class:`EngineResult` with the same correct/total counts
 and (on request) the same canonical table-state snapshot; the
 equivalence suite in ``tests/engines/`` enforces that.
 
-Engine selection: an explicit ``engine=`` argument wins, then the
-process default installed by :func:`engine_default` (the CLI's
-``--engine`` flag), then the ``REPRO_ENGINE`` environment variable,
-then ``'auto'`` (batch for supported specs, scalar otherwise).
+Engine selection: :func:`run_spec` runs the batch engine, which picks
+its kernels or the scalar fallback from the spec; ``engine="scalar"``
+pins the reference loop.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Optional
 
 from repro.core.engines.batch import BatchEngine
@@ -39,8 +36,6 @@ __all__ = [
     "BatchEngine",
     "count_correct",
     "ENGINE_NAMES",
-    "engine_default",
-    "resolve_engine_name",
     "run_spec",
     "RESUMABLE_FAMILIES",
     "supports_resume",
@@ -49,41 +44,21 @@ __all__ = [
     "predict_record",
 ]
 
-ENGINE_NAMES = ("auto", "scalar", "batch")
-
-_DEFAULT = {"engine": None}
-
-
-@contextmanager
-def engine_default(name: Optional[str]):
-    """Install a process-wide default engine (e.g. from ``--engine``)."""
-    if name is not None and name not in ENGINE_NAMES:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {ENGINE_NAMES}")
-    previous = _DEFAULT["engine"]
-    _DEFAULT["engine"] = name
-    try:
-        yield
-    finally:
-        _DEFAULT["engine"] = previous
-
-
-def resolve_engine_name(engine: Optional[str] = None) -> str:
-    """Explicit argument > installed default > $REPRO_ENGINE > 'auto'."""
-    name = engine or _DEFAULT["engine"] or os.environ.get("REPRO_ENGINE") or "auto"
-    if name not in ENGINE_NAMES:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {ENGINE_NAMES}")
-    return name
+ENGINE_NAMES = ("scalar", "batch")
 
 
 def run_spec(spec, trace, engine: Optional[str] = None,
              want_state: bool = False) -> EngineResult:
-    """Replay *trace* under *spec* with the resolved engine."""
-    name = resolve_engine_name(engine)
-    if name == "scalar":
+    """Replay *trace* under *spec*.
+
+    The default (``None`` or ``"batch"``) is :class:`BatchEngine`, which
+    falls back to the scalar engine (and labels the result accordingly)
+    for families it has no kernel for; ``"scalar"`` pins the reference
+    loop.
+    """
+    if engine == "scalar":
         return ScalarEngine().run(spec, trace, want_state)
-    # 'batch' and 'auto' both go through BatchEngine, which falls back
-    # to the scalar engine (and labels the result accordingly) for
-    # families it has no kernel for.
+    if engine not in (None, "batch"):
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")
     return BatchEngine().run(spec, trace, want_state)

@@ -703,38 +703,6 @@ class BatchEngine:
         # Counting needs no predicted-value array at all.
         _, correct, state = _KERNELS[spec.family](spec, ctx, None,
                                                   want_predicted=False)
-        self._maybe_probe_tables(spec, trace)
         return EngineResult(int(correct.sum()), total, self.name,
                             state if want_state else None)
 
-    @staticmethod
-    def _maybe_probe_tables(spec, trace) -> None:
-        """Sampled table-usage probe for an instrumented counting run.
-
-        With no active telemetry run this is one global lookup; with
-        one, the auditor replays a bounded prefix (probe_sample_limit
-        records) through these same kernels with the slot collector
-        installed and emits the ``table_usage`` event -- identical, by
-        the parity suite, to the scalar path's sample for this
-        (spec, trace) pair, which the shared once() key then skips.
-        """
-        from repro.telemetry import run as _run
-        run = _run.active_run()
-        if run is None:
-            return
-        from repro.telemetry.probes import probe_sample_limit
-        from repro.telemetry.tables import (AUDITED_FAMILIES,
-                                            TableUsageAuditor,
-                                            emit_table_usage)
-        limit = probe_sample_limit()
-        if limit == 0 or spec.family not in AUDITED_FAMILIES:
-            return
-        if not run.once(("table_usage", spec.name, trace.name)):
-            return
-        pcs = trace.pcs[:limit]
-        values = trace.values[:limit]
-        if not len(pcs):
-            return
-        auditor = TableUsageAuditor(spec, engine="batch")
-        auditor.update(pcs, values)
-        emit_table_usage(run, auditor.report(), trace.name)

@@ -16,7 +16,6 @@ measure the kernels, not the harness.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -35,23 +34,13 @@ __all__ = ["MIN_SPEEDUP", "MAX_REGRESSION_PCT", "bench_specs",
            "render_history_diff"]
 
 #: Default full-mode guard: flagship DFCM batch replay vs the scalar
-#: loop.  Override per run with ``--min-speedup`` or
-#: ``$REPRO_BENCH_MIN_SPEEDUP``; the effective threshold is recorded in
-#: the report's ``guard`` block.
+#: loop.  Override per run with ``--min-speedup``; the effective
+#: threshold is recorded in the report's ``guard`` block.
 MIN_SPEEDUP = 5.0
 
 
 def resolve_min_speedup(min_speedup: Optional[float] = None) -> float:
-    """Explicit argument > ``$REPRO_BENCH_MIN_SPEEDUP`` > default."""
-    if min_speedup is None:
-        env = os.environ.get("REPRO_BENCH_MIN_SPEEDUP")
-        if env:
-            try:
-                min_speedup = float(env)
-            except ValueError:
-                raise ValueError(
-                    "REPRO_BENCH_MIN_SPEEDUP must be a number, "
-                    f"got {env!r}") from None
+    """The explicit argument, else :data:`MIN_SPEEDUP`."""
     if min_speedup is None:
         return MIN_SPEEDUP
     if min_speedup <= 0:
@@ -251,8 +240,7 @@ def write_report(report: dict, path: str) -> None:
 
 #: Default regression gate for ``repro bench diff``: the newest
 #: record's batch throughput may drop at most this many percent
-#: against the previous one.  Override with ``--max-regression-pct``
-#: or ``$REPRO_BENCH_MAX_REGRESSION_PCT``.
+#: against the previous one.  Override with ``--max-regression-pct``.
 MAX_REGRESSION_PCT = 10.0
 
 HISTORY_SCHEMA = 1
@@ -260,17 +248,7 @@ HISTORY_SCHEMA = 1
 
 def resolve_max_regression_pct(
         max_regression_pct: Optional[float] = None) -> float:
-    """Explicit argument > ``$REPRO_BENCH_MAX_REGRESSION_PCT`` >
-    default."""
-    if max_regression_pct is None:
-        env = os.environ.get("REPRO_BENCH_MAX_REGRESSION_PCT")
-        if env:
-            try:
-                max_regression_pct = float(env)
-            except ValueError:
-                raise ValueError(
-                    "REPRO_BENCH_MAX_REGRESSION_PCT must be a number, "
-                    f"got {env!r}") from None
+    """The explicit argument, else :data:`MAX_REGRESSION_PCT`."""
     if max_regression_pct is None:
         return MAX_REGRESSION_PCT
     if max_regression_pct < 0:

@@ -24,15 +24,14 @@ innermost open span, every event is tagged with its cell index, and
 worker metrics fold into the parent registry via
 :meth:`~repro.telemetry.registry.MetricsRegistry.merge_snapshot`.
 
-Resolution order for both knobs mirrors the engine layer: explicit
-argument > :func:`executor_default` (installed by the CLI) >
-``$REPRO_EXECUTOR`` / ``$REPRO_JOBS`` > serial.  Naming a job count
-above one implies the process executor; the serial executor always
-reports one job.  A malformed or non-positive ``$REPRO_JOBS`` raises a
-``ValueError`` naming the variable when it is resolved, and a job
-count above ``os.cpu_count()`` is clamped to the core count (recorded
-via the ``repro_jobs_clamped_total`` counter and, under an active
-telemetry run, a ``jobs_clamped`` warning event).
+Resolution: the job count is the explicit ``jobs=`` argument, else
+the default :func:`executor_default` installed (the CLI's ``--jobs``),
+else 1.  More than one job selects the process executor; an explicit
+``executor="serial"`` pins serial, which always reports one job, and
+an explicit ``executor="process"`` without a count takes every core.  A
+job count above ``os.cpu_count()`` is clamped to the core count
+(recorded via the ``repro_jobs_clamped_total`` counter and, under an
+active telemetry run, a ``jobs_clamped`` warning event).
 """
 
 from __future__ import annotations
@@ -47,47 +46,21 @@ __all__ = ["EXECUTOR_NAMES", "executor_default", "resolve_executor",
 
 EXECUTOR_NAMES = ("serial", "process")
 
-_DEFAULT = {"executor": None, "jobs": None}
+_DEFAULT = {"jobs": None}
 
 
 @contextmanager
-def executor_default(executor: Optional[str] = None,
-                     jobs: Optional[int] = None):
-    """Install process-wide executor/jobs defaults (the CLI's
-    ``--jobs`` flag); restores the previous defaults on exit."""
-    if executor is not None and executor not in EXECUTOR_NAMES:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of "
-            f"{EXECUTOR_NAMES}")
+def executor_default(jobs: Optional[int] = None):
+    """Install a process-wide default job count (the CLI's ``--jobs``
+    flag); restores the previous default on exit."""
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    previous = dict(_DEFAULT)
-    _DEFAULT.update({"executor": executor, "jobs": jobs})
+    previous = _DEFAULT["jobs"]
+    _DEFAULT["jobs"] = jobs
     try:
         yield
     finally:
-        _DEFAULT.update(previous)
-
-
-def _env_jobs() -> Optional[int]:
-    """``$REPRO_JOBS``, validated at resolve time.
-
-    Unset or empty means "not configured"; anything else must be a
-    positive integer -- a typo'd value failing silently would quietly
-    serialise (or mis-parallelise) every suite run.
-    """
-    env = os.environ.get("REPRO_JOBS")
-    if env is None or env == "":
-        return None
-    try:
-        n = int(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_JOBS must be a positive integer, got {env!r}") from None
-    if n < 1:
-        raise ValueError(
-            f"REPRO_JOBS must be a positive integer, got {env!r}")
-    return n
+        _DEFAULT["jobs"] = previous
 
 
 def _clamp_jobs(n: int) -> int:
@@ -116,18 +89,10 @@ def _clamp_jobs(n: int) -> int:
 def resolve_executor(executor: Optional[str] = None,
                      jobs: Optional[int] = None) -> Tuple[str, int]:
     """Resolve the two knobs to a concrete ``(name, jobs)`` pair."""
-    name = (executor or _DEFAULT["executor"]
-            or os.environ.get("REPRO_EXECUTOR"))
-    if jobs is not None:
-        n: Optional[int] = jobs
-    elif _DEFAULT["jobs"] is not None:
-        n = _DEFAULT["jobs"]
-    else:
-        n = _env_jobs()
+    n = jobs if jobs is not None else _DEFAULT["jobs"]
     if n is not None and n < 1:
         raise ValueError(f"jobs must be >= 1, got {n}")
-    if name is None:
-        name = "process" if (n or 1) > 1 else "serial"
+    name = executor or ("process" if (n or 1) > 1 else "serial")
     if name not in EXECUTOR_NAMES:
         raise ValueError(
             f"unknown executor {name!r}; expected one of {EXECUTOR_NAMES}")

@@ -73,13 +73,12 @@ def run_experiment(experiment_id: str,
                    traces: Optional[Sequence[ValueTrace]] = None,
                    fast: bool = False,
                    limit: Optional[int] = None,
-                   engine: Optional[str] = None,
                    jobs: Optional[int] = None) -> ExperimentResult:
     """Run one registered experiment; traces default to the full suite.
 
-    *engine* and *jobs* install process defaults for the duration (the
-    CLI's ``--engine`` / ``--jobs`` flags); ``None`` leaves whatever
-    defaults are already in force untouched.
+    *jobs* installs the process default for the duration (the CLI's
+    ``--jobs`` flag); ``None`` leaves whatever default is already in
+    force untouched.
     """
     try:
         fn = EXPERIMENTS[experiment_id]
@@ -88,9 +87,6 @@ def run_experiment(experiment_id: str,
             f"unknown experiment {experiment_id!r}; known: "
             f"{', '.join(experiment_ids())}") from None
     with contextlib.ExitStack() as stack:
-        if engine is not None:
-            from repro.core.engines import engine_default
-            stack.enter_context(engine_default(engine))
         if jobs is not None:
             from repro.harness.executor import executor_default
             stack.enter_context(executor_default(jobs=jobs))

@@ -10,16 +10,18 @@ Measurement goes through the engine layer
 (:mod:`repro.core.engines`): configurations described by a
 :class:`~repro.core.spec.PredictorSpec` -- passed directly, or
 discovered on a factory-built predictor's ``.spec`` attribute -- are
-replayed by the resolved engine (the vectorised batch kernels by
-default, bit-identical to the scalar loop); everything else runs the
+replayed by :func:`~repro.core.engines.run_spec` (the vectorised batch
+kernels where the spec has them, bit-identical to the scalar loop;
+``engine="scalar"`` pins the loop); everything else runs the
 classic per-record scalar loop on the instance itself.
 
 Telemetry: when a run is active (:func:`repro.telemetry.enabled`),
 :func:`measure_accuracy` wraps the replay in a ``predictor`` span
-(labelled with the engine that actually ran) and records prediction
-counters; :func:`measure_cell` adds a per-``trace`` span plus the
-heavyweight table probes (level-2 occupancy, aliasing, confidence)
-through :mod:`repro.telemetry.probes` -- gated on
+(labelled with the engine that actually ran), records prediction
+counters and, for a spec, the sampled ``table_usage`` audit;
+:func:`measure_cell` adds a per-``trace`` span plus the heavyweight
+table probes (level-2 occupancy, aliasing, confidence) through
+:mod:`repro.telemetry.probes` -- gated on
 :func:`~repro.telemetry.probes.probe_sample_limit` *before* any probe
 replay happens.  When no run is active the guard is a single boolean
 check per *call* -- the record loop itself is identical to the
@@ -117,7 +119,7 @@ def factory_spec(predictor_factory: PredictorLike) -> Optional[PredictorSpec]:
 
 def _measure_spec(spec: PredictorSpec, trace: ValueTrace,
                   engine: Optional[str] = None) -> AccuracyResult:
-    """Replay *spec* over *trace* with the resolved engine."""
+    """Replay *spec* over *trace* (``engine`` as for ``run_spec``)."""
     if not _telemetry_run.enabled():
         outcome = run_spec(spec, trace, engine)
     else:
@@ -129,9 +131,10 @@ def _measure_spec(spec: PredictorSpec, trace: ValueTrace,
             sp.set("predictions", outcome.total)
             sp.set("correct", outcome.correct)
             sp.set("accuracy", round(outcome.accuracy, 6))
-        from repro.telemetry.probes import record_accuracy
+        from repro.telemetry.probes import probe_table_usage, record_accuracy
         record_accuracy(spec, trace.name, outcome.correct, outcome.total,
                         elapsed)
+        probe_table_usage(spec, trace)
     return AccuracyResult(
         predictor_name=spec.name,
         trace_name=trace.name,
@@ -147,8 +150,11 @@ def measure_accuracy(predictor, trace: ValueTrace,
     *predictor* is either a stateful :class:`ValuePredictor` instance
     -- measured by the scalar loop and trained as a side effect (pass
     a fresh instance for an independent measurement) -- or a
-    :class:`~repro.core.spec.PredictorSpec`, replayed by the resolved
-    *engine* without any instance escaping.
+    :class:`~repro.core.spec.PredictorSpec`, replayed by the engine
+    layer without any instance escaping (*engine* as for
+    :func:`~repro.core.engines.run_spec`).  Under an active telemetry
+    run a spec also gets its sampled ``table_usage`` audit, once per
+    (spec, trace).
     """
     if isinstance(predictor, PredictorSpec):
         return _measure_spec(predictor, trace, engine)
@@ -196,11 +202,9 @@ def measure_cell(predictor_factory: PredictorLike, trace: ValueTrace,
         outcome = measure_accuracy(predictor, trace, engine)
         from repro.telemetry.probes import (probe_confidence,
                                             probe_context_tables,
-                                            probe_sample_limit,
-                                            probe_table_usage)
+                                            probe_sample_limit)
         if probe_sample_limit() > 0:
             probe_context_tables(predictor_factory, trace)
-            probe_table_usage(predictor_factory, trace)
             probe_confidence(predictor_factory, trace)
     return outcome
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.engines import resolve_engine_name
 from repro.harness.executor import resolve_executor, run_cells
 from repro.harness.simulate import (PredictorLike, SuiteResult, factory_spec,
                                     measure_suite)
@@ -58,7 +57,7 @@ def sweep(factories: Iterable[PredictorLike],
         raise ValueError("params must match factories in length")
     traces = list(traces)
     executor_name, n_jobs = resolve_executor(executor, jobs)
-    engine_name = resolve_engine_name(engine)
+    engine_name = engine or "batch"
     specs = [factory_spec(factory) for factory in factories]
     parallel = (executor_name == "process"
                 and all(spec is not None for spec in specs)

@@ -86,8 +86,8 @@ def matched_spec(family: str, budget_kbit: float) -> PredictorSpec:
                      f"expected one of {DEFAULT_FAMILIES}")
 
 
-def _cell(spec: PredictorSpec, pcs, values, engine: str) -> dict:
-    auditor = TableUsageAuditor(spec, engine=engine)
+def _cell(spec: PredictorSpec, pcs, values) -> dict:
+    auditor = TableUsageAuditor(spec)
     auditor.update(pcs, values)
     report = auditor.report()
     # The access-level view: l2 for context predictors, l1 otherwise;
@@ -113,7 +113,6 @@ def _cell(spec: PredictorSpec, pcs, values, engine: str) -> dict:
 
 def run_tables_report(trace, budgets_kbit: Sequence[float] = None,
                       families: Sequence[str] = None,
-                      engine: str = "batch",
                       sample: Optional[int] = None) -> dict:
     """Sweep *families* x *budgets* over *trace*; returns the report.
 
@@ -131,7 +130,7 @@ def run_tables_report(trace, budgets_kbit: Sequence[float] = None,
     cells: List[dict] = []
     for budget in budgets:
         for family in families:
-            cell = _cell(matched_spec(family, budget), pcs, values, engine)
+            cell = _cell(matched_spec(family, budget), pcs, values)
             cell["budget_kbit"] = budget
             cell["family"] = family  # the sweep key, not the spec family
             cells.append(cell)

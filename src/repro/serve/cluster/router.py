@@ -266,6 +266,7 @@ class Router(FrameService):
         await asyncio.gather(
             *(b.reader_task for b in self._backends.values()
               if b.reader_task), return_exceptions=True)
+        self._set_gauges()
         return self.cluster_report()
 
     async def _attach_backend(self, handle) -> _Backend:
@@ -277,7 +278,6 @@ class Router(FrameService):
         self.ring.add(handle.index)
         backend.reader_task = asyncio.ensure_future(
             self._backend_reader(backend))
-        self.metrics.workers_alive.set(self._workers_alive())
         return backend
 
     async def _adopt_existing(self) -> None:
@@ -302,7 +302,6 @@ class Router(FrameService):
                 continue  # corrupt/quarantined arena: skip, don't die
             self._sessions[sid] = target
             self.adopted_at_start += 1
-        self._refresh_gauges()
 
     # ------------------------------------------------------- client side
 
@@ -402,7 +401,6 @@ class Router(FrameService):
         # an ERROR (bad spec etc.).  Mapping it now keeps follow-up
         # frames pipelined behind the open routable immediately.
         self._sessions[gid] = target
-        self._refresh_gauges()
         try:
             await self._forward(entry, self._backends[target])
         except ConnectionError:
@@ -452,11 +450,9 @@ class Router(FrameService):
                 # The tentative placement never materialised.
                 if self._sessions.get(entry.session_id) == backend.index:
                     self._sessions.pop(entry.session_id, None)
-                    self._refresh_gauges()
         else:
             if entry.kind == "close":
                 self._sessions.pop(entry.session_id, None)
-                self._refresh_gauges()
             if entry.records:
                 self.records_proxied += entry.records
                 self.metrics.records.inc(entry.records)
@@ -544,7 +540,6 @@ class Router(FrameService):
         if target_backend is None or not target_backend.alive:
             raise ValueError(f"target worker {target} is not connected")
         self._parked[session_id] = []
-        self._refresh_gauges()
         try:
             await self._control(self._backends[owner],
                                 protocol.FrameType.RELEASE_SESSION,
@@ -604,7 +599,6 @@ class Router(FrameService):
         backend.lost = True
         backend.alive = False
         self.ring.discard(backend.index)
-        self.metrics.workers_alive.set(self._workers_alive())
         client_entries: List[_Entry] = []
         for entry in backend.pending.values():
             if entry.conn is not None:
@@ -624,7 +618,6 @@ class Router(FrameService):
                        if w == backend.index)
         for sid in owned:
             self._parked.setdefault(sid, [])
-        self._refresh_gauges()
         # A SIGTERM drain spills arenas *after* its sockets close, so
         # wait for the process to actually finish before adopting.
         handle = self.supervisor.handles.get(backend.index)
@@ -678,7 +671,6 @@ class Router(FrameService):
         self._sessions.pop(session_id, None)
         self.sessions_lost += 1
         self.metrics.sessions_lost.inc()
-        self._refresh_gauges()
 
     async def _resend(self, entry: _Entry) -> None:
         """Re-drive one in-flight frame after its worker died -- even
@@ -733,7 +725,6 @@ class Router(FrameService):
                 self._fail_entry(entry, protocol.ErrorCode.INTERNAL,
                                  f"worker {owner} connection lost")
         del self._parked[session_id]
-        self._refresh_gauges()
 
     # ------------------------------------------------------ housekeeping
 
@@ -775,7 +766,10 @@ class Router(FrameService):
     def _workers_alive(self) -> int:
         return sum(1 for b in self._backends.values() if b.alive)
 
-    def _refresh_gauges(self) -> None:
+    def _set_gauges(self) -> None:
+        """Read the fleet gauges off the tables they count: when
+        ``/metrics`` is built, and once more on drain."""
+        self.metrics.workers_alive.set(self._workers_alive())
         self.metrics.sessions.set(len(self._sessions))
         self.metrics.parked.set(len(self._parked))
 
@@ -1124,6 +1118,7 @@ class Router(FrameService):
             query.append("exemplars=1")
         path = "/metrics" + (f"?{'&'.join(query)}" if query else "")
         scraped = await self._scrape_workers(path, fetch=http_get)
+        self._set_gauges()
         parts = [(None, super().metrics_text(prefix=prefix,
                                              exemplars=exemplars))]
         parts += [({"worker": str(index)}, text)

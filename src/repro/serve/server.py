@@ -41,11 +41,12 @@ state-layout generation are refused with ``STATE_VERSION`` (see
 error, never misread tables.
 
 Everything is observable through :mod:`repro.telemetry`: request /
-batch / record counters, queue-depth and batch-size distributions,
-open-session / resident / spilled gauges, eviction / reload / snapshot
-counters, table-usage gauges refreshed whenever ``/metrics`` or
-``/tables`` is read, and one ``serve.session`` span event per closed
-session when a telemetry run is active.
+batch / record counters, batch-size distributions, eviction / reload /
+snapshot counters, queue-depth and open-session / resident / spilled
+gauges read off the tables they count whenever ``/metrics`` is built,
+table-usage gauges refreshed whenever ``/metrics`` or ``/tables`` is
+read, and one ``serve.session`` span event per closed session when a
+telemetry run is active.
 
 :class:`ServerThread` hosts the server on a background thread with a
 plain blocking API -- the test suite and the CLI's loadgen path use it
@@ -83,7 +84,7 @@ _log = logging.getLogger(__name__)
 
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
-#: Seconds between SLO samples (queue depth, per-session accuracy).
+#: Seconds between queue-depth SLO samples.
 _SLO_INTERVAL_S = 0.25
 
 
@@ -234,14 +235,12 @@ class PredictionServer(FrameService):
             self.spilled.update(adopted)
             if adopted:
                 self._note_session_id(adopted[-1])
-        self._refresh_residency()
         slo_list = default_serve_slos() if slos is None else list(slos)
         self.monitor = SLOMonitor(slo_list) if slo_list else None
         watched = self.monitor.slos if self.monitor is not None else []
         if self.monitor is not None:
             self.request_log.watch(self.monitor)
         self._queue_slos = [s for s in watched if s.kind == "queue_depth"]
-        self._accuracy_slos = [s for s in watched if s.kind == "accuracy"]
         self._slo_statuses: List[dict] = []
         self._alerting: List[str] = []
         self._slo_task: Optional[asyncio.Task] = None
@@ -280,6 +279,7 @@ class PredictionServer(FrameService):
                     and self._spill(session_id)):
                 self._finish_session(session_id)
         stats["sessions_spilled_on_drain"] = len(self.spilled)
+        self._set_gauges()
         return stats
 
     async def _worker(self) -> None:
@@ -297,7 +297,6 @@ class PredictionServer(FrameService):
                 fused_seen = batcher.fused_records
             self.metrics.batches.observe(len(batch))
             self.metrics.batch_seconds.observe(loop.time() - started)
-            self.metrics.queue_depth.set(batcher.qsize())
             # One batch per scheduling slice keeps readers responsive.
             await asyncio.sleep(0)
 
@@ -306,6 +305,7 @@ class PredictionServer(FrameService):
     def _on_records(self, session_id: int, n: int, hits: int) -> None:
         self.records_served += n
         self.hits_served += hits
+        self.metrics.records.inc(n)
         if hits:
             self.metrics.hits.inc(hits)
 
@@ -315,22 +315,13 @@ class PredictionServer(FrameService):
             self._slo_tick()
 
     def _slo_tick(self) -> None:
-        """One periodic sample: the queue depth and per-session
-        accuracy into their SLO streams, then a burn-rate evaluation."""
+        """One periodic sample: the queue depth into its SLO stream,
+        then a burn-rate evaluation."""
         now = time.monotonic()
         depth = self.batcher.qsize()
-        self.metrics.queue_depth.set(depth)
         for slo in self._queue_slos:
             good = 1 if depth <= slo.threshold else 0
             self.monitor.record(slo.name, good=good, bad=1 - good, now=now)
-        for slo in self._accuracy_slos:
-            for session in self.sessions.values():
-                recent = session.recent_accuracy()
-                if recent is None:
-                    continue
-                good = 1 if recent >= slo.threshold else 0
-                self.monitor.record(slo.name, good=good, bad=1 - good,
-                                    now=now)
         self._refresh_slo_state(now)
 
     def _refresh_slo_state(self, now: Optional[float] = None) -> List[dict]:
@@ -424,9 +415,21 @@ class PredictionServer(FrameService):
 
     def metrics_text(self, prefix: Optional[str] = None,
                      exemplars: bool = False) -> str:
-        """The ``/metrics`` body, with the table gauges refreshed."""
+        """The ``/metrics`` body, with the table, residency and queue
+        gauges refreshed."""
         self.tables_report()
+        self._set_gauges()
         return super().metrics_text(prefix=prefix, exemplars=exemplars)
+
+    def _set_gauges(self) -> None:
+        """Set the residency and queue gauges to the figures STATS
+        reports, read off the tables they count: when ``/metrics`` is
+        built, and once more on drain so a worker's final metrics
+        snapshot carries the final values."""
+        counters = self._counters()
+        for name in ("queue_depth", "sessions_open", "sessions_resident",
+                     "sessions_spilled"):
+            getattr(self.metrics, name).set(counters[name])
 
     # -------------------------------------------------------- responses
 
@@ -503,8 +506,6 @@ class PredictionServer(FrameService):
                                  f"in use")
             self.sessions[session_id] = Session(session_id, spec, window)
             self._session_opened_at[session_id] = time.time()
-            self.metrics.sessions_open.inc()
-            self._refresh_residency()
             self._maybe_evict()
             return session_id
 
@@ -528,7 +529,6 @@ class PredictionServer(FrameService):
 
     async def _dispatch_step(self, conn, frame, trace) -> None:
         session_id, pc, value = protocol.decode_session_op(frame.body, 2)
-        self.metrics.records.inc()
         await self._submit(
             conn, frame, trace, fuse_key="step",
             pcs=np.asarray([pc], dtype=np.int64),
@@ -540,8 +540,6 @@ class PredictionServer(FrameService):
     async def _dispatch_step_block(self, conn, frame, trace) -> None:
         session_id, pcs, values = protocol.decode_step_block_arrays(
             frame.body)
-        if len(pcs):
-            self.metrics.records.inc(len(pcs))
         await self._submit(
             conn, frame, trace, fuse_key="step", pcs=pcs, values=values,
             session_id=session_id, encode=None)
@@ -610,9 +608,7 @@ class PredictionServer(FrameService):
             self.spilled.add(session_id)
             self._note_session_id(session_id)
             self._session_opened_at.setdefault(session_id, time.time())
-            self.metrics.sessions_open.inc()
             self.metrics.adoptions.inc()
-            self._refresh_residency()
             return {"schema": 1, "session": session_id, "adopted": True,
                     "path": str(self._store.path_for(session_id))}
 
@@ -646,10 +642,8 @@ class PredictionServer(FrameService):
                                       meta)
             del self.sessions[session_id]
             self._session_opened_at.pop(session_id, None)
-            self.metrics.sessions_open.dec()
             self.metrics.releases.inc()
             self.releases += 1
-            self._refresh_residency()
             return {"schema": 1, "session": session_id,
                     "path": str(self._store.path_for(session_id)),
                     "nbytes": nbytes, "state_version": STATE_VERSION,
@@ -669,10 +663,6 @@ class PredictionServer(FrameService):
                      f"server is running without a state directory "
                      f"(start it with --state-dir to enable {feature})")
         return True
-
-    def _refresh_residency(self) -> None:
-        self.metrics.sessions_resident.set(len(self.sessions))
-        self.metrics.sessions_spilled.set(len(self.spilled))
 
     def _resolve(self, session_id: int) -> Optional[Session]:
         """The batcher's ``session_id -> Session | None`` resolver.
@@ -696,7 +686,7 @@ class PredictionServer(FrameService):
         arena = self._store.load(session_id)
         if arena is None:  # corrupt arena, quarantined by the store
             self.spilled.discard(session_id)
-            self._refresh_residency()
+            self._session_opened_at.pop(session_id, None)
             return None
         spec = spec_from_config(arena.spec_config)
         session = Session.restore(session_id, spec, arena.state(),
@@ -705,7 +695,6 @@ class PredictionServer(FrameService):
         self.spilled.discard(session_id)
         self.reloads += 1
         self.metrics.reloads.inc()
-        self._refresh_residency()
         return session
 
     def _spill(self, session_id: int) -> bool:
@@ -732,7 +721,6 @@ class PredictionServer(FrameService):
         self.spilled.add(session_id)
         self.evictions += 1
         self.metrics.evictions.inc()
-        self._refresh_residency()
         return True
 
     def _maybe_evict(self) -> None:
@@ -795,7 +783,6 @@ class PredictionServer(FrameService):
                         fuse_key=fuse_key, pcs=pcs if pcs is not None else [],
                         values=values if values is not None else [],
                         trace=trace)
-        self.metrics.queue_depth.set(self.batcher.qsize() + 1)
         await self.batcher.submit(item)
 
     def _enqueue(self, conn, frame_type: int, trace: RequestTrace,
@@ -816,8 +803,6 @@ class PredictionServer(FrameService):
 
     def _finish_session(self, session_id: int) -> dict:
         session = self.sessions.pop(session_id)
-        self.metrics.sessions_open.dec()
-        self._refresh_residency()
         stats = session.stats()
         opened = self._session_opened_at.pop(session_id, None)
         run = telemetry_run_module.active_run()

@@ -38,7 +38,7 @@ its kernel, not a rebuild of every table.
 
 Engine-mode sessions are **spillable**: :meth:`Session.snapshot`
 serialises the table state plus the session's auxiliary bookkeeping
-(recent-hit window, outstanding predictions, aliasing counters) into
+(outstanding predictions, aliasing counters) into
 the array-dict + metadata shape that
 :class:`~repro.core.state.ArenaStore` persists, and
 :meth:`Session.restore` seats an equivalent session straight onto it,
@@ -59,7 +59,7 @@ snapshot and stay resident.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -155,10 +155,6 @@ class Session:
     #: ``outcome`` result when no issued prediction matched the pc.
     NO_PREDICTION = 2
 
-    #: Scored records kept for the rolling recent-accuracy window the
-    #: SLO monitor samples (see :func:`recent_accuracy`).
-    RECENT_WINDOW = 256
-
     def __init__(self, session_id: int, spec: PredictorSpec, window: int = 0):
         if window < 0:
             raise ValueError(f"window must be >= 0, got {window}")
@@ -186,7 +182,6 @@ class Session:
         self.outcomes = 0
         self.hits = 0
         self._issued: Dict[int, deque] = {}
-        self._recent: deque = deque(maxlen=self.RECENT_WINDOW)
 
     # --------------------------------------------------------------- ops
 
@@ -217,7 +212,6 @@ class Session:
             hit = 1 if predicted == value else 0
             self.outcomes += 1
             self.hits += hit
-            self._recent.append(hit)
         else:
             hit = self.NO_PREDICTION
         if self._aliases is not None:
@@ -260,10 +254,8 @@ class Session:
             predicted, self._state = step_block(
                 self.spec, self._state, block_pcs, block_values)
             predicted = (predicted & _MASK32).astype(np.int64)
-            matches = predicted == block_values
-            hits = int(matches.sum())
+            hits = int(np.count_nonzero(predicted == block_values))
             out = predicted  # stays an array: no per-record boxing
-            self._recent.extend(matches.tolist())
         else:
             out = []
             hits = 0
@@ -271,9 +263,7 @@ class Session:
                 value = int(value) & _MASK32
                 predicted = self._predictor.predict(int(pc)) & _MASK32
                 self._predictor.update(int(pc), value)
-                hit = int(predicted == value)
-                hits += hit
-                self._recent.append(hit)
+                hits += int(predicted == value)
                 out.append(predicted)
         self.predictions += len(out)
         self.outcomes += len(out)
@@ -297,9 +287,9 @@ class Session:
         """Serialise this session as ``(arrays, meta)`` for the store.
 
         *arrays* holds the table state plus auxiliary ``__``-prefixed
-        arrays (recent-hit window, outstanding PREDICTs in per-pc FIFO
-        order, the aliasing tracker's last-writer table); *meta* holds
-        the scalar counters.  :meth:`restore` inverts it exactly.
+        arrays (outstanding PREDICTs in per-pc FIFO order, the aliasing
+        tracker's last-writer table); *meta* holds the scalar counters.
+        :meth:`restore` inverts it exactly.
 
         The table and last-writer arrays are read-only views of the
         live tables, which the next step writes in place: persist them
@@ -313,7 +303,6 @@ class Session:
                              "is scalar-mode and cannot be snapshotted")
         arrays = {key: _read_only(table)
                   for key, table in self._state.items()}
-        arrays["__recent"] = np.asarray(self._recent, dtype=np.int64)
         issued_pcs: List[int] = []
         issued_values: List[int] = []
         for pc, queue in self._issued.items():
@@ -373,9 +362,6 @@ class Session:
                           int(meta.get("alias_accesses", 0)),
                           int(meta.get("alias_conflicts", 0)))
             if l1 else None)
-        recent = arrays.get("__recent")
-        if recent is not None:
-            session._recent.extend(recent.tolist())
         issued_pcs = arrays.get("__issued_pc")
         issued_values = arrays.get("__issued_value")
         if issued_pcs is not None and issued_values is not None:
@@ -398,14 +384,6 @@ class Session:
     def outstanding_predictions(self) -> int:
         """PREDICTs issued but not yet matched by an OUTCOME."""
         return sum(len(q) for q in self._issued.values())
-
-    def recent_accuracy(self) -> Optional[float]:
-        """Hit rate over the last :data:`RECENT_WINDOW` scored records
-        (``None`` until anything has been scored) -- the per-session
-        signal behind the accuracy-floor SLO."""
-        if not self._recent:
-            return None
-        return sum(self._recent) / len(self._recent)
 
     def table_state(self) -> Dict[str, np.ndarray]:
         """The live table-state snapshot, whichever mode holds it."""
@@ -442,7 +420,6 @@ class Session:
             "outcomes": self.outcomes,
             "hits": self.hits,
             "accuracy": (self.hits / self.outcomes) if self.outcomes else None,
-            "recent_accuracy": self.recent_accuracy(),
             "pending_updates": self.pending_updates(),
             "outstanding_predictions": self.outstanding_predictions(),
         }

@@ -15,11 +15,12 @@ a *fresh* predictor over the trace) are bounded to a prefix of
 :func:`probe_sample_limit` records so enabling telemetry scales the
 run's cost by a constant factor, not by the sweep size squared.
 
-The ``table_usage`` event is emitted once per (spec, trace) pair by
-whichever path measures first: :meth:`BatchEngine.run` publishes it
-from the vectorised kernels, :func:`probe_table_usage` from a scalar
-replay; they share the run's once() key and -- by the parity suite --
-the exact payload, so scalar and batch runs log identical samples.
+The ``table_usage`` event is emitted once per (spec, trace) pair, by
+:func:`probe_table_usage` from the one place a spec's accuracy is
+measured (:func:`repro.harness.simulate.measure_accuracy`).  The
+auditor replays through the batch kernels when the spec has them and
+through the scalar predictor otherwise; by the parity suite both
+replays publish the exact same payload.
 """
 
 from __future__ import annotations
@@ -157,14 +158,12 @@ def probe_context_tables(predictor_factory: Callable, trace) -> None:
     })
 
 
-def probe_table_usage(predictor_factory: Callable, trace) -> None:
-    """Table-usage sample via a *scalar* auditor replay.
+def probe_table_usage(spec, trace) -> None:
+    """Table-usage sample: audit a bounded prefix of *trace* under
+    *spec* and emit one ``table_usage`` event per (spec, trace) pair.
 
-    The scalar-path counterpart of the batch engine's kernel-side
-    probe: when the batch engine already published this (spec, trace)
-    sample the shared once() key makes this a no-op; otherwise a
-    bounded prefix replays through a fresh predictor instance and the
-    identical ``table_usage`` event is emitted.
+    Families outside :data:`~repro.telemetry.tables.AUDITED_FAMILIES`
+    are skipped silently.
     """
     run = _run.active_run()
     if run is None:
@@ -172,14 +171,9 @@ def probe_table_usage(predictor_factory: Callable, trace) -> None:
     limit = probe_sample_limit()
     if limit == 0:
         return
-    from repro.core.spec import PredictorSpec, spec_of
     from repro.telemetry.tables import (AUDITED_FAMILIES, TableUsageAuditor,
                                         emit_table_usage)
-    if isinstance(predictor_factory, PredictorSpec):
-        spec = predictor_factory
-    else:
-        spec = spec_of(predictor_factory())
-    if spec is None or spec.family not in AUDITED_FAMILIES:
+    if spec.family not in AUDITED_FAMILIES:
         return
     if not run.once(("table_usage", spec.name, trace.name)):
         return
@@ -187,7 +181,7 @@ def probe_table_usage(predictor_factory: Callable, trace) -> None:
     values = trace.values[:limit]
     if not len(pcs):
         return
-    auditor = TableUsageAuditor(spec, engine="scalar")
+    auditor = TableUsageAuditor(spec)
     auditor.update(pcs, values)
     emit_table_usage(run, auditor.report(), trace.name)
 

@@ -7,8 +7,6 @@ stream:
 
 - **latency**: a request is good when it finished within ``threshold``
   seconds -- an objective of 0.99 is exactly "p99 <= threshold";
-- **accuracy**: a session sample is good when its recent hit rate is
-  at or above the ``threshold`` floor;
 - **queue_depth**: a sample is good when the server's queue is at or
   below the ``threshold`` ceiling.
 
@@ -35,20 +33,26 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 __all__ = ["SLO", "SLOMonitor", "default_serve_slos"]
 
+#: The streams the serving layer feeds: request latency and queue depth.
+_KINDS = ("latency", "queue_depth")
+
 
 @dataclass(frozen=True)
 class SLO:
     """One objective over a stream of good/bad observations."""
 
     name: str
-    kind: str                  # "latency" | "accuracy" | "queue_depth"
-    threshold: float           # seconds bound / hit-rate floor / depth cap
+    kind: str                  # "latency" | "queue_depth"
+    threshold: float           # seconds bound / depth cap
     objective: float = 0.99    # required good fraction
     fast_window_s: float = 60.0
     slow_window_s: float = 300.0
     burn_rate: float = 2.0     # alert at >= this burn in BOTH windows
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"{self.name}: kind must be one of {_KINDS}, "
+                             f"got {self.kind!r}")
         if not 0.0 < self.objective < 1.0:
             raise ValueError(f"{self.name}: objective must be in (0, 1), "
                              f"got {self.objective}")
@@ -186,25 +190,16 @@ class SLOMonitor:
 
 def default_serve_slos(p99_latency_s: float = 0.25,
                        queue_depth_ceiling: float = 512.0,
-                       accuracy_floor: Optional[float] = None,
                        fast_window_s: float = 60.0,
                        slow_window_s: float = 300.0,
                        burn_rate: float = 2.0) -> List[SLO]:
-    """The serving layer's stock objectives.
-
-    Latency and queue depth are always watched; the per-session
-    accuracy floor is opt-in (a sensible floor depends on the
-    workload being served).
-    """
+    """The serving layer's stock objectives: request latency and queue
+    depth."""
     windows = {"fast_window_s": fast_window_s,
                "slow_window_s": slow_window_s, "burn_rate": burn_rate}
-    slos = [
+    return [
         SLO(name="step_latency_p99", kind="latency",
             threshold=p99_latency_s, objective=0.99, **windows),
         SLO(name="queue_depth", kind="queue_depth",
             threshold=queue_depth_ceiling, objective=0.9, **windows),
     ]
-    if accuracy_floor is not None:
-        slos.append(SLO(name="session_accuracy", kind="accuracy",
-                        threshold=accuracy_floor, objective=0.9, **windows))
-    return slos

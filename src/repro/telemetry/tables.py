@@ -17,14 +17,15 @@ This module is the one place that quantifies table usage:
   predictions per live table bit -- comparable across families at
   equal storage.
 
-The auditor has two executions of the same bookkeeping:
+The auditor has two executions of the same bookkeeping, chosen from
+the spec:
 
-``engine="batch"``
+batch (every spec :meth:`BatchEngine.supports`)
     the sampled stream runs through the vectorised kernels of
     :mod:`repro.core.engines.batch` with a slot-collecting probe on the
     :class:`~repro.core.engines.batch._KernelContext`, so the level-2
     index stream comes straight out of the kernel's own arrays;
-``engine="scalar"``
+scalar (the rest, e.g. non-FS hashes; also the parity reference)
     a stateful predictor replays the stream record by record, reading
     ``l1_index``/``l2_index`` off the instance.
 
@@ -510,26 +511,22 @@ class TableUsageAuditor:
     spec:
         A :class:`~repro.core.spec.PredictorSpec` whose family is in
         :data:`AUDITED_FAMILIES`.
-    engine:
-        ``"batch"`` replays through the vectorised kernels with a
-        slot-collecting probe; ``"scalar"`` replays a stateful
-        predictor instance.  Both produce identical reports (the
-        parity suite pins this).
+
+    The replay is chosen from the spec: the vectorised kernels with a
+    slot-collecting probe when :meth:`BatchEngine.supports` it, a
+    stateful predictor instance otherwise (e.g. a non-FS hash).  Both
+    produce identical reports (the parity suite pins this); ``engine``
+    names the one in use.
     """
 
-    def __init__(self, spec, engine: str = "batch"):
+    def __init__(self, spec):
         if spec.family not in AUDITED_FAMILIES:
             raise ValueError(
                 f"{spec.name}: family {spec.family!r} is not auditable; "
                 f"expected one of {AUDITED_FAMILIES}")
-        if engine not in ("batch", "scalar"):
-            raise ValueError(f"unknown auditor engine {engine!r}")
-        if engine == "batch":
-            from repro.core.engines.batch import BatchEngine
-            if not BatchEngine.supports(spec):
-                engine = "scalar"  # e.g. a non-FS hash: audit scalar-side
+        from repro.core.engines.batch import BatchEngine
         self.spec = spec
-        self.engine = engine
+        self.engine = "batch" if BatchEngine.supports(spec) else "scalar"
         self.records = 0
         self.correct = 0
         self._levels: Dict[str, _LevelAudit] = {}
@@ -541,7 +538,7 @@ class TableUsageAuditor:
             self._levels["l1"] = _LevelAudit(spec.entries)
         # oracle_hybrid: headline + per-table stats only; its components
         # overlay distinct index spaces that have no single level.
-        if engine == "batch":
+        if self.engine == "batch":
             self._state = spec.extract_state(spec.build())
             self._predictor = None
         else:
@@ -641,8 +638,7 @@ class TableUsageAuditor:
 
 
 # =====================================================================
-# Event + gauge emission (shared by the scalar probe and the batch
-# engine hook, so both paths publish identical samples).
+# Event + gauge emission for the ``table_usage`` probe.
 # =====================================================================
 
 def emit_table_usage(run, report: dict, trace_name: str) -> None:

@@ -614,7 +614,9 @@ class TestFormat1:
         arena = open_arena(V1_ARENA)
         assert arena.meta == want_meta
         got = arena.state()
-        assert got.keys() == want.keys()
+        # The fixture carries a hit window (__recent) that sessions no
+        # longer keep: it restores, and the key is ignored.
+        assert got.keys() - {"__recent"} == want.keys()
         for key, array in want.items():
             np.testing.assert_array_equal(got[key], array, err_msg=key)
             assert got[key].dtype == array.dtype, key
@@ -645,8 +647,11 @@ class TestFormat1:
         assert int.from_bytes(path.read_bytes()[8:12], "big") == \
             ARENA_FORMAT_VERSION == 2
         again = open_arena(path).state()
+        assert "__recent" not in again
         for key, array in arena.state().items():
-            np.testing.assert_array_equal(again[key], array, err_msg=key)
+            if key != "__recent":
+                np.testing.assert_array_equal(again[key], array,
+                                              err_msg=key)
 
 
 # ----------------------------------------------------------- ownership

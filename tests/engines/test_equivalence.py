@@ -107,12 +107,21 @@ class TestRunSpec:
         trace = TRACES[0]
         scalar = run_spec(spec, trace, "scalar")
         batch = run_spec(spec, trace, "batch")
-        auto = run_spec(spec, trace, "auto")
+        default = run_spec(spec, trace)
         assert scalar.engine == "scalar"
         assert batch.engine == "batch"
-        assert auto.engine == "batch"  # supported family routes to batch
-        assert scalar.correct == batch.correct == auto.correct
+        assert default.engine == "batch"  # supported family routes to batch
+        assert scalar.correct == batch.correct == default.correct
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             run_spec(DFCMSpec(256, 64), TRACES[0], "gpu")
+
+    def test_auto_is_not_an_engine(self):
+        # The default already routes by spec; 'auto' was its twin.
+        with pytest.raises(ValueError):
+            run_spec(DFCMSpec(256, 64), TRACES[0], "auto")
+
+    def test_environment_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "scalar")
+        assert run_spec(DFCMSpec(256, 64), TRACES[0]).engine == "batch"

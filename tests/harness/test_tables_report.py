@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engines.batch import BatchEngine
 from repro.core.spec import DFCMSpec, FCMSpec, OracleHybridSpec, StrideSpec
 from repro.harness.tables_report import (DEFAULT_BUDGETS_KBIT,
                                          DEFAULT_FAMILIES, matched_spec,
@@ -102,11 +103,16 @@ class TestRunTablesReport:
         with pytest.raises(ValueError, match="no records"):
             run_tables_report(ValueTrace("empty", [], []))
 
-    def test_scalar_engine_matches_batch(self):
+    def test_scalar_engine_matches_batch(self, monkeypatch):
         trace = mixed_trace(120)
         kwargs = dict(budgets_kbit=[32.0], families=["fcm", "dfcm"])
-        batch = run_tables_report(trace, engine="batch", **kwargs)
-        scalar = run_tables_report(trace, engine="scalar", **kwargs)
+        batch = run_tables_report(trace, **kwargs)
+        # The auditor's scalar replay, reached through the spec check.
+        monkeypatch.setattr(BatchEngine, "supports",
+                            classmethod(lambda cls, spec: False))
+        scalar = run_tables_report(trace, **kwargs)
+        assert {c["engine"] for c in batch["cells"]} == {"batch"}
+        assert {c["engine"] for c in scalar["cells"]} == {"scalar"}
         for b_cell, s_cell in zip(batch["cells"], scalar["cells"]):
             assert b_cell["efficiency"] == s_cell["efficiency"]
             assert b_cell["accuracy"] == s_cell["accuracy"]

@@ -15,7 +15,7 @@ from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import ServerThread
 from repro.serve.session import Session
-from tests.serve.test_obs import http_get
+from tests.serve.test_obs import http_get, parse_prometheus
 
 
 def workload(n, seed=0):
@@ -227,6 +227,58 @@ class TestQueue:
             for _ in pcs:
                 client.recv()
         assert json.loads(body)["queue_depth"] == 5
+
+
+def scraped(server, name):
+    """The unlabelled sample *name* in the server's ``/metrics`` body
+    (0 for a metric with no sample yet)."""
+    _, _, body = http_get(server.obs_port, "/metrics")
+    samples, _types = parse_prometheus(body)
+    return sum(value for _labels, value in samples.get(name, []))
+
+
+class TestMetricsMatchStats:
+    def test_quarantined_arena_closes_its_session_in_the_gauge(
+            self, tmp_path):
+        # A spilled session whose arena turns out corrupt is gone: STATS
+        # and the sessions_open gauge must both stop counting it.
+        with ServerThread(state_dir=tmp_path, max_resident=1,
+                          obs_port=0) as server, \
+                ServeClient(port=server.port) as client:
+            lost = client.open_session(StrideSpec(64))
+            client.step(lost, 0x40, 7)
+            kept = client.open_session(StrideSpec(64))  # spills `lost`
+            path = ArenaStore(tmp_path).path_for(lost)
+            assert client.stats(0)["sessions_spilled"] == 1
+            path.write_bytes(b"\0" * 64)
+            with pytest.raises(ServeError) as err:
+                client.step(lost, 0x40, 7)
+            assert err.value.code == protocol.ErrorCode.UNKNOWN_SESSION
+            stats = client.stats(0)
+            assert stats["sessions_open"] == 1
+            assert scraped(server, "repro_serve_sessions_open") == 1
+            assert scraped(server, "repro_serve_sessions_spilled") == 0
+            assert set(server.server._session_opened_at) == {kept}
+
+    def test_records_count_once_where_served(self):
+        # A block refused before it runs serves nothing; a served block
+        # moves STATS and the counter by its record count.
+        pcs, values = workload(64)
+        with ServerThread(obs_port=0) as server, \
+                ServeClient(port=server.port) as client:
+            session = client.open_session(StrideSpec(64))
+
+            def figures():
+                return (client.stats(0)["records_served"],
+                        scraped(server, "repro_serve_records_total"))
+
+            before_stats, before_counter = figures()
+            with pytest.raises(ServeError) as err:
+                client.step_block(session + 1000, pcs, values)
+            assert err.value.code == protocol.ErrorCode.UNKNOWN_SESSION
+            assert figures() == (before_stats, before_counter)
+            client.step_block(session, pcs, values)
+            assert figures() == (before_stats + 64, before_counter + 64)
 
 
 class TestEviction:

@@ -50,7 +50,6 @@ class TestSessionSnapshotRestore:
         assert restored.hits == session.hits
         assert restored.outstanding_predictions() == \
             session.outstanding_predictions()
-        assert restored.recent_accuracy() == session.recent_accuracy()
         # Identical futures: both halves continue in lockstep.
         rest = (pcs[80:], values[80:])
         want_pred, want_hits = session.step_block(*rest)
@@ -59,6 +58,15 @@ class TestSessionSnapshotRestore:
         assert got_hits == want_hits
         for key, arr in session.table_state().items():
             np.testing.assert_array_equal(restored.table_state()[key], arr)
+
+    def test_snapshot_and_stats_carry_no_hit_window(self):
+        # Sessions keep hit counts only; no rolling hit window is fed,
+        # spilled or reported.
+        session = Session(1, DFCMSpec(64, 256))
+        session.step_block(*workload(40))
+        arrays, _meta = session.snapshot()
+        assert "__recent" not in arrays
+        assert "recent_accuracy" not in session.stats()
 
     def test_restored_session_copies_on_write(self, tmp_path):
         # Writable means yours.  A sparse entry decodes into a fresh

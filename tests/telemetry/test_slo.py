@@ -46,6 +46,12 @@ class TestSLOValidation:
         with pytest.raises(ValueError, match="burn_rate"):
             make_slo(burn_rate=0.0)
 
+    def test_kind_must_be_a_fed_stream(self):
+        # Only latency and queue depth are fed; an objective of any
+        # other kind would never receive a sample.
+        with pytest.raises(ValueError, match="kind"):
+            SLO(name="x", kind="accuracy", threshold=0.5)
+
     def test_describe_round_trips_fields(self):
         desc = make_slo().describe()
         assert desc["name"] == "lat"
@@ -180,12 +186,6 @@ class TestDefaults:
         assert by_name["step_latency_p99"].kind == "latency"
         assert by_name["step_latency_p99"].objective == 0.99
         assert by_name["queue_depth"].kind == "queue_depth"
-
-    def test_accuracy_floor_is_opt_in(self):
-        slos = default_serve_slos(accuracy_floor=0.4)
-        names = [s.name for s in slos]
-        assert names[-1] == "session_accuracy"
-        assert slos[-1].threshold == 0.4
 
     def test_parameters_thread_through(self):
         slos = default_serve_slos(p99_latency_s=0.5,

@@ -17,10 +17,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not auditable"):
             TableUsageAuditor(spec)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            TableUsageAuditor(StrideSpec(64), engine="gpu")
-
     def test_length_mismatch_rejected(self):
         auditor = TableUsageAuditor(StrideSpec(64))
         with pytest.raises(ValueError, match="lengths differ"):

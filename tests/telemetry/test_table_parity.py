@@ -1,14 +1,20 @@
 """Scalar-vs-batch table-usage parity: same reports, same events.
 
-The auditor's two engines feed one shared vectorised accumulator, so
+The auditor's two replays feed one shared vectorised accumulator, so
 their reports -- and the ``table_usage`` probe events built from them
 -- must be equal field for field across every audited family.  The
 carried per-entry state additionally makes chunk boundaries
 invisible: a warm-started (chunked) audit equals a one-shot audit bit
 for bit.
+
+The auditor picks its replay from the spec; these tests reach the
+scalar one for a spec the kernels support by patching
+:meth:`BatchEngine.supports` (:func:`scalar_replay`).
 """
 
+import contextlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -16,6 +22,7 @@ from repro.core.engines.batch import BatchEngine
 from repro.core.spec import (DFCMSpec, FCMSpec, LastValueSpec,
                              OracleHybridSpec, StrideSpec,
                              TwoDeltaStrideSpec)
+from repro.harness.simulate import measure_accuracy, measure_suite
 from repro.telemetry import run as telemetry_run_module
 from repro.telemetry.probes import probe_table_usage
 from repro.telemetry.tables import TableUsageAuditor
@@ -41,8 +48,20 @@ def mixed_trace(n_each=120):
     )
 
 
+def scalar_replay():
+    """While active, no spec has batch kernels: the auditor (and
+    ``run_spec``) take the scalar path."""
+    return mock.patch.object(BatchEngine, "supports", return_value=False)
+
+
+def replay(engine):
+    return scalar_replay() if engine == "scalar" else contextlib.nullcontext()
+
+
 def audit(spec, trace, engine, chunk=None):
-    auditor = TableUsageAuditor(spec, engine=engine)
+    with replay(engine):
+        auditor = TableUsageAuditor(spec)
+    assert auditor.engine == engine
     pcs, values = trace.pcs, trace.values
     if chunk is None:
         auditor.update(pcs, values)
@@ -75,7 +94,7 @@ class TestReportParity:
         from repro.core.spec import HashSpec
         spec = FCMSpec(64, 256, hash=HashSpec(8, "xor", 4))
         assert not BatchEngine.supports(spec)
-        auditor = TableUsageAuditor(spec, engine="batch")
+        auditor = TableUsageAuditor(spec)
         assert auditor.engine == "scalar"
 
 
@@ -87,8 +106,8 @@ def table_usage_events(run):
 
 
 class TestEventParity:
-    """Both emission paths publish the identical ``table_usage`` sample
-    and share one once() key per (spec, trace) pair."""
+    """Measuring a spec publishes one ``table_usage`` sample per
+    (spec, trace) pair, identical whichever replay audits it."""
 
     def test_batch_run_and_scalar_probe_emit_equal_payloads(self, tmp_path):
         spec = DFCMSpec(256, 64)
@@ -96,12 +115,13 @@ class TestEventParity:
 
         run = telemetry_run_module.start_run(tmp_path / "batch",
                                              command="parity")
-        BatchEngine().run(spec, trace)
+        assert measure_accuracy(spec, trace).total == len(trace)
         [from_batch] = table_usage_events(run)
 
         run = telemetry_run_module.start_run(tmp_path / "scalar",
                                              command="parity")
-        probe_table_usage(spec, trace)
+        with scalar_replay():
+            measure_accuracy(spec, trace)
         [from_scalar] = table_usage_events(run)
 
         from_batch.pop("ts")
@@ -115,23 +135,45 @@ class TestEventParity:
         spec = FCMSpec(256, 64)
         trace = mixed_trace()
         run = telemetry_run_module.start_run(tmp_path, command="parity")
-        BatchEngine().run(spec, trace)
-        probe_table_usage(spec, trace)  # same (spec, trace): no-op
+        measure_accuracy(spec, trace)
+        with scalar_replay():
+            measure_accuracy(spec, trace)  # same (spec, trace): no-op
+        probe_table_usage(spec, trace)
         assert len(table_usage_events(run)) == 1
+
+    def test_every_measured_pair_logs_one_event(self, tmp_path):
+        # One site for every caller: a spec measured on the pinned
+        # scalar engine is audited too, and a suite logs one event per
+        # (spec, trace) cell.
+        spec = DFCMSpec(256, 64)
+        run = telemetry_run_module.start_run(tmp_path / "pinned",
+                                             command="parity")
+        measure_accuracy(spec, mixed_trace(), engine="scalar")
+        assert len(table_usage_events(run)) == 1
+
+        traces = [mixed_trace(), stride_trace("u", 0x3000, 5, 7, 200)]
+        run = telemetry_run_module.start_run(tmp_path / "suite",
+                                             command="parity")
+        measure_suite(spec, traces)
+        assert sorted(e["trace"] for e in table_usage_events(run)) == \
+            sorted(t.name for t in traces)
 
     def test_sample_limit_bounds_both_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY_SAMPLE", "100")
         spec = DFCMSpec(256, 64)
         trace = mixed_trace()
         assert len(trace) > 100
-        run = telemetry_run_module.start_run(tmp_path, command="parity")
-        BatchEngine().run(spec, trace)
-        [event] = table_usage_events(run)
-        assert event["sampled_records"] == 100
+        for engine in ("batch", "scalar"):
+            run = telemetry_run_module.start_run(tmp_path / engine,
+                                                 command="parity")
+            with replay(engine):
+                measure_accuracy(spec, trace)
+            [event] = table_usage_events(run)
+            assert event["sampled_records"] == 100
 
     def test_sample_limit_zero_disables_batch_probe(self, tmp_path,
                                                     monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY_SAMPLE", "0")
         run = telemetry_run_module.start_run(tmp_path, command="parity")
-        BatchEngine().run(DFCMSpec(256, 64), mixed_trace())
+        measure_accuracy(DFCMSpec(256, 64), mixed_trace())
         assert table_usage_events(run) == []
