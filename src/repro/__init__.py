@@ -5,8 +5,8 @@ Vandierendonck and De Bosschere).
 The package is organised as:
 
 - :mod:`repro.core` -- the value predictors studied in the paper (last
-  value, stride, FCM, DFCM, hybrids) together with the measurement
-  instrumentation (aliasing taxonomy, level-2 occupancy, storage model).
+  value, stride, FCM, DFCM, hybrids), their declarative specs, the
+  scalar and batch replay engines, and the storage model.
 - :mod:`repro.isa`, :mod:`repro.asm`, :mod:`repro.vm` -- a MIPS-like
   32-bit instruction set, assembler and functional simulator standing in
   for SimpleScalar's ``sim-safe``.
@@ -17,6 +17,11 @@ The package is organised as:
 - :mod:`repro.trace` -- value-trace capture and caching.
 - :mod:`repro.harness` -- experiment registry reproducing every figure
   and table of the paper's evaluation.
+- :mod:`repro.telemetry` -- metrics, recorded runs, SLOs and the
+  table-usage instrumentation (aliasing taxonomy, level-2 occupancy,
+  efficiency).
+- :mod:`repro.serve` -- the online prediction service: wire protocol,
+  server, client and the multi-worker cluster.
 """
 
 from repro.core.base import ValuePredictor

@@ -59,10 +59,6 @@ class Program:
     entry: int
     globals: List[str] = field(default_factory=list)
 
-    @property
-    def text_size(self) -> int:
-        return 4 * len(self.instructions)
-
     def encoded_text(self) -> List[int]:
         """The text segment as binary instruction words."""
         from repro.isa.encoding import encode

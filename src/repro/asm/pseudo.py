@@ -120,8 +120,3 @@ def expand_pseudo(mnemonic: str, operands: List[str]) -> List[Proto]:
             raise OperandError(f"subi needs a literal immediate, got {imm_text!r}")
         return [("addi", [rt, rs, str(-imm)])]
     raise OperandError(f"unknown pseudo instruction {mnemonic!r}")
-
-
-def expansion_length(mnemonic: str, operands: List[str]) -> int:
-    """Number of real instructions the pseudo becomes (for layout)."""
-    return len(expand_pseudo(mnemonic, operands))

@@ -23,7 +23,12 @@ Commands
   ``--state-dir`` spills session table state to durable arenas,
   ``--max-resident`` adds LRU eviction on top).
 - ``loadgen NAME`` — replay a trace against a server, report throughput
-  and latency percentiles, verify accuracy against the offline engine.
+  and latency percentiles, verify accuracy against the offline engine
+  (``--cluster-workers`` sweeps self-hosted fleet sizes instead).
+- ``cluster serve|status`` — run a session-affine router over N worker
+  processes, or show a running router's fleet report.
+- ``soak NAME`` — hold a self-hosted fleet under sustained load and
+  gate on the multi-window SLO burn and offline parity.
 - ``top URL|PORT`` — live dashboard over a server's obs endpoint
   (``--once`` prints a single plain snapshot).
 
@@ -170,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'-' = skip the file)")
     bench.add_argument("--json", action="store_true",
                        help="print the report JSON instead of the table")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       help="speedup the guard requires (default 5.0)")
     bench.add_argument("--history", action="store_true",
                        help="append this run (git SHA + timestamp) to the "
                             "history file")
@@ -357,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--min-speedup", type=float, default=None,
                          help="fail unless batched beats naive by this "
                               "factor (needs --mode both)")
-    loadgen.add_argument("--no-verify", action="store_true",
-                         help="skip the offline-engine accuracy check")
     loadgen.add_argument("--json", action="store_true",
                          help="print the full report JSON")
     loadgen.add_argument("--out", default=None,
@@ -428,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fail when the sustained SLO burn rate "
                            "reaches this (default 2.0, the alerting "
                            "threshold)")
-    soak.add_argument("--poll-interval-s", type=float, default=2.0,
-                      help="telemetry sampling interval (default 2s)")
     soak.add_argument("--json", action="store_true",
                       help="print the full report JSON")
     soak.add_argument("--out", default=None,
@@ -620,7 +619,7 @@ def _cmd_bench(args, out) -> int:
         else:
             out.write(render_history_diff(diff))
         return 0 if diff["passed"] else 1
-    report = run_bench(fast=args.fast, min_speedup=args.min_speedup)
+    report = run_bench(fast=args.fast)
     if args.out and args.out != "-":
         write_report(report, args.out)
     if args.history:
@@ -704,7 +703,7 @@ def _cmd_cache(args, out) -> int:
     from pathlib import Path
 
     from repro.harness.report import format_table
-    from repro.trace.cache import (CacheStats, cache_entries, clear_cache,
+    from repro.trace.cache import (cache_entries, cache_stats, clear_cache,
                                    default_cache_dir, verify_cache,
                                    warm_cache)
     from repro.workloads.registry import SPEC_NAMES
@@ -723,9 +722,15 @@ def _cmd_cache(args, out) -> int:
                   + "\n")
         return 0
 
+    if args.cache_command == "clear":
+        removed = clear_cache(directory)
+        out.write(f"removed {removed} entries from {directory}\n")
+        return 0
+
+    # verify and warm print the cache traffic of this command alone.
+    before = cache_stats()
     if args.cache_command == "verify":
-        stats = CacheStats()
-        result = verify_cache(directory, repair=args.repair, stats=stats)
+        result = verify_cache(directory, repair=args.repair)
         for path, reason in result.defects:
             out.write(f"BAD  {path.name}: {reason}\n")
         out.write(f"checked {result.checked} entries, "
@@ -736,24 +741,16 @@ def _cmd_cache(args, out) -> int:
                       "quarantined only")
         out.write("\n")
         if result.defects:
-            out.write(f"cache stats: {stats.render()}\n")
+            out.write(f"cache stats: {(cache_stats() - before).render()}\n")
         return 0 if (result.ok or args.repair) else 1
 
-    if args.cache_command == "clear":
-        removed = clear_cache(directory)
-        out.write(f"removed {removed} entries from {directory}\n")
-        return 0
-
     # warm
-    if args.limit <= 0:
-        out.write(f"limit must be positive, got {args.limit}\n")
-        return 2
     names = SPEC_NAMES if args.name == "all" else [args.name]
-    stats = CacheStats()
     warm_cache(names, args.limit, cache_dir=directory,
-               optimize=args.optimize, stats=stats)
+               optimize=args.optimize)
     out.write(f"warmed {len(names)} benchmark(s) at {args.limit} "
-              f"predictions\ncache stats: {stats.render()}\n")
+              f"predictions\ncache stats: "
+              f"{(cache_stats() - before).render()}\n")
     return 0
 
 
@@ -877,12 +874,7 @@ def _cmd_telemetry(args, out) -> int:
     from repro.telemetry.export import (find_run, prometheus_text,
                                         read_events, summary_text,
                                         tail_text)
-    root = args.dir or default_telemetry_dir()
-    try:
-        run = find_run(root, args.run)
-    except FileNotFoundError as exc:
-        out.write(f"{exc}\n")
-        return 1
+    run = find_run(args.dir or default_telemetry_dir(), args.run)
 
     if args.telemetry_command == "summary":
         out.write(summary_text(run))
@@ -992,8 +984,7 @@ def _cmd_loadgen(args, out) -> int:
             "a fleet)")
     report = run_loadgen(spec, trace, args.host, args.port,
                          window=args.window, mode=args.mode,
-                         block=args.block, verify=not args.no_verify,
-                         min_speedup=args.min_speedup)
+                         block=args.block, min_speedup=args.min_speedup)
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -1013,13 +1004,11 @@ def _cmd_loadgen(args, out) -> int:
                 f"accuracy {stats['accuracy']:.4f}\n")
         if "speedup" in report:
             out.write(f"  speedup: batched {report['speedup']:.1f}x naive\n")
-        if "verify" in report:
-            state = "match" if report["verify"]["matched"] else "MISMATCH"
-            out.write(f"  offline parity: {state} "
-                      f"({report['verify']['offline_hits']} hits)\n")
+        state = "match" if report["verify"]["matched"] else "MISMATCH"
+        out.write(f"  offline parity: {state} "
+                  f"({report['verify']['offline_hits']} hits)\n")
     failed = (report.get("speedup_ok") is False
-              or (report.get("verify") is not None
-                  and not report["verify"]["matched"]))
+              or not report["verify"]["matched"])
     return 1 if failed else 0
 
 
@@ -1144,8 +1133,7 @@ def _cmd_soak(args, out) -> int:
     report = run_soak(
         spec, trace, workers=args.workers, sessions=args.sessions,
         duration_s=args.duration_s, window=args.window, block=args.block,
-        state_dir=args.state_dir, max_burn=args.max_burn,
-        poll_interval_s=args.poll_interval_s)
+        state_dir=args.state_dir, max_burn=args.max_burn)
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -1230,6 +1218,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             and not args.state_dir:
         parser.error("--max-resident requires --state-dir (without a "
                      "state directory there is nowhere to spill to)")
+    if getattr(args, "cache_command", None) == "warm" and args.limit <= 0:
+        parser.error(f"limit must be positive, got {args.limit}")
     # Recorded verbatim in the telemetry run manifest.
     args._argv = list(argv) if argv is not None else sys.argv[1:]
     try:

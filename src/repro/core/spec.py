@@ -90,10 +90,6 @@ class HashSpec:
             object.__setattr__(
                 self, "order", order_for_index_bits(self.index_bits, self.shift))
 
-    @property
-    def resolved_order(self) -> int:
-        return self.order
-
     def build(self):
         from repro.core.hashing import make_hash
         if self.kind == "fs":

@@ -25,28 +25,18 @@ from repro.core.spec import (DFCMSpec, FCMSpec, LastValueSpec,
                              OracleHybridSpec, PredictorSpec, StrideSpec,
                              TwoDeltaStrideSpec)
 from repro.harness.simulate import measure_suite
+from repro.telemetry.run import git_sha
 from repro.trace.trace import ValueTrace
 
 __all__ = ["MIN_SPEEDUP", "MAX_REGRESSION_PCT", "bench_specs",
-           "resolve_min_speedup", "resolve_max_regression_pct", "run_bench",
+           "resolve_max_regression_pct", "run_bench",
            "render_bench", "write_report", "history_entry",
            "append_history", "read_history", "diff_history",
            "render_history_diff"]
 
-#: Default full-mode guard: flagship DFCM batch replay vs the scalar
-#: loop.  Override per run with ``--min-speedup``; the effective
-#: threshold is recorded in the report's ``guard`` block.
+#: Full-mode guard: flagship DFCM batch replay vs the scalar loop.
+#: The threshold is recorded in the report's ``guard`` block.
 MIN_SPEEDUP = 5.0
-
-
-def resolve_min_speedup(min_speedup: Optional[float] = None) -> float:
-    """The explicit argument, else :data:`MIN_SPEEDUP`."""
-    if min_speedup is None:
-        return MIN_SPEEDUP
-    if min_speedup <= 0:
-        raise ValueError(
-            f"min speedup must be positive, got {min_speedup}")
-    return float(min_speedup)
 
 #: Trace lengths (records per benchmark).
 FULL_LIMIT = 100_000
@@ -56,7 +46,7 @@ FAST_LIMIT = 20_000
 ANCHOR_BENCHMARK = "li"
 
 #: Records of the anchor trace each family's table-usage audit samples
-#: (matches the default telemetry probe bound; keeps bench time flat).
+#: (matches the telemetry probes' bound; keeps bench time flat).
 EFFICIENCY_SAMPLE = 8192
 
 
@@ -108,20 +98,17 @@ def _time_replay(spec: PredictorSpec, trace: ValueTrace, engine: str,
 
 
 def run_bench(traces: Optional[Sequence[ValueTrace]] = None,
-              fast: bool = False,
-              repeats: Optional[int] = None,
-              min_speedup: Optional[float] = None) -> dict:
+              fast: bool = False) -> dict:
     """Run the grid and return the report dict (see module docstring).
 
     *traces*: injectable for tests; defaults to the cached
     :data:`ANCHOR_BENCHMARK` trace at the mode's record limit.  The
     first trace anchors the per-family grid; the full list feeds the
-    suite-level comparison.  The guard threshold comes from
-    :func:`resolve_min_speedup`; it is **enforced** (``passed`` may
-    be ``False`` and the caller should fail) only in full mode --
+    suite-level comparison.  Each replay is timed best of 3 (1 in fast
+    mode).  The :data:`MIN_SPEEDUP` guard is **enforced** (``passed``
+    may be ``False`` and the caller should fail) only in full mode --
     fast-mode numbers on tiny traces are recorded, not judged.
     """
-    threshold = resolve_min_speedup(min_speedup)
     limit = FAST_LIMIT if fast else FULL_LIMIT
     if traces is None:
         from repro.trace.cache import cached_trace
@@ -130,8 +117,7 @@ def run_bench(traces: Optional[Sequence[ValueTrace]] = None,
     if not traces:
         raise ValueError("run_bench needs at least one trace")
     anchor = traces[0]
-    if repeats is None:
-        repeats = 1 if fast else 3
+    repeats = 1 if fast else 3
 
     families = []
     for family, spec in bench_specs():
@@ -189,10 +175,10 @@ def run_bench(traces: Optional[Sequence[ValueTrace]] = None,
             "speedup": round(suite_speedup, 3),
         },
         "guard": {
-            "min_speedup": threshold,
+            "min_speedup": MIN_SPEEDUP,
             "measured": round(suite_speedup, 3),
             "enforced": not fast,
-            "passed": fast or suite_speedup >= threshold,
+            "passed": fast or suite_speedup >= MIN_SPEEDUP,
         },
     }
 
@@ -257,27 +243,13 @@ def resolve_max_regression_pct(
     return float(max_regression_pct)
 
 
-def _bench_git_sha() -> Optional[str]:
-    import subprocess
-    from pathlib import Path
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=5)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else None
-
-
 def history_entry(report: dict) -> dict:
     """One history record: identity + the throughput numbers worth
     diffing (per-family batch/scalar rec/s and the suite speedup)."""
     return {
         "schema": HISTORY_SCHEMA,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "git_sha": _bench_git_sha(),
+        "git_sha": git_sha(),
         "mode": report["mode"],
         "anchor": report["anchor"],
         "python": report["python"],

@@ -13,7 +13,6 @@ import os
 from typing import List, Optional
 
 from repro.trace.cache import cached_trace
-from repro.trace.stats import CacheStats
 from repro.trace.trace import ValueTrace
 from repro.workloads.registry import SPEC_NAMES
 
@@ -31,21 +30,14 @@ def default_trace_length() -> int:
     return 100_000
 
 
-def suite_traces(limit: Optional[int] = None,
-                 stats: Optional[CacheStats] = None) -> List[ValueTrace]:
-    """The eight SPEC-mini traces, in Table 1 order (cached on disk).
-
-    ``stats``, when given, accumulates the cache counters for the whole
-    suite load (hits, misses, recaptures, quarantines, bytes, capture
-    time); the process-global :func:`repro.trace.stats.cache_stats`
-    aggregate is updated either way.
-    """
+def suite_traces(limit: Optional[int] = None) -> List[ValueTrace]:
+    """The eight SPEC-mini traces, in Table 1 order (cached on disk;
+    the loads count in :func:`repro.trace.stats.cache_stats`)."""
     length = limit if limit is not None else default_trace_length()
-    return [cached_trace(name, length, stats=stats) for name in SPEC_NAMES]
+    return [cached_trace(name, length) for name in SPEC_NAMES]
 
 
-def single_trace(name: str, limit: Optional[int] = None,
-                 stats: Optional[CacheStats] = None) -> ValueTrace:
+def single_trace(name: str, limit: Optional[int] = None) -> ValueTrace:
     """One benchmark's trace at the configured length."""
     length = limit if limit is not None else default_trace_length()
-    return cached_trace(name, length, stats=stats)
+    return cached_trace(name, length)

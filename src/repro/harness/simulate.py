@@ -21,12 +21,11 @@ Telemetry: when a run is active (:func:`repro.telemetry.enabled`),
 counters and, for a spec, the sampled ``table_usage`` audit;
 :func:`measure_cell` adds a per-``trace`` span plus the heavyweight
 table probes (level-2 occupancy, aliasing, confidence) through
-:mod:`repro.telemetry.probes` -- gated on
-:func:`~repro.telemetry.probes.probe_sample_limit` *before* any probe
-replay happens.  When no run is active the guard is a single boolean
-check per *call* -- the record loop itself is identical to the
-uninstrumented code, which is the overhead guarantee
-``tests/telemetry/test_overhead.py`` enforces.
+:mod:`repro.telemetry.probes`, each bounded to a prefix of
+:data:`~repro.telemetry.probes.SAMPLE_LIMIT` records.  When no run is
+active the guard is a single boolean check per *call* -- the record
+loop itself is identical to the uninstrumented code, which is the
+overhead guarantee ``tests/telemetry/test_overhead.py`` enforces.
 
 :func:`measure_suite` fans its per-trace cells over the process pool
 when the resolved executor (see :mod:`repro.harness.executor`) is
@@ -188,8 +187,8 @@ def measure_cell(predictor_factory: PredictorLike, trace: ValueTrace,
 
     The shared body of serial and parallel suite measurement: an
     instrumented cell wraps the replay in a ``trace`` span and runs
-    the heavyweight table/confidence probes when the sampling gate is
-    open; an uninstrumented cell is just the measurement.
+    the heavyweight table/confidence probes; an uninstrumented cell is
+    just the measurement.
     """
     spec = (predictor_factory
             if isinstance(predictor_factory, PredictorSpec) else None)
@@ -201,11 +200,9 @@ def measure_cell(predictor_factory: PredictorLike, trace: ValueTrace,
     with span("trace", benchmark=trace.name, predictor=predictor.name):
         outcome = measure_accuracy(predictor, trace, engine)
         from repro.telemetry.probes import (probe_confidence,
-                                            probe_context_tables,
-                                            probe_sample_limit)
-        if probe_sample_limit() > 0:
-            probe_context_tables(predictor_factory, trace)
-            probe_confidence(predictor_factory, trace)
+                                            probe_context_tables)
+        probe_context_tables(predictor_factory, trace)
+        probe_confidence(predictor_factory, trace)
     return outcome
 
 

@@ -5,7 +5,9 @@ this package serves the same predictors over TCP, online:
 
 - :mod:`repro.serve.protocol` -- the length-prefixed binary frame
   format (versioned; OPEN_SESSION / PREDICT / OUTCOME / STEP /
-  STEP_BLOCK / FLUSH / STATS / CLOSE_SESSION).
+  STEP_BLOCK / FLUSH / STATS / CLOSE_SESSION / SNAPSHOT, plus the
+  router's ADOPT_SESSION / RELEASE_SESSION / OPEN_SESSION_AS control
+  frames and the ERROR answer).
 - :mod:`repro.serve.session` -- per-session predictor state built from
   a picklable :class:`~repro.core.spec.PredictorSpec`, with an optional
   in-flight *window* implementing delayed update online

@@ -5,7 +5,7 @@ A server owns one :class:`MicroBatcher`: a bounded asyncio queue of
 *batch-while-busy*: the worker takes the next micro-batch the moment
 it is free -- the first item together with whatever is already queued,
 i.e. what arrived while the previous batch executed, capped at
-``max_batch`` items -- and executes it against the server's sessions.
+:data:`MAX_BATCH` items -- and executes it against the server's sessions.
 A request to an idle server therefore runs at once, and batches grow
 (and fuse) only when the worker has a backlog.
 
@@ -39,20 +39,23 @@ import numpy as np
 
 from repro.serve.tracing import RequestTrace
 
-__all__ = ["WorkItem", "MicroBatcher"]
+__all__ = ["WorkItem", "MicroBatcher", "MAX_BATCH"]
 
 _MASK32 = 0xFFFFFFFF
+
+#: Most items one micro-batch takes off the queue.
+MAX_BATCH = 64
 
 
 @dataclass
 class WorkItem:
     """One queued request: which session, what to run, where to answer.
 
-    ``fuse_key`` is non-None for STEP / STEP_BLOCK items; adjacent
-    items (per session) whose ``fuse_key`` matches are merged into one
-    kernel call.  ``pcs``/``values`` carry the records for fusible
-    items -- int64 arrays on the zero-copy server path, though plain
-    lists still work -- and ``run`` executes everything else.
+    A STEP / STEP_BLOCK item carries its records in ``pcs``/``values``
+    (int64 arrays on the zero-copy server path, though plain lists
+    still work) and no ``run``; adjacent such items (per session) are
+    merged into one kernel call.  Every other item has a ``run`` that
+    executes it.
     ``trace``, when present, is marked as the item leaves the queue
     (``queue``), as its kernel call starts (``fuse``) and as it ends
     (``execute``), so the request's span breakdown survives batching
@@ -62,7 +65,6 @@ class WorkItem:
     session_id: int
     future: asyncio.Future
     run: Optional[Callable] = None
-    fuse_key: Optional[str] = None
     pcs: "np.ndarray | List[int]" = field(default_factory=list)
     values: "np.ndarray | List[int]" = field(default_factory=list)
     trace: Optional[RequestTrace] = None
@@ -71,12 +73,9 @@ class WorkItem:
 class MicroBatcher:
     """Bounded queue + batch-draining worker for one server."""
 
-    def __init__(self, max_batch: int = 64, queue_depth: int = 1024):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    def __init__(self, queue_depth: int = 1024):
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-        self.max_batch = max_batch
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
         self.batches = 0
         self.items = 0
@@ -100,10 +99,11 @@ class MicroBatcher:
         """Block for the next micro-batch.
 
         Waits only for the first item, then returns it together with
-        everything already queued behind it, up to ``max_batch`` items.
+        everything already queued behind it, up to :data:`MAX_BATCH`
+        items.
         """
         batch = [await self._queue.get()]
-        while len(batch) < self.max_batch and not self._queue.empty():
+        while len(batch) < MAX_BATCH and not self._queue.empty():
             batch.append(self._queue.get_nowait())
         now = time.monotonic()
         for item in batch:
@@ -153,8 +153,7 @@ class MicroBatcher:
         """Split one session's FIFO stream into maximal fusible runs."""
         runs: List[List[WorkItem]] = []
         for item in items:
-            if (runs and item.fuse_key is not None
-                    and runs[-1][0].fuse_key == item.fuse_key):
+            if runs and item.run is None and runs[-1][0].run is None:
                 runs[-1].append(item)
             else:
                 runs.append([item])
@@ -168,7 +167,7 @@ class MicroBatcher:
             trace.batch_size = len(fused)
             trace.fused = len(fused) > 1
         try:
-            if fused[0].fuse_key is None:
+            if fused[0].run is not None:
                 item = fused[0]
                 result = item.run(session)
                 if not item.future.done():

@@ -44,6 +44,11 @@ from repro.serve.tracing import new_trace_id
 
 __all__ = ["ServeClient", "ServeError"]
 
+#: First re-dial pause after a torn connection; it doubles per failure
+#: up to :data:`_BACKOFF_MAX_S`.
+_BACKOFF_S = 0.05
+_BACKOFF_MAX_S = 2.0
+
 
 class ServeError(Exception):
     """An ERROR response from the server."""
@@ -60,9 +65,7 @@ class ServeClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  timeout: Optional[float] = 30.0,
-                 reconnect: int = 3,
-                 reconnect_backoff: float = 0.05,
-                 reconnect_backoff_max: float = 2.0):
+                 reconnect: int = 3):
         if reconnect < 0:
             raise ValueError(f"reconnect must be >= 0, got {reconnect}")
         self.host = host
@@ -70,8 +73,6 @@ class ServeClient:
         self.timeout = timeout
         self.last_trace_id = 0
         self.reconnect = reconnect
-        self.reconnect_backoff = reconnect_backoff
-        self.reconnect_backoff_max = reconnect_backoff_max
         #: Successful transparent reconnects performed so far.
         self.reconnects = 0
         self._request_ids = itertools.count(1)
@@ -146,8 +147,7 @@ class ServeClient:
         return frame
 
     def _backoff(self, failures: int) -> None:
-        delay = min(self.reconnect_backoff * (2 ** (failures - 1)),
-                    self.reconnect_backoff_max)
+        delay = min(_BACKOFF_S * (2 ** (failures - 1)), _BACKOFF_MAX_S)
         if delay > 0:
             time.sleep(delay)
 

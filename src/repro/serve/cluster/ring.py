@@ -26,11 +26,9 @@ placement -- deliberate: its predecessor's arenas come home.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import Iterable, List, Set
 
 __all__ = ["RendezvousRing", "rendezvous_score"]
-
-_EMPTY: FrozenSet[int] = frozenset()
 
 
 def rendezvous_score(worker: int, session_id: int) -> int:
@@ -63,15 +61,12 @@ class RendezvousRing:
     def discard(self, worker: int) -> None:
         self._workers.discard(worker)
 
-    def assign(self, session_id: int,
-               exclude: FrozenSet[int] = _EMPTY) -> int:
-        """The owning worker for *session_id* among live workers not in
-        *exclude*; raises :class:`LookupError` when none qualify."""
+    def assign(self, session_id: int) -> int:
+        """The owning worker for *session_id* among live workers;
+        raises :class:`LookupError` when there are none."""
         best = -1
         best_score = -1
         for worker in self._workers:
-            if worker in exclude:
-                continue
             score = rendezvous_score(worker, session_id)
             # Ties (astronomically unlikely) break toward the higher
             # slot index so the choice stays deterministic everywhere.
@@ -80,12 +75,5 @@ class RendezvousRing:
                 best, best_score = worker, score
         if best < 0:
             raise LookupError(
-                f"no live worker available for session {session_id} "
-                f"(workers={sorted(self._workers)}, "
-                f"excluded={sorted(exclude)})")
+                f"no live worker available for session {session_id}")
         return best
-
-    def assignments(self, session_ids: Iterable[int],
-                    exclude: FrozenSet[int] = _EMPTY) -> Dict[int, int]:
-        """Batch :meth:`assign` over many session ids."""
-        return {sid: self.assign(sid, exclude) for sid in session_ids}

@@ -66,7 +66,7 @@ from repro.serve.cluster.supervisor import ClusterSupervisor
 from repro.serve.protocol import HEADER_SIZE
 from repro.serve.service import (FrameService, Refusal, ServiceMetrics,
                                  ServiceThread, Slot, pooled_table_ratios)
-from repro.serve.tracing import (RequestTrace, format_trace_id,
+from repro.serve.tracing import (SLOW_K, RequestTrace, format_trace_id,
                                  new_trace_id, parse_trace_id)
 from repro.telemetry.registry import registry
 
@@ -81,6 +81,13 @@ _U64 = struct.Struct("!Q")
 #: the pause between them.
 _ADOPT_RETRIES = 20
 _ADOPT_RETRY_DELAY_S = 0.05
+
+#: Seconds between housekeeping ticks (reap dead workers, respawn).
+_TICK_S = 0.5
+
+#: Seconds a client request or a control frame may wait for its
+#: worker's answer before the router answers TIMEOUT.
+_REQUEST_TIMEOUT_S = 60.0
 
 #: Frame types whose body starts with a u64 session id.
 _SESSION_TYPES = frozenset({
@@ -201,14 +208,11 @@ class Router(FrameService):
     def __init__(self, supervisor: ClusterSupervisor,
                  host: str = "127.0.0.1", port: int = 0,
                  obs_port: Optional[int] = None,
-                 request_timeout: float = 60.0,
-                 auto_restart: bool = True,
-                 tick_interval: float = 0.5):
+                 auto_restart: bool = True):
         super().__init__(host, port, obs_port, _ClusterMetrics(),
-                         request_timeout)
+                         _REQUEST_TIMEOUT_S)
         self.supervisor = supervisor
         self.auto_restart = auto_restart
-        self.tick_interval = tick_interval
         self.state_dir = supervisor.worker_kwargs.get("state_dir")
         worker_host = supervisor.worker_kwargs.get("host", "127.0.0.1")
         self._worker_host = ("127.0.0.1"
@@ -730,7 +734,7 @@ class Router(FrameService):
 
     async def _tick_loop(self) -> None:
         while True:
-            await asyncio.sleep(self.tick_interval)
+            await asyncio.sleep(_TICK_S)
             try:
                 await self._tick()
             except asyncio.CancelledError:
@@ -939,7 +943,7 @@ class Router(FrameService):
             "uptime_s": self.uptime_s(),
         }
 
-    async def slow_requests(self, max_entries: int = 32) -> dict:
+    async def slow_requests(self) -> dict:
         """Aggregated ``/slow``: the fleet's slowest requests as the
         *client* experienced them.
 
@@ -993,7 +997,7 @@ class Router(FrameService):
         return {"schema": 2, "cluster": True,
                 "observed": router_snap["observed"],
                 "worker_observed": worker_observed,
-                "slowest": slowest[:max_entries]}
+                "slowest": slowest[:SLOW_K]}
 
     async def trace_lookup(self, trace_id: int) -> dict:
         """The cluster ``/trace/<id>`` body: the router's span(s) for
@@ -1142,10 +1146,10 @@ class ClusterThread(ServiceThread):
 
     def __init__(self, workers: int = 2, host: str = "127.0.0.1",
                  port: int = 0, obs_port: Optional[int] = None,
-                 router_kwargs: Optional[dict] = None, **worker_kwargs):
+                 auto_restart: bool = True, **worker_kwargs):
         super().__init__(lambda: Router(
             self.supervisor, host=host, port=port, obs_port=obs_port,
-            **(router_kwargs or {})))
+            auto_restart=auto_restart))
         self.n_workers = workers
         self._worker_kwargs = worker_kwargs
         self.supervisor: Optional[ClusterSupervisor] = None

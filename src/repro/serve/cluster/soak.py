@@ -43,6 +43,12 @@ __all__ = ["run_soak", "render_soak"]
 
 SOAK_SCHEMA = 1
 
+#: Seconds between the poller's telemetry samples.
+_POLL_INTERVAL_S = 2.0
+
+#: Most recent router spans the report's trace dump keeps.
+_TRACE_DUMP_LIMIT = 256
+
 
 def _soak_session(host: str, port: int, spec: PredictorSpec,
                   window: int, pcs, values, block: int,
@@ -73,8 +79,8 @@ def _soak_session(host: str, port: int, spec: PredictorSpec,
                     "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _poll_telemetry(cluster: ClusterThread, interval_s: float,
-                    stop: threading.Event, samples: List[dict]) -> None:
+def _poll_telemetry(cluster: ClusterThread, stop: threading.Event,
+                    samples: List[dict]) -> None:
     """Sample the router's /scale signals until told to stop."""
     while not stop.is_set():
         try:
@@ -88,15 +94,14 @@ def _poll_telemetry(cluster: ClusterThread, interval_s: float,
         except Exception as exc:  # noqa: BLE001 - soak keeps running
             samples.append({"t_s": round(time.monotonic(), 3),
                             "error": f"{type(exc).__name__}: {exc}"})
-        stop.wait(interval_s)
+        stop.wait(_POLL_INTERVAL_S)
 
 
 def run_soak(spec: PredictorSpec, trace, workers: int = 2,
              sessions: int = 4, duration_s: float = 60.0,
              window: int = 0, block: int = 256,
              state_dir: Optional[str] = None, max_burn: float = 2.0,
-             poll_interval_s: float = 2.0,
-             trace_dump_limit: int = 256, **worker_kwargs) -> dict:
+             **worker_kwargs) -> dict:
     """Hold a *workers*-worker cluster under *sessions* concurrent
     replay loops for *duration_s* seconds; see the module docstring
     for the report shape and the pass/fail rule."""
@@ -118,7 +123,7 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
         stop_poll = threading.Event()
         poller = threading.Thread(
             target=_poll_telemetry,
-            args=(cluster, poll_interval_s, stop_poll, samples),
+            args=(cluster, stop_poll, samples),
             daemon=True)
         deadline = time.monotonic() + duration_s
         threads = [
@@ -136,7 +141,7 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
             thread.join()
         elapsed = time.perf_counter() - started
         stop_poll.set()
-        poller.join(timeout=poll_interval_s + 10.0)
+        poller.join(timeout=_POLL_INTERVAL_S + 10.0)
         # Final forensics while the fleet is still up: one last
         # telemetry sample and the router's recent trace spans.
         try:
@@ -149,7 +154,7 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
         except Exception as exc:  # noqa: BLE001
             samples.append({"t_s": round(time.monotonic(), 3),
                             "error": f"{type(exc).__name__}: {exc}"})
-        trace_dump = cluster.router.trace_dump(trace_dump_limit)
+        trace_dump = cluster.router.trace_dump(_TRACE_DUMP_LIMIT)
         cluster_stats = cluster.router.cluster_report()
 
     errors = [f"session thread {key}: {res['error']}"

@@ -219,15 +219,6 @@ class ClusterSupervisor:
 
     # ------------------------------------------------------------- stop
 
-    def stop_worker(self, index: int, timeout: float = 60.0) -> \
-            Optional[dict]:
-        """SIGTERM one worker, wait for its drain, stitch its
-        telemetry; returns its final stats (None if it died hard)."""
-        handle = self.handles[index]
-        handle.requested_stop = True
-        self._signal(handle)
-        return self._collect(handle, timeout=timeout)
-
     def stop(self, timeout: float = 60.0) -> List[dict]:
         """SIGTERM the whole fleet (in parallel), collect every drain."""
         live = [h for h in self.handles.values() if not h.collected]

@@ -13,8 +13,9 @@ of two shapes:
 
 Both modes drive a fresh session over the same records in order, so
 their hit counts must agree with each other *and* with the offline
-engines; ``verify=True`` replays the equivalent spec (see
-:func:`offline_replay`) and checks the served hit counts bit-for-bit.
+engines: every run replays the equivalent spec (see
+:func:`offline_replay`) and checks the served hit counts bit-for-bit
+(the report's ``verify`` block).
 
 :func:`wire_records`, :func:`replay_batched` and :func:`offline_replay`
 are shared with the cluster tier's scaling load generator and soak
@@ -121,7 +122,6 @@ def _run_mode(host: str, port: int, spec: PredictorSpec, window: int,
 
 def run_loadgen(spec: PredictorSpec, trace, host: str, port: int,
                 window: int = 0, mode: str = "both", block: int = 256,
-                verify: bool = True,
                 min_speedup: Optional[float] = None) -> dict:
     """Replay *trace* against the server at ``host:port``; see module
     docstring for the report shape."""
@@ -152,8 +152,7 @@ def run_loadgen(spec: PredictorSpec, trace, host: str, port: int,
         report["min_speedup"] = min_speedup
         if min_speedup is not None:
             report["speedup_ok"] = speedup >= min_speedup
-    if verify:
-        report["verify"] = _verify(spec, trace, window, report["modes"])
+    report["verify"] = _verify(spec, trace, window, report["modes"])
     return report
 
 

@@ -530,7 +530,7 @@ class PredictionServer(FrameService):
     async def _dispatch_step(self, conn, frame, trace) -> None:
         session_id, pc, value = protocol.decode_session_op(frame.body, 2)
         await self._submit(
-            conn, frame, trace, fuse_key="step",
+            conn, frame, trace,
             pcs=np.asarray([pc], dtype=np.int64),
             values=np.asarray([value], dtype=np.int64),
             session_id=session_id,
@@ -541,7 +541,7 @@ class PredictionServer(FrameService):
         session_id, pcs, values = protocol.decode_step_block_arrays(
             frame.body)
         await self._submit(
-            conn, frame, trace, fuse_key="step", pcs=pcs, values=values,
+            conn, frame, trace, pcs=pcs, values=values,
             session_id=session_id, encode=None)
 
     async def _dispatch_flush(self, conn, frame, trace) -> None:
@@ -774,13 +774,12 @@ class PredictionServer(FrameService):
                            session_id=session_id, encode=encode)
 
     async def _submit(self, conn, frame, trace, session_id, encode,
-                      run=None, fuse_key=None, pcs=None,
-                      values=None) -> None:
+                      run=None, pcs=None, values=None) -> None:
         trace.session_id = session_id
         trace.records = len(pcs) if pcs is not None else 0
         future = self._enqueue(conn, frame.type, trace, encode)
         item = WorkItem(session_id=session_id, future=future, run=run,
-                        fuse_key=fuse_key, pcs=pcs if pcs is not None else [],
+                        pcs=pcs if pcs is not None else [],
                         values=values if values is not None else [],
                         trace=trace)
         await self.batcher.submit(item)

@@ -43,12 +43,6 @@ LATENCY_BUCKETS = (.0001, .0005, .001, .005, .025, .1, .5, 2.5)
 #: would skew the percentiles).
 DATA_TYPES = frozenset({"step", "step_block", "predict", "outcome"})
 
-#: Size of the slow-request sample (top-K by latency).
-SLOW_K = 32
-
-#: Completed spans kept per process for ``/trace``.
-TRACE_CAPACITY = 4096
-
 #: The rolling data-path window behind ``/slo`` and ``/scale``: the
 #: last ``WINDOW_S`` seconds or the last ``WINDOW_REQUESTS`` data-path
 #: requests, whichever is shorter.
@@ -93,8 +87,8 @@ class RequestLog:
 
     def __init__(self, request_seconds):
         self._request_seconds = request_seconds
-        self.slow = SlowRequestSampler(SLOW_K)
-        self.traces = TraceStore(TRACE_CAPACITY)
+        self.slow = SlowRequestSampler()
+        self.traces = TraceStore()
         self._data: deque = deque(maxlen=WINDOW_REQUESTS)  # (t_done, s)
         self._monitor = None
         self._latency_slos: list = []

@@ -47,6 +47,9 @@ __all__ = ["fetch_json", "sparkline", "render_dashboard", "run_top"]
 _SPARK = "▁▂▃▄▅▆▇█"
 _CLEAR = "\x1b[H\x1b[2J"
 
+#: Slow requests the dashboard lists.
+_SLOW_ROWS = 8
+
 
 def fetch_json(base_url: str, path: str, timeout: float = 5.0) -> dict:
     """GET ``base_url + path`` and parse the JSON body."""
@@ -102,7 +105,6 @@ def _fmt_rate(rate: Optional[float]) -> str:
 def render_dashboard(base_url: str, health: dict, slo: dict, slow: dict,
                      rates: Optional[dict] = None,
                      history: Optional[_History] = None,
-                     max_slow: int = 8,
                      tables: Optional[dict] = None) -> str:
     """One full dashboard frame as text (no screen control codes)."""
     rates = rates or {}
@@ -210,7 +212,7 @@ def render_dashboard(base_url: str, health: dict, slo: dict, slow: dict,
                 f"{row.get('occupancy', 0) * 100:>8.1f}%  "
                 f"{row.get('efficiency', 0):>10.3g}  "
                 f"{row.get('aliasing_ratio', 0) * 100:>7.1f}%")
-    slowest = (slow.get("slowest") or [])[:max_slow]
+    slowest = (slow.get("slowest") or [])[:_SLOW_ROWS]
     if slowest:
         lines.append("")
         lines.append(f"slowest requests (of {slow.get('observed', 0)} "

@@ -61,9 +61,16 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = ["new_trace_id", "format_trace_id", "parse_trace_id", "STAGES",
            "RequestTrace", "SlowRequestSampler", "TraceStore",
-           "render_trace_report", "percentile", "latency_summary"]
+           "render_trace_report", "percentile", "latency_summary",
+           "SLOW_K", "TRACE_CAPACITY"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Size of the slow-request sample (top-K by latency).
+SLOW_K = 32
+
+#: Completed spans kept per process for ``/trace``.
+TRACE_CAPACITY = 4096
 
 #: Per-process upper half of generated trace ids; the lower half is a
 #: sequence number, so ids stay unique within a process and collide
@@ -200,11 +207,8 @@ class TraceStore:
     the event loop appends while CLI/obs threads read.
     """
 
-    def __init__(self, capacity: int = 4096):
-        if capacity < 1:
-            raise ValueError(f"trace store capacity must be >= 1, "
-                             f"got {capacity}")
-        self.capacity = capacity
+    def __init__(self):
+        self.capacity = TRACE_CAPACITY
         self.stored = 0
         self._order: deque = deque()       # (trace_id, span) FIFO
         self._spans: Dict[int, List[dict]] = {}
@@ -305,10 +309,8 @@ class SlowRequestSampler:
     loop is still completing traces).
     """
 
-    def __init__(self, k: int = 32):
-        if k < 1:
-            raise ValueError(f"sampler size must be >= 1, got {k}")
-        self.k = k
+    def __init__(self):
+        self.k = SLOW_K
         self.observed = 0
         self._seq = itertools.count()
         self._heap: List[tuple] = []

@@ -22,6 +22,9 @@ __all__ = ["RunInfo", "list_runs", "find_run", "read_events",
            "prometheus_text", "snapshot_prometheus_text",
            "summary_text", "tail_text"]
 
+#: Span names the summary lists (the slowest first).
+_SUMMARY_SPANS = 12
+
 
 @dataclass(frozen=True)
 class RunInfo:
@@ -217,7 +220,7 @@ def prometheus_text(run: RunInfo) -> str:
 
 # -------------------------------------------------------------- summary
 
-def summary_text(run: RunInfo, max_spans: int = 12) -> str:
+def summary_text(run: RunInfo) -> str:
     """Human-readable digest: manifest header, span tree, key metrics."""
     manifest = run.manifest
     lines = [f"run {run.run_id}"]
@@ -247,7 +250,7 @@ def summary_text(run: RunInfo, max_spans: int = 12) -> str:
         for event in spans:
             counts[event.get("name", "?")] = counts.get(
                 event.get("name", "?"), 0) + 1
-        for event in ranked[:max_spans]:
+        for event in ranked[:_SUMMARY_SPANS]:
             name = event.get("name", "?")
             lines.append(f"  {name:<14} x{counts[name]:<5} "
                          f"max {event.get('duration_s', 0):.4f}s "

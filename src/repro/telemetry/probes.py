@@ -12,8 +12,8 @@ JSONL log.
 Every probe is a no-op unless a telemetry run is active, and the
 heavyweight ones (occupancy, aliasing, table usage, confidence replay
 a *fresh* predictor over the trace) are bounded to a prefix of
-:func:`probe_sample_limit` records so enabling telemetry scales the
-run's cost by a constant factor, not by the sweep size squared.
+:data:`SAMPLE_LIMIT` records so enabling telemetry scales the run's
+cost by a constant factor, not by the sweep size squared.
 
 The ``table_usage`` event is emitted once per (spec, trace) pair, by
 :func:`probe_table_usage` from the one place a spec's accuracy is
@@ -25,32 +25,18 @@ replays publish the exact same payload.
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.telemetry import run as _run
 from repro.telemetry.registry import registry
 
 __all__ = [
-    "probe_sample_limit", "record_accuracy", "probe_context_tables",
+    "SAMPLE_LIMIT", "record_accuracy", "probe_context_tables",
     "probe_table_usage", "probe_confidence", "record_vm_profile",
 ]
 
-_DEFAULT_SAMPLE_LIMIT = 8192
-
-
-def probe_sample_limit() -> int:
-    """Records replayed by table/alias/confidence probes
-    (``REPRO_TELEMETRY_SAMPLE``, default 8192; 0 disables the
-    heavyweight probes entirely)."""
-    env = os.environ.get("REPRO_TELEMETRY_SAMPLE")
-    if env:
-        limit = int(env)
-        if limit < 0:
-            raise ValueError(
-                f"REPRO_TELEMETRY_SAMPLE must be >= 0, got {limit}")
-        return limit
-    return _DEFAULT_SAMPLE_LIMIT
+#: Records replayed by the table, aliasing and confidence probes.
+SAMPLE_LIMIT = 8192
 
 
 # ------------------------------------------------------------- accuracy
@@ -90,9 +76,6 @@ def probe_context_tables(predictor_factory: Callable, trace) -> None:
     run = _run.active_run()
     if run is None:
         return
-    limit = probe_sample_limit()
-    if limit == 0:
-        return
     from repro.core.spec import PredictorSpec
     if (isinstance(predictor_factory, PredictorSpec)
             and predictor_factory.family not in ("fcm", "dfcm")):
@@ -106,7 +89,7 @@ def probe_context_tables(predictor_factory: Callable, trace) -> None:
         return
     if not run.once(("context_tables", probe.name, trace.name)):
         return
-    records = trace.records()[:limit]
+    records = trace.records()[:SAMPLE_LIMIT]
     if not records:
         return
     reg = registry()
@@ -168,17 +151,14 @@ def probe_table_usage(spec, trace) -> None:
     run = _run.active_run()
     if run is None:
         return
-    limit = probe_sample_limit()
-    if limit == 0:
-        return
     from repro.telemetry.tables import (AUDITED_FAMILIES, TableUsageAuditor,
                                         emit_table_usage)
     if spec.family not in AUDITED_FAMILIES:
         return
     if not run.once(("table_usage", spec.name, trace.name)):
         return
-    pcs = trace.pcs[:limit]
-    values = trace.values[:limit]
+    pcs = trace.pcs[:SAMPLE_LIMIT]
+    values = trace.values[:SAMPLE_LIMIT]
     if not len(pcs):
         return
     auditor = TableUsageAuditor(spec)
@@ -192,9 +172,6 @@ def probe_confidence(predictor_factory: Callable, trace) -> None:
     run = _run.active_run()
     if run is None:
         return
-    limit = probe_sample_limit()
-    if limit == 0:
-        return
     from repro.core.estimator import (ConfidentPredictor,
                                       CounterConfidencePredictor,
                                       measure_confidence)
@@ -203,7 +180,8 @@ def probe_confidence(predictor_factory: Callable, trace) -> None:
         probe = CounterConfidencePredictor(probe, 1 << 12)
     if not run.once(("confidence", probe.name, trace.name)):
         return
-    sample = trace if len(trace) <= limit else trace.head(limit)
+    sample = (trace if len(trace) <= SAMPLE_LIMIT
+              else trace.head(SAMPLE_LIMIT))
     if not len(sample):
         return
     outcome = measure_confidence(probe, sample)

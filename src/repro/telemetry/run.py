@@ -37,13 +37,15 @@ from repro.telemetry.registry import registry
 
 __all__ = ["TelemetryRun", "CollectorRun", "start_run", "finish_run",
            "active_run", "enabled", "telemetry_run", "detach_run",
-           "collecting_run"]
+           "collecting_run", "git_sha"]
 
 _ACTIVE_RUN: Optional["TelemetryRun"] = None
 _RUN_SEQ = 0
 
 
-def _git_sha() -> Optional[str]:
+def git_sha() -> Optional[str]:
+    """The checked-out commit of this source tree, or None outside a
+    git checkout."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -65,7 +67,6 @@ def _harness_config() -> dict:
         "trace_length": trace_len,
         "REPRO_TRACE_LEN": os.environ.get("REPRO_TRACE_LEN"),
         "REPRO_TRACE_CACHE": os.environ.get("REPRO_TRACE_CACHE"),
-        "REPRO_TELEMETRY_SAMPLE": os.environ.get("REPRO_TELEMETRY_SAMPLE"),
     }
 
 
@@ -95,7 +96,7 @@ class TelemetryRun:
             "started_unix": round(self.started_at, 6),
             "command": command,
             "argv": list(argv) if argv is not None else None,
-            "git_sha": _git_sha(),
+            "git_sha": git_sha(),
             "python": sys.version.split()[0],
             "platform": platform.platform(),
             "config": _harness_config(),

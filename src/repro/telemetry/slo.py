@@ -14,9 +14,10 @@ The :class:`SLOMonitor` keeps a time-bucketed tally per SLO and
 evaluates the classic two-window burn-rate rule: the *burn rate* over
 a window is ``error_rate / (1 - objective)`` (1.0 = consuming budget
 exactly as fast as allowed), and an alert fires only when **both** the
-fast and the slow window burn at ``burn_rate`` or more -- the fast
-window makes alerts quick to clear, the slow window keeps one
-stray slow request from paging anyone.
+fast (:data:`FAST_WINDOW_S`) and the slow (:data:`SLOW_WINDOW_S`)
+window burn at :data:`BURN_RATE` or more -- the fast window makes
+alerts quick to clear, the slow window keeps one stray slow request
+from paging anyone.
 
 The monitor is deliberately free of I/O and clocks it doesn't own
 (inject ``clock`` for tests); the serving layer wires it to telemetry
@@ -31,10 +32,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
-__all__ = ["SLO", "SLOMonitor", "default_serve_slos"]
+__all__ = ["SLO", "SLOMonitor", "default_serve_slos", "FAST_WINDOW_S",
+           "SLOW_WINDOW_S", "BURN_RATE"]
 
 #: The streams the serving layer feeds: request latency and queue depth.
 _KINDS = ("latency", "queue_depth")
+
+#: The two alerting windows, in seconds, and the burn rate both must
+#: reach for an SLO to alert.
+FAST_WINDOW_S = 60.0
+SLOW_WINDOW_S = 300.0
+BURN_RATE = 2.0
 
 
 @dataclass(frozen=True)
@@ -45,9 +53,6 @@ class SLO:
     kind: str                  # "latency" | "queue_depth"
     threshold: float           # seconds bound / depth cap
     objective: float = 0.99    # required good fraction
-    fast_window_s: float = 60.0
-    slow_window_s: float = 300.0
-    burn_rate: float = 2.0     # alert at >= this burn in BOTH windows
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -56,13 +61,6 @@ class SLO:
         if not 0.0 < self.objective < 1.0:
             raise ValueError(f"{self.name}: objective must be in (0, 1), "
                              f"got {self.objective}")
-        if self.fast_window_s <= 0 or self.slow_window_s < self.fast_window_s:
-            raise ValueError(
-                f"{self.name}: need 0 < fast_window_s <= slow_window_s, "
-                f"got {self.fast_window_s}/{self.slow_window_s}")
-        if self.burn_rate <= 0:
-            raise ValueError(f"{self.name}: burn_rate must be positive, "
-                             f"got {self.burn_rate}")
 
     @property
     def budget(self) -> float:
@@ -74,9 +72,9 @@ class SLO:
             "kind": self.kind,
             "threshold": self.threshold,
             "objective": self.objective,
-            "fast_window_s": self.fast_window_s,
-            "slow_window_s": self.slow_window_s,
-            "burn_rate": self.burn_rate,
+            "fast_window_s": FAST_WINDOW_S,
+            "slow_window_s": SLOW_WINDOW_S,
+            "burn_rate": BURN_RATE,
         }
 
 
@@ -102,7 +100,7 @@ class _Stream:
         self.total_bad += bad
 
     def prune(self, now: float) -> None:
-        horizon = now - self.slo.slow_window_s
+        horizon = now - SLOW_WINDOW_S
         entries = self.entries
         while entries and entries[0][0] < horizon:
             entries.popleft()
@@ -160,11 +158,11 @@ class SLOMonitor:
         for stream in self._streams.values():
             slo = stream.slo
             stream.prune(now)
-            fast_good, fast_bad = stream.window(slo.fast_window_s, now)
-            slow_good, slow_bad = stream.window(slo.slow_window_s, now)
+            fast_good, fast_bad = stream.window(FAST_WINDOW_S, now)
+            slow_good, slow_bad = stream.window(SLOW_WINDOW_S, now)
             fast_burn = _burn(fast_good, fast_bad, slo.budget)
             slow_burn = _burn(slow_good, slow_bad, slo.budget)
-            alert = fast_burn >= slo.burn_rate and slow_burn >= slo.burn_rate
+            alert = fast_burn >= BURN_RATE and slow_burn >= BURN_RATE
             if alert:
                 alerting.append(slo.name)
             statuses.append(dict(slo.describe(), **{
@@ -189,17 +187,12 @@ class SLOMonitor:
 
 
 def default_serve_slos(p99_latency_s: float = 0.25,
-                       queue_depth_ceiling: float = 512.0,
-                       fast_window_s: float = 60.0,
-                       slow_window_s: float = 300.0,
-                       burn_rate: float = 2.0) -> List[SLO]:
+                       queue_depth_ceiling: float = 512.0) -> List[SLO]:
     """The serving layer's stock objectives: request latency and queue
     depth."""
-    windows = {"fast_window_s": fast_window_s,
-               "slow_window_s": slow_window_s, "burn_rate": burn_rate}
     return [
         SLO(name="step_latency_p99", kind="latency",
-            threshold=p99_latency_s, objective=0.99, **windows),
+            threshold=p99_latency_s, objective=0.99),
         SLO(name="queue_depth", kind="queue_depth",
-            threshold=queue_depth_ceiling, objective=0.9, **windows),
+            threshold=queue_depth_ceiling, objective=0.9),
     ]

@@ -5,10 +5,9 @@ efficiently*: stride patterns collapse onto single level-2 entries,
 freeing capacity and cutting hash aliasing (sections 2.4 and 4.2).
 This module is the one place that quantifies table usage:
 
-- The paper's original per-figure analyses, moved here from their old
-  ``repro.core`` homes (which re-export them unchanged):
-  :func:`stride_occupancy` (Figures 6/9) and the
-  :class:`AliasingAnalyzer` five-way taxonomy (Figures 12-14).
+- The paper's original per-figure analyses: :func:`stride_occupancy`
+  (Figures 6/9) and the :class:`AliasingAnalyzer` five-way taxonomy
+  (Figures 12-14).
 - :class:`TableUsageAuditor` -- the general instrument: given a spec
   and a sampled ``(pc, value)`` stream it measures live occupancy,
   cold/dead-entry fractions, constructive-vs-destructive aliasing
@@ -34,8 +33,9 @@ vectorised accumulator (:class:`_LevelAudit`), so the resulting
 reports -- and the ``table_usage`` probe events built from them -- are
 *equal by construction*; ``tests/telemetry/test_table_parity.py``
 enforces it across families, cold and warm-started (chunked).
-Sampling is bounded by ``REPRO_TELEMETRY_SAMPLE`` exactly like the
-PR 2 probes (see :func:`repro.telemetry.probes.probe_sample_limit`).
+The ``table_usage`` probe audits a prefix of
+:data:`repro.telemetry.probes.SAMPLE_LIMIT` records, like the other
+heavyweight probes.
 """
 
 from __future__ import annotations

@@ -24,12 +24,11 @@ The cache must never be able to poison an experiment run:
   format-version field and a CRC-32 payload checksum; stale formats and
   bit-flips invalidate cleanly as cache misses.
 
-Every interaction is counted in :class:`CacheStats` (see
-:mod:`repro.trace.stats`): the process-global instance via
-:func:`repro.trace.stats.cache_stats`, plus any per-call instance the
-caller passes.  :func:`verify_cache` sweeps the directory checking
-integrity without materialising numpy payloads; :func:`warm_cache`
-pre-populates entries; :func:`cache_entries` lists them.
+Every interaction is counted once, in the registry's ``repro_cache_*``
+counters (see :mod:`repro.trace.stats`); :func:`cache_stats` reads
+them.  :func:`verify_cache` sweeps the directory checking integrity
+without materialising numpy payloads; :func:`warm_cache` pre-populates
+entries; :func:`cache_entries` lists them.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 
 from repro.core.state import quarantine_file
 from repro.trace.capture import capture_source
-from repro.trace.stats import CacheStats, cache_stats
+from repro.trace.stats import CacheStats, cache_stats, record_cache
 from repro.trace.trace import FORMAT_VERSION, TraceCacheError, ValueTrace
 from repro.workloads.registry import get_workload
 
@@ -79,16 +78,6 @@ def _cache_key(name: str, source: str, limit: Optional[int],
     return f"{name}-{part}-{digest}{suffix}"
 
 
-def _record(stats: Optional[CacheStats], **deltas) -> None:
-    """Bump counters on the global (registry-backed) stats and the
-    caller's per-call instance, if any."""
-    for target in (cache_stats(), stats):
-        if target is None:
-            continue
-        for key, delta in deltas.items():
-            target.add(key, delta)
-
-
 def quarantine_entry(path: Path) -> Path:
     """Move an unreadable entry aside as ``<name>.corrupt``.
 
@@ -103,8 +92,7 @@ def quarantine_entry(path: Path) -> Path:
 
 def cached_trace(name: str, limit: Optional[int] = 100_000,
                  cache_dir: Optional[Path] = None,
-                 optimize: int = 0,
-                 stats: Optional[CacheStats] = None) -> ValueTrace:
+                 optimize: int = 0) -> ValueTrace:
     """Trace of a registered workload, loaded from or saved to the cache.
 
     An unreadable cached entry is treated as a miss: it is quarantined
@@ -119,20 +107,20 @@ def cached_trace(name: str, limit: Optional[int] = 100_000,
         try:
             size = path.stat().st_size
             trace = ValueTrace.load(path)
-            _record(stats, hits=1, bytes_read=size)
+            record_cache(hits=1, bytes_read=size)
             return trace
         except TraceCacheError:
             quarantine_entry(path)
-            _record(stats, corrupt_quarantined=1, recaptures=1)
+            record_cache(corrupt_quarantined=1, recaptures=1)
     else:
-        _record(stats, misses=1)
+        record_cache(misses=1)
     started = time.perf_counter()
     trace = capture_source(workload.name, workload.source, limit,
                            optimize=optimize)
-    _record(stats, capture_seconds=time.perf_counter() - started)
+    record_cache(capture_seconds=time.perf_counter() - started)
     directory.mkdir(parents=True, exist_ok=True)
     trace.save(path)
-    _record(stats, bytes_written=path.stat().st_size)
+    record_cache(bytes_written=path.stat().st_size)
     return trace
 
 
@@ -229,8 +217,7 @@ class VerifyResult:
 
 
 def verify_cache(cache_dir: Optional[Path] = None,
-                 repair: bool = False,
-                 stats: Optional[CacheStats] = None) -> VerifyResult:
+                 repair: bool = False) -> VerifyResult:
     """Re-validate every entry in the cache.
 
     With ``repair=True``, defective entries are quarantined and — when
@@ -251,15 +238,14 @@ def verify_cache(cache_dir: Optional[Path] = None,
         if not repair:
             continue
         quarantine_entry(entry.path)
-        _record(stats, corrupt_quarantined=1)
-        if _recapture_entry(entry, directory, stats):
+        record_cache(corrupt_quarantined=1)
+        if _recapture_entry(entry, directory):
             repaired.append(entry.path)
     return VerifyResult(checked=len(entries), defects=defects,
                         repaired=repaired)
 
 
-def _recapture_entry(entry: CacheEntry, directory: Path,
-                     stats: Optional[CacheStats]) -> bool:
+def _recapture_entry(entry: CacheEntry, directory: Path) -> bool:
     """Recapture a quarantined entry if its key matches a live workload."""
     try:
         workload = get_workload(entry.benchmark)
@@ -269,17 +255,16 @@ def _recapture_entry(entry: CacheEntry, directory: Path,
                           entry.optimize) + ".npz"
     if expected != entry.path.name:
         return False  # stale key: the workload source has changed
-    _record(stats, recaptures=1)
+    record_cache(recaptures=1)
     cached_trace(entry.benchmark, entry.limit, cache_dir=directory,
-                 optimize=entry.optimize, stats=stats)
+                 optimize=entry.optimize)
     return True
 
 
 def warm_cache(names: Sequence[str], limit: Optional[int],
                cache_dir: Optional[Path] = None,
-               optimize: int = 0,
-               stats: Optional[CacheStats] = None) -> List[ValueTrace]:
+               optimize: int = 0) -> List[ValueTrace]:
     """Pre-populate cache entries for *names* at *limit* predictions."""
     return [cached_trace(name, limit, cache_dir=cache_dir,
-                         optimize=optimize, stats=stats)
+                         optimize=optimize)
             for name in names]

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.lang import compile_to_program
 from repro.telemetry import run as _telemetry_run
 from repro.telemetry.spans import span
-from repro.trace.stats import CacheStats
 from repro.trace.trace import ValueTrace
 from repro.vm import Machine
 from repro.vm.errors import ExecutionLimitExceeded
@@ -19,21 +17,18 @@ __all__ = ["capture_trace", "capture_source"]
 
 def capture_source(name: str, source: str, limit: Optional[int],
                    max_instructions: int = 500_000_000,
-                   optimize: int = 0,
-                   stats: Optional[CacheStats] = None) -> ValueTrace:
+                   optimize: int = 0) -> ValueTrace:
     """Compile MinC *source*, run it, return the value trace.
 
     ``limit`` bounds the number of captured predictions (the stand-in
     for the paper's 200M-instruction cut-off); None runs to completion.
     ``optimize`` selects the compiler's peephole level (0 or 1).
-    ``stats``, when given, accumulates the capture wall-clock time.
 
     With a telemetry run active the capture is wrapped in a ``capture``
     span and the VM runs with a sampling profile (retired instructions,
     opcode mix, syscall counts, hot PCs) emitted as a ``vm_profile``
     probe; otherwise the VM runs the plain, unhooked loop.
     """
-    started = time.perf_counter()
     with span("capture", benchmark=name, limit=limit,
               optimize=optimize) as sp:
         program = compile_to_program(source, optimize=optimize)
@@ -58,8 +53,6 @@ def capture_source(name: str, source: str, limit: Optional[int],
             sp.set("records", len(machine.trace))
     pcs = [pc for pc, _ in machine.trace]
     values = [value for _, value in machine.trace]
-    if stats is not None:
-        stats.add("capture_seconds", time.perf_counter() - started)
     return ValueTrace(name, pcs, values)
 
 

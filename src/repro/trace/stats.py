@@ -1,27 +1,24 @@
 """Cache observability: the counter set behind the trace cache.
 
-Every cache interaction (``cached_trace``, ``suite_traces``, the
-``repro cache`` CLI) is accounted twice: into the caller's optional
-per-call :class:`CacheStats` instance, and into the process-wide
-telemetry registry (:mod:`repro.telemetry.registry`) under the
-``repro_cache_*`` metric family -- so cache traffic shows up in
-``repro telemetry summary`` and the Prometheus export next to every
-other metric, with no second code path.
+Every cache interaction (``cached_trace``, ``verify_cache``,
+``warm_cache``) is counted once, in the process-wide telemetry
+registry (:mod:`repro.telemetry.registry`) under the ``repro_cache_*``
+metric family, so cache traffic shows up in ``repro telemetry
+summary`` and the Prometheus export next to every other metric.
 
-:func:`cache_stats` keeps its historical shape: it returns a live
-*view* (:class:`RegistryCacheStats`) whose attributes read the registry
-counters, so ``cache_stats().hits`` and ``cache_stats().render()``
-behave exactly as the old global dataclass did.
+:func:`cache_stats` reads those counters into a plain
+:class:`CacheStats`; the difference of two readings is the traffic
+in between (``repro cache verify|warm`` print the one for their own
+command).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-__all__ = ["CacheStats", "RegistryCacheStats", "cache_stats",
-           "reset_cache_stats"]
+__all__ = ["CacheStats", "cache_stats", "record_cache"]
 
-#: CacheStats field -> registry metric backing the global aggregate.
+#: CacheStats field -> registry metric that counts it.
 _METRIC_NAMES = {
     "hits": "repro_cache_hits_total",
     "misses": "repro_cache_misses_total",
@@ -45,9 +42,10 @@ _METRIC_HELP = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheStats:
-    """Counters for one or more trace-cache interactions.
+    """One reading of the trace-cache counters (a value: the counters
+    themselves change only through :func:`record_cache`).
 
     Attributes
     ----------
@@ -73,19 +71,11 @@ class CacheStats:
     bytes_written: int = 0
     capture_seconds: float = 0.0
 
-    def add(self, name: str, delta) -> None:
-        """Bump one counter by *delta* (the cache layer's entry point)."""
-        setattr(self, name, getattr(self, name) + delta)
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Add *other*'s counters into this instance (returns self)."""
-        for f in fields(CacheStats):
-            self.add(f.name, getattr(other, f.name))
-        return self
-
-    def reset(self) -> None:
-        for f in fields(CacheStats):
-            setattr(self, f.name, f.default)
+    def __sub__(self, other: "CacheStats") -> "CacheStats":
+        """The traffic between reading *other* and reading this."""
+        return CacheStats(**{f.name: getattr(self, f.name)
+                             - getattr(other, f.name)
+                             for f in fields(CacheStats)})
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name)
@@ -107,52 +97,19 @@ def _registry_counter(field_name: str):
                               _METRIC_HELP[field_name])
 
 
-class RegistryCacheStats(CacheStats):
-    """The process-global aggregate as a live registry view.
-
-    Subclasses :class:`CacheStats` for interface compatibility but
-    stores nothing itself: attribute reads pull the current
-    ``repro_cache_*`` counter values, :meth:`add` increments them, and
-    :meth:`reset` zeroes them.  ``capture_seconds`` keeps its float
-    precision; the other counters read back as ints, as before.
-    """
-
-    def __init__(self):  # no per-instance state; the registry holds it
-        pass
-
-    def __getattribute__(self, name):
-        if name in _METRIC_NAMES:
-            value = _registry_counter(name).value()
-            return value if name == "capture_seconds" else int(value)
-        return object.__getattribute__(self, name)
-
-    def __setattr__(self, name, value):
-        if name in _METRIC_NAMES:
-            raise AttributeError(
-                f"the global cache stats are registry-backed; use "
-                f".add({name!r}, delta) or reset_cache_stats()")
-        object.__setattr__(self, name, value)
-
-    def add(self, name: str, delta) -> None:
-        if name not in _METRIC_NAMES:
-            raise AttributeError(f"unknown cache counter {name!r}")
+def record_cache(**deltas) -> None:
+    """Add each ``field=delta`` to its registry counter (the cache
+    layer's one entry point)."""
+    for name, delta in deltas.items():
         _registry_counter(name).inc(delta)
-
-    def reset(self) -> None:
-        from repro.telemetry.registry import registry
-        for metric_name in _METRIC_NAMES.values():
-            registry().reset(metric_name)
-
-
-#: Process-wide aggregate: a view over the telemetry registry.
-_GLOBAL_STATS = RegistryCacheStats()
 
 
 def cache_stats() -> CacheStats:
-    """The process-global cache counters (registry-backed view)."""
-    return _GLOBAL_STATS
-
-
-def reset_cache_stats() -> None:
-    """Zero the process-global cache counters."""
-    _GLOBAL_STATS.reset()
+    """The process-global cache counters, read from the registry.
+    ``capture_seconds`` keeps its float precision; the other counters
+    read back as ints."""
+    values = {}
+    for name in _METRIC_NAMES:
+        value = _registry_counter(name).value()
+        values[name] = value if name == "capture_seconds" else int(value)
+    return CacheStats(**values)

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from repro.harness import bench as bench_module
 from repro.harness.bench import (MIN_SPEEDUP, bench_specs, render_bench,
-                                 resolve_min_speedup, run_bench,
-                                 write_report)
+                                 run_bench, write_report)
 from tests.conftest import repeating_trace, stride_trace
 
 
@@ -14,7 +14,7 @@ from tests.conftest import repeating_trace, stride_trace
 def report():
     traces = [stride_trace("a", 0x1000, 0, 3, 2000),
               repeating_trace("b", 0x2000, [5, 9, 2, 7], 500)]
-    return run_bench(traces=traces, fast=True, repeats=1)
+    return run_bench(traces=traces, fast=True)
 
 
 class TestBenchSpecs:
@@ -30,27 +30,20 @@ class TestBenchSpecs:
 
 
 class TestMinSpeedup:
-    def test_default(self):
-        assert resolve_min_speedup() == MIN_SPEEDUP
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_MIN_SPEEDUP", "9")
-        assert resolve_min_speedup(2.5) == 2.5
+    def test_default(self, report):
+        assert report["guard"]["min_speedup"] == MIN_SPEEDUP == 5.0
 
     def test_environment_is_ignored(self, monkeypatch):
-        # --min-speedup is the one way to set the threshold.
+        # The threshold is a constant: no variable sets it.
         monkeypatch.setenv("REPRO_BENCH_MIN_SPEEDUP", "banana")
-        assert resolve_min_speedup() == MIN_SPEEDUP == 5.0
-
-    @pytest.mark.parametrize("value", [0, -1.5])
-    def test_non_positive_rejected(self, value):
-        with pytest.raises(ValueError, match="positive"):
-            resolve_min_speedup(value)
-
-    def test_threshold_recorded_in_report(self):
         traces = [stride_trace("t", 0x1000, 0, 3, 1500)]
-        report = run_bench(traces=traces, fast=True, repeats=1,
-                           min_speedup=0.01)
+        report = run_bench(traces=traces, fast=True)
+        assert report["guard"]["min_speedup"] == 5.0
+
+    def test_threshold_recorded_in_report(self, monkeypatch):
+        monkeypatch.setattr(bench_module, "MIN_SPEEDUP", 0.01)
+        traces = [stride_trace("t", 0x1000, 0, 3, 1500)]
+        report = run_bench(traces=traces, fast=True)
         assert report["guard"]["min_speedup"] == 0.01
         assert "0.01x" in render_bench(report)
 

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.core.spec import StrideSpec
+from repro.serve import batcher as batcher_module
 from repro.serve.batcher import MicroBatcher, WorkItem
 from repro.serve.session import Session
 
@@ -13,18 +14,14 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def make_item(loop, session_id, *, run_fn=None, fuse_key=None,
-              pcs=(), values=()):
+def make_item(loop, session_id, *, run_fn=None, pcs=(), values=()):
+    """A STEP item (records, no ``run_fn``) or, with ``run_fn``, any
+    other request."""
     return WorkItem(session_id=session_id, future=loop.create_future(),
-                    run=run_fn, fuse_key=fuse_key,
-                    pcs=list(pcs), values=list(values))
+                    run=run_fn, pcs=list(pcs), values=list(values))
 
 
 class TestValidation:
-    def test_bad_max_batch(self):
-        with pytest.raises(ValueError, match="max_batch"):
-            MicroBatcher(max_batch=0)
-
     def test_bad_queue_depth(self):
         with pytest.raises(ValueError, match="queue_depth"):
             MicroBatcher(queue_depth=0)
@@ -34,7 +31,7 @@ class TestNextBatch:
     def test_collects_everything_available(self):
         async def body():
             loop = asyncio.get_running_loop()
-            batcher = MicroBatcher(max_batch=64)
+            batcher = MicroBatcher()
             for i in range(5):
                 await batcher.submit(make_item(loop, i))
             batch = await batcher.next_batch()
@@ -43,10 +40,12 @@ class TestNextBatch:
             assert batcher.items == 5
         run(body())
 
-    def test_caps_at_max_batch(self):
+    def test_caps_at_max_batch(self, monkeypatch):
+        monkeypatch.setattr(batcher_module, "MAX_BATCH", 3)
+
         async def body():
             loop = asyncio.get_running_loop()
-            batcher = MicroBatcher(max_batch=3)
+            batcher = MicroBatcher()
             for i in range(5):
                 await batcher.submit(make_item(loop, i))
             assert len(await batcher.next_batch()) == 3
@@ -81,8 +80,7 @@ class TestNextBatch:
                       ([12], [5])]
 
             def step(pcs, values):
-                return make_item(loop, 1, fuse_key="step", pcs=pcs,
-                                 values=values)
+                return make_item(loop, 1, pcs=pcs, values=values)
 
             async def arrive_while_busy():
                 for pcs, values in blocks[1:]:
@@ -108,12 +106,13 @@ class TestNextBatch:
 
 class TestFusion:
     def test_adjacent_matching_keys_fuse(self):
+        # Adjacent STEP items fuse; an item with a run is a fence.
         loop = asyncio.new_event_loop()
         try:
-            items = [make_item(loop, 1, fuse_key="step"),
-                     make_item(loop, 1, fuse_key="step"),
+            items = [make_item(loop, 1, pcs=[4], values=[1]),
+                     make_item(loop, 1, pcs=[4], values=[2]),
                      make_item(loop, 1, run_fn=lambda s: "fence"),
-                     make_item(loop, 1, fuse_key="step")]
+                     make_item(loop, 1, pcs=[4], values=[3])]
             runs = MicroBatcher._fuse_runs(items)
             assert [len(r) for r in runs] == [2, 1, 1]
         finally:
@@ -139,9 +138,9 @@ class TestExecute:
             session = Session(1, StrideSpec(64))
             reference = Session(2, StrideSpec(64))
             items = [
-                make_item(loop, 1, fuse_key="step", pcs=[4, 8],
+                make_item(loop, 1, pcs=[4, 8],
                           values=[10, 20]),
-                make_item(loop, 1, fuse_key="step", pcs=[4],
+                make_item(loop, 1, pcs=[4],
                           values=[17]),
             ]
             batcher.execute(items, {1: session})
@@ -169,8 +168,8 @@ class TestExecute:
         async def body():
             loop = asyncio.get_running_loop()
             batcher = MicroBatcher()
-            bad = make_item(loop, 9, fuse_key="step", pcs=[1], values=[2])
-            ok = make_item(loop, 1, fuse_key="step", pcs=[4], values=[7])
+            bad = make_item(loop, 9, pcs=[1], values=[2])
+            ok = make_item(loop, 1, pcs=[4], values=[7])
             batcher.execute([bad, ok], {1: Session(1, StrideSpec(64))})
             with pytest.raises(KeyError):
                 bad.future.result()
@@ -182,7 +181,7 @@ class TestExecute:
         async def body():
             loop = asyncio.get_running_loop()
             batcher = MicroBatcher()
-            item = make_item(loop, 1, fuse_key="step", pcs=[4], values=[7])
+            item = make_item(loop, 1, pcs=[4], values=[7])
             item.future.cancel()
             batcher.execute([item], {1: Session(1, StrideSpec(64))})
             assert item.future.cancelled()

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.spec import DFCMSpec
+from repro.serve import client as client_module
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import ServerThread
@@ -44,13 +45,9 @@ def start_server(port, state_dir):
 
 
 class TestBackoffSchedule:
-    def make_client(self, **kwargs):
+    def make_client(self):
         # No live server needed to test the schedule arithmetic.
-        client = ServeClient.__new__(ServeClient)
-        client.reconnect_backoff = kwargs.get("reconnect_backoff", 0.05)
-        client.reconnect_backoff_max = kwargs.get(
-            "reconnect_backoff_max", 2.0)
-        return client
+        return ServeClient.__new__(ServeClient)
 
     def test_exponential_then_capped(self, monkeypatch):
         delays = []
@@ -64,7 +61,8 @@ class TestBackoffSchedule:
     def test_zero_base_never_sleeps(self, monkeypatch):
         called = []
         monkeypatch.setattr(time, "sleep", called.append)
-        client = self.make_client(reconnect_backoff=0.0)
+        monkeypatch.setattr(client_module, "_BACKOFF_S", 0.0)
+        client = self.make_client()
         client._backoff(1)
         client._backoff(5)
         assert called == []
@@ -84,8 +82,7 @@ class TestTransparentReconnect:
         port = free_port()
         proc = start_server(port, tmp_path)
         try:
-            client = ServeClient("127.0.0.1", port, reconnect=20,
-                                 reconnect_backoff=0.05)
+            client = ServeClient("127.0.0.1", port, reconnect=20)
             sid = client.open_session(spec)
             client.step(sid, 0x400, 1)
             proc.kill()
@@ -119,7 +116,7 @@ class TestTransparentReconnect:
             assert client.reconnects == 0
             client.close()
 
-    def test_resent_frame_keeps_its_trace_id(self):
+    def test_resent_frame_keeps_its_trace_id(self, monkeypatch):
         """Trace continuity across reconnect: the frame re-sent after
         a torn connection must carry the *original* trace id, so the
         spans it leaves on both sides of the tear stay one trace."""
@@ -169,8 +166,8 @@ class TestTransparentReconnect:
         server = threading.Thread(target=serve, daemon=True)
         server.start()
         try:
-            client = ServeClient("127.0.0.1", port, reconnect=5,
-                                 reconnect_backoff=0.01)
+            monkeypatch.setattr(client_module, "_BACKOFF_S", 0.01)
+            client = ServeClient("127.0.0.1", port, reconnect=5)
             frame = client.request(protocol.FrameType.STATS,
                                    protocol.encode_session_op(0))
             assert protocol.decode_json_body(frame.body) == {"ok": True}

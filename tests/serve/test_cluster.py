@@ -25,6 +25,7 @@ from repro.harness.simulate import measure_accuracy
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.cluster import ClusterThread
+from repro.serve.cluster import router as router_module
 from repro.serve.session import Session
 from repro.trace.trace import ValueTrace
 
@@ -214,7 +215,7 @@ class TestFailover:
         want = offline_hits(spec, pcs, values)
         with ClusterThread(workers=3, state_dir=str(tmp_path),
                            obs_port=0,
-                           router_kwargs={"auto_restart": False}) \
+                           auto_restart=False) \
                 as cluster:
             with ServeClient("127.0.0.1", cluster.port) as client:
                 sids = [client.open_session(spec) for _ in range(6)]
@@ -259,13 +260,12 @@ class TestFailover:
                 assert stats["sessions_lost_total"] == 0
                 assert stats["migrations_total"] >= 1
 
-    def test_auto_restart_brings_sessions_home(self, tmp_path):
+    def test_auto_restart_brings_sessions_home(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(router_module, "_TICK_S", 0.1)
         spec = DFCMSpec(64, 256)
         pcs, values = workload(200)
         with ClusterThread(workers=2, state_dir=str(tmp_path),
-                           obs_port=0,
-                           router_kwargs={"tick_interval": 0.1}) \
-                as cluster:
+                           obs_port=0) as cluster:
             with ServeClient("127.0.0.1", cluster.port) as client:
                 sids = [client.open_session(spec) for _ in range(4)]
                 for s in sids:
@@ -311,7 +311,7 @@ class TestFailover:
         want = offline_hits(spec, pcs, values)
         with ClusterThread(workers=2, state_dir=str(tmp_path),
                            obs_port=0,
-                           router_kwargs={"auto_restart": False}) \
+                           auto_restart=False) \
                 as cluster:
             with ServeClient("127.0.0.1", cluster.port,
                              timeout=60.0) as client:
@@ -360,18 +360,17 @@ class TestDrainRestart:
 
 
 class TestResponsePath:
-    def test_stalled_worker_times_out_and_the_block_still_runs(self,
-                                                               caplog):
+    def test_stalled_worker_times_out_and_the_block_still_runs(
+            self, caplog, monkeypatch):
         # The worker is stopped with the block in flight: the router
-        # answers TIMEOUT once request_timeout has passed, keeps the
-        # frame pending, and drops the worker's late reply.  The block
-        # still executed, as the next one's predictions show.
+        # answers TIMEOUT once its request timeout has passed, keeps
+        # the frame pending, and drops the worker's late reply.  The
+        # block still executed, as the next one's predictions show.
+        monkeypatch.setattr(router_module, "_REQUEST_TIMEOUT_S", 0.5)
         spec = DFCMSpec(64, 256)
         blocks = [workload(16, seed) for seed in range(2)]
         caplog.set_level(logging.ERROR, logger="asyncio")
-        with ClusterThread(workers=1,
-                           router_kwargs={"request_timeout": 0.5}) \
-                as cluster, \
+        with ClusterThread(workers=1) as cluster, \
                 ServeClient("127.0.0.1", cluster.port) as client:
             sid = client.open_session(spec)
             worker_pid = cluster.supervisor.handles[0].pid

@@ -119,14 +119,6 @@ class TestRunLoadgen:
             run_loadgen(DFCMSpec(64, 256), make_trace(), "127.0.0.1", 1,
                         block=0)
 
-    def test_no_verify_skips_offline_replay(self):
-        spec = DFCMSpec(256, 1024)
-        with ServerThread() as server:
-            report = run_loadgen(spec, make_trace(120), "127.0.0.1",
-                                 server.port, mode="naive", verify=False)
-        assert "verify" not in report
-        assert report["modes"]["naive"]["records"] == 120
-
     def test_zero_copy_large_blocks_parity(self):
         # Blocks of 1024 records put ~8 KiB frames on the wire in both
         # directions -- larger than the reader's initial receive buffer

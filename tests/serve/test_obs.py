@@ -168,7 +168,7 @@ class TestScrapeUnderTraffic:
             thread.start()
             report = run_loadgen(DFCMSpec(256, 1024), make_trace(600),
                                  "127.0.0.1", server.port, mode="batched",
-                                 block=64, verify=False)
+                                 block=64)
             # One scrape strictly after the traffic, before shutdown.
             _, _, final_text = http_get(server.obs_port, "/metrics")
             _, _, final_health = http_get(server.obs_port, "/healthz")
@@ -313,11 +313,10 @@ class TestTraceVisibility:
 class TestBurnRateDegrade:
     def test_latency_breach_flips_healthz_degraded(self):
         # A 0-second latency bound every data request must violate,
-        # against a 50% objective: burn = 1/0.5 = 2 >= burn_rate in
+        # against a 50% objective: burn = 1/0.5 = 2 >= BURN_RATE in
         # both windows as soon as requests flow.
         slo = SLO(name="latency_breach", kind="latency", threshold=0.0,
-                  objective=0.5, fast_window_s=5.0, slow_window_s=10.0,
-                  burn_rate=1.0)
+                  objective=0.5)
         with ServerThread(obs_port=0, slos=[slo]) as server:
             with ServeClient(port=server.port) as client:
                 session = client.open_session(StrideSpec(64))
@@ -415,7 +414,7 @@ class TestOverheadGuard:
             with ServerThread(**kwargs) as server:
                 report = run_loadgen(spec, trace, "127.0.0.1",
                                      server.port, mode="batched",
-                                     block=512, verify=False)
+                                     block=512)
             return report["modes"]["batched"]["records_per_s"]
 
         base = observed = 0.0

@@ -187,7 +187,7 @@ class TestConcurrency:
 
     def test_pipelined_steps_fuse(self):
         # STEPs pipelined while the worker is busy queue up behind it;
-        # once free, the worker takes them as batches of max_batch (64)
+        # once free, the worker takes them as batches of MAX_BATCH (64)
         # and fuses each into one kernel call.
         with ServerThread() as server, \
                 ServeClient(port=server.port) as client:

@@ -157,7 +157,7 @@ class TestFailoverTrace:
         pcs, values = workload(200)
         with ClusterThread(workers=2, state_dir=str(tmp_path),
                            obs_port=0,
-                           router_kwargs={"auto_restart": False}) \
+                           auto_restart=False) \
                 as cluster:
             with ServeClient("127.0.0.1", cluster.port,
                              timeout=60.0) as client:
@@ -357,17 +357,18 @@ class TestScaleEndpoint:
 
 
 class TestSoakHarness:
-    def test_short_soak_passes_its_gates(self):
+    def test_short_soak_passes_its_gates(self, monkeypatch):
+        from repro.serve.cluster import soak
         from repro.serve.cluster.soak import render_soak, run_soak
         from repro.trace.trace import ValueTrace
 
+        monkeypatch.setattr(soak, "_POLL_INTERVAL_S", 0.5)
         pcs, values = workload(240)
         trace = ValueTrace("soak-test",
                            np.asarray(pcs, dtype=np.uint32),
                            np.asarray(values, dtype=np.uint32))
         report = run_soak(DFCMSpec(64, 256), trace, workers=2,
-                          sessions=2, duration_s=2.0, block=64,
-                          poll_interval_s=0.5)
+                          sessions=2, duration_s=2.0, block=64)
         assert report["kind"] == "cluster_soak"
         assert report["passes"] >= 2
         assert report["parity_ok"] is True

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.serve import tracing
 from repro.serve.tracing import (STAGES, RequestTrace, SlowRequestSampler,
                                  TraceStore, format_trace_id, new_trace_id,
                                  parse_trace_id, render_trace_report)
@@ -113,8 +114,9 @@ def offer(sampler, trace):
 
 
 class TestSlowRequestSampler:
-    def test_keeps_top_k_by_latency(self):
-        sampler = SlowRequestSampler(k=3)
+    def test_keeps_top_k_by_latency(self, monkeypatch):
+        monkeypatch.setattr(tracing, "SLOW_K", 3)
+        sampler = SlowRequestSampler()
         for i, latency in enumerate([0.01, 0.05, 0.02, 0.09, 0.001]):
             offer(sampler, make_trace(trace_id=i + 1, latency=latency))
         snap = sampler.snapshot()
@@ -125,24 +127,20 @@ class TestSlowRequestSampler:
         assert latencies == pytest.approx([90.0, 50.0, 20.0])
 
     def test_fills_below_k(self):
-        sampler = SlowRequestSampler(k=8)
+        sampler = SlowRequestSampler()
         offer(sampler, make_trace(latency=0.01))
         snap = sampler.snapshot()
         assert snap["observed"] == 1
         assert len(snap["slowest"]) == 1
 
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            SlowRequestSampler(k=0)
-
     def test_snapshot_is_json_able(self):
         import json
-        sampler = SlowRequestSampler(k=2)
+        sampler = SlowRequestSampler()
         offer(sampler, make_trace(latency=0.01))
         json.dumps(sampler.snapshot())
 
     def test_accepts_router_traces(self):
-        sampler = SlowRequestSampler(k=2)
+        sampler = SlowRequestSampler()
         offer(sampler, make_router_trace(latency=0.5))
         entry = sampler.snapshot()["slowest"][0]
         assert entry["source"] == "router"
@@ -233,19 +231,20 @@ class TestRouterTrace:
 
 class TestTraceStore:
     def test_put_get_round_trip(self):
-        store = TraceStore(capacity=8)
+        store = TraceStore()
         store.put(5, {"trace_id": "05", "latency_ms": 1.0})
         assert store.get(5) == [{"trace_id": "05", "latency_ms": 1.0}]
         assert store.get(6) == []
 
     def test_multiple_spans_per_id_in_order(self):
-        store = TraceStore(capacity=8)
+        store = TraceStore()
         store.put(5, {"n": 1})
         store.put(5, {"n": 2})
         assert [s["n"] for s in store.get(5)] == [1, 2]
 
-    def test_capacity_evicts_oldest_first(self):
-        store = TraceStore(capacity=3)
+    def test_capacity_evicts_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(tracing, "TRACE_CAPACITY", 3)
+        store = TraceStore()
         for i in range(5):
             store.put(i, {"n": i})
         assert len(store) == 3
@@ -253,8 +252,10 @@ class TestTraceStore:
         assert store.get(4) == [{"n": 4}]
         assert store.stored == 5
 
-    def test_eviction_drops_only_the_oldest_span_of_an_id(self):
-        store = TraceStore(capacity=2)
+    def test_eviction_drops_only_the_oldest_span_of_an_id(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(tracing, "TRACE_CAPACITY", 2)
+        store = TraceStore()
         store.put(5, {"n": 1})
         store.put(5, {"n": 2})
         store.put(6, {"n": 3})
@@ -269,7 +270,7 @@ class TestTraceStore:
         assert store.lookup(0xAB)["found"] is True
 
     def test_dump_limit_keeps_newest(self):
-        store = TraceStore(capacity=8)
+        store = TraceStore()
         for i in range(5):
             store.put(i, {"n": i})
         dump = store.dump(limit=2)
@@ -282,10 +283,6 @@ class TestTraceStore:
         store.put(1, {"n": 1})
         store.get(1)[0]["n"] = 99
         assert store.get(1) == [{"n": 1}]
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            TraceStore(capacity=0)
 
 
 class TestRenderTraceReport:

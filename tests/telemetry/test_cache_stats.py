@@ -1,19 +1,19 @@
-"""The global cache stats as a registry view (trace/stats re-plumb)."""
+"""The trace-cache counters live in the registry; readings are plain
+CacheStats values."""
 
 import pytest
 
 from repro.telemetry.registry import registry
-from repro.trace.stats import (CacheStats, RegistryCacheStats, cache_stats,
-                               reset_cache_stats)
+from repro.trace.stats import CacheStats, cache_stats, record_cache
 
 
 class TestRegistryView:
     def test_cache_stats_reads_registry_counters(self):
         stats = cache_stats()
-        assert isinstance(stats, RegistryCacheStats)
+        assert isinstance(stats, CacheStats)
         assert stats.hits == 0
-        stats.add("hits", 2)
-        stats.add("bytes_read", 100)
+        record_cache(hits=2, bytes_read=100)
+        stats = cache_stats()
         assert stats.hits == 2
         assert stats.bytes_read == 100
         assert registry().counter("repro_cache_hits_total").value() == 2
@@ -25,9 +25,8 @@ class TestRegistryView:
         assert cache_stats().misses == 3
 
     def test_counts_read_back_as_ints_seconds_as_float(self):
+        record_cache(hits=1, capture_seconds=0.25)
         stats = cache_stats()
-        stats.add("hits", 1)
-        stats.add("capture_seconds", 0.25)
         assert isinstance(stats.hits, int)
         assert stats.capture_seconds == pytest.approx(0.25)
 
@@ -36,20 +35,11 @@ class TestRegistryView:
             cache_stats().hits = 5
 
     def test_unknown_counter_rejected(self):
-        with pytest.raises(AttributeError):
-            cache_stats().add("frobs", 1)
-
-    def test_reset_cache_stats_zeroes_only_cache_metrics(self):
-        cache_stats().add("hits", 4)
-        other = registry().counter("unrelated_total")
-        other.inc(9)
-        reset_cache_stats()
-        assert cache_stats().hits == 0
-        assert other.value() == 9
+        with pytest.raises(KeyError):
+            record_cache(frobs=1)
 
     def test_render_keeps_historical_shape(self):
-        cache_stats().add("hits", 1)
-        cache_stats().add("misses", 2)
+        record_cache(hits=1, misses=2)
         text = cache_stats().render()
         assert "hits=1" in text and "misses=2" in text
         assert "capture_seconds=0.00" in text
@@ -57,13 +47,14 @@ class TestRegistryView:
 
 class TestPerCallInstances:
     def test_plain_instances_stay_local(self):
-        local = CacheStats()
-        local.add("hits", 3)
+        local = CacheStats(hits=3)
         assert local.hits == 3
         assert registry().counter("repro_cache_hits_total").value() == 0
 
-    def test_merge(self):
-        a = CacheStats(hits=1, bytes_read=10)
-        b = CacheStats(hits=2, misses=5)
-        a.merge(b)
-        assert a.hits == 3 and a.misses == 5 and a.bytes_read == 10
+    def test_difference_of_two_readings(self):
+        record_cache(hits=4, bytes_read=10)
+        before = cache_stats()
+        record_cache(hits=2, misses=1, capture_seconds=0.5)
+        delta = cache_stats() - before
+        assert (delta.hits, delta.misses, delta.bytes_read) == (2, 1, 0)
+        assert delta.capture_seconds == pytest.approx(0.5)

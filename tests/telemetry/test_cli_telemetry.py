@@ -152,8 +152,9 @@ class TestTelemetrySubcommand:
         assert code == 0
         assert run_dir.name in text
 
-    def test_missing_root_exits_1(self, tmp_path):
+    def test_missing_root_exits_1(self, tmp_path, capsys):
         code, text = run_cli("telemetry", "summary", "--dir",
                              str(tmp_path / "nope"))
         assert code == 1
-        assert "no telemetry runs" in text
+        assert text == ""
+        assert "error: no telemetry runs" in capsys.readouterr().err

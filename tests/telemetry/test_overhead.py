@@ -127,16 +127,17 @@ def test_disabled_measure_accuracy_within_5_percent():
 
 def test_disabled_batch_probe_within_5_percent():
     """The batch-path guard: with no telemetry run active, a full
-    BatchEngine counting run (kernel probe attribute check + the
-    table-usage gating in ``run()``) must be within 5% of a bare
-    kernel invocation -- the pre-probe hot path."""
+    ``BatchEngine.run`` counting run (its ``supports`` check, the
+    dtype conversions and the result wrapping) must be within 5% of a
+    bare kernel call on the same converted arrays.  The kernel's probe
+    attribute check runs inside the kernel, on both sides."""
     assert not enabled()
     spec = DFCMSpec(1 << 10, 1 << 10)
     trace = build_trace()
 
     def bare_kernel():
-        # run() verbatim, minus _maybe_probe_tables: the dtype
-        # conversions belong to the pre-probe hot path as well.
+        # The kernel call of run(), with its dtype conversions but
+        # without the supports check and the EngineResult wrapping.
         ctx = _KernelContext(trace.pcs.astype(np.int64),
                              trace.values.astype(np.int64))
         _, correct, _ = _KERNELS[spec.family](spec, ctx, None,
@@ -153,8 +154,8 @@ def test_disabled_batch_probe_within_5_percent():
     def instrumented(_):
         assert engine.run(spec, trace).correct == expected
 
-    # One part, the whole trace: each run() call pays its gating once,
-    # so cutting the trace would multiply what is being measured.  A
+    # One part, the whole trace: each run() call pays its wrapping
+    # once, so cutting the trace would multiply what is being measured.  A
     # pair costs ~30 ms here, so the cap on passes is higher.
     ratio, pairs = overhead_ratio(lambda: (baseline, instrumented), 1,
                                   max_passes=4 * MAX_PAIRS)

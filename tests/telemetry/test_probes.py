@@ -4,8 +4,8 @@ import json
 
 from repro.core.dfcm import DFCMPredictor
 from repro.core.stride import StridePredictor
-from repro.telemetry.probes import (probe_confidence, probe_context_tables,
-                                    probe_sample_limit, record_accuracy,
+from repro.telemetry.probes import (SAMPLE_LIMIT, probe_confidence,
+                                    probe_context_tables, record_accuracy,
                                     record_vm_profile)
 from repro.telemetry.registry import registry
 from repro.telemetry.run import finish_run
@@ -32,11 +32,15 @@ class TestDisabledProbesAreNoops:
         assert registry().get("repro_l2_stride_entries_used") is None \
             or not registry().get("repro_l2_stride_entries_used").samples()
 
-    def test_sample_limit_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY_SAMPLE", raising=False)
-        assert probe_sample_limit() == 8192
+    def test_sample_limit_default_and_env(self, active_run, monkeypatch):
+        # The bound is a constant: the environment does not move it.
+        assert SAMPLE_LIMIT == 8192
         monkeypatch.setenv("REPRO_TELEMETRY_SAMPLE", "100")
-        assert probe_sample_limit() == 100
+        trace = repeating_trace("ctx", 0x1000, list(range(7)), 40)
+        probe_confidence(dfcm_factory, trace)
+        [event] = [e for e in closed_events(active_run)
+                   if e.get("probe") == "confidence"]
+        assert event["sampled_records"] == len(trace) == 280
 
 
 class TestContextTableProbe:
@@ -73,13 +77,6 @@ class TestContextTableProbe:
         events = closed_events(active_run)
         occupancy = [e for e in events if e.get("probe") == "l2_occupancy"]
         assert len(occupancy) == 1
-
-    def test_sample_limit_zero_disables(self, active_run, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY_SAMPLE", "0")
-        trace = repeating_trace("ctx", 0x1000, [1, 2, 3], 30)
-        probe_context_tables(dfcm_factory, trace)
-        assert not [e for e in closed_events(active_run)
-                    if e["type"] == "probe"]
 
 
 class TestConfidenceProbe:

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.telemetry.slo import SLO, SLOMonitor, default_serve_slos
+from repro.telemetry.slo import (BURN_RATE, FAST_WINDOW_S, SLO, SLOW_WINDOW_S,
+                                 SLOMonitor, default_serve_slos)
 
 
 def make_slo(**overrides):
     base = dict(name="lat", kind="latency", threshold=0.1,
-                objective=0.99, fast_window_s=10.0, slow_window_s=60.0,
-                burn_rate=2.0)
+                objective=0.99)
     base.update(overrides)
     return SLO(**base)
 
@@ -34,18 +34,6 @@ class TestSLOValidation:
         with pytest.raises(ValueError, match="objective"):
             make_slo(objective=objective)
 
-    def test_windows_must_be_ordered(self):
-        with pytest.raises(ValueError, match="window"):
-            make_slo(fast_window_s=60.0, slow_window_s=10.0)
-
-    def test_fast_window_must_be_positive(self):
-        with pytest.raises(ValueError, match="window"):
-            make_slo(fast_window_s=0.0)
-
-    def test_burn_rate_must_be_positive(self):
-        with pytest.raises(ValueError, match="burn_rate"):
-            make_slo(burn_rate=0.0)
-
     def test_kind_must_be_a_fed_stream(self):
         # Only latency and queue depth are fed; an objective of any
         # other kind would never receive a sample.
@@ -58,6 +46,9 @@ class TestSLOValidation:
         assert desc["kind"] == "latency"
         assert desc["threshold"] == 0.1
         assert desc["objective"] == 0.99
+        # The /slo body still reports the alerting windows.
+        assert (desc["fast_window_s"], desc["slow_window_s"],
+                desc["burn_rate"]) == (60.0, 300.0, 2.0)
 
 
 class TestBurnRates:
@@ -101,7 +92,7 @@ class TestTwoWindowAlerting:
         monitor = SLOMonitor([make_slo(objective=0.9)], clock=clock)
         # A long healthy history dilutes the slow window...
         monitor.record("lat", good=1000)
-        clock.advance(15.0)  # ...outside the 10s fast window.
+        clock.advance(75.0)  # ...outside the 60s fast window.
         monitor.record("lat", good=0, bad=10)
         (status,) = monitor.evaluate()
         assert status["fast_burn"] >= 2.0
@@ -118,7 +109,7 @@ class TestTwoWindowAlerting:
         assert monitor.alerting() == ["lat"]
         assert not monitor.healthy
         # Errors age past the fast window: alert clears quickly.
-        clock.advance(15.0)
+        clock.advance(75.0)
         monitor.record("lat", good=100)
         (status,) = monitor.evaluate()
         assert not status["alerting"]
@@ -128,7 +119,7 @@ class TestTwoWindowAlerting:
         clock = FakeClock()
         monitor = SLOMonitor([make_slo(objective=0.9)], clock=clock)
         monitor.record("lat", good=0, bad=100)
-        clock.advance(120.0)  # > slow_window_s
+        clock.advance(400.0)  # > SLOW_WINDOW_S
         (status,) = monitor.evaluate()
         assert status["slow_burn"] == 0.0
         assert not status["alerting"]
@@ -167,8 +158,8 @@ class TestSecondTallies:
         assert len(monitor._streams[slo.name].entries) <= seconds + 1
         for now in (start + seconds, start + seconds + 30):
             status = monitor.evaluate(now)[0]
-            for key, window in (("fast", slo.fast_window_s),
-                                ("slow", slo.slow_window_s)):
+            for key, window in (("fast", FAST_WINDOW_S),
+                                ("slow", SLOW_WINDOW_S)):
                 inside = times >= now - window
                 n_bad = int(np.count_nonzero(bad & inside))
                 n_good = int(np.count_nonzero(~bad & inside))
@@ -189,11 +180,8 @@ class TestDefaults:
 
     def test_parameters_thread_through(self):
         slos = default_serve_slos(p99_latency_s=0.5,
-                                  queue_depth_ceiling=64.0,
-                                  fast_window_s=5.0, slow_window_s=20.0,
-                                  burn_rate=1.5)
+                                  queue_depth_ceiling=64.0)
         by_name = {s.name: s for s in slos}
         assert by_name["step_latency_p99"].threshold == 0.5
         assert by_name["queue_depth"].threshold == 64.0
-        assert all(s.fast_window_s == 5.0 and s.burn_rate == 1.5
-                   for s in slos)
+        assert all(s.describe()["burn_rate"] == BURN_RATE for s in slos)

@@ -23,6 +23,7 @@ from repro.core.spec import (DFCMSpec, FCMSpec, LastValueSpec,
                              OracleHybridSpec, StrideSpec,
                              TwoDeltaStrideSpec)
 from repro.harness.simulate import measure_accuracy, measure_suite
+from repro.telemetry import probes
 from repro.telemetry import run as telemetry_run_module
 from repro.telemetry.probes import probe_table_usage
 from repro.telemetry.tables import TableUsageAuditor
@@ -159,7 +160,7 @@ class TestEventParity:
             sorted(t.name for t in traces)
 
     def test_sample_limit_bounds_both_paths(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY_SAMPLE", "100")
+        monkeypatch.setattr(probes, "SAMPLE_LIMIT", 100)
         spec = DFCMSpec(256, 64)
         trace = mixed_trace()
         assert len(trace) > 100
@@ -170,10 +171,3 @@ class TestEventParity:
                 measure_accuracy(spec, trace)
             [event] = table_usage_events(run)
             assert event["sampled_records"] == 100
-
-    def test_sample_limit_zero_disables_batch_probe(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY_SAMPLE", "0")
-        run = telemetry_run_module.start_run(tmp_path, command="parity")
-        measure_accuracy(DFCMSpec(256, 64), mixed_trace())
-        assert table_usage_events(run) == []

@@ -99,12 +99,7 @@ class TestBenchCommand:
         assert code == 0
         report = json.loads(text)
         assert report["guard"]["enforced"] is False
-
-    def test_min_speedup_flag_sets_threshold(self):
-        code, text = run_cli("bench", "--fast", "--out", "-", "--json",
-                             "--min-speedup", "0.25")
-        assert code == 0
-        assert json.loads(text)["guard"]["min_speedup"] == 0.25
+        assert report["guard"]["min_speedup"] == 5.0
 
 
 class TestTablesCommand:
@@ -601,11 +596,18 @@ class TestParser:
         ["tables", "li", "--engine", "scalar"],
         ["serve", "--slo-accuracy-floor", "0.5"],
         ["soak", "li", "--ci"],
+        ["bench", "--min-speedup=2"],
+        ["loadgen", "li", "--no-verify"],
+        ["soak", "li", "--poll-interval-s", "1"],
     ], ids=["run-engine", "predict-engine", "compare-engine",
-            "tables-engine", "serve-slo-accuracy-floor", "soak-ci"])
+            "tables-engine", "serve-slo-accuracy-floor", "soak-ci",
+            "bench-min-speedup", "loadgen-no-verify",
+            "soak-poll-interval"])
     def test_deleted_options_are_usage_errors(self, argv, capsys):
         # The spec picks the engine; there is no accuracy objective;
-        # soak's CI profile was exactly its defaults plus --duration-s.
+        # soak's CI profile was exactly its defaults plus --duration-s;
+        # the bench guard, loadgen's parity check and soak's sampling
+        # interval are fixed.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2

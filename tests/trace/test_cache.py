@@ -10,8 +10,8 @@ import pytest
 from repro.cli import main
 from repro.harness.config import suite_traces
 from repro.trace.cache import (CacheEntry, CacheStats, cache_entries,
-                               cached_trace, clear_cache, verify_cache,
-                               verify_entry, warm_cache)
+                               cache_stats, cached_trace, clear_cache,
+                               verify_cache, verify_entry, warm_cache)
 from repro.trace.trace import (FORMAT_VERSION, TraceCacheError, ValueTrace,
                                payload_checksum)
 from repro.workloads.registry import SPEC_NAMES
@@ -109,8 +109,9 @@ class TestSelfHealing:
         path = one_entry(tmp_path)
         original = ValueTrace.load(path).records()
         path.write_bytes(b"\x00garbage\x00")
-        stats = CacheStats()
-        trace = cached_trace("li", limit=300, cache_dir=tmp_path, stats=stats)
+        before = cache_stats()
+        trace = cached_trace("li", limit=300, cache_dir=tmp_path)
+        stats = cache_stats() - before
         assert trace.records() == original
         assert stats.corrupt_quarantined == 1 and stats.recaptures == 1
         assert stats.hits == 0 and stats.misses == 0
@@ -134,8 +135,9 @@ class TestSelfHealing:
         victim = sorted(tmp_path.glob("*.npz"))[0]
         data = victim.read_bytes()
         victim.write_bytes(data[:-25])
-        stats = CacheStats()
-        traces = suite_traces(1000, stats=stats)
+        before = cache_stats()
+        traces = suite_traces(1000)
+        stats = cache_stats() - before
         assert [t.name for t in traces] == SPEC_NAMES
         assert all(len(t) == 1000 for t in traces)
         assert stats.recaptures == 1 and stats.corrupt_quarantined == 1
@@ -147,10 +149,10 @@ class TestSelfHealing:
             arrays = {k: data[k] for k in data.files}
         arrays["version"] = np.array(FORMAT_VERSION - 1, dtype=np.uint32)
         np.savez_compressed(path, **arrays)
-        stats = CacheStats()
-        trace = cached_trace("li", limit=300, cache_dir=tmp_path, stats=stats)
+        before = cache_stats()
+        trace = cached_trace("li", limit=300, cache_dir=tmp_path)
         assert len(trace) == 300
-        assert stats.recaptures == 1
+        assert (cache_stats() - before).recaptures == 1
 
 
 class TestAtomicWrites:
@@ -181,27 +183,30 @@ class TestAtomicWrites:
 
 class TestCacheStats:
     def test_miss_then_hit(self, tmp_path):
-        stats = CacheStats()
-        cached_trace("li", limit=200, cache_dir=tmp_path, stats=stats)
+        before = cache_stats()
+        cached_trace("li", limit=200, cache_dir=tmp_path)
+        stats = cache_stats() - before
         assert stats.misses == 1 and stats.hits == 0
         assert stats.bytes_written > 0 and stats.capture_seconds > 0
-        cached_trace("li", limit=200, cache_dir=tmp_path, stats=stats)
+        cached_trace("li", limit=200, cache_dir=tmp_path)
+        stats = cache_stats() - before
         assert stats.hits == 1 and stats.misses == 1
         assert stats.bytes_read > 0
 
     def test_global_stats_always_updated(self, tmp_path):
-        from repro.trace.stats import cache_stats, reset_cache_stats
-        reset_cache_stats()
+        before = cache_stats().misses
         cached_trace("li", limit=250, cache_dir=tmp_path)
-        assert cache_stats().misses == 1
+        assert cache_stats().misses == before + 1
 
-    def test_merge_and_render(self):
+    def test_difference_and_render(self):
         a = CacheStats(hits=1, bytes_read=10)
-        b = CacheStats(hits=2, misses=1, capture_seconds=0.5)
-        a.merge(b)
-        assert a.hits == 3 and a.misses == 1 and a.bytes_read == 10
-        assert "hits=3" in a.render()
-        assert a.as_dict()["capture_seconds"] == 0.5
+        b = CacheStats(hits=4, misses=1, bytes_read=10,
+                       capture_seconds=0.5)
+        delta = b - a
+        assert delta.hits == 3 and delta.misses == 1
+        assert delta.bytes_read == 0
+        assert "hits=3" in delta.render()
+        assert delta.as_dict()["capture_seconds"] == 0.5
 
 
 class TestVerifySweep:
@@ -290,10 +295,14 @@ class TestCacheCli:
         code, text = run_cli("cache", "verify", "--dir", d)
         assert code == 0 and "0 defective" in text
 
-    def test_warm_rejects_nonpositive_limit(self, tmp_path):
-        code, text = run_cli("cache", "warm", "li", "0",
-                             "--dir", str(tmp_path))
-        assert code == 2 and "must be positive" in text
+    def test_warm_rejects_nonpositive_limit(self, tmp_path, capsys):
+        # A usage error: exit 2 with an "error:" line on stderr.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("cache", "warm", "li", "0", "--dir", str(tmp_path))
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: limit must be positive, got 0" in captured.err
+        assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_limit_zero_does_not_alias_full_key(self, tmp_path):
