@@ -20,14 +20,13 @@ address, so ``main`` may simply ``jr ra`` to exit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.asm.directives import (DIRECTIVES, data_directive_size,
                                   decode_string_literal)
 from repro.asm.lexer import LexError, lex_line
-from repro.asm.operands import (OperandError, parse_immediate,
-                                parse_memory_operand, parse_register,
-                                resolve_value)
+from repro.asm.operands import (OperandError, parse_memory_operand,
+                                parse_register, resolve_value)
 from repro.asm.pseudo import PSEUDO_MNEMONICS, expand_pseudo
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import MNEMONICS

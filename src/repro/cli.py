@@ -336,47 +336,57 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the slow-request sample JSON here on "
                             "drain")
 
+    # Flags shared by `loadgen` and `soak`.  `--limit` stays on each
+    # command: its defaults differ, and a parent's actions are shared,
+    # so a default set on one command would change the other's too.
+    replaying = argparse.ArgumentParser(add_help=False)
+    replaying.add_argument("name", help="workload name (see 'workloads')")
+    replaying.add_argument("--predictor", default="dfcm",
+                           choices=["lvp", "lastn", "stride", "stride2d",
+                                    "fcm", "dfcm"])
+    replaying.add_argument("--l1", type=int, default=16,
+                           help="log2 level-1 entries")
+    replaying.add_argument("--l2", type=int, default=12,
+                           help="log2 level-2 entries")
+    replaying.add_argument("--window", type=int, default=0,
+                           help="delayed-update window (default 0)")
+    replaying.add_argument("--block", type=int, default=256,
+                           help="records per STEP_BLOCK frame "
+                                "(default 256)")
+    replaying.add_argument("--sessions", type=int, default=4,
+                           help="concurrent replay sessions (default 4; "
+                                "loadgen: per fleet size, with "
+                                "--cluster-workers only)")
+    replaying.add_argument("--state-dir", default=None,
+                           help="shared state directory for the "
+                                "self-hosted fleet (loadgen: with "
+                                "--cluster-workers only)")
+    replaying.add_argument("--json", action="store_true",
+                           help="print the full report JSON")
+    replaying.add_argument("--out", default=None,
+                           help="also write the report JSON to this file")
+
     loadgen = sub.add_parser(
-        "loadgen", help="replay a trace against a prediction server")
-    loadgen.add_argument("name", help="workload name")
+        "loadgen", parents=[replaying],
+        help="replay a trace against a prediction server")
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, default=None,
                          help="server port")
-    loadgen.add_argument("--predictor", default="dfcm",
-                         choices=["lvp", "lastn", "stride", "stride2d",
-                                  "fcm", "dfcm"])
-    loadgen.add_argument("--l1", type=int, default=16,
-                         help="log2 level-1 entries")
-    loadgen.add_argument("--l2", type=int, default=12,
-                         help="log2 level-2 entries")
     loadgen.add_argument("--limit", type=int, default=1000,
                          help="records to replay (default 1000)")
-    loadgen.add_argument("--window", type=int, default=0,
-                         help="delayed-update window (default 0)")
     loadgen.add_argument("--mode", default="both",
                          choices=["naive", "batched", "both"])
-    loadgen.add_argument("--block", type=int, default=256,
-                         help="records per STEP_BLOCK frame (default 256)")
     loadgen.add_argument("--min-speedup", type=float, default=None,
                          help="fail unless batched beats naive by this "
-                              "factor (needs --mode both)")
-    loadgen.add_argument("--json", action="store_true",
-                         help="print the full report JSON")
-    loadgen.add_argument("--out", default=None,
-                         help="also write the report JSON to this file")
+                              "factor (needs --port and --mode both)")
     loadgen.add_argument("--cluster-workers", default=None,
                          help="scaling mode: comma-separated fleet "
                               "sizes (e.g. 1,2,3) to self-host and "
                               "sweep instead of targeting --port")
-    loadgen.add_argument("--sessions", type=int, default=4,
-                         help="concurrent sessions per scaling point "
-                              "(default 4; scaling mode only)")
     loadgen.add_argument("--min-scaling", type=float, default=None,
                          help="fail unless the largest fleet beats one "
-                              "worker by this factor (scaling mode)")
-    loadgen.add_argument("--state-dir", default=None,
-                         help="shared state directory for the "
-                              "self-hosted fleet (scaling mode)")
+                              "worker by this factor (scaling mode, "
+                              "two or more fleet sizes)")
 
     cluster = sub.add_parser(
         "cluster", help="multi-worker cluster serving (router + fleet)")
@@ -401,38 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="HTTP timeout (default 5s)")
 
     soak = sub.add_parser(
-        "soak", help="sustained cluster soak gated on multi-window "
-                     "SLO burn (self-hosts a fleet)")
-    soak.add_argument("name", help="workload name (see 'workloads')")
+        "soak", parents=[replaying],
+        help="sustained cluster soak gated on multi-window "
+             "SLO burn (self-hosts a fleet)")
     soak.add_argument("--workers", type=int, default=2,
                       help="fleet size (default 2)")
-    soak.add_argument("--sessions", type=int, default=4,
-                      help="concurrent replay sessions (default 4)")
     soak.add_argument("--duration-s", type=float, default=60.0,
                       help="wall-clock soak duration (default 60)")
-    soak.add_argument("--predictor", default="dfcm",
-                      choices=["lvp", "lastn", "stride", "stride2d",
-                               "fcm", "dfcm"])
-    soak.add_argument("--l1", type=int, default=16,
-                      help="log2 level-1 entries")
-    soak.add_argument("--l2", type=int, default=12,
-                      help="log2 level-2 entries")
     soak.add_argument("--limit", type=int, default=2000,
                       help="records per replay pass (default 2000)")
-    soak.add_argument("--window", type=int, default=0,
-                      help="delayed-update window (default 0)")
-    soak.add_argument("--block", type=int, default=256,
-                      help="records per STEP_BLOCK frame (default 256)")
-    soak.add_argument("--state-dir", default=None,
-                      help="shared state directory for the fleet")
     soak.add_argument("--max-burn", type=float, default=2.0,
                       help="fail when the sustained SLO burn rate "
                            "reaches this (default 2.0, the alerting "
                            "threshold)")
-    soak.add_argument("--json", action="store_true",
-                      help="print the full report JSON")
-    soak.add_argument("--out", default=None,
-                      help="also write the report JSON to this file")
     soak.add_argument("--trace-out", metavar="FILE", default=None,
                       help="write the router's trace-store dump (the "
                            "most recent cross-process spans) to FILE")
@@ -648,17 +639,24 @@ def _cmd_tables(args, out) -> int:
     trace = cached_trace(args.name, args.limit)
     report = run_tables_report(trace, budgets_kbit=budgets,
                                families=families)
+    _write_report(args, out, report, render_tables_report)
+    return 0
+
+
+def _write_report(args, out, report: dict, render) -> None:
+    """Write *report* as JSON to ``--out`` when given, and print it:
+    the JSON with ``--json``, else ``render(report)`` and where the
+    file went."""
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if args.json:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(render_tables_report(report))
-        if args.out:
-            out.write(f"report: {args.out}\n")
-    return 0
+        return
+    out.write(render(report))
+    if args.out:
+        out.write(f"report: {args.out}\n")
 
 
 def _read_source(path: str) -> str:
@@ -971,12 +969,21 @@ def _cmd_serve(args, out) -> int:
 
 def _cmd_loadgen(args, out) -> int:
     from repro.core.spec import spec_from_cli
-    from repro.serve.loadgen import run_loadgen
+    from repro.serve.loadgen import render_loadgen, run_loadgen
     from repro.trace.cache import cached_trace
 
+    scaling = args.cluster_workers is not None
+    if scaling and args.min_speedup is not None:
+        raise ValueError(
+            "--min-speedup compares --mode naive and batched against "
+            "--port; a --cluster-workers sweep gates with --min-scaling")
+    if not scaling and args.min_scaling is not None:
+        raise ValueError(
+            "--min-scaling gates a --cluster-workers sweep; against "
+            "--port, gate with --min-speedup")
     spec = spec_from_cli(args.predictor, 1 << args.l1, 1 << args.l2)
     trace = cached_trace(args.name, args.limit)
-    if args.cluster_workers is not None:
+    if scaling:
         return _loadgen_scaling(args, out, spec, trace)
     if args.port is None:
         raise ValueError(
@@ -985,28 +992,7 @@ def _cmd_loadgen(args, out) -> int:
     report = run_loadgen(spec, trace, args.host, args.port,
                          window=args.window, mode=args.mode,
                          block=args.block, min_speedup=args.min_speedup)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(f"{report['spec']} on {report['trace']} "
-                  f"({report['records']} records, window "
-                  f"{report['window']})\n")
-        for name, stats in report["modes"].items():
-            latency = stats["latency"]
-            out.write(
-                f"  {name:8s} {stats['records_per_s']:>12,.0f} rec/s  "
-                f"p50 {latency['p50_ms']:.3f}ms  "
-                f"p99 {latency['p99_ms']:.3f}ms  "
-                f"accuracy {stats['accuracy']:.4f}\n")
-        if "speedup" in report:
-            out.write(f"  speedup: batched {report['speedup']:.1f}x naive\n")
-        state = "match" if report["verify"]["matched"] else "MISMATCH"
-        out.write(f"  offline parity: {state} "
-                  f"({report['verify']['offline_hits']} hits)\n")
+    _write_report(args, out, report, render_loadgen)
     failed = (report.get("speedup_ok") is False
               or not report["verify"]["matched"])
     return 1 if failed else 0
@@ -1025,14 +1011,7 @@ def _loadgen_scaling(args, out, spec, trace) -> int:
         spec, trace, workers=workers, sessions=args.sessions,
         window=args.window, block=args.block, state_dir=args.state_dir,
         min_scaling=args.min_scaling)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(render_scaling(report))
+    _write_report(args, out, report, render_scaling)
     failed = (not report["parity_ok"]
               or report.get("scaling_ok") is False)
     return 1 if failed else 0
@@ -1134,21 +1113,14 @@ def _cmd_soak(args, out) -> int:
         spec, trace, workers=args.workers, sessions=args.sessions,
         duration_s=args.duration_s, window=args.window, block=args.block,
         state_dir=args.state_dir, max_burn=args.max_burn)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     if args.trace_out:
         with open(args.trace_out, "w") as handle:
             json.dump(report["trace_dump"], handle, indent=2,
                       sort_keys=True)
             handle.write("\n")
-    if args.json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(render_soak(report))
-        if args.trace_out:
-            out.write(f"trace dump: {args.trace_out}\n")
+    _write_report(args, out, report, render_soak)
+    if args.trace_out and not args.json:
+        out.write(f"trace dump: {args.trace_out}\n")
     return 0 if report["soak_ok"] else 1
 
 

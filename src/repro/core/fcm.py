@@ -16,8 +16,6 @@ With the default FS(R-5) hash, the order follows the paper's coupling
 
 from __future__ import annotations
 
-import math
-
 from repro.core.base import ValuePredictor
 from repro.core.hashing import FoldShiftHash, HistoryHash
 from repro.core.spec import FCMSpec, HashSpec

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-from repro.core.types import MASK32, require_power_of_two
+from repro.core.types import MASK32
 
 __all__ = [
     "HistoryHash",

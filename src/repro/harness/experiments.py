@@ -41,7 +41,7 @@ from repro.core.spec import (DFCMSpec, DelayedSpec, FCMSpec, HashSpec,
 from repro.core.stride import StridePredictor
 from repro.harness.config import single_trace, suite_traces
 from repro.harness.report import ExperimentResult, Table
-from repro.harness.simulate import measure_accuracy, measure_suite
+from repro.harness.simulate import measure_suite
 from repro.harness.sweep import SweepPoint, pareto_front, sweep
 from repro.telemetry.spans import span
 from repro.telemetry.tables import (ALIAS_CATEGORIES, AliasingAnalyzer,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 __all__ = ["Table", "ExperimentResult", "format_table"]
 

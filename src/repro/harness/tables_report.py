@@ -22,7 +22,7 @@ configurations are storage-matched.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.spec import (DFCMSpec, FCMSpec, LastValueSpec, PredictorSpec,
                              StrideSpec)

@@ -23,7 +23,7 @@ Binary operator precedence (low to high)::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.lang import ast
 from repro.lang.errors import CompileError

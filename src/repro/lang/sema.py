@@ -23,7 +23,7 @@ and ``exit(e)``.  String literals are only legal as the argument of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.lang import ast
 from repro.lang.errors import CompileError

@@ -2,9 +2,9 @@
 
 :class:`ServeClient` wraps one TCP connection with a plain synchronous
 call-per-frame API -- the shape the load generator, the test suite and
-any scripting caller wants.  One request is one round trip; the
-pipelined (many requests in flight) path lives in
-:mod:`repro.serve.loadgen`, built on the same frame helpers.
+any scripting caller wants.  One request is one round trip, and a
+client has one request in flight at a time; concurrent load comes
+from one client per thread (:func:`repro.serve.loadgen.replay_threads`).
 
 Every logical request carries a 64-bit trace id in its frame header,
 allocated once in :meth:`ServeClient.request` and pinned across

@@ -4,8 +4,9 @@ Extends the single-server load generator
 (:mod:`repro.serve.loadgen`) to the cluster tier: for each worker
 count in *workers*, start a fresh :class:`~repro.serve.cluster.router
 .ClusterThread` and replay the trace through S concurrent sessions
-(one client connection and one session per thread, STEP_BLOCK frames
-of *block* records).  Every session replays the same records in
+(:func:`repro.serve.loadgen.replay_threads`: one client connection
+and one session per thread, STEP_BLOCK frames of *block* records,
+one pass each).  Every session replays the same records in
 order, so each one's served hit count must equal the offline
 engine's -- bit-for-bit, per session, at every fleet size.  That is
 the cluster parity gate: affinity, request-id rewriting and response
@@ -15,7 +16,8 @@ The report (``schema`` 1, ``kind: cluster_scaling``) carries one
 point per worker count -- aggregate records/s, pooled latency
 percentiles, per-session parity -- plus the aggregate speedup of the
 largest fleet over the single-worker point.  ``min_scaling`` gates
-the speedup (``scaling_ok``); leave it None on machines whose core
+the speedup (``scaling_ok``) and so needs at least two fleet sizes;
+leave it None on machines whose core
 count cannot possibly show scaling (the report records
 ``cpu_count`` so a reader can tell why a local run stays flat).
 The report gates itself; nothing files it in ``BENCH_history.jsonl``.
@@ -24,14 +26,12 @@ The report gates itself; nothing files it in ``BENCH_history.jsonl``.
 from __future__ import annotations
 
 import os
-import threading
-import time
 from typing import Optional, Sequence
 
 from repro.core.spec import PredictorSpec
-from repro.serve.client import ServeClient
 from repro.serve.cluster.router import ClusterThread
-from repro.serve.loadgen import offline_replay, replay_batched, wire_records
+from repro.serve.loadgen import (offline_replay, replay_threads,
+                                 report_head, wire_records)
 from repro.serve.tracing import latency_summary
 
 __all__ = ["run_scaling_loadgen", "render_scaling"]
@@ -39,53 +39,17 @@ __all__ = ["run_scaling_loadgen", "render_scaling"]
 SCALING_SCHEMA = 1
 
 
-def _replay_session(host: str, port: int, spec: PredictorSpec,
-                    window: int, pcs, values, block: int,
-                    out: dict, key: int) -> None:
-    """One session thread: open, replay batched, record hits and
-    per-request latencies (errors travel back through *out*)."""
-    try:
-        with ServeClient(host, port, reconnect=5) as client:
-            session = client.open_session(spec, window)
-            hits, latencies = replay_batched(client, session, pcs, values,
-                                             block)
-            stats = client.close_session(session)
-            if stats["hits"] != hits:
-                raise RuntimeError(
-                    f"session {session}: client counted {hits} hits, "
-                    f"session reported {stats['hits']}")
-            out[key] = {"session": session, "hits": hits,
-                        "latencies": latencies,
-                        "reconnects": client.reconnects}
-    except Exception as exc:  # noqa: BLE001 - reported by the caller
-        out[key] = {"error": f"{type(exc).__name__}: {exc}"}
-
-
 def _run_point(n_workers: int, spec: PredictorSpec, window: int,
                pcs, values, block: int, sessions: int,
                state_dir: Optional[str], **worker_kwargs) -> dict:
     with ClusterThread(workers=n_workers, state_dir=state_dir,
                        **worker_kwargs) as cluster:
-        out: dict = {}
-        threads = [
-            threading.Thread(
-                target=_replay_session,
-                args=("127.0.0.1", cluster.port, spec, window, pcs,
-                      values, block, out, key))
-            for key in range(sessions)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
+        seen = replay_threads("127.0.0.1", cluster.port, spec, window,
+                              pcs, values, block, sessions, None)
         report = cluster.router.cluster_report()
-    errors = [f"session thread {key}: {res['error']}"
-              for key, res in sorted(out.items()) if "error" in res]
-    if errors:
-        raise RuntimeError("; ".join(errors))
-    pooled = [lat for res in out.values() for lat in res["latencies"]]
+    if seen["errors"]:
+        raise RuntimeError("; ".join(seen["errors"]))
+    elapsed = seen["seconds"]
     total_records = len(pcs) * sessions
     return {
         "workers": n_workers,
@@ -94,10 +58,10 @@ def _run_point(n_workers: int, spec: PredictorSpec, window: int,
         "seconds": round(elapsed, 6),
         "records_per_s": round(total_records / elapsed, 1)
         if elapsed else 0.0,
-        "latency": latency_summary(pooled),
-        "session_hits": {str(res["session"]): res["hits"]
-                         for res in out.values()},
-        "reconnects": sum(res["reconnects"] for res in out.values()),
+        "latency": latency_summary(seen["latencies"]),
+        "session_hits": {str(session): hits
+                         for session, hits in seen["passes"]},
+        "reconnects": seen["reconnects"],
         "migrations_total": report["migrations_total"],
         "sessions_lost_total": report["sessions_lost_total"],
     }
@@ -118,6 +82,10 @@ def run_scaling_loadgen(spec: PredictorSpec, trace,
         raise ValueError(f"workers must be >= 1, got {list(workers)}")
     if sessions < 1:
         raise ValueError(f"sessions must be >= 1, got {sessions}")
+    if min_scaling is not None and len(counts) < 2:
+        raise ValueError(
+            f"a scaling gate compares fleet sizes, so it needs at least "
+            f"two, got workers={counts}")
     pcs, values = wire_records(trace)
     _, offline_hits = offline_replay(spec, trace, window)
 
@@ -136,12 +104,7 @@ def run_scaling_loadgen(spec: PredictorSpec, trace,
     report = {
         "schema": SCALING_SCHEMA,
         "kind": "cluster_scaling",
-        "trace": trace.name,
-        "records": len(pcs),
-        "spec": spec.name,
-        "spec_config": spec.to_config(),
-        "window": window,
-        "block": block,
+        **report_head(spec, trace, window, block),
         "sessions": sessions,
         "cpu_count": os.cpu_count(),
         "points": points,

@@ -7,17 +7,20 @@ duration and watches the autoscaling telemetry the whole time: a
 poller thread samples the router's ``/scale`` signals (sessions per
 worker, p99 step latency, deepest queue, worst sustained SLO burn)
 and ``/slo`` alert state every few seconds while S session threads
-replay the trace in a loop, each pass through a *fresh* session whose
-served hit count must equal the offline engine's (the same
-bit-for-bit parity gate the scaling runs use).
+replay the trace in a loop (:func:`repro.serve.loadgen.replay_threads`),
+each pass through a *fresh* session.  After every pass the hit count
+the session reports at close must equal the client's, and the
+client's must equal the offline engine's (the same bit-for-bit parity
+gate the scaling runs use).
 
 The verdict is the multi-window burn-rate rule, not a point-in-time
 spike test: the run fails only when some sample's *sustained* burn --
 ``min(fast_window, slow_window)``, exactly what the alerting rule and
 the ``/scale`` adapter emit -- reaches ``max_burn``, or when parity
-breaks, or a session thread errors out.  That makes the harness a
-CI-grade pass/fail for "would the autoscaler have had to bail us
-out", cheap enough to run for a couple of minutes per push.
+breaks, or a session thread errors out (a session whose reported hits
+differ from its client's count is such an error).  That makes the
+harness a CI-grade pass/fail for "would the autoscaler have had to
+bail us out", cheap enough to run for a couple of minutes per push.
 
 The report (``kind: cluster_soak``) carries every telemetry sample,
 pass counts, pooled latency percentiles and a bounded dump of the
@@ -34,9 +37,9 @@ import time
 from typing import List, Optional
 
 from repro.core.spec import PredictorSpec
-from repro.serve.client import ServeClient
 from repro.serve.cluster.router import ClusterThread
-from repro.serve.loadgen import offline_replay, replay_batched, wire_records
+from repro.serve.loadgen import (offline_replay, replay_threads,
+                                 report_head, wire_records)
 from repro.serve.tracing import latency_summary
 
 __all__ = ["run_soak", "render_soak"]
@@ -48,35 +51,6 @@ _POLL_INTERVAL_S = 2.0
 
 #: Most recent router spans the report's trace dump keeps.
 _TRACE_DUMP_LIMIT = 256
-
-
-def _soak_session(host: str, port: int, spec: PredictorSpec,
-                  window: int, pcs, values, block: int,
-                  offline_hits: int, deadline: float, out: dict,
-                  key: int) -> None:
-    """One sustained session thread: replay the trace through fresh
-    sessions until the deadline, checking parity after every pass."""
-    passes = 0
-    mismatches = 0
-    latencies: List[float] = []
-    try:
-        with ServeClient(host, port, reconnect=5) as client:
-            while time.monotonic() < deadline:
-                session = client.open_session(spec, window)
-                hits, pass_latencies = replay_batched(client, session, pcs,
-                                                      values, block)
-                latencies.extend(pass_latencies)
-                client.close_session(session)
-                passes += 1
-                if hits != offline_hits:
-                    mismatches += 1
-            out[key] = {"passes": passes, "mismatches": mismatches,
-                        "latencies": latencies,
-                        "reconnects": client.reconnects}
-    except Exception as exc:  # noqa: BLE001 - reported by the caller
-        out[key] = {"passes": passes, "mismatches": mismatches,
-                    "latencies": latencies,
-                    "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _poll_telemetry(cluster: ClusterThread, stop: threading.Event,
@@ -117,7 +91,6 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
     _, offline_hits = offline_replay(spec, trace, window)
 
     samples: List[dict] = []
-    out: dict = {}
     with ClusterThread(workers=workers, state_dir=state_dir,
                        **worker_kwargs) as cluster:
         stop_poll = threading.Event()
@@ -125,21 +98,10 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
             target=_poll_telemetry,
             args=(cluster, stop_poll, samples),
             daemon=True)
-        deadline = time.monotonic() + duration_s
-        threads = [
-            threading.Thread(
-                target=_soak_session,
-                args=("127.0.0.1", cluster.port, spec, window, pcs,
-                      values, block, offline_hits, deadline, out, key))
-            for key in range(sessions)
-        ]
-        started = time.perf_counter()
         poller.start()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
+        seen = replay_threads("127.0.0.1", cluster.port, spec, window,
+                              pcs, values, block, sessions,
+                              time.monotonic() + duration_s)
         stop_poll.set()
         poller.join(timeout=_POLL_INTERVAL_S + 10.0)
         # Final forensics while the fleet is still up: one last
@@ -157,12 +119,10 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
         trace_dump = cluster.router.trace_dump(_TRACE_DUMP_LIMIT)
         cluster_stats = cluster.router.cluster_report()
 
-    errors = [f"session thread {key}: {res['error']}"
-              for key, res in sorted(out.items()) if "error" in res]
-    passes = sum(res.get("passes", 0) for res in out.values())
-    mismatches = sum(res.get("mismatches", 0) for res in out.values())
-    pooled = [lat for res in out.values()
-              for lat in res.get("latencies", [])]
+    errors = seen["errors"]
+    elapsed = seen["seconds"]
+    passes = len(seen["passes"])
+    mismatches = sum(hits != offline_hits for _, hits in seen["passes"])
     burns = [s["signals"]["slo_burn_rate"] for s in samples
              if "signals" in s]
     peak_burn = max(burns) if burns else 0.0
@@ -174,12 +134,7 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
     report = {
         "schema": SOAK_SCHEMA,
         "kind": "cluster_soak",
-        "trace": trace.name,
-        "records": len(pcs),
-        "spec": spec.name,
-        "spec_config": spec.to_config(),
-        "window": window,
-        "block": block,
+        **report_head(spec, trace, window, block),
         "workers": workers,
         "sessions": sessions,
         "duration_s": round(duration_s, 3),
@@ -192,9 +147,8 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
         "offline_hits": offline_hits,
         "mismatched_passes": mismatches,
         "parity_ok": parity_ok,
-        "reconnects": sum(res.get("reconnects", 0)
-                          for res in out.values()),
-        "latency": latency_summary(pooled),
+        "reconnects": seen["reconnects"],
+        "latency": latency_summary(seen["latencies"]),
         "max_burn": max_burn,
         "peak_burn": round(peak_burn, 4),
         "burn_breaches": burn_breaches,

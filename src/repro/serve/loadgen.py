@@ -17,19 +17,25 @@ engines: every run replays the equivalent spec (see
 :func:`offline_replay`) and checks the served hit counts bit-for-bit
 (the report's ``verify`` block).
 
-:func:`wire_records`, :func:`replay_batched` and :func:`offline_replay`
-are shared with the cluster tier's scaling load generator and soak
-harness, so every served replay masks, batches and checks parity the
-same way.
+This module is the client side of every served replay, the cluster
+tier's scaling load generator and soak harness included.
+:func:`replay_session` opens a session, steps it through the records
+and closes it, and raises when the hit count the session reports at
+close differs from the client's own count; :func:`replay_threads`
+runs S client threads of it, once each or in a loop until a deadline,
+and pools what they saw.  :func:`wire_records`, :func:`offline_replay`
+and :func:`report_head` make every replay mask, check parity and head
+its report the same way.
 
 The report is a JSON-able dict (``schema`` 1).  When *min_speedup* is
-given and both modes ran, ``speedup_ok`` records whether batched
+given (it needs both modes), ``speedup_ok`` records whether batched
 throughput beat naive by at least that factor -- the CI smoke job's
 regression guard.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import List, Optional, Tuple
 
@@ -37,7 +43,8 @@ from repro.core.spec import DelayedSpec, PredictorSpec
 from repro.serve.client import ServeClient
 from repro.serve.tracing import latency_summary
 
-__all__ = ["run_loadgen", "wire_records", "replay_batched",
+__all__ = ["run_loadgen", "render_loadgen", "replay_session",
+           "replay_threads", "report_head", "wire_records",
            "offline_replay"]
 
 LOADGEN_SCHEMA = 1
@@ -51,34 +58,6 @@ def wire_records(trace) -> Tuple[List[int], List[int]]:
             [int(v) & _MASK32 for v in trace.values])
 
 
-def _replay_naive(client: ServeClient, session: int, pcs, values):
-    latencies = []
-    hits = 0
-    for pc, value in zip(pcs, values):
-        started = time.perf_counter()
-        _, hit = client.step(session, pc, value)
-        latencies.append(time.perf_counter() - started)
-        hits += hit
-    return hits, latencies
-
-
-def replay_batched(client: ServeClient, session: int, pcs, values,
-                   block: int) -> Tuple[int, List[float]]:
-    """Step *session* through the records in STEP_BLOCK frames of
-    *block* records; returns the hits and each frame's round-trip
-    seconds."""
-    latencies = []
-    hits = 0
-    for start in range(0, len(pcs), block):
-        chunk_pcs = pcs[start:start + block]
-        chunk_values = values[start:start + block]
-        started = time.perf_counter()
-        _, chunk_hits = client.step_block(session, chunk_pcs, chunk_values)
-        latencies.append(time.perf_counter() - started)
-        hits += chunk_hits
-    return hits, latencies
-
-
 def offline_replay(spec: PredictorSpec, trace,
                    window: int) -> Tuple[PredictorSpec, int]:
     """The offline equivalent of a session served with *window* (the
@@ -90,20 +69,100 @@ def offline_replay(spec: PredictorSpec, trace,
     return offline_spec, measure_accuracy(offline_spec, trace).correct
 
 
+def report_head(spec: PredictorSpec, trace, window: int,
+                block: int) -> dict:
+    """The fields every replay report starts with."""
+    return {"trace": trace.name, "records": len(trace), "spec": spec.name,
+            "spec_config": spec.to_config(), "window": window,
+            "block": block}
+
+
+def replay_session(client: ServeClient, spec: PredictorSpec, window: int,
+                   pcs, values, block: int,
+                   mode: str) -> Tuple[int, int, List[float], float]:
+    """Open a session, step it through the records (``naive``: one STEP
+    frame per record, else STEP_BLOCK frames of *block*) and close it.
+    Returns the session id, the client's hit count, each frame's
+    round-trip seconds and the seconds the steps took.  Raises
+    ``RuntimeError`` naming the session when the hit count the session
+    reports at close differs from the client's."""
+    session = client.open_session(spec, window)
+    if mode == "naive":
+        frames = ((client.step, pc, value)
+                  for pc, value in zip(pcs, values))
+    else:
+        frames = ((client.step_block, pcs[start:start + block],
+                   values[start:start + block])
+                  for start in range(0, len(pcs), block))
+    latencies = []
+    hits = 0
+    started = time.perf_counter()
+    for step, frame_pcs, frame_values in frames:
+        sent = time.perf_counter()
+        _, frame_hits = step(session, frame_pcs, frame_values)
+        latencies.append(time.perf_counter() - sent)
+        hits += frame_hits
+    seconds = time.perf_counter() - started
+    reported = client.close_session(session)["hits"]
+    if reported != hits:
+        raise RuntimeError(
+            f"session {session}: client counted {hits} hits, session "
+            f"reported {reported}")
+    return session, hits, latencies, seconds
+
+
+def replay_threads(host: str, port: int, spec: PredictorSpec, window: int,
+                   pcs, values, block: int, sessions: int,
+                   deadline: Optional[float]) -> dict:
+    """Run *sessions* client threads of :func:`replay_session` (batched)
+    against ``host:port``, each on its own connection: one pass each
+    when *deadline* is None, else passes until ``time.monotonic()``
+    reaches *deadline*.  Returns what they saw, pooled: a ``(session,
+    hits)`` pair per finished pass, every frame's latency, the
+    reconnects, the wall-clock seconds, and one error line per thread
+    that raised (a thread stops at its error)."""
+    seen = [{"passes": [], "latencies": [], "reconnects": 0}
+            for _ in range(sessions)]
+
+    def client_thread(mine: dict) -> None:
+        try:
+            with ServeClient(host, port, reconnect=5) as client:
+                while True:
+                    session, hits, latencies, _ = replay_session(
+                        client, spec, window, pcs, values, block,
+                        "batched")
+                    mine["passes"].append((session, hits))
+                    mine["latencies"].extend(latencies)
+                    mine["reconnects"] = client.reconnects
+                    if deadline is None or time.monotonic() >= deadline:
+                        break
+        except Exception as exc:  # noqa: BLE001 - reported by the caller
+            mine["error"] = f"{type(exc).__name__}: {exc}"
+
+    threads = [threading.Thread(target=client_thread, args=(mine,))
+               for mine in seen]
+    started = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return {
+        "seconds": time.perf_counter() - started,
+        "passes": [done for mine in seen for done in mine["passes"]],
+        "latencies": [lat for mine in seen for lat in mine["latencies"]],
+        "reconnects": sum(mine["reconnects"] for mine in seen),
+        "errors": [f"session thread {key}: {mine['error']}"
+                   for key, mine in enumerate(seen) if "error" in mine],
+    }
+
+
 def _run_mode(host: str, port: int, spec: PredictorSpec, window: int,
               mode: str, pcs, values, block: int) -> dict:
     with ServeClient(host, port) as client:
-        session = client.open_session(spec, window)
-        started = time.perf_counter()
-        if mode == "naive":
-            hits, latencies = _replay_naive(client, session, pcs, values)
-        else:
-            hits, latencies = replay_batched(client, session, pcs, values,
-                                             block)
-        elapsed = time.perf_counter() - started
-        stats = client.close_session(session)
+        _, hits, latencies, elapsed = replay_session(
+            client, spec, window, pcs, values, block, mode)
     records = len(pcs)
-    result = {
+    return {
         "mode": mode,
         "records": records,
         "requests": len(latencies),
@@ -113,11 +172,6 @@ def _run_mode(host: str, port: int, spec: PredictorSpec, window: int,
         "hits": hits,
         "accuracy": round(hits / records, 6) if records else 0.0,
     }
-    if stats["hits"] != hits:
-        raise RuntimeError(
-            f"{mode}: client counted {hits} hits, session reported "
-            f"{stats['hits']}")
-    return result
 
 
 def run_loadgen(spec: PredictorSpec, trace, host: str, port: int,
@@ -129,22 +183,18 @@ def run_loadgen(spec: PredictorSpec, trace, host: str, port: int,
         raise ValueError(f"unknown loadgen mode {mode!r}")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
+    if min_speedup is not None and mode != "both":
+        raise ValueError(
+            f"a speedup gate compares batched with naive, so it needs "
+            f"mode 'both', got {mode!r}")
     pcs, values = wire_records(trace)
-    report = {
-        "schema": LOADGEN_SCHEMA,
-        "trace": trace.name,
-        "records": len(pcs),
-        "spec": spec.name,
-        "spec_config": spec.to_config(),
-        "window": window,
-        "block": block,
-        "modes": {},
-    }
+    report = {"schema": LOADGEN_SCHEMA,
+              **report_head(spec, trace, window, block), "modes": {}}
     modes = ("naive", "batched") if mode == "both" else (mode,)
     for name in modes:
         report["modes"][name] = _run_mode(host, port, spec, window, name,
                                           pcs, values, block)
-    if "naive" in report["modes"] and "batched" in report["modes"]:
+    if mode == "both":
         naive_rate = report["modes"]["naive"]["records_per_s"]
         batched_rate = report["modes"]["batched"]["records_per_s"]
         speedup = batched_rate / naive_rate if naive_rate else 0.0
@@ -165,3 +215,23 @@ def _verify(spec: PredictorSpec, trace, window: int, modes: dict) -> dict:
         "served_hits": served,
         "matched": all(hits == offline_hits for hits in served.values()),
     }
+
+
+def render_loadgen(report: dict) -> str:
+    """Human-readable loadgen summary: one line per mode, the speedup
+    and the offline parity verdict."""
+    lines = [f"{report['spec']} on {report['trace']} "
+             f"({report['records']} records, window {report['window']})"]
+    for name, stats in report["modes"].items():
+        latency = stats["latency"]
+        lines.append(
+            f"  {name:8s} {stats['records_per_s']:>12,.0f} rec/s  "
+            f"p50 {latency['p50_ms']:.3f}ms  "
+            f"p99 {latency['p99_ms']:.3f}ms  "
+            f"accuracy {stats['accuracy']:.4f}")
+    if "speedup" in report:
+        lines.append(f"  speedup: batched {report['speedup']:.1f}x naive")
+    state = "match" if report["verify"]["matched"] else "MISMATCH"
+    lines.append(f"  offline parity: {state} "
+                 f"({report['verify']['offline_hits']} hits)")
+    return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ priority order constant > stride > context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.types import MASK32
 from repro.trace.trace import ValueTrace

@@ -21,9 +21,8 @@ or syscalls, matching the paper's prediction set -- appends
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.isa.instruction import Instruction
 from repro.vm.errors import (ArithmeticFault, ExecutionLimitExceeded,
                              MemoryFault, VMError)
 from repro.vm.memory import Memory

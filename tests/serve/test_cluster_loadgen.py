@@ -12,6 +12,8 @@ import pytest
 
 from repro.core.spec import DFCMSpec
 from repro.harness import bench
+from repro.serve.client import ServeClient
+from repro.serve.cluster import ClusterThread
 from repro.serve.cluster.loadgen import render_scaling, run_scaling_loadgen
 from repro.trace.trace import ValueTrace
 
@@ -84,6 +86,29 @@ class TestScalingReport:
         assert gated["scaling_ok"] is False
         assert gated["min_scaling"] == 100.0
         assert gated["parity_ok"] is True
+
+    def test_scaling_gate_needs_two_fleet_sizes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fleet started")
+
+        monkeypatch.setattr(ClusterThread, "__init__", refuse)
+        with pytest.raises(ValueError, match="at least two"):
+            run_scaling_loadgen(DFCMSpec(64, 256), make_trace(200),
+                                workers=(2,), min_scaling=100.0)
+
+    def test_session_thread_error_raises(self, monkeypatch):
+        real_close = ServeClient.close_session
+
+        def lying_close(client, session):
+            stats = real_close(client, session)
+            return {**stats, "hits": stats["hits"] + 1}
+
+        monkeypatch.setattr(ServeClient, "close_session", lying_close)
+        with pytest.raises(RuntimeError,
+                           match=r"session thread 0: RuntimeError: "
+                                 r"session \d+: client counted"):
+            run_scaling_loadgen(DFCMSpec(64, 256), make_trace(200),
+                                workers=(1,), sessions=1, block=64)
 
 
 class TestClusterHistory:

@@ -1,10 +1,13 @@
 """Load-generator report shape and offline verification."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.spec import DFCMSpec
-from repro.serve.loadgen import run_loadgen
+from repro.serve.loadgen import (offline_replay, replay_threads,
+                                 run_loadgen, wire_records)
 from repro.serve.server import ServerThread
 from repro.serve.tracing import latency_summary, percentile
 from repro.trace.trace import ValueTrace
@@ -132,3 +135,41 @@ class TestRunLoadgen:
                                  mode="batched", block=1024)
         assert report["modes"]["batched"]["records"] == 4098
         assert report["verify"]["matched"] is True
+
+    def test_speedup_gate_needs_both_modes(self):
+        # Refused before any connection: port 1 has no server.
+        for mode in ("naive", "batched"):
+            with pytest.raises(ValueError, match="mode 'both'"):
+                run_loadgen(DFCMSpec(64, 256), make_trace(), "127.0.0.1",
+                            1, mode=mode, min_speedup=2.0)
+
+
+class TestReplayThreads:
+    """The client-thread driver behind the scaling loadgen and the
+    soak."""
+
+    def replay(self, server, sessions, deadline):
+        pcs, values = wire_records(make_trace())
+        return replay_threads("127.0.0.1", server.port, DFCMSpec(256, 1024),
+                              0, pcs, values, 64, sessions, deadline)
+
+    def test_no_deadline_runs_each_thread_once(self):
+        _, want = offline_replay(DFCMSpec(256, 1024), make_trace(), 0)
+        with ServerThread() as server:
+            seen = self.replay(server, 3, None)
+        assert seen["errors"] == []
+        assert len(seen["passes"]) == 3
+        assert len({session for session, _ in seen["passes"]}) == 3
+        assert [hits for _, hits in seen["passes"]] == [want] * 3
+        # 300 records in 64-record frames: 5 frames per pass.
+        assert len(seen["latencies"]) == 3 * 5
+        assert seen["reconnects"] == 0
+
+    def test_deadline_loops_until_it_passes(self):
+        with ServerThread() as server:
+            seen = self.replay(server, 2, time.monotonic() + 0.5)
+        assert seen["errors"] == []
+        assert seen["seconds"] >= 0.5
+        assert len(seen["passes"]) > 2
+        assert len({session for session, _ in seen["passes"]}) == \
+            len(seen["passes"])  # every pass opens a fresh session

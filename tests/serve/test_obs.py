@@ -5,13 +5,14 @@ is valid Prometheus 0.0.4 (parsed, not pattern-matched) and /healthz
 answers while loadgen traffic is in flight; every request's trace id
 shows up in span events and the slow-request sample; an induced
 latency breach flips /healthz to degraded through the burn-rate
-monitor; and the observability plumbing keeps batched throughput
-within tolerance of a server without it.
+monitor; and the obs listener keeps batched throughput within
+tolerance of a server without it.
 """
 
 import json
 import re
 import socket
+import statistics
 import sys
 import threading
 import time
@@ -24,7 +25,7 @@ import pytest
 from repro.core.spec import DFCMSpec, StrideSpec
 from repro.serve.client import ServeClient
 from repro.serve.cluster import ClusterThread
-from repro.serve.loadgen import run_loadgen
+from repro.serve.loadgen import run_loadgen, wire_records
 from repro.serve.server import ServerThread
 from repro.serve.service import RequestLog
 from repro.serve.tracing import RequestTrace, format_trace_id
@@ -401,28 +402,38 @@ class TestLatencyWindow:
 
 class TestOverheadGuard:
     def test_observability_keeps_batched_throughput(self):
-        """Tracing + SLO monitor + obs endpoint must cost < 5% batched
-        throughput. Samples are taken in interleaved base/obs pairs and
-        the guard compares best-vs-best, so machine-load drift during
-        the test hits both sides equally; extra pairs are only taken if
-        the guard has not yet passed (flake armour, not gate-loosening).
+        """The obs listener (``obs_port``) must cost < 5% of batched
+        throughput.  Tracing and the SLO feed run in every server, so
+        both sides carry them: this guard times the listener.
+
+        Both servers stay up side by side, one client and one session
+        each.  Every 512-record STEP_BLOCK of a 48,000-record trace goes
+        to both, alternating which goes first, so each pair of round
+        trips shares the host's state of the moment; the guard reads
+        the median of the per-block throughput ratios.
         """
         spec = DFCMSpec(256, 1024)
-        trace = make_trace(12_000)
-
-        def rate(**kwargs):
-            with ServerThread(**kwargs) as server:
-                report = run_loadgen(spec, trace, "127.0.0.1",
-                                     server.port, mode="batched",
-                                     block=512)
-            return report["modes"]["batched"]["records_per_s"]
-
-        base = observed = 0.0
-        for _ in range(6):
-            base = max(base, rate())
-            observed = max(observed, rate(obs_port=0))
-            if observed >= 0.95 * base:
-                break
-        assert observed >= 0.95 * base, (
-            f"observability overhead too high: {observed:.0f} rec/s "
-            f"with obs vs {base:.0f} rec/s without")
+        pcs, values = wire_records(make_trace(48_000))
+        block = 512
+        ratios = []
+        with ServerThread() as base, ServerThread(obs_port=0) as observed, \
+                ServeClient(port=base.port) as base_client, \
+                ServeClient(port=observed.port) as observed_client:
+            sides = [(client, client.open_session(spec))
+                     for client in (base_client, observed_client)]
+            for n, start in enumerate(range(0, len(pcs), block)):
+                seconds, hits = {}, {}
+                for client, session in (sides if n % 2 else sides[::-1]):
+                    started = time.perf_counter()
+                    _, hits[client] = client.step_block(
+                        session, pcs[start:start + block],
+                        values[start:start + block])
+                    seconds[client] = time.perf_counter() - started
+                assert hits[base_client] == hits[observed_client]
+                ratios.append(seconds[base_client]
+                              / seconds[observed_client])
+        ratio = statistics.median(ratios)
+        assert ratio >= 0.95, (
+            f"observability overhead too high: the obs server's batched "
+            f"throughput is {ratio:.3f}x the plain server's (median of "
+            f"{len(ratios)} paired blocks)")

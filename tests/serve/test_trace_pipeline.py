@@ -388,6 +388,35 @@ class TestSoakHarness:
         text = render_soak(report)
         assert "soak: PASS" in text
 
+    def test_session_hit_mismatch_fails_the_soak(self, monkeypatch):
+        # The hit count a session reports at close must equal the
+        # client's after every pass; a server that miscounts fails the
+        # soak even though the client's own count matches offline.
+        from repro.serve.cluster import soak
+        from repro.serve.cluster.soak import render_soak, run_soak
+        from repro.trace.trace import ValueTrace
+
+        monkeypatch.setattr(soak, "_POLL_INTERVAL_S", 0.5)
+        real_close = ServeClient.close_session
+
+        def lying_close(client, session):
+            stats = real_close(client, session)
+            return {**stats, "hits": stats["hits"] + 1}
+
+        monkeypatch.setattr(ServeClient, "close_session", lying_close)
+        pcs, values = workload(240)
+        trace = ValueTrace("soak-lying",
+                           np.asarray(pcs, dtype=np.uint32),
+                           np.asarray(values, dtype=np.uint32))
+        report = run_soak(DFCMSpec(64, 256), trace, workers=1,
+                          sessions=1, duration_s=1.0, block=64)
+        assert report["soak_ok"] is False
+        [error] = report["errors"]
+        assert re.fullmatch(
+            r"session thread 0: RuntimeError: session \d+: client "
+            r"counted \d+ hits, session reported \d+", error), error
+        assert "soak: FAIL" in render_soak(report)
+
     def test_soak_rejects_bad_arguments(self):
         from repro.serve.cluster.soak import run_soak
         from repro.trace.trace import ValueTrace

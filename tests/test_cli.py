@@ -158,6 +158,29 @@ class TestErrorExits:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["--cluster-workers", "2", "--min-scaling", "100"],
+        ["--cluster-workers", "1,2", "--min-speedup", "100"],
+        ["--port", "1", "--mode", "batched", "--min-speedup", "100"],
+        ["--port", "1", "--min-scaling", "100"],
+    ], ids=["one-fleet-size-min-scaling", "cluster-min-speedup",
+            "one-mode-min-speedup", "port-min-scaling"])
+    def test_loadgen_gate_that_cannot_gate(self, argv, capsys,
+                                           monkeypatch):
+        from repro.serve.client import ServeClient
+        from repro.serve.cluster import ClusterThread
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replay started")
+
+        # Refused before any client connects or any fleet starts.
+        monkeypatch.setattr(ServeClient, "__init__", refuse)
+        monkeypatch.setattr(ClusterThread, "__init__", refuse)
+        code, text = run_cli("loadgen", "li", "--limit", "100", *argv)
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_genuine_bug_is_not_downgraded(self, monkeypatch):
         import repro.cli as cli
 
