@@ -76,6 +76,16 @@ def default_state_dir() -> str:
     return os.environ.get("REPRO_STATE_DIR", ".state")
 
 
+class _Given(argparse.Action):
+    """Store the value, and add the option's ``dest`` to ``args.given``:
+    how a command tells a flag it was passed from one left at its
+    default, whatever the value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 def _maybe_telemetry(args):
     """Context manager yielding the active TelemetryRun (or None) for
     commands carrying a ``--telemetry DIR`` flag."""
@@ -353,11 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     replaying.add_argument("--block", type=int, default=256,
                            help="records per STEP_BLOCK frame "
                                 "(default 256)")
-    replaying.add_argument("--sessions", type=int, default=4,
+    replaying.set_defaults(given=frozenset())
+    replaying.add_argument("--sessions", type=int, default=4, action=_Given,
                            help="concurrent replay sessions (default 4; "
                                 "loadgen: per fleet size, with "
                                 "--cluster-workers only)")
-    replaying.add_argument("--state-dir", default=None,
+    replaying.add_argument("--state-dir", default=None, action=_Given,
                            help="shared state directory for the "
                                 "self-hosted fleet (loadgen: with "
                                 "--cluster-workers only)")
@@ -369,14 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen = sub.add_parser(
         "loadgen", parents=[replaying],
         help="replay a trace against a prediction server")
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=None,
+    loadgen.add_argument("--host", default="127.0.0.1", action=_Given)
+    loadgen.add_argument("--port", type=int, default=None, action=_Given,
                          help="server port")
     loadgen.add_argument("--limit", type=int, default=1000,
                          help="records to replay (default 1000)")
-    loadgen.add_argument("--mode", default="both",
+    loadgen.add_argument("--mode", default="both", action=_Given,
                          choices=["naive", "batched", "both"])
     loadgen.add_argument("--min-speedup", type=float, default=None,
+                         action=_Given,
                          help="fail unless batched beats naive by this "
                               "factor (needs --port and --mode both)")
     loadgen.add_argument("--cluster-workers", default=None,
@@ -384,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "sizes (e.g. 1,2,3) to self-host and "
                               "sweep instead of targeting --port")
     loadgen.add_argument("--min-scaling", type=float, default=None,
+                         action=_Given,
                          help="fail unless the largest fleet beats one "
                               "worker by this factor (scaling mode, "
                               "two or more fleet sizes)")
@@ -967,28 +980,38 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
+#: The flags only one loadgen mode reads, by ``dest``: a
+#: ``--cluster-workers`` sweep refuses the first set, a run against
+#: ``--port`` the second.
+_PORT_FLAGS = frozenset({"host", "port", "mode", "min_speedup"})
+_SWEEP_FLAGS = frozenset({"sessions", "state_dir", "min_scaling"})
+
+
 def _cmd_loadgen(args, out) -> int:
     from repro.core.spec import spec_from_cli
     from repro.serve.loadgen import render_loadgen, run_loadgen
     from repro.trace.cache import cached_trace
 
     scaling = args.cluster_workers is not None
-    if scaling and args.min_speedup is not None:
+    unread = args.given & (_PORT_FLAGS if scaling else _SWEEP_FLAGS)
+    if unread:
+        flags = ", ".join(f"--{dest.replace('_', '-')}"
+                          for dest in sorted(unread))
         raise ValueError(
-            "--min-speedup compares --mode naive and batched against "
-            "--port; a --cluster-workers sweep gates with --min-scaling")
-    if not scaling and args.min_scaling is not None:
+            f"{flags}: not read by a --cluster-workers sweep, which "
+            f"self-hosts its fleets, replays them batched and gates with "
+            f"--min-scaling" if scaling else
+            f"{flags}: read only by a --cluster-workers sweep; against "
+            f"--port, loadgen replays one session per mode, keeps no "
+            f"state and gates with --min-speedup")
+    if not scaling and args.port is None:
         raise ValueError(
-            "--min-scaling gates a --cluster-workers sweep; against "
-            "--port, gate with --min-speedup")
+            "--port is required (or use --cluster-workers to self-host "
+            "a fleet)")
     spec = spec_from_cli(args.predictor, 1 << args.l1, 1 << args.l2)
     trace = cached_trace(args.name, args.limit)
     if scaling:
         return _loadgen_scaling(args, out, spec, trace)
-    if args.port is None:
-        raise ValueError(
-            "--port is required (or use --cluster-workers to self-host "
-            "a fleet)")
     report = run_loadgen(spec, trace, args.host, args.port,
                          window=args.window, mode=args.mode,
                          block=args.block, min_speedup=args.min_speedup)

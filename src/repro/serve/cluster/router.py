@@ -44,6 +44,10 @@ the worker was SIGKILLed, or no state dir configured) are counted in
 ``repro_cluster_sessions_lost_total`` and answered UNKNOWN_SESSION,
 never silently dropped.
 
+The router's obs endpoint serves the worker's routes aggregated over
+the fleet from each worker's JSON answers; ``/metrics`` merges the
+workers' registry snapshots into the router's own.
+
 :class:`Router` runs on the server's :mod:`repro.serve.service`
 chassis; :class:`ClusterThread` hosts supervisor + router behind the
 same blocking API as :class:`~repro.serve.server.ServerThread`, for
@@ -57,12 +61,12 @@ import math
 import struct
 import time
 from typing import Dict, List, Optional
+from urllib.parse import urlencode
 
 from repro.serve import protocol
-from repro.serve.cluster.aggregate import (http_get, http_get_json,
-                                           merge_prometheus_texts)
 from repro.serve.cluster.ring import RendezvousRing
 from repro.serve.cluster.supervisor import ClusterSupervisor
+from repro.serve.obs import get_json
 from repro.serve.protocol import HEADER_SIZE
 from repro.serve.service import (FrameService, Refusal, ServiceMetrics,
                                  ServiceThread, Slot, pooled_table_ratios)
@@ -827,14 +831,12 @@ class Router(FrameService):
             "uptime_s": self.uptime_s(),
         }
 
-    async def _scrape_workers(self, path: str,
-                              fetch=http_get_json) -> List[tuple]:
-        """(index, parsed-JSON-or-None) for every connected worker
-        (the raw text with ``fetch=http_get``)."""
+    async def _scrape_workers(self, path: str) -> List[tuple]:
+        """(index, parsed-JSON-or-None) for every connected worker."""
         alive = [(i, b) for i, b in sorted(self._backends.items())
                  if b.alive and b.obs_port]
         results = await asyncio.gather(
-            *(fetch(b.host, b.obs_port, path) for _, b in alive),
+            *(get_json(b.host, b.obs_port, path) for _, b in alive),
             return_exceptions=True)
         return [(i, None if isinstance(res, Exception) else res)
                 for (i, _), res in zip(alive, results)]
@@ -859,7 +861,8 @@ class Router(FrameService):
                    "alive": connected, "restarts": desc["restarts"],
                    "status": "down", "sessions": 0, "resident": 0,
                    "spilled": 0, "evictions": 0, "reloads": 0,
-                   "records": 0, "hits": 0, "alerts": []}
+                   "records": 0, "hits": 0, "queue_depth": 0,
+                   "alerts": []}
             if health is not None:
                 row.update({
                     "status": health.get("status", "?"),
@@ -870,6 +873,7 @@ class Router(FrameService):
                     "reloads": health.get("reloads_total", 0),
                     "records": health.get("records_served", 0),
                     "hits": health.get("hits_served", 0),
+                    "queue_depth": health.get("queue_depth", 0),
                     "alerts": health.get("alerts", []),
                 })
                 totals["resident"] += row["resident"]
@@ -1031,7 +1035,8 @@ class Router(FrameService):
 
     async def scale_report(self) -> dict:
         """The ``/scale`` body: autoscaling signals shaped like a
-        Kubernetes custom-metrics API ``MetricValueList``.
+        Kubernetes custom-metrics API ``MetricValueList``, derived from
+        the aggregated ``/healthz`` and ``/slo``.
 
         Signals: average sessions per live worker, p99 data-frame
         latency over the router's window (client-experienced; its
@@ -1044,32 +1049,20 @@ class Router(FrameService):
         adapter (e.g. prometheus-adapter) serves to the HPA --
         see deploy/k8s.yaml and deploy/README.md.
         """
-        scraped_health = await self._scrape_workers("/healthz")
-        scraped_slo = await self._scrape_workers("/slo")
+        health = await self.healthz()
+        slo = await self.slo_report()
         workers_alive = self._workers_alive()
         sessions_per_worker = (len(self._sessions)
                                / max(1, workers_alive))
-        queue_depth = max((health.get("queue_depth", 0)
-                           for _, health in scraped_health
-                           if health is not None), default=0)
-        burn = 0.0
-        alerting = []
-        for index, report in scraped_slo:
-            if report is None:
-                continue
-            for status in report.get("slos", []):
-                sustained = min(status.get("fast_burn", 0.0),
-                                status.get("slow_burn", 0.0))
-                if sustained > burn:
-                    burn = sustained
-                if status.get("alerting"):
-                    alerting.append(
-                        f"w{index}:{status.get('name', '?')}")
-        latency = self.request_log.window_summary()
+        burn = max((min(status.get("fast_burn", 0.0),
+                        status.get("slow_burn", 0.0))
+                    for status in slo["slos"]), default=0.0)
+        latency = slo["latency"]
         signals = {
             "sessions_per_worker": round(sessions_per_worker, 4),
             "step_latency_p99_ms": latency["p99_ms"],
-            "queue_depth": queue_depth,
+            "queue_depth": max((row["queue_depth"]
+                                for row in health["workers"]), default=0),
             "slo_burn_rate": round(burn, 4),
         }
         timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -1090,7 +1083,7 @@ class Router(FrameService):
             "workers_alive": workers_alive,
             "sessions_open": len(self._sessions),
             "sessions_parked": len(self._parked),
-            "alerts": sorted(alerting),
+            "alerts": sorted(slo["alerts"]),
         }
 
     async def tables_report(self) -> dict:
@@ -1111,23 +1104,26 @@ class Router(FrameService):
         return {"schema": 1, "cluster": True, "workers": workers,
                 "totals": pooled_table_ratios(totals)}
 
-    async def metrics_text(self, prefix: Optional[str] = None,
-                           exemplars: bool = False) -> str:
-        """One merged Prometheus exposition: the router's own registry
-        plus every live worker's, relabelled ``worker="i"``."""
-        query = []
-        if prefix:
-            query.append(f"prefix={prefix}")
-        if exemplars:
-            query.append("exemplars=1")
-        path = "/metrics" + (f"?{'&'.join(query)}" if query else "")
-        scraped = await self._scrape_workers(path, fetch=http_get)
+    async def metrics_snapshot(self, prefix: Optional[str]) -> dict:
+        """The router's registry snapshot plus every live worker's,
+        each worker sample labelled ``worker="i"`` first.  A family the
+        router holds (drained workers' are folded in) is extended, so
+        the first HELP wins."""
+        query = urlencode({"format": "json",
+                           **({"prefix": prefix} if prefix else {})})
+        scraped = await self._scrape_workers(f"/metrics?{query}")
         self._set_gauges()
-        parts = [(None, super().metrics_text(prefix=prefix,
-                                             exemplars=exemplars))]
-        parts += [({"worker": str(index)}, text)
-                  for index, text in scraped if text is not None]
-        return merge_prometheus_texts(parts)
+        merged = super().metrics_snapshot(prefix)
+        for index, snapshot in scraped:
+            if snapshot is None:
+                continue
+            for name, family in snapshot.items():
+                into = merged.setdefault(name, dict(family, samples=[]))
+                into["samples"] += [
+                    dict(sample, labels={"worker": str(index),
+                                         **sample["labels"]})
+                    for sample in family["samples"]]
+        return merged
 
 
 class ClusterThread(ServiceThread):

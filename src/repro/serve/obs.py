@@ -9,10 +9,11 @@ or the cluster :class:`~repro.serve.cluster.router.Router`, whose
 methods aggregate the fleet (coroutine methods are awaited).  Routes:
 
 ``/metrics``
-    The live process registry in Prometheus text exposition format
-    0.0.4 (``?exemplars=1`` adds OpenMetrics-style trace-id exemplars
-    to histogram buckets; ``?prefix=repro_serve`` restricts names).
-    A server refreshes its table-usage gauges as it builds the body.
+    The service's registry snapshot in Prometheus text exposition
+    format 0.0.4 (``?exemplars=1`` adds OpenMetrics-style trace-id
+    exemplars to histogram buckets; ``?prefix=repro_serve`` restricts
+    names), or as JSON with ``?format=json`` (how the router reads its
+    workers').  A server refreshes its table-usage gauges first.
 ``/healthz``
     JSON liveness: overall status (``ok`` / ``degraded`` /
     ``draining``), queue depth, batch and session counts, firing SLO
@@ -44,7 +45,8 @@ methods aggregate the fleet (coroutine methods are awaited).  Routes:
 
 The implementation is deliberately minimal -- request line + headers
 in, one response out, connection closed -- because its only consumers
-are scrapers, ``repro top``, and curl.  No external HTTP dependency.
+are scrapers, the router, ``repro top`` and curl; :func:`get_json` is
+the one client they share.  No external HTTP dependency.
 """
 
 from __future__ import annotations
@@ -56,11 +58,13 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.tracing import parse_trace_id
+from repro.telemetry.export import snapshot_prometheus_text
 
-__all__ = ["ObservabilityServer"]
+__all__ = ["ObservabilityServer", "get_json"]
 
 _MAX_REQUEST_LINE = 8192
 _HEADER_TIMEOUT = 5.0
+_MAX_RESPONSE = 1 << 26
 
 
 #: Path -> report method of the served object, in index order.
@@ -145,9 +149,12 @@ class ObservabilityServer:
     async def _route(self, path: str, query: dict) -> Tuple[str, str, bytes]:
         service = self.service
         if path == "/metrics":
-            text = await _resolve(service.metrics_text(
-                prefix=_first(query, "prefix"),
-                exemplars=_flag(query, "exemplars")))
+            snapshot = await _resolve(
+                service.metrics_snapshot(_first(query, "prefix")))
+            if _first(query, "format") == "json":
+                return json_response(snapshot)
+            text = snapshot_prometheus_text(
+                snapshot, exemplars=_flag(query, "exemplars"))
             return ("200 OK", "text/plain; version=0.0.4; charset=utf-8",
                     text.encode("utf-8"))
         if path == "/trace":
@@ -195,6 +202,52 @@ def _int(query: dict, key: str) -> Optional[int]:
         return int(value)
     except ValueError:
         return None
+
+
+async def get_json(host: str, port: int, path: str,
+                   timeout: float = 5.0) -> dict:
+    """GET ``http://host:port{path}`` and parse the JSON body.
+
+    Raises ``ConnectionError`` on refusal/reset, ``TimeoutError`` after
+    *timeout* seconds and ``ValueError`` on a non-200 status or a body
+    that is not JSON -- the router treats each as "worker unreachable".
+    """
+    try:
+        raw = await asyncio.wait_for(_get(host, port, path), timeout)
+    except asyncio.TimeoutError:
+        raise TimeoutError(f"GET {path} on {host}:{port}: no response "
+                           f"within {timeout:g}s") from None
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line = head.split(b"\r\n", 1)[0].decode("latin-1", "replace")
+    parts = status_line.split()
+    if len(parts) < 2 or parts[1] != "200":
+        raise ValueError(f"GET {path} on {host}:{port} -> {status_line}")
+    return json.loads(body)
+
+
+async def _get(host: str, port: int, path: str) -> bytes:
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(f"GET {path} HTTP/1.0\r\n"
+                     f"Host: {host}\r\n\r\n".encode("ascii"))
+        await writer.drain()
+        # Read to EOF (the endpoint closes after one response); a
+        # single read(n) would return the first segment only.
+        chunks = []
+        total = 0
+        while total < _MAX_RESPONSE:
+            chunk = await reader.read(1 << 16)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            total += len(chunk)
+        return b"".join(chunks)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
 
 
 def json_response(payload: dict) -> Tuple[str, str, bytes]:

@@ -388,7 +388,7 @@ class PredictionServer(FrameService):
         :meth:`~repro.serve.session.Session.table_stats`), pools the
         live-bit / hit / conflict counts, and refreshes the
         ``repro_serve_table_*`` gauges as a side effect -- so does every
-        ``/metrics`` scrape (:meth:`metrics_text`), and nothing else:
+        ``/metrics`` scrape (:meth:`metrics_snapshot`), and nothing else:
         a scalar-mode session's snapshot costs milliseconds of the
         worker's event loop.
         """
@@ -413,13 +413,12 @@ class PredictionServer(FrameService):
         self.metrics.table_aliasing.set(totals["aliasing_ratio"])
         return {"schema": 1, "sessions": sessions, "totals": totals}
 
-    def metrics_text(self, prefix: Optional[str] = None,
-                     exemplars: bool = False) -> str:
+    def metrics_snapshot(self, prefix: Optional[str]) -> dict:
         """The ``/metrics`` body, with the table, residency and queue
         gauges refreshed."""
         self.tables_report()
         self._set_gauges()
-        return super().metrics_text(prefix=prefix, exemplars=exemplars)
+        return super().metrics_snapshot(prefix)
 
     def _set_gauges(self) -> None:
         """Set the residency and queue gauges to the figures STATS

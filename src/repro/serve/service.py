@@ -26,7 +26,7 @@ from repro.serve.obs import ObservabilityServer
 from repro.serve.tracing import (RequestTrace, SlowRequestSampler,
                                  TraceStore, latency_summary, new_trace_id)
 from repro.telemetry import run as telemetry_run_module
-from repro.telemetry.live import live_prometheus_text
+from repro.telemetry.live import live_snapshot
 from repro.telemetry.registry import registry
 from repro.telemetry.spans import emit_span
 
@@ -280,10 +280,10 @@ class FrameService:
         return (round(time.time() - self._started_at, 3)
                 if self._started_at else 0.0)
 
-    def metrics_text(self, prefix: Optional[str] = None,
-                     exemplars: bool = False) -> str:
-        """The ``/metrics`` body: the live process registry."""
-        return live_prometheus_text(prefix=prefix, exemplars=exemplars)
+    def metrics_snapshot(self, prefix: Optional[str]) -> dict:
+        """The ``/metrics`` body: the live process registry's snapshot,
+        restricted to names starting with *prefix* when one is given."""
+        return live_snapshot(prefix)
 
     def slow_requests(self) -> dict:
         """The ``/slow`` body: top-K slowest completed requests."""

@@ -26,20 +26,21 @@ the server needs no extra bookkeeping for the dashboard.  ``--once``
 prints a single plain snapshot (no screen control, no second poll) --
 that is what CI smoke tests and scripts use.
 
-Only the standard library is involved: plain HTTP GETs via urllib and
-ANSI escape codes for the live mode (no curses dependency, so it works
-on dumb terminals and in CI logs).
+Only the standard library is involved: the obs tier's own HTTP
+client (:func:`~repro.serve.obs.get_json`, which the router scrapes its
+workers with too) and ANSI escape codes for the live mode (no curses
+dependency, so it works on dumb terminals and in CI logs).
 """
 
 from __future__ import annotations
 
-import json
+import asyncio
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from typing import List, Optional
+from urllib.parse import urlsplit
 
+from repro.serve.obs import get_json
 from repro.serve.tracing import STAGES
 
 __all__ = ["fetch_json", "sparkline", "render_dashboard", "run_top"]
@@ -51,11 +52,12 @@ _CLEAR = "\x1b[H\x1b[2J"
 _SLOW_ROWS = 8
 
 
-def fetch_json(base_url: str, path: str, timeout: float = 5.0) -> dict:
-    """GET ``base_url + path`` and parse the JSON body."""
-    with urllib.request.urlopen(base_url.rstrip("/") + path,
-                                timeout=timeout) as resp:
-        return json.loads(resp.read().decode("utf-8"))
+def fetch_json(base_url: str, path: str, timeout: float) -> dict:
+    """GET ``base_url + path`` and parse the JSON body: a blocking
+    :func:`~repro.serve.obs.get_json`, raising what it raises."""
+    url = urlsplit(base_url)
+    return asyncio.run(get_json(url.hostname, url.port or 80,
+                                url.path.rstrip("/") + path, timeout))
 
 
 def sparkline(values, width: int = 30) -> str:
@@ -249,15 +251,10 @@ def run_top(base_url: str, interval: float = 1.0,
                 health = fetch_json(base_url, "/healthz", timeout)
                 slo = fetch_json(base_url, "/slo", timeout)
                 slow = fetch_json(base_url, "/slow", timeout)
-            except (urllib.error.URLError, ConnectionError, OSError,
-                    json.JSONDecodeError) as exc:
+                tables = fetch_json(base_url, "/tables", timeout)
+            except (OSError, ValueError) as exc:
                 out.write(f"error: cannot poll {base_url}: {exc}\n")
                 return 1
-            try:
-                tables = fetch_json(base_url, "/tables", timeout)
-            except (urllib.error.URLError, ConnectionError, OSError,
-                    json.JSONDecodeError):
-                tables = None  # older server without the route
             rates = history.update(health, slo)
             frame = render_dashboard(base_url, health, slo, slow,
                                      rates=rates, history=history,

@@ -37,7 +37,7 @@ Typical consumer::
     repro telemetry export --format prom --dir telemetry/
 """
 
-from repro.telemetry.live import live_prometheus_text, live_snapshot
+from repro.telemetry.live import live_snapshot
 from repro.telemetry.registry import (Counter, Gauge, Histogram,
                                       MetricError, MetricsRegistry,
                                       registry)
@@ -54,6 +54,6 @@ __all__ = [
     "active_run", "enabled", "telemetry_run", "detach_run",
     "collecting_run",
     "span", "current_span", "Span", "NoopSpan", "NOOP_SPAN",
-    "live_snapshot", "live_prometheus_text",
+    "live_snapshot",
     "SLO", "SLOMonitor", "default_serve_slos",
 ]

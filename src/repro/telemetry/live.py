@@ -4,22 +4,22 @@
 to disk; this module is the complement for a process that is still
 running -- the serving observability endpoint scrapes the registry
 in place, so ``/metrics`` always shows the current counters rather
-than the snapshot of a finished run.
+than the snapshot of a finished run (rendered as text, or served as
+JSON to the cluster router).
 
-Everything here is a read: rendering a scrape never mutates a metric,
-and the snapshot is taken synchronously on the caller's thread (the
-registry is plain dict arithmetic, so a scrape races at worst into a
-value one increment old).
+Everything here is a read: a scrape never mutates a metric, and the
+snapshot is taken synchronously on the caller's thread (the registry
+is plain dict arithmetic, so a scrape races at worst into a value one
+increment old).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.telemetry.export import snapshot_prometheus_text
 from repro.telemetry.registry import registry
 
-__all__ = ["live_snapshot", "live_prometheus_text"]
+__all__ = ["live_snapshot"]
 
 
 def live_snapshot(prefix: Optional[str] = None) -> dict:
@@ -31,13 +31,3 @@ def live_snapshot(prefix: Optional[str] = None) -> dict:
     return {name: data for name, data in snapshot.items()
             if name.startswith(prefix)}
 
-
-def live_prometheus_text(prefix: Optional[str] = None,
-                         exemplars: bool = False) -> str:
-    """The live registry in Prometheus text exposition format 0.0.4.
-
-    ``exemplars=True`` annotates histogram buckets with their last
-    trace-id exemplar (OpenMetrics-style suffix; not strict 0.0.4).
-    """
-    return snapshot_prometheus_text(live_snapshot(prefix),
-                                    exemplars=exemplars)

@@ -9,6 +9,7 @@ monitor; and the obs listener keeps batched throughput within
 tolerance of a server without it.
 """
 
+import asyncio
 import json
 import re
 import socket
@@ -26,6 +27,7 @@ from repro.core.spec import DFCMSpec, StrideSpec
 from repro.serve.client import ServeClient
 from repro.serve.cluster import ClusterThread
 from repro.serve.loadgen import run_loadgen, wire_records
+from repro.serve.obs import get_json
 from repro.serve.server import ServerThread
 from repro.serve.service import RequestLog
 from repro.serve.tracing import RequestTrace, format_trace_id
@@ -142,6 +144,31 @@ class TestEndpointSurface:
             for port in (served.port, served.obs_port):
                 socket.create_connection(("127.0.0.2", port),
                                          timeout=5).close()
+
+
+class TestGetJson:
+    """The one obs client: answers parse, failures raise what ``main()``
+    reports as an ``error:`` line."""
+
+    def test_answers_and_failures(self):
+        with ServerThread(obs_port=0) as server:
+            port = server.obs_port
+            snapshot = asyncio.run(get_json(
+                "127.0.0.1", port,
+                "/metrics?format=json&prefix=repro_serve_table_"))
+            assert "repro_serve_table_occupancy" in snapshot
+            assert all(name.startswith("repro_serve_table_")
+                       for name in snapshot)
+            with pytest.raises(ValueError, match="404"):
+                asyncio.run(get_json("127.0.0.1", port, "/nope"))
+        with pytest.raises(ConnectionError):
+            asyncio.run(get_json("127.0.0.1", port, "/healthz"))
+        with socket.socket() as silent:
+            silent.bind(("127.0.0.1", 0))
+            silent.listen(1)
+            with pytest.raises(TimeoutError, match="within 0.2s"):
+                asyncio.run(get_json("127.0.0.1", silent.getsockname()[1],
+                                     "/healthz", timeout=0.2))
 
 
 class TestScrapeUnderTraffic:

@@ -1,6 +1,7 @@
 """Live registry scrape path (the /metrics read side)."""
 
-from repro.telemetry.live import live_prometheus_text, live_snapshot
+from repro.telemetry.export import snapshot_prometheus_text
+from repro.telemetry.live import live_snapshot
 from repro.telemetry.registry import registry
 
 
@@ -27,14 +28,14 @@ class TestLiveSnapshot:
     def test_scrape_is_read_only(self):
         seed_metrics()
         before = live_snapshot()
-        live_prometheus_text()
+        snapshot_prometheus_text(live_snapshot())
         assert live_snapshot() == before
 
 
 class TestLivePrometheusText:
     def test_renders_current_values(self):
         seed_metrics()
-        text = live_prometheus_text()
+        text = snapshot_prometheus_text(live_snapshot())
         assert "# TYPE live_requests_total counter" in text
         assert "live_requests_total 5" in text
         assert "live_depth 3" in text
@@ -42,14 +43,15 @@ class TestLivePrometheusText:
 
     def test_prefix_filter_applies(self):
         seed_metrics()
-        text = live_prometheus_text(prefix="live_")
+        text = snapshot_prometheus_text(live_snapshot(prefix="live_"))
         assert "live_requests_total 5" in text
         assert "other_seconds" not in text
 
     def test_exemplars_off_by_default(self):
         registry().histogram("live_lat_seconds", buckets=(1,)).observe(
             0.5, exemplar="00ab")
-        strict = live_prometheus_text()
+        strict = snapshot_prometheus_text(live_snapshot())
         assert "trace_id" not in strict
-        annotated = live_prometheus_text(exemplars=True)
+        annotated = snapshot_prometheus_text(live_snapshot(),
+                                             exemplars=True)
         assert '# {trace_id="00ab"} 0.5' in annotated

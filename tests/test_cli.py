@@ -144,6 +144,23 @@ class TestJsonSchema:
         assert json.loads(text)["schema"] == 1
 
 
+def assert_refused_before_replay(argv, capsys, monkeypatch):
+    """``loadgen li ARGV`` exits 1 with an ``error:`` line before any
+    client connects or any fleet starts."""
+    from repro.serve.client import ServeClient
+    from repro.serve.cluster import ClusterThread
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replay started")
+
+    monkeypatch.setattr(ServeClient, "__init__", refuse)
+    monkeypatch.setattr(ClusterThread, "__init__", refuse)
+    code, text = run_cli("loadgen", "li", "--limit", "100", *argv)
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestErrorExits:
     """Expected failures exit 1 with an error: line on stderr."""
 
@@ -167,19 +184,25 @@ class TestErrorExits:
             "one-mode-min-speedup", "port-min-scaling"])
     def test_loadgen_gate_that_cannot_gate(self, argv, capsys,
                                            monkeypatch):
-        from repro.serve.client import ServeClient
-        from repro.serve.cluster import ClusterThread
+        assert_refused_before_replay(argv, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("argv", [
+        ["--cluster-workers", "1", "--mode", "naive"],
+        ["--cluster-workers", "1", "--host", "127.0.0.1"],
+        ["--cluster-workers", "1", "--port", "9"],
+        ["--port", "9", "--sessions", "7"],
+        ["--port", "9", "--state-dir", "unread"],
+    ], ids=["cluster-mode", "cluster-host", "cluster-port",
+            "port-sessions", "port-state-dir"])
+    def test_loadgen_flag_its_mode_never_reads(self, argv, capsys,
+                                               monkeypatch):
+        import repro.trace.cache as trace_cache
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a replay started")
+            raise AssertionError("a trace loaded")
 
-        # Refused before any client connects or any fleet starts.
-        monkeypatch.setattr(ServeClient, "__init__", refuse)
-        monkeypatch.setattr(ClusterThread, "__init__", refuse)
-        code, text = run_cli("loadgen", "li", "--limit", "100", *argv)
-        assert code == 1
-        assert text == ""
-        assert capsys.readouterr().err.startswith("error:")
+        monkeypatch.setattr(trace_cache, "cached_trace", refuse)
+        assert_refused_before_replay(argv, capsys, monkeypatch)
 
     def test_genuine_bug_is_not_downgraded(self, monkeypatch):
         import repro.cli as cli
@@ -381,10 +404,18 @@ class TestTopCommand:
         assert code == 0
         assert "status: OK" in text
 
-    def test_dead_endpoint_exits_1(self):
+    def test_dead_endpoint_exits_1(self, capsys):
         code, text = run_cli("top", "1", "--once", "--timeout", "0.5")
         assert code == 1
         assert "error: cannot poll" in text
+        # The other obs readers report through main(), on stderr.
+        for argv in (["cluster", "status", "1"],
+                     ["trace", "00ab", "--from", "1"]):
+            code, _text = run_cli(*argv, "--timeout", "0.5")
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err.startswith("error:"), err
+            assert "Traceback" not in err
 
 
 class TestBenchHistoryCLI:
