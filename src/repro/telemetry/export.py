@@ -130,7 +130,8 @@ def _escape_help(value: str) -> str:
 
 
 def _label_text(labels: dict, extra: Optional[dict] = None) -> str:
-    merged = dict(labels)
+    # Prometheus reads an empty label value as an absent label.
+    merged = {k: v for k, v in labels.items() if v != ""}
     if extra:
         merged.update(extra)
     if not merged:

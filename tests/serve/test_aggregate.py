@@ -225,6 +225,29 @@ class TestMergePrometheusTexts:
         assert router.paths == ["/metrics?format=json&prefix=agg_json_"]
 
 
+class TestJsonRoundTrip:
+    def test_merged_snapshot_merges_into_a_registry(self, monkeypatch):
+        # The router holds a drained worker's fold of a family the live
+        # workers also send: the merged family declares ``worker``
+        # first, and the fold carries ``worker=""``.
+        registry().counter("agg_fold_total", "folded",
+                           labels=("type",)).inc(3, type="step")
+        router = make_router(monkeypatch, worker_snapshot(
+            lambda reg: reg.counter("agg_fold_total", "folded",
+                                    labels=("type",)).inc(5, type="step")))
+        snapshot = json.loads(get(router, "format=json&prefix=agg_fold_")[1])
+        assert snapshot["agg_fold_total"]["label_names"] == ["worker", "type"]
+        merged = MetricsRegistry()
+        merged.merge_snapshot(snapshot)
+        assert merged.snapshot() == snapshot
+        # An empty label value is an absent one: the text is unchanged.
+        assert scrape_lines(router, "prefix=agg_fold_") == [
+            "# HELP agg_fold_total folded",
+            "# TYPE agg_fold_total counter",
+            'agg_fold_total{type="step"} 3',
+            'agg_fold_total{worker="0",type="step"} 5']
+
+
 class TestScaleReport:
     def test_signals_come_from_healthz_and_slo(self, monkeypatch):
         router = make_router(monkeypatch)

@@ -1,7 +1,7 @@
 """Supervisor collection: stuck drains, and what workers ship home.
 
 A worker treats SIGTERM as a drain request, so a worker stuck in its
-drain ignores further SIGTERMs.  Once ``_collect``'s deadline passes the
+drain ignores further SIGTERMs.  Once ``collect``'s deadline passes the
 supervisor must kill it outright rather than send one more SIGTERM.
 
 A worker buffers one telemetry event per request for its whole life
@@ -41,7 +41,7 @@ def test_collect_kills_a_worker_that_ignores_sigterm():
         supervisor = ClusterSupervisor(1)
         supervisor._signal(handle)
         started = time.monotonic()
-        assert supervisor._collect(handle, timeout=0.5) is None
+        assert supervisor.collect(handle, timeout=0.5) is None
         assert not process.is_alive()
         assert process.exitcode == -signal.SIGKILL
         assert time.monotonic() - started < 10
